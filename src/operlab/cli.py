@@ -217,10 +217,6 @@ def cmd_generate(config: dict, out_dir: str) -> int:
     return 0
 
 
-_ALGORITHM_KINDS = {"low-rank": "low-rank", "circulant": "circulant",
-                    "banded": "banded", "hodlr": "hodlr"}
-
-
 def cmd_recover(config: dict, out_dir: str) -> int:
     algorithm = config["algorithm"]
     n = config["dimension"]
@@ -235,7 +231,7 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     elif algorithm == "hodlr":
         params = {"rank": config["block_rank"], "levels": config["levels"]}
     try:
-        instance = random_structured(_ALGORITHM_KINDS[algorithm], n, instance_stream, **params)
+        instance = random_structured(algorithm, n, instance_stream, **params)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
     reference = instance.materialize() if n <= DENSE_CAP else None
@@ -283,9 +279,10 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     return 0
 
 
-def _load_dataset_checked(path: str) -> OperatorDataset:
+def _load_checked(load, path: str):
+    """load(path), with each container fault mapped to its own error code."""
     try:
-        return dataio.load_dataset(path)
+        return load(path)
     except dataio.ChecksumMismatchError as exc:
         raise CliError("checksum", str(exc)) from exc
     except dataio.UnsupportedVersionError as exc:
@@ -312,7 +309,7 @@ def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
-    ds = _load_dataset_checked(config["dataset"])
+    ds = _load_checked(dataio.load_dataset, config["dataset"])
     variant = config["variant"]
     losses = config.get("losses", ["relative-l2"])
     fraction = config.get("train_fraction", 1.0)
@@ -375,16 +372,11 @@ def cmd_fit(config: dict, out_dir: str) -> int:
 
 
 def cmd_eval(config: dict, out_dir: str) -> int:
-    try:
-        model = dataio.load_model(config["model"])
-    except dataio.DataFormatError as exc:
-        raise CliError("format", str(exc)) from exc
-    except OSError as exc:
-        raise CliError("io", str(exc)) from exc
+    model = _load_checked(dataio.load_model, config["model"])
     losses = config.get("losses", ["relative-l2"])
     rows = []
     for entry in config["datasets"]:
-        ds = _load_dataset_checked(entry["path"])
+        ds = _load_checked(dataio.load_dataset, entry["path"])
         if len(ds) == 0:
             raise CliError("incompatible", f"{entry['path']}: empty dataset")
         if ds.grid.n != entry["resolution"]:
@@ -416,8 +408,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a CliError instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise CliError("usage", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="operlab",
         description="Structured-operator recovery and operator-learning experiments.",
     )
@@ -425,16 +424,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="directory for output files")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (desk-scale runs are single-threaded)")
-    args = parser.parse_args(argv)
 
     level = os.environ.get("OPERLAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
-        if args.threads < 1:
-            raise CliError("config", "--threads must be at least 1")
+        args = parser.parse_args(argv)
         try:
             with open(args.config) as fh:
                 config = json.load(fh)

@@ -17,7 +17,6 @@ from .opfit import (
     BandedKernelModel,
     DenseKernelModel,
     FourierMultiplierModel,
-    HierarchicalBlock,
     HierarchicalKernelModel,
     KernelModel,
     LowRankKernelModel,
@@ -25,6 +24,20 @@ from .opfit import (
 
 MAGIC = "operlab-binary"
 VERSION = 1
+
+MODEL_TYPES = {
+    cls.variant: cls
+    for cls in (
+        DenseKernelModel,
+        LowRankKernelModel,
+        FourierMultiplierModel,
+        BandedKernelModel,
+        HierarchicalKernelModel,
+    )
+}
+
+# what constructors and lookups raise on checksum-valid but malformed headers
+_MALFORMED = (KeyError, TypeError, ValueError)
 
 
 class DataFormatError(RuntimeError):
@@ -52,14 +65,24 @@ def grid_to_dict(grid) -> dict:
     raise ValueError(f"unknown grid type {type(grid)!r}")
 
 
+def _field(mapping: dict, key: str, kind: type):
+    """mapping[key], required to have the given JSON type (float admits integers)."""
+    value = mapping.get(key)
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise DataFormatError(f"header field {key!r} is missing or not a JSON {kind.__name__}")
+    return value
+
+
 def grid_from_dict(d: dict):
-    kind = d["kind"]
+    kind = _field(d, "kind", str)
+    n, left, right = _field(d, "n", int), _field(d, "left", float), _field(d, "right", float)
     if kind == "uniform-1d":
-        return Grid1D(d["n"], d["left"], d["right"], periodic=False)
+        return Grid1D(n, left, right, periodic=False)
     if kind == "periodic-1d":
-        return Grid1D(d["n"], d["left"], d["right"], periodic=True)
+        return Grid1D(n, left, right, periodic=True)
     if kind == "uniform-2d":
-        return Grid2D(d["n"], d["left"], d["right"])
+        return Grid2D(n, left, right)
     raise DataFormatError(f"unknown grid kind {kind!r}")
 
 
@@ -92,6 +115,8 @@ def read_container(path) -> tuple[dict, bytes]:
             header = json.loads(header_bytes)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: malformed header") from exc
+        if not isinstance(header, dict):
+            raise DataFormatError(f"{path}: header is not a JSON object")
         payload = fh.read()
     declared = header.get("payload_bytes")
     if declared is None or len(payload) != declared:
@@ -130,80 +155,7 @@ def _unpack_arrays(manifest: list[dict], payload: bytes) -> dict[str, np.ndarray
     return out
 
 
-def save_dataset(path, ds: OperatorDataset):
-    """Write a dataset: header with grid/provenance, payload inputs then outputs."""
-    grid = ds.inputs[0].grid if ds.inputs else None
-    arrays = [(f"input{i}", s.values) for i, s in enumerate(ds.inputs)]
-    arrays += [(f"output{i}", s.values) for i, s in enumerate(ds.outputs)]
-    manifest, payload = _pack_arrays(arrays)
-    header = {
-        "container": "dataset",
-        "version": VERSION,
-        "grid": grid_to_dict(grid) if grid is not None else None,
-        "num_pairs": len(ds),
-        "provenance": ds.provenance,
-        "arrays": manifest,
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    write_container(path, header, payload)
-
-
-def load_dataset(path) -> OperatorDataset:
-    header, payload = read_container(path)
-    if header.get("container") != "dataset":
-        raise DataFormatError(f"{path}: container holds {header.get('container')!r}, not a dataset")
-    arrays = _unpack_arrays(header["arrays"], payload)
-    grid = grid_from_dict(header["grid"]) if header["grid"] is not None else None
-    count = header["num_pairs"]
-    inputs = [FunctionSample(grid, arrays[f"input{i}"]) for i in range(count)]
-    outputs = [FunctionSample(grid, arrays[f"output{i}"]) for i in range(count)]
-    return OperatorDataset(inputs, outputs, header.get("provenance", {}))
-
-
-def save_model(path, model: KernelModel):
-    """Write a fitted kernel model in the same container format."""
-    header: dict = {
-        "container": "model",
-        "version": VERSION,
-        "variant": model.variant,
-        "grid": grid_to_dict(model.grid),
-    }
-    arrays: list[tuple[str, np.ndarray]] = []
-    if isinstance(model, DenseKernelModel):
-        header["ridge"] = model.ridge
-        arrays.append(("kernel", model.kernel))
-    elif isinstance(model, LowRankKernelModel):
-        arrays.append(("col_factor", model.col_factor))
-        arrays.append(("row_factor", model.row_factor))
-    elif isinstance(model, FourierMultiplierModel):
-        header["max_mode"] = model.max_mode
-        arrays.append(("multiplier_real", model.multiplier.real))
-        arrays.append(("multiplier_imag", model.multiplier.imag))
-        arrays.append(("excited", model.excited.astype(float)))
-    elif isinstance(model, BandedKernelModel):
-        header["radius"] = model.radius
-        header["truncation_error"] = model.truncation_error
-        arrays.append(("kernel", model.kernel))
-    elif isinstance(model, HierarchicalKernelModel):
-        header["levels"] = model.levels
-        header["rank"] = model.rank
-        header["block_meta"] = [
-            {"level": b.level, "row": b.row_start, "col": b.col_start,
-             "size": b.size, "tail": b.tail}
-            for b in model.blocks
-        ]
-        header["leaf_meta"] = [
-            {"row": r0, "col": c0, "size": block.shape[0]}
-            for r0, c0, block in model.leaves
-        ]
-        for i, b in enumerate(model.blocks):
-            arrays.append((f"block{i}_col", b.col_factor))
-            arrays.append((f"block{i}_row", b.row_factor))
-        for i, (_, _, block) in enumerate(model.leaves):
-            arrays.append((f"leaf{i}", block))
-    else:
-        raise ValueError(f"cannot persist model variant {model.variant!r}")
+def _write(path, header: dict, arrays: list[tuple[str, np.ndarray]]):
     manifest, payload = _pack_arrays(arrays)
     header["arrays"] = manifest
     header["payload_bytes"] = len(payload)
@@ -211,37 +163,69 @@ def save_model(path, model: KernelModel):
     write_container(path, header, payload)
 
 
-def load_model(path) -> KernelModel:
+def _read(path, container: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and named arrays of a verified container holding `container`."""
     header, payload = read_container(path)
-    if header.get("container") != "model":
-        raise DataFormatError(f"{path}: container holds {header.get('container')!r}, not a model")
-    arrays = _unpack_arrays(header["arrays"], payload)
-    grid = grid_from_dict(header["grid"])
-    variant = header["variant"]
-    if variant == "dense-kernel":
-        return DenseKernelModel(grid, arrays["kernel"], header.get("ridge", 0.0))
-    if variant == "low-rank":
-        return LowRankKernelModel(grid, arrays["col_factor"], arrays["row_factor"])
-    if variant == "fourier-multiplier":
-        multiplier = arrays["multiplier_real"] + 1j * arrays["multiplier_imag"]
-        return FourierMultiplierModel(
-            grid, header["max_mode"], multiplier, arrays["excited"] > 0.5
+    if header.get("container") != container:
+        raise DataFormatError(
+            f"{path}: container holds {header.get('container')!r}, not a {container}"
         )
-    if variant == "banded":
-        return BandedKernelModel(
-            grid, arrays["kernel"], header["radius"], header["truncation_error"]
-        )
-    if variant == "hierarchical":
-        blocks = [
-            HierarchicalBlock(
-                meta["level"], meta["row"], meta["col"], meta["size"],
-                arrays[f"block{i}_col"], arrays[f"block{i}_row"], meta["tail"],
-            )
-            for i, meta in enumerate(header["block_meta"])
-        ]
-        leaves = [
-            (meta["row"], meta["col"], arrays[f"leaf{i}"])
-            for i, meta in enumerate(header["leaf_meta"])
-        ]
-        return HierarchicalKernelModel(grid, header["levels"], header["rank"], blocks, leaves)
-    raise DataFormatError(f"{path}: unknown model variant {variant!r}")
+    manifest = _field(header, "arrays", list)
+    try:
+        return header, _unpack_arrays(manifest, payload)
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: malformed array manifest: {exc!r}") from exc
+
+
+def save_dataset(path, ds: OperatorDataset):
+    """Write a dataset: header with grid/provenance, payload inputs then outputs."""
+    grid = ds.inputs[0].grid if ds.inputs else None
+    arrays = [(f"input{i}", s.values) for i, s in enumerate(ds.inputs)]
+    arrays += [(f"output{i}", s.values) for i, s in enumerate(ds.outputs)]
+    header = {
+        "container": "dataset",
+        "version": VERSION,
+        "grid": grid_to_dict(grid) if grid is not None else None,
+        "num_pairs": len(ds),
+        "provenance": ds.provenance,
+    }
+    _write(path, header, arrays)
+
+
+def load_dataset(path) -> OperatorDataset:
+    header, arrays = _read(path, "dataset")
+    count = _field(header, "num_pairs", int)
+    try:
+        grid = grid_from_dict(_field(header, "grid", dict)) if count else None
+        inputs = [FunctionSample(grid, arrays[f"input{i}"]) for i in range(count)]
+        outputs = [FunctionSample(grid, arrays[f"output{i}"]) for i in range(count)]
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: invalid dataset: {exc!r}") from exc
+    return OperatorDataset(inputs, outputs, header.get("provenance", {}))
+
+
+def save_model(path, model: KernelModel):
+    """Write a fitted kernel model in the same container format."""
+    if MODEL_TYPES.get(model.variant) is not type(model):
+        raise ValueError(f"cannot persist model variant {model.variant!r}")
+    header = {
+        "container": "model",
+        "version": VERSION,
+        "variant": model.variant,
+        "grid": grid_to_dict(model.grid),
+    }
+    header.update({name: getattr(model, name) for name in model.header_params})
+    _write(path, header, model.saved_arrays())
+
+
+def load_model(path) -> KernelModel:
+    header, arrays = _read(path, "model")
+    variant = _field(header, "variant", str)
+    cls = MODEL_TYPES.get(variant)
+    if cls is None:
+        raise DataFormatError(f"{path}: unknown model variant {variant!r}")
+    params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
+    try:
+        return cls.from_saved(grid_from_dict(_field(header, "grid", dict)), params, arrays)
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: invalid {variant} model: {exc!r}") from exc

@@ -1,4 +1,4 @@
-"""Dense linear algebra, FFT, quadrature, and seeded randomness primitives.
+"""FFT, thin QR, and seeded randomness primitives.
 
 FFT convention used throughout the package: unnormalized forward transform,
 inverse scaled by 1/n (numpy's default).  Randomness comes from RngStream,
@@ -7,14 +7,9 @@ sequence within one build.
 """
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
-
-
-class RankDeficiencyWarning(UserWarning):
-    """A factorization or solve hit a numerically rank-deficient matrix."""
 
 
 def _as_vector(v, dtype=None) -> np.ndarray:
@@ -64,67 +59,6 @@ def qr_thin(m) -> ThinQR:
     return ThinQR(q, r, bool(np.any(diag <= tol)))
 
 
-class SvdResult(NamedTuple):
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def svd_dense(m) -> SvdResult:
-    """Full SVD with M = U diag(s) V^T and s nonincreasing."""
-    mat = np.asarray(m, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("svd_dense expects a matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("svd_dense requires finite entries")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    return SvdResult(u, s, vt.T)
-
-
-def lstsq_ridge(m, b, lam: float) -> np.ndarray:
-    """Solve min ||Mx - b||^2 + lam*||x||^2.
-
-    For lam > 0 the solution is unique; it is computed from the augmented
-    least-squares system [M; sqrt(lam) I] rather than the normal equations.
-    For lam = 0 with rank-deficient M, the minimum-norm solution is returned
-    and a RankDeficiencyWarning is issued.
-    """
-    mat = np.asarray(m, dtype=float)
-    rhs = _as_vector(b, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != rhs.size:
-        raise ValueError("shape mismatch between matrix and right-hand side")
-    if lam < 0:
-        raise ValueError("ridge parameter must be nonnegative")
-    cols = mat.shape[1]
-    if lam > 0:
-        aug = np.vstack([mat, np.sqrt(lam) * np.eye(cols)])
-        aug_rhs = np.concatenate([rhs, np.zeros(cols)])
-        x, _, _, _ = np.linalg.lstsq(aug, aug_rhs, rcond=None)
-        return x
-    x, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if rank < cols:
-        warnings.warn(
-            "rank-deficient least squares with lam=0: returning the minimum-norm solution",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return x
-
-
-def trapezoid_weights(grid) -> np.ndarray:
-    """Trapezoidal quadrature weights for a strictly increasing grid."""
-    x = _as_vector(grid, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two grid points")
-    gaps = np.diff(x)
-    if np.any(gaps <= 0):
-        raise ValueError("grid must be strictly increasing")
-    w = np.zeros_like(x)
-    w[:-1] += 0.5 * gaps
-    w[1:] += 0.5 * gaps
-    return w
-
-
 class RngStream:
     """Deterministic random stream (PCG64 keyed by seed and derivation path).
 
@@ -158,8 +92,3 @@ def gaussian_vector(stream: RngStream, n: int) -> np.ndarray:
         raise ValueError("need n >= 1")
     return stream.standard_normal(n)
 
-
-def gaussian_matrix(stream: RngStream, rows: int, cols: int) -> np.ndarray:
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return stream.standard_normal((rows, cols))

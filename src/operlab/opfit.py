@@ -10,12 +10,18 @@ hierarchy of low-rank blocks with dense near-diagonal leaves.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
-from .structured import CirculantOperator
+from .grids import FunctionSample, Grid1D, OperatorDataset
+from .structured import (
+    BlockLowRankOperator,
+    CirculantOperator,
+    DenseOperator,
+    HodlrBlock,
+    LowRankOperator,
+    StructuredOperator,
+)
 
 LOSS_KINDS = (
     "mse",
@@ -29,36 +35,61 @@ _BOUNDARY_TOL = 1e-12
 
 
 class KernelModel:
-    """Base class for fitted kernel models."""
+    """A structured grid kernel K on the training grid, predicting
+    u(x_i) = sum_j K[i, j] w_j f(x_j) with trapezoid weights w.
+
+    Each variant states what it persists next to its fields: the header
+    params it writes (name -> JSON type, read back from attributes of the
+    same name), saved_arrays() in payload order, and from_saved() to rebuild
+    the model from both.
+    """
 
     variant: str
-    grid: Grid1D
+    header_params: dict[str, type] = {}
+
+    def __init__(self, grid: Grid1D, operator: StructuredOperator):
+        if operator.n != grid.n:
+            raise ValueError("kernel must be square on the training grid")
+        self.grid = grid
+        self.operator = operator
 
     def predict(self, f: FunctionSample) -> FunctionSample:
-        raise NotImplementedError
-
-    def _check_grid(self, f: FunctionSample):
         if f.grid != self.grid:
             raise ValueError("sample grid does not match the training grid")
+        weighted = self.grid.quad_weights() * f.values
+        return FunctionSample(self.grid, self.operator.apply(weighted))
+
+    def kernel_matrix(self) -> np.ndarray:
+        return self.operator.materialize(cap=self.grid.n)
+
+    def saved_arrays(self) -> list[tuple[str, np.ndarray]]:
+        raise NotImplementedError
+
+    @classmethod
+    def from_saved(cls, grid, params: dict, arrays: dict) -> "KernelModel":
+        raise NotImplementedError
 
 
 class DenseKernelModel(KernelModel):
-    """Grid kernel G with prediction u(x_i) = sum_j G[i, j] w_j f(x_j)."""
+    """Full grid kernel G, typically from fit_green_kernel."""
 
     variant = "dense-kernel"
+    header_params = {"ridge": float}
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, ridge: float = 0.0):
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.shape != (grid.n, grid.n):
-            raise ValueError("kernel must be square on the training grid")
-        self.grid = grid
-        self.kernel = kernel
+        super().__init__(grid, DenseOperator(kernel))
         self.ridge = float(ridge)
 
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        self._check_grid(f)
-        weighted = self.grid.quad_weights() * f.values
-        return FunctionSample(self.grid, self.kernel @ weighted)
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.operator.matrix
+
+    def saved_arrays(self):
+        return [("kernel", self.kernel)]
+
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        return cls(grid, arrays["kernel"], params["ridge"])
 
 
 class LowRankKernelModel(KernelModel):
@@ -68,25 +99,14 @@ class LowRankKernelModel(KernelModel):
     variant = "low-rank"
 
     def __init__(self, grid: Grid1D, col_factor: np.ndarray, row_factor: np.ndarray):
-        if col_factor.shape[0] != grid.n or row_factor.shape[1] != grid.n:
-            raise ValueError("factor shapes must match the grid")
-        if col_factor.shape[1] != row_factor.shape[0]:
-            raise ValueError("factor ranks must agree")
-        self.grid = grid
-        self.col_factor = col_factor
-        self.row_factor = row_factor
+        super().__init__(grid, LowRankOperator(col_factor, row_factor))
 
-    @property
-    def rank(self) -> int:
-        return self.col_factor.shape[1]
+    def saved_arrays(self):
+        return [("col_factor", self.operator.col_factor), ("row_factor", self.operator.row_factor)]
 
-    def kernel_matrix(self) -> np.ndarray:
-        return self.col_factor @ self.row_factor
-
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        self._check_grid(f)
-        weighted = self.grid.quad_weights() * f.values
-        return FunctionSample(self.grid, self.col_factor @ (self.row_factor @ weighted))
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        return cls(grid, arrays["col_factor"], arrays["row_factor"])
 
 
 class FourierMultiplierModel(KernelModel):
@@ -94,10 +114,12 @@ class FourierMultiplierModel(KernelModel):
 
     The multiplier is resolution-independent, so the model evaluates on any
     periodic grid at least as fine as the training grid (zero-padding the
-    multiplier to the finer mode range).
+    multiplier to the finer mode range); it holds no grid operator and
+    overrides predict.
     """
 
     variant = "fourier-multiplier"
+    header_params = {"max_mode": int}
 
     def __init__(self, grid: Grid1D, max_mode: int, multiplier: np.ndarray, excited: np.ndarray):
         if not grid.periodic:
@@ -143,73 +165,99 @@ class FourierMultiplierModel(KernelModel):
             symbol[mode % n] = self.mode_value(mode)
         return CirculantOperator(np.fft.ifft(symbol).real)
 
+    def saved_arrays(self):
+        return [
+            ("multiplier_real", self.multiplier.real),
+            ("multiplier_imag", self.multiplier.imag),
+            ("excited", self.excited.astype(float)),
+        ]
+
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        multiplier = arrays["multiplier_real"] + 1j * arrays["multiplier_imag"]
+        return cls(grid, params["max_mode"], multiplier, arrays["excited"] > 0.5)
+
 
 class BandedKernelModel(KernelModel):
     """Kernel zeroed outside the band |x - y| <= radius."""
 
     variant = "banded"
+    header_params = {"radius": float, "truncation_error": float}
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, radius: float, truncation_error: float):
-        self.grid = grid
-        self.kernel = kernel
+        super().__init__(grid, DenseOperator(kernel))
         self.radius = float(radius)
         self.truncation_error = float(truncation_error)
 
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        self._check_grid(f)
-        weighted = self.grid.quad_weights() * f.values
-        return FunctionSample(self.grid, self.kernel @ weighted)
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.operator.matrix
 
+    def saved_arrays(self):
+        return [("kernel", self.kernel)]
 
-@dataclass(frozen=True)
-class HierarchicalBlock:
-    level: int
-    row_start: int
-    col_start: int
-    size: int
-    col_factor: np.ndarray
-    row_factor: np.ndarray
-    tail: float  # Frobenius norm of the discarded part of this block
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        return cls(grid, arrays["kernel"], params["radius"], params["truncation_error"])
 
 
 class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
-    leaf blocks at the finest level."""
+    leaf blocks at the finest level (strong admissibility)."""
 
     variant = "hierarchical"
+    header_params = {"levels": int, "rank": int, "block_meta": list, "leaf_meta": list}
 
-    def __init__(self, grid: Grid1D, levels: int, rank: int, blocks, leaves):
-        self.grid = grid
+    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator):
+        super().__init__(grid, operator)
         self.levels = int(levels)
         self.rank = int(rank)
-        self.blocks = tuple(blocks)
-        self.leaves = tuple(leaves)  # (row_start, col_start, dense block)
+
+    @property
+    def blocks(self) -> tuple[HodlrBlock, ...]:
+        return self.operator.blocks
 
     @property
     def total_truncation_error(self) -> float:
         return float(np.sqrt(sum(b.tail ** 2 for b in self.blocks)))
 
-    def kernel_matrix(self) -> np.ndarray:
-        m = self.grid.n
-        out = np.zeros((m, m))
-        for b in self.blocks:
-            out[b.row_start:b.row_start + b.size, b.col_start:b.col_start + b.size] = (
-                b.col_factor @ b.row_factor
-            )
-        for r0, c0, block in self.leaves:
-            out[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-        return out
+    @property
+    def block_meta(self) -> list[dict]:
+        return [
+            {"level": b.level, "row": b.row_start, "col": b.col_start,
+             "size": b.size, "tail": b.tail}
+            for b in self.blocks
+        ]
 
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        self._check_grid(f)
-        weighted = self.grid.quad_weights() * f.values
-        out = np.zeros(self.grid.n)
-        for b in self.blocks:
-            seg = weighted[b.col_start:b.col_start + b.size]
-            out[b.row_start:b.row_start + b.size] += b.col_factor @ (b.row_factor @ seg)
-        for r0, c0, block in self.leaves:
-            out[r0:r0 + block.shape[0]] += block @ weighted[c0:c0 + block.shape[1]]
-        return FunctionSample(self.grid, out)
+    @property
+    def leaf_meta(self) -> list[dict]:
+        return [
+            {"row": r0, "col": c0, "size": block.shape[0]}
+            for r0, c0, block in self.operator.dense_blocks
+        ]
+
+    def saved_arrays(self):
+        arrays = []
+        for i, b in enumerate(self.blocks):
+            arrays += [(f"block{i}_col", b.col_factor), (f"block{i}_row", b.row_factor.T)]
+        arrays += [(f"leaf{i}", block) for i, (_, _, block) in enumerate(self.operator.dense_blocks)]
+        return arrays
+
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        blocks = [
+            HodlrBlock(
+                meta["level"], meta["row"], meta["col"], meta["size"],
+                arrays[f"block{i}_col"], arrays[f"block{i}_row"].T, meta["tail"],
+            )
+            for i, meta in enumerate(params["block_meta"])
+        ]
+        leaves = [
+            (meta["row"], meta["col"], arrays[f"leaf{i}"])
+            for i, meta in enumerate(params["leaf_meta"])
+        ]
+        operator = BlockLowRankOperator(grid.n, blocks, leaves)
+        return cls(grid, params["levels"], params["rank"], operator)
 
 
 def _weighted_norm_sq(values: np.ndarray, weights: np.ndarray) -> float:
@@ -385,7 +433,7 @@ def hierarchical_decompose(
     if rank < 1:
         raise ValueError("rank must be positive")
     kernel = model.kernel
-    blocks: list[HierarchicalBlock] = []
+    blocks: list[HodlrBlock] = []
     leaves: list[tuple[int, int, np.ndarray]] = []
 
     def descend(block_row: int, block_col: int, level: int):
@@ -396,24 +444,18 @@ def hierarchical_decompose(
             u, s, vt = np.linalg.svd(sub, full_matrices=False)
             r = min(rank, size)
             tail = float(np.linalg.norm(s[r:]))
-            blocks.append(
-                HierarchicalBlock(level, r0, c0, size, u[:, :r] * s[:r], vt[:r], tail)
-            )
+            # a view of vt's rows: block products keep vt's layout, hence their rounding
+            blocks.append(HodlrBlock(level, r0, c0, size, u[:, :r] * s[:r], vt[:r].T, tail))
             return
         if level == levels:
-            leaves.append((r0, c0, kernel[r0:r0 + size, c0:c0 + size].copy()))
+            leaves.append((r0, c0, kernel[r0:r0 + size, c0:c0 + size]))
             return
         for dr in (0, 1):
             for dc in (0, 1):
                 descend(2 * block_row + dr, 2 * block_col + dc, level + 1)
 
     descend(0, 0, 0)
-    return HierarchicalKernelModel(grid, levels, rank, blocks, leaves)
-
-
-def predict(model: KernelModel, f: FunctionSample) -> FunctionSample:
-    """Apply a fitted model to an input sample."""
-    return model.predict(f)
+    return HierarchicalKernelModel(grid, levels, rank, BlockLowRankOperator(m, blocks, leaves))
 
 
 def _quad_weights(sample: FunctionSample) -> np.ndarray:
@@ -483,9 +525,8 @@ def evaluate_super_resolution(
 ) -> list[tuple[int, float]]:
     """Relative L2 error of a multiplier model on test sets at resolutions at
     least as fine as the training grid; the multiplier is zero-padded to the
-    finer mode range."""
-    if not isinstance(model, FourierMultiplierModel):
-        raise ValueError("super-resolution evaluation is defined for multiplier models")
+    finer mode range.  Grid-kernel models evaluate only on their training
+    grid; their predict raises ValueError on any other."""
     table = []
     for ds in datasets:
         if ds.grid.n < model.grid.n:

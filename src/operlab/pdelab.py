@@ -14,7 +14,7 @@ from scipy.sparse.linalg import cg
 
 from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
 from .numerics import RngStream
-from .probes import CovarianceSpec, helmholtz_eigenvalue, kl_decompose, sample_gp
+from .probes import CovarianceSpec, kl_decompose, sample_gp
 
 BURGERS_VISCOSITY = 0.1
 BURGERS_FINAL_TIME = 1.0

@@ -14,6 +14,7 @@ import numpy as np
 from .numerics import RngStream, fft_forward, fft_inverse, qr_thin
 from .structured import (
     BandedOperator,
+    BlockLowRankOperator,
     CirculantOperator,
     HodlrBlock,
     HodlrOperator,
@@ -245,33 +246,18 @@ def recover_hodlr(
 
     recovered_blocks: list[HodlrBlock] = []
 
-    def apply_known(x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
-        for b in recovered_blocks:
-            rows = slice(b.row_start, b.row_start + b.size)
-            cols = slice(b.col_start, b.col_start + b.size)
-            y[rows] += b.col_factor @ (b.row_factor.T @ x[cols])
-        return y
-
-    def apply_known_t(x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
-        for b in recovered_blocks:
-            rows = slice(b.row_start, b.row_start + b.size)
-            cols = slice(b.col_start, b.col_start + b.size)
-            y[cols] += b.row_factor @ (b.col_factor.T @ x[rows])
-        return y
-
     for level in range(1, levels + 1):
         size = n >> level
         pairs = 1 << (level - 1)
         r = min(block_rank, size)
         # side = "upper": blocks sit at (rows 2t, cols 2t+1); "lower" mirrors it.
         for side, parity in (("upper", 1), ("lower", 0)):
+            known = BlockLowRankOperator(n, recovered_blocks)
             probe = np.zeros((n, width))
             for t in range(pairs):
                 src = (2 * t + parity) * size
                 probe[src:src + size] = stream.standard_normal((size, width))
-            sketch = oracle.apply(probe) - apply_known(probe)
+            sketch = oracle.apply(probe) - known.apply(probe)
             bases = []
             for t in range(pairs):
                 dst = (2 * t + 1 - parity) * size
@@ -283,7 +269,7 @@ def recover_hodlr(
             for t in range(pairs):
                 dst = (2 * t + 1 - parity) * size
                 projection[dst:dst + size, : bases[t].shape[1]] = bases[t]
-            coeff = oracle.apply_transpose(projection) - apply_known_t(projection)
+            coeff = oracle.apply_transpose(projection) - known.apply_transpose(projection)
             for t in range(pairs):
                 src = (2 * t + parity) * size
                 dst = (2 * t + 1 - parity) * size
@@ -294,7 +280,7 @@ def recover_hodlr(
 
     leaf = n >> levels
     probe = np.tile(np.eye(leaf), (1 << levels, 1))
-    sketch = oracle.apply(probe) - apply_known(probe)
+    sketch = oracle.apply(probe) - BlockLowRankOperator(n, recovered_blocks).apply(probe)
     leaves = [sketch[j * leaf:(j + 1) * leaf] for j in range(1 << levels)]
 
     recovered = HodlrOperator(n, levels, block_rank, recovered_blocks, leaves)

@@ -7,12 +7,13 @@ memory at large N).
 """
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, fft_forward, fft_inverse
+from .numerics import RngStream, fft_forward
 
 DENSE_CAP = 4096
 
@@ -184,10 +185,15 @@ class BandedOperator(StructuredOperator):
         return a
 
 
+def _span(start: int, size: int) -> slice:
+    return slice(start, start + size)
+
+
 @dataclass(frozen=True)
 class HodlrBlock:
-    """One off-diagonal low-rank block: rows/cols give its position, and the
-    block equals col_factor @ row_factor.T."""
+    """One square low-rank block: row_start/col_start give its top-left corner,
+    and the block equals col_factor @ row_factor.T.  tail records the Frobenius norm of
+    whatever a truncation to this rank discarded (zero for exact blocks)."""
 
     level: int
     row_start: int
@@ -195,23 +201,85 @@ class HodlrBlock:
     size: int
     col_factor: np.ndarray
     row_factor: np.ndarray
+    tail: float = 0.0
 
     def __post_init__(self):
+        for name in ("level", "row_start", "col_start", "size"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         c = np.asarray(self.col_factor, dtype=float)
         r = np.asarray(self.row_factor, dtype=float)
         if c.shape[0] != self.size or r.shape[0] != self.size or c.shape[1] != r.shape[1]:
             raise ValueError("block factors must be (size, r) with matching rank")
         object.__setattr__(self, "col_factor", c)
         object.__setattr__(self, "row_factor", r)
+        object.__setattr__(self, "tail", float(self.tail))
 
 
-class HodlrOperator(StructuredOperator):
+class BlockLowRankOperator(StructuredOperator):
+    """Sum of low-rank blocks and dense blocks placed anywhere in an n x n matrix.
+
+    Low-rank blocks are HodlrBlocks; dense blocks are (row_start, col_start,
+    matrix) triples.  Blocks are meant to be disjoint: apply sums their
+    contributions, materialize writes them into a zero matrix in order.
+    This covers weak admissibility (HODLR: every off-diagonal sibling block
+    is low-rank) and strong admissibility (only blocks at least one block
+    apart are low-rank; near-diagonal blocks stay dense).
+    """
+
+    def __init__(self, n: int, blocks, dense_blocks=()):
+        self.n = n
+        self.blocks = tuple(blocks)
+        self.dense_blocks = tuple(
+            (operator.index(r0), operator.index(c0), np.array(m, dtype=float))
+            for r0, c0, m in dense_blocks
+        )
+        if any(m.ndim != 2 for _, _, m in self.dense_blocks):
+            raise ValueError("dense blocks must be matrices")
+        # slices and row_factor.T are built once: predict applies small
+        # operators many times, and per-call slicing shows in its cost
+        self._low_rank = tuple(
+            (_span(b.row_start, b.size), _span(b.col_start, b.size), b.col_factor, b.row_factor.T)
+            for b in self.blocks
+        )
+        self._dense = tuple(
+            (_span(r0, m.shape[0]), _span(c0, m.shape[1]), m) for r0, c0, m in self.dense_blocks
+        )
+        for rows, cols, *_ in self._low_rank + self._dense:
+            if not (0 <= rows.start and rows.stop <= n and 0 <= cols.start and cols.stop <= n):
+                raise ValueError(f"block at ({rows.start}, {cols.start}) does not fit in dimension {n}")
+
+    def _apply(self, x):
+        y = np.zeros_like(x)
+        for rows, cols, col_factor, row_factor_t in self._low_rank:
+            y[rows] += col_factor @ (row_factor_t @ x[cols])
+        for rows, cols, m in self._dense:
+            y[rows] += m @ x[cols]
+        return y
+
+    def _apply_transpose(self, x):
+        y = np.zeros_like(x)
+        for rows, cols, col_factor, row_factor_t in self._low_rank:
+            y[cols] += row_factor_t.T @ (col_factor.T @ x[rows])
+        for rows, cols, m in self._dense:
+            y[cols] += m.T @ x[rows]
+        return y
+
+    def _materialize(self):
+        a = np.zeros((self.n, self.n))
+        for rows, cols, col_factor, row_factor_t in self._low_rank:
+            a[rows, cols] = col_factor @ row_factor_t
+        for rows, cols, m in self._dense:
+            a[rows, cols] = m
+        return a
+
+
+class HodlrOperator(BlockLowRankOperator):
     """Hierarchically off-diagonal low-rank matrix.
 
     The index range [0, n) is split dyadically for `levels` levels; every
     off-diagonal sibling block carries a rank-limited factorization and the
-    finest diagonal blocks are stored densely.  n must be a power of two
-    divisible by 2^levels.
+    finest diagonal blocks (the leaves) are stored densely.  n must be a
+    power of two divisible by 2^levels.
     """
 
     def __init__(self, n: int, levels: int, block_rank: int, blocks, leaves):
@@ -239,46 +307,9 @@ class HodlrOperator(StructuredOperator):
             np.asarray(m).shape != (leaf, leaf) for m in leaves
         ):
             raise ValueError(f"need {1 << levels} dense leaf blocks of size {leaf}x{leaf}")
-        self.n = n
+        super().__init__(n, blocks, [(j * leaf, j * leaf, m) for j, m in enumerate(leaves)])
         self.levels = levels
         self.block_rank = block_rank
-        self.blocks = tuple(blocks)
-        self.leaves = tuple(np.array(m, dtype=float) for m in leaves)
-
-    def _apply(self, x):
-        y = np.zeros_like(x)
-        for b in self.blocks:
-            rows = slice(b.row_start, b.row_start + b.size)
-            cols = slice(b.col_start, b.col_start + b.size)
-            y[rows] += b.col_factor @ (b.row_factor.T @ x[cols])
-        leaf = self.n >> self.levels
-        for j, block in enumerate(self.leaves):
-            rows = slice(j * leaf, (j + 1) * leaf)
-            y[rows] += block @ x[rows]
-        return y
-
-    def _apply_transpose(self, x):
-        y = np.zeros_like(x)
-        for b in self.blocks:
-            rows = slice(b.row_start, b.row_start + b.size)
-            cols = slice(b.col_start, b.col_start + b.size)
-            y[cols] += b.row_factor @ (b.col_factor.T @ x[rows])
-        leaf = self.n >> self.levels
-        for j, block in enumerate(self.leaves):
-            rows = slice(j * leaf, (j + 1) * leaf)
-            y[rows] += block.T @ x[rows]
-        return y
-
-    def _materialize(self):
-        a = np.zeros((self.n, self.n))
-        for b in self.blocks:
-            a[b.row_start:b.row_start + b.size, b.col_start:b.col_start + b.size] = (
-                b.col_factor @ b.row_factor.T
-            )
-        leaf = self.n >> self.levels
-        for j, block in enumerate(self.leaves):
-            a[j * leaf:(j + 1) * leaf, j * leaf:(j + 1) * leaf] = block
-        return a
 
 
 class MatvecOracle:
@@ -304,10 +335,6 @@ class MatvecOracle:
     @classmethod
     def from_dense(cls, matrix) -> "MatvecOracle":
         return cls.from_operator(DenseOperator(matrix))
-
-    def _count(self, x) -> int:
-        arr = np.asarray(x)
-        return 1 if arr.ndim == 1 else arr.shape[1]
 
     def apply(self, x) -> np.ndarray:
         mat, squeeze = _check_probe(x, self.n)

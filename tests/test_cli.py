@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,17 +11,27 @@ from operlab import dataio
 from operlab.cli import main
 from operlab.dataio import (
     ChecksumMismatchError,
+    DataFormatError,
     TruncatedPayloadError,
     UnsupportedVersionError,
     load_dataset,
     load_model,
+    read_container,
     save_dataset,
+    write_container,
 )
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
-from operlab.opfit import evaluate_super_resolution, fit_fourier_multiplier, fit_green_kernel
+from operlab.opfit import (
+    evaluate_super_resolution,
+    fit_fourier_multiplier,
+    fit_green_kernel,
+    fit_low_rank,
+    hierarchical_decompose,
+    truncate_band,
+)
 
-from helpers import planted_multiplier_dataset, shifted_poisson_factor
+from helpers import planted_multiplier_dataset, shifted_poisson_factor, white_noise_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +43,38 @@ def write_config(path: Path, config: dict) -> str:
 
 def run(command, config_path, out_dir, extra=()):
     return main([command, "--config", str(config_path), "--out", str(out_dir), *extra])
+
+
+def rewrite_container(path, changes, payload=None):
+    """Rewrite a container with header keys changed (None drops a key) and
+    optionally a new payload.  The checksum is recomputed, so only the edit
+    itself can make a load fail."""
+    header, old_payload = read_container(path)
+    payload = old_payload if payload is None else payload
+    for key, value in changes.items():
+        header.pop(key) if value is None else header.update({key: value})
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    write_container(path, header, payload)
+
+
+MODEL_VARIANTS = ("dense-kernel", "low-rank", "fourier-multiplier", "banded", "hierarchical")
+
+
+def fitted_model(variant):
+    """A small fitted model of the variant plus an input sample on its grid."""
+    if variant == "fourier-multiplier":
+        ds = planted_multiplier_dataset(64, shifted_poisson_factor, 10, seed=40)
+        return fit_fourier_multiplier(ds, 8), ds.inputs[0]
+    grid = Grid1D(32)
+    ds = white_noise_dataset(grid, RngStream(41).standard_normal((32, 32)), 40, seed=42)
+    dense = fit_green_kernel(ds, 1e-9)
+    if variant == "low-rank":
+        return fit_low_rank(ds, 4, 1e-9), ds.inputs[0]
+    if variant == "banded":
+        return truncate_band(dense, 0.3), ds.inputs[0]
+    if variant == "hierarchical":
+        return hierarchical_decompose(dense, 3, 2), ds.inputs[0]
+    return dense, ds.inputs[0]
 
 
 POISSON_GENERATE = {
@@ -116,6 +159,62 @@ class TestDatasetIo:
         loaded = load_model(path)
         f = ds.inputs[0]
         assert np.array_equal(loaded.predict(f).values, model.predict(f).values)
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_model_roundtrip_every_variant(self, tmp_path, variant):
+        model, f = fitted_model(variant)
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        assert np.array_equal(loaded.predict(f).values, model.predict(f).values)
+        for attr in ("ridge", "radius", "truncation_error", "max_mode", "levels", "rank"):
+            assert getattr(loaded, attr, None) == getattr(model, attr, None)
+        if variant == "hierarchical":
+            assert [b.tail for b in loaded.blocks] == [b.tail for b in model.blocks]
+            assert any(b.tail > 0.0 for b in model.blocks)
+        again = tmp_path / "again.bin"
+        dataio.save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("arrays", None), ("grid", None), ("num_pairs", None), ("num_pairs", "1"),
+         ("grid", {"kind": "uniform-1d", "n": 1, "left": 0.0, "right": 1.0})],
+    )
+    def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
+        grid = Grid1D(8)
+        ds = OperatorDataset(
+            [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
+        )
+        path, _ = self.roundtrip(tmp_path, ds)
+        rewrite_container(path, {key: value})
+        with pytest.raises(DataFormatError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "variant, key, value",
+        [("dense-kernel", "variant", None), ("dense-kernel", "ridge", None),
+         ("dense-kernel", "ridge", "small"), ("dense-kernel", "variant", "nonsense"),
+         ("fourier-multiplier", "max_mode", 2.5), ("fourier-multiplier", "max_mode", 3),
+         ("hierarchical", "block_meta", [{"level": 2}]),
+         ("hierarchical", "leaf_meta", [{"row": "top", "col": 0, "size": 4}])],
+    )
+    def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
+        model, _ = fitted_model(variant)
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        rewrite_container(path, {key: value})
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
+    def test_non_finite_kernel_is_format_error(self, tmp_path):
+        model, _ = fitted_model("dense-kernel")
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        rewrite_container(path, {}, np.full(32 * 32, np.nan).tobytes())
+        with pytest.raises(DataFormatError, match="finite"):
+            load_model(path)
 
 
 class TestGenerate:
@@ -382,6 +481,54 @@ class TestFitAndEval:
         assert capsys.readouterr().err.startswith("ERROR:checksum:")
 
 
+    def eval_config(self, tmp_path, model_path, dataset):
+        return write_config(
+            tmp_path / "eval.json",
+            {
+                "command": "eval",
+                "seed": 1,
+                "model": str(model_path),
+                "datasets": [{"resolution": 100, "path": str(dataset)}],
+                "output": "eval.csv",
+            },
+        )
+
+    def test_dataset_without_arrays_is_format_error(self, tmp_path, capsys):
+        dataset = self.generate_poisson(tmp_path)
+        rewrite_container(dataset, {"arrays": None})
+        config = write_config(
+            tmp_path / "fit.json",
+            {
+                "command": "fit",
+                "seed": 1,
+                "dataset": str(dataset),
+                "variant": "dense-kernel",
+                "model_output": "model.bin",
+                "metrics_output": "metrics.json",
+            },
+        )
+        assert run("fit", config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("ERROR:format:")
+
+    def test_model_without_variant_is_format_error(self, tmp_path, capsys):
+        dataset = self.generate_poisson(tmp_path)
+        model = fit_green_kernel(load_dataset(dataset))
+        dataio.save_model(tmp_path / "model.bin", model)
+        rewrite_container(tmp_path / "model.bin", {"variant": None})
+        assert run("eval", self.eval_config(tmp_path, tmp_path / "model.bin", dataset), tmp_path) == 1
+        assert capsys.readouterr().err.startswith("ERROR:format:")
+
+    def test_corrupt_model_checksum_code(self, tmp_path, capsys):
+        dataset = self.generate_poisson(tmp_path)
+        model_path = tmp_path / "model.bin"
+        dataio.save_model(model_path, fit_green_kernel(load_dataset(dataset)))
+        raw = bytearray(model_path.read_bytes())
+        raw[-1] ^= 0x01
+        model_path.write_bytes(bytes(raw))
+        assert run("eval", self.eval_config(tmp_path, model_path, dataset), tmp_path) == 1
+        assert capsys.readouterr().err.startswith("ERROR:checksum:")
+
+
 class TestProcessInterface:
     def test_subprocess_error_is_single_line(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -403,9 +550,12 @@ class TestProcessInterface:
         assert main(["recover", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("ERROR:config:")
 
-    def test_bad_thread_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra", [["--threads", "0"], ["--bogus"]], ids=["threads-removed", "unknown-flag"]
+    )
+    def test_usage_error_is_single_line(self, tmp_path, capsys, extra):
         config = write_config(tmp_path / "c.json", POISSON_GENERATE)
-        assert main(
-            ["generate", "--config", str(config), "--out", str(tmp_path), "--threads", "0"]
-        ) == 1
-        assert capsys.readouterr().err.startswith("ERROR:config:")
+        assert run("generate", config, tmp_path, extra) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR:usage:")

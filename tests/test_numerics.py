@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from operlab.numerics import (
-    RankDeficiencyWarning,
     RngStream,
     fft_forward,
     fft_inverse,
     gaussian_vector,
-    lstsq_ridge,
     qr_thin,
-    svd_dense,
-    trapezoid_weights,
 )
 
 
@@ -83,88 +79,6 @@ class TestQr:
         col = RngStream(9).standard_normal(12)
         m = np.column_stack([col, 2 * col, 3 * col])
         assert qr_thin(m).rank_deficient
-
-
-class TestSvd:
-    def test_diagonal(self):
-        res = svd_dense(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0])
-
-    def test_rank_one(self):
-        u = RngStream(1).standard_normal(9)
-        v = RngStream(2).standard_normal(9)
-        res = svd_dense(np.outer(u, v))
-        assert res.singular_values[1] <= 1e-12 * res.singular_values[0]
-
-    def test_reconstruction_16x16(self):
-        m = RngStream(7).standard_normal((16, 16))
-        res = svd_dense(m)
-        rebuilt = res.u @ np.diag(res.singular_values) @ res.v.T
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
-
-    @pytest.mark.parametrize("rows,cols,seed", [(8, 8, 0), (20, 6, 1), (6, 20, 2)])
-    def test_monotone_property(self, rows, cols, seed):
-        res = svd_dense(RngStream(seed + 40).standard_normal((rows, cols)))
-        assert np.all(np.diff(res.singular_values) <= 1e-14)
-        assert np.all(res.singular_values >= 0.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            svd_dense(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-class TestRidge:
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(lstsq_ridge(np.eye(3), b, 0.0), b)
-
-    def test_ridge_dominance(self):
-        m = RngStream(11).standard_normal((20, 5))
-        b = RngStream(12).standard_normal(20)
-        x = lstsq_ridge(m, b, 1e12)
-        spectral_norm = np.linalg.norm(m, 2)
-        assert np.linalg.norm(x) <= 1e-6 * np.linalg.norm(b) / spectral_norm
-
-    def test_matches_normal_equations(self):
-        m = RngStream(13).standard_normal((50, 10))
-        b = RngStream(14).standard_normal(50)
-        lam = 1e-3
-        x = lstsq_ridge(m, b, lam)
-        oracle = np.linalg.solve(m.T @ m + lam * np.eye(10), m.T @ b)
-        assert np.linalg.norm(x - oracle) <= 1e-8 * np.linalg.norm(oracle)
-
-    def test_minimum_norm_flagged(self):
-        col = RngStream(15).standard_normal(8)
-        m = np.column_stack([col, col])
-        b = RngStream(16).standard_normal(8)
-        with pytest.warns(RankDeficiencyWarning):
-            x = lstsq_ridge(m, b, 0.0)
-        assert np.allclose(x, np.linalg.pinv(m) @ b)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            lstsq_ridge(np.eye(2), np.ones(2), -1.0)
-
-
-class TestTrapezoid:
-    def test_two_points(self):
-        assert np.allclose(trapezoid_weights([0.0, 1.0]), [0.5, 0.5])
-
-    def test_exact_for_constants(self):
-        grid = np.sort(RngStream(21).standard_normal(40))
-        grid = (grid - grid[0]) / (grid[-1] - grid[0])
-        w = trapezoid_weights(grid)
-        assert abs(w.sum() - 1.0) <= 1e-15
-        assert np.all(w > 0)
-
-    def test_quadratic(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        w = trapezoid_weights(grid)
-        assert abs(w @ grid ** 2 - 1.0 / 3.0) <= 1e-4
-
-    def test_non_monotone_rejected(self):
-        with pytest.raises(ValueError):
-            trapezoid_weights([0.0, 0.5, 0.5, 1.0])
 
 
 class TestRng:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from operlab.grids import FunctionSample, Grid1D, Grid2D
-from operlab.numerics import RngStream, trapezoid_weights
+from operlab.numerics import RngStream
 from operlab.pdelab import (
     SolverError,
     darcy_coefficient,
@@ -36,7 +36,7 @@ class TestGreenFunction:
         # must reproduce u(0.5) = sin(pi/2) = 1
         assert green_poisson_1d(0.5, 0.5) == 0.25
         y = np.linspace(0, 1, 2001)
-        w = trapezoid_weights(y)
+        w = Grid1D(2001).quad_weights()
         integral = np.sum(w * green_poisson_1d(0.5, y) * np.pi ** 2 * np.sin(np.pi * y))
         assert abs(integral - 1.0) <= 1e-5
 
