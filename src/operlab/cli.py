@@ -298,14 +298,18 @@ def _load_checked(load, path: str):
 def _split_dataset(ds: OperatorDataset, fraction: float):
     count = len(ds)
     train_count = int(np.floor(fraction * count))
-    train = OperatorDataset(ds.inputs[:train_count], ds.outputs[:train_count], ds.provenance)
-    test = OperatorDataset(ds.inputs[train_count:], ds.outputs[train_count:], ds.provenance)
+    train = OperatorDataset(
+        ds.grid, ds.input_values[:train_count], ds.output_values[:train_count], ds.provenance
+    )
+    test = OperatorDataset(
+        ds.grid, ds.input_values[train_count:], ds.output_values[train_count:], ds.provenance
+    )
     return train, test
 
 
 def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
-    preds = [model.predict(f) for f in ds.inputs]
-    return {kind: opfit.compute_loss(kind, preds, ds.outputs) for kind in losses}
+    preds = model.predict_batch(ds.grid, ds.input_values)
+    return {kind: opfit.batch_loss(kind, ds.grid, preds, ds.output_values) for kind in losses}
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
@@ -386,11 +390,12 @@ def cmd_eval(config: dict, out_dir: str) -> int:
                 f"declared {entry['resolution']}",
             )
         try:
-            preds = [model.predict(f) for f in ds.inputs]
+            preds = model.predict_batch(ds.grid, ds.input_values)
         except ValueError as exc:
             raise CliError("incompatible", str(exc)) from exc
         for kind in losses:
-            rows.append((entry["resolution"], kind, opfit.compute_loss(kind, preds, ds.outputs), len(ds)))
+            value = opfit.batch_loss(kind, ds.grid, preds, ds.output_values)
+            rows.append((entry["resolution"], kind, value, len(ds)))
     path = _out_path(out_dir, config["output"])
     with open(path, "w") as fh:
         fh.write("resolution,loss_kind,value,n_pairs\n")

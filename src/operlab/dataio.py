@@ -3,7 +3,13 @@
 Layout: one ASCII line "operlab-binary <version> <header_bytes>\n", followed
 by exactly header_bytes of JSON metadata, followed by the payload as raw
 little-endian float64 values (row-major per array).  The header records the
-payload length and its SHA-256, so loads are bitwise-verified.
+payload length and its SHA-256, so loads are bitwise-verified, and repeats
+the version of the container line.
+
+A version-2 dataset holds two arrays, "inputs" and "outputs", each shaped
+(num_pairs, *grid shape).  Version 1 stored one array per sample ("input0" ..
+"input{N-1}", then "output0" ..); its payload bytes are the same, and it
+still loads.  Model payloads are the same in both versions.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import json
 
 import numpy as np
 
-from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
+from .grids import Grid1D, Grid2D, OperatorDataset, stacked_shape
 from .opfit import (
     BandedKernelModel,
     DenseKernelModel,
@@ -23,7 +29,8 @@ from .opfit import (
 )
 
 MAGIC = "operlab-binary"
-VERSION = 1
+VERSION = 2
+SUPPORTED_VERSIONS = (1, 2)
 
 MODEL_TYPES = {
     cls.variant: cls
@@ -86,12 +93,15 @@ def grid_from_dict(d: dict):
     raise DataFormatError(f"unknown grid kind {kind!r}")
 
 
-def write_container(path, header: dict, payload: bytes):
+def write_container(path, header: dict, *payload):
+    """Write the container line for header["version"], the header, then each
+    payload buffer in order (the payload is their concatenation)."""
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {VERSION} {len(header_bytes)}\n".encode())
+        fh.write(f"{MAGIC} {header['version']} {len(header_bytes)}\n".encode())
         fh.write(header_bytes)
-        fh.write(payload)
+        for chunk in payload:
+            fh.write(chunk)
 
 
 def read_container(path) -> tuple[dict, bytes]:
@@ -104,19 +114,22 @@ def read_container(path) -> tuple[dict, bytes]:
             version, header_len = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed container line") from exc
-        if version != VERSION:
+        if version not in SUPPORTED_VERSIONS:
             raise UnsupportedVersionError(
-                f"{path}: container version {version} is not supported (expected {VERSION})"
+                f"{path}: container version {version} is not supported "
+                f"(expected one of {SUPPORTED_VERSIONS})"
             )
         header_bytes = fh.read(header_len)
         if len(header_bytes) != header_len:
             raise TruncatedPayloadError(f"{path}: header shorter than its declared length")
         try:
             header = json.loads(header_bytes)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise DataFormatError(f"{path}: malformed header") from exc
         if not isinstance(header, dict):
             raise DataFormatError(f"{path}: header is not a JSON object")
+        if header.get("version") != version:
+            raise DataFormatError(f"{path}: header version differs from the container line")
         payload = fh.read()
     declared = header.get("payload_bytes")
     if declared is None or len(payload) != declared:
@@ -129,79 +142,90 @@ def read_container(path) -> tuple[dict, bytes]:
     return header, payload
 
 
-def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[dict], bytes]:
-    manifest = []
-    chunks = []
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape)})
-        chunks.append(arr.tobytes())
-    return manifest, b"".join(chunks)
-
-
-def _unpack_arrays(manifest: list[dict], payload: bytes) -> dict[str, np.ndarray]:
+def _unpack_arrays(path, manifest: list, payload: bytes) -> dict[str, np.ndarray]:
+    """Read-only array views of the payload, by manifest name."""
     out = {}
     offset = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
-        chunk = payload[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise TruncatedPayloadError(f"array {entry['name']} is truncated")
-        out[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
+    try:
+        for entry in manifest:
+            shape = tuple(entry["shape"])
+            nbytes = 8 * int(np.prod(shape)) if shape else 8
+            if offset + nbytes > len(payload):
+                raise TruncatedPayloadError(f"{path}: array {entry['name']} is truncated")
+            out[entry["name"]] = np.frombuffer(payload, "<f8", nbytes // 8, offset).reshape(shape)
+            offset += nbytes
+    except _MALFORMED as exc:
+        raise DataFormatError(f"{path}: malformed array manifest: {exc!r}") from exc
     if offset != len(payload):
-        raise TruncatedPayloadError("payload longer than the arrays it declares")
+        raise TruncatedPayloadError(f"{path}: payload longer than the arrays it declares")
     return out
 
 
 def _write(path, header: dict, arrays: list[tuple[str, np.ndarray]]):
-    manifest, payload = _pack_arrays(arrays)
-    header["arrays"] = manifest
-    header["payload_bytes"] = len(payload)
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    write_container(path, header, payload)
+    """Write arrays as the payload, hashing and writing each buffer in place."""
+    arrays = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in arrays]
+    digest = hashlib.sha256()
+    for _, arr in arrays:
+        digest.update(arr)
+    header["version"] = VERSION
+    header["arrays"] = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
+    header["payload_bytes"] = sum(arr.nbytes for _, arr in arrays)
+    header["payload_sha256"] = digest.hexdigest()
+    write_container(path, header, *(arr for _, arr in arrays))
 
 
-def _read(path, container: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and named arrays of a verified container holding `container`."""
+def _read(path, container: str) -> tuple[dict, bytes]:
+    """Header and payload of a verified container holding `container`."""
     header, payload = read_container(path)
     if header.get("container") != container:
         raise DataFormatError(
             f"{path}: container holds {header.get('container')!r}, not a {container}"
         )
-    manifest = _field(header, "arrays", list)
-    try:
-        return header, _unpack_arrays(manifest, payload)
-    except _MALFORMED as exc:
-        raise DataFormatError(f"{path}: malformed array manifest: {exc!r}") from exc
+    return header, payload
 
 
 def save_dataset(path, ds: OperatorDataset):
     """Write a dataset: header with grid/provenance, payload inputs then outputs."""
-    grid = ds.inputs[0].grid if ds.inputs else None
-    arrays = [(f"input{i}", s.values) for i, s in enumerate(ds.inputs)]
-    arrays += [(f"output{i}", s.values) for i, s in enumerate(ds.outputs)]
     header = {
         "container": "dataset",
-        "version": VERSION,
-        "grid": grid_to_dict(grid) if grid is not None else None,
+        "grid": grid_to_dict(ds.grid) if ds.grid is not None else None,
         "num_pairs": len(ds),
         "provenance": ds.provenance,
     }
-    _write(path, header, arrays)
+    _write(path, header, [("inputs", ds.input_values), ("outputs", ds.output_values)])
+
+
+def _dataset_manifest(version: int, grid, count: int) -> list[dict]:
+    """The only manifest a dataset of count pairs on grid may carry."""
+    if version == 1:
+        sample = list(stacked_shape(grid, 1)[1:])
+        names = [f"input{i}" for i in range(count)] + [f"output{i}" for i in range(count)]
+        return [{"name": name, "shape": sample} for name in names]
+    stacked = list(stacked_shape(grid, count))
+    return [{"name": "inputs", "shape": stacked}, {"name": "outputs", "shape": stacked}]
 
 
 def load_dataset(path) -> OperatorDataset:
-    header, arrays = _read(path, "dataset")
+    header, payload = _read(path, "dataset")
     count = _field(header, "num_pairs", int)
+    manifest = _field(header, "arrays", list)
     try:
-        grid = grid_from_dict(_field(header, "grid", dict)) if count else None
-        inputs = [FunctionSample(grid, arrays[f"input{i}"]) for i in range(count)]
-        outputs = [FunctionSample(grid, arrays[f"output{i}"]) for i in range(count)]
+        grid = None
+        if count or header.get("grid") is not None:
+            grid = grid_from_dict(_field(header, "grid", dict))
+        version = header["version"]
+        entries = 2 * count if version == 1 else 2  # checked first: a v1 manifest is 2N long
+        if len(manifest) != entries or manifest != _dataset_manifest(version, grid, count):
+            raise DataFormatError(
+                f"{path}: array manifest does not hold {count} pairs on the header's grid"
+            )
+        # version 1 holds the same bytes one sample at a time: read both as stacked arrays
+        arrays = _unpack_arrays(path, _dataset_manifest(VERSION, grid, count), payload)
+        return OperatorDataset(
+            grid, arrays["inputs"], arrays["outputs"], header.get("provenance", {})
+        )
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: invalid dataset: {exc!r}") from exc
-    return OperatorDataset(inputs, outputs, header.get("provenance", {}))
 
 
 def save_model(path, model: KernelModel):
@@ -210,7 +234,6 @@ def save_model(path, model: KernelModel):
         raise ValueError(f"cannot persist model variant {model.variant!r}")
     header = {
         "container": "model",
-        "version": VERSION,
         "variant": model.variant,
         "grid": grid_to_dict(model.grid),
     }
@@ -219,7 +242,8 @@ def save_model(path, model: KernelModel):
 
 
 def load_model(path) -> KernelModel:
-    header, arrays = _read(path, "model")
+    header, payload = _read(path, "model")
+    arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
     variant = _field(header, "variant", str)
     cls = MODEL_TYPES.get(variant)
     if cls is None:

@@ -37,6 +37,10 @@ class Grid1D:
             return self.length / self.n
         return self.length / (self.n - 1)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.n,)
+
     def points(self) -> np.ndarray:
         if self.periodic:
             return self.left + self.spacing * np.arange(self.n)
@@ -70,6 +74,10 @@ class Grid2D:
     def spacing(self) -> float:
         return (self.right - self.left) / (self.n - 1)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.n, self.n)
+
     def points_1d(self) -> np.ndarray:
         return np.linspace(self.left, self.right, self.n)
 
@@ -96,34 +104,78 @@ class FunctionSample:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        expected = (self.grid.n,) if isinstance(self.grid, Grid1D) else (self.grid.n, self.grid.n)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match grid shape {expected}")
+        if values.shape != self.grid.shape:
+            raise ValueError(
+                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
+            )
         if not np.all(np.isfinite(values)):
             raise ValueError("sample contains non-finite values")
 
 
+def stacked_shape(grid: Grid | None, count: int) -> tuple[int, ...]:
+    """Shape of count samples on grid stacked along a leading axis; a dataset
+    without a grid holds no samples and stacks to shape (0,)."""
+    return (count,) if grid is None else (count, *grid.shape)
+
+
 @dataclass
 class OperatorDataset:
-    """Paired input/output samples plus how they were made."""
+    """Paired input/output functions on one grid plus how they were made.
 
-    inputs: list[FunctionSample]
-    outputs: list[FunctionSample]
+    input_values and output_values are float64 arrays of shape
+    (N, *grid.shape); row i of each is pair i.  An empty dataset may have no
+    grid (grid None, arrays of shape (0,)).
+    """
+
+    grid: Grid | None
+    input_values: np.ndarray
+    output_values: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.inputs) != len(self.outputs):
+        inputs = np.asarray(self.input_values, dtype=float)
+        outputs = np.asarray(self.output_values, dtype=float)
+        if inputs.shape != outputs.shape:
             raise ValueError("inputs and outputs must pair up one-to-one")
-        for group in (self.inputs, self.outputs):
-            grids = {s.grid for s in group}
-            if len(grids) > 1:
-                raise ValueError("all samples in a dataset must share one grid")
+        if self.grid is None and inputs.size:
+            raise ValueError("a nonempty dataset needs a grid")
+        expected = stacked_shape(self.grid, len(inputs))
+        if inputs.shape != expected:
+            raise ValueError(f"values shape {inputs.shape} does not match {expected}")
+        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
+            raise ValueError("dataset contains non-finite values")
+        self.input_values = inputs
+        self.output_values = outputs
+
+    @classmethod
+    def from_samples(cls, inputs, outputs, provenance: dict | None = None) -> "OperatorDataset":
+        """Stack paired FunctionSample sequences that all share one grid."""
+        if len(inputs) != len(outputs):
+            raise ValueError("inputs and outputs must pair up one-to-one")
+        grids = {s.grid for s in (*inputs, *outputs)}
+        if len(grids) > 1:
+            raise ValueError("all samples in a dataset must share one grid")
+        return cls(
+            grids.pop() if grids else None,
+            np.array([s.values for s in inputs], dtype=float),
+            np.array([s.values for s in outputs], dtype=float),
+            {} if provenance is None else provenance,
+        )
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.input_values)
 
     @property
-    def grid(self) -> Grid:
-        if not self.inputs:
-            raise ValueError("empty dataset has no grid")
-        return self.inputs[0].grid
+    def inputs(self) -> tuple[FunctionSample, ...]:
+        """Read-only per-sample view of the inputs, built on access."""
+        return self._samples(self.input_values)
+
+    @property
+    def outputs(self) -> tuple[FunctionSample, ...]:
+        """Read-only per-sample view of the outputs, built on access."""
+        return self._samples(self.output_values)
+
+    def _samples(self, values: np.ndarray) -> tuple[FunctionSample, ...]:
+        view = values.view()
+        view.flags.writeable = False
+        return tuple(FunctionSample(self.grid, row) for row in view)

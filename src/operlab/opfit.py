@@ -54,10 +54,14 @@ class KernelModel:
         self.operator = operator
 
     def predict(self, f: FunctionSample) -> FunctionSample:
-        if f.grid != self.grid:
+        return FunctionSample(f.grid, self.predict_batch(f.grid, f.values[None])[0])
+
+    def predict_batch(self, grid, values: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of values, an (N, n) block of inputs on grid."""
+        if grid != self.grid:
             raise ValueError("sample grid does not match the training grid")
-        weighted = self.grid.quad_weights() * f.values
-        return FunctionSample(self.grid, self.operator.apply(weighted))
+        weighted = self.grid.quad_weights() * values
+        return np.ascontiguousarray(self.operator.apply(weighted.T).T)
 
     def kernel_matrix(self) -> np.ndarray:
         return self.operator.materialize(cap=self.grid.n)
@@ -115,7 +119,7 @@ class FourierMultiplierModel(KernelModel):
     The multiplier is resolution-independent, so the model evaluates on any
     periodic grid at least as fine as the training grid (zero-padding the
     multiplier to the finer mode range); it holds no grid operator and
-    overrides predict.
+    overrides predict_batch.
     """
 
     variant = "fourier-multiplier"
@@ -135,8 +139,7 @@ class FourierMultiplierModel(KernelModel):
     def mode_value(self, mode: int) -> complex:
         return self.multiplier[mode + self.max_mode]
 
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        grid = f.grid
+    def predict_batch(self, grid, values: np.ndarray) -> np.ndarray:
         if (
             not isinstance(grid, Grid1D)
             or not grid.periodic
@@ -148,12 +151,15 @@ class FourierMultiplierModel(KernelModel):
             raise ValueError(
                 f"evaluation resolution {grid.n} is below the training resolution {self.grid.n}"
             )
-        n = grid.n
-        spectrum = np.fft.fft(f.values)
-        out = np.zeros(n, dtype=complex)
-        for mode in range(-self.max_mode, self.max_mode + 1):
-            out[mode % n] = self.mode_value(mode) * spectrum[mode % n]
-        return FunctionSample(grid, np.fft.ifft(out).real)
+        spectrum = np.fft.fft(values, axis=1)
+        out = np.zeros_like(spectrum)
+        modes = self._mode_indices(grid.n)
+        out[:, modes] = self.multiplier * spectrum[:, modes]
+        return np.ascontiguousarray(np.fft.ifft(out, axis=1).real)
+
+    def _mode_indices(self, n: int) -> np.ndarray:
+        """FFT positions of modes -max_mode..max_mode at resolution n."""
+        return np.arange(-self.max_mode, self.max_mode + 1) % n
 
     def to_circulant(self, resolution: int | None = None) -> CirculantOperator:
         """Materialize the multiplier as a circulant matrix at a resolution."""
@@ -161,8 +167,7 @@ class FourierMultiplierModel(KernelModel):
         if n < self.grid.n:
             raise ValueError("materialization resolution below training resolution")
         symbol = np.zeros(n, dtype=complex)
-        for mode in range(-self.max_mode, self.max_mode + 1):
-            symbol[mode % n] = self.mode_value(mode)
+        symbol[self._mode_indices(n)] = self.multiplier
         return CirculantOperator(np.fft.ifft(symbol).real)
 
     def saved_arrays(self):
@@ -260,10 +265,6 @@ class HierarchicalKernelModel(KernelModel):
         return cls(grid, params["levels"], params["rank"], operator)
 
 
-def _weighted_norm_sq(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(weights * values ** 2))
-
-
 def _prepare_green_fit(ds: OperatorDataset):
     if len(ds) == 0:
         raise ValueError("cannot fit an empty dataset")
@@ -271,20 +272,16 @@ def _prepare_green_fit(ds: OperatorDataset):
     if not isinstance(grid, Grid1D):
         raise ValueError("kernel fits are defined for 1D datasets")
     w = grid.quad_weights()
-    kept_in, kept_out = [], []
-    for i, (f, u) in enumerate(zip(ds.inputs, ds.outputs)):
-        if _weighted_norm_sq(u.values, w) == 0.0:
-            warnings.warn(
-                f"pair {i} has zero output norm and is excluded from the relative fit",
-                UserWarning,
-                stacklevel=3,
-            )
-            continue
-        kept_in.append(f.values)
-        kept_out.append(u.values)
-    if not kept_in:
+    keep = np.sum(w * ds.output_values ** 2, axis=1) != 0.0
+    for i in np.flatnonzero(~keep):
+        warnings.warn(
+            f"pair {i} has zero output norm and is excluded from the relative fit",
+            UserWarning,
+            stacklevel=3,
+        )
+    if not keep.any():
         raise ValueError("all pairs are degenerate (zero output norm)")
-    return grid, w, np.array(kept_in).T, np.array(kept_out).T  # columns are samples
+    return grid, w, ds.input_values[keep].T, ds.output_values[keep].T  # columns are samples
 
 
 def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKernelModel:
@@ -361,8 +358,8 @@ def fit_fourier_multiplier(
     n = grid.n
     if max_mode < 0 or max_mode > (n - 1) // 2:
         raise ValueError(f"max_mode must be in [0, {(n - 1) // 2}] for resolution {n}")
-    f_hat = np.fft.fft(np.array([f.values for f in ds.inputs]), axis=1)
-    u_hat = np.fft.fft(np.array([u.values for u in ds.outputs]), axis=1)
+    f_hat = np.fft.fft(ds.input_values, axis=1)
+    u_hat = np.fft.fft(ds.output_values, axis=1)
     power = np.sum(np.abs(f_hat) ** 2, axis=0)
     cross = np.sum(np.conj(f_hat) * u_hat, axis=0)
     floor = excitation_rtol * power.max()
@@ -458,29 +455,9 @@ def hierarchical_decompose(
     return HierarchicalKernelModel(grid, levels, rank, BlockLowRankOperator(m, blocks, leaves))
 
 
-def _quad_weights(sample: FunctionSample) -> np.ndarray:
-    return sample.grid.quad_weights()
-
-
-def _l2(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(weights * values ** 2)))
-
-
-def _l1(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(weights * np.abs(values)))
-
-
-def _h1_seminorm(sample_values: np.ndarray, grid) -> float:
-    w = grid.quad_weights()
-    if isinstance(grid, Grid1D):
-        grad = np.gradient(sample_values, grid.spacing)
-        return float(np.sqrt(np.sum(w * grad ** 2)))
-    gx, gy = np.gradient(sample_values, grid.spacing, grid.spacing)
-    return float(np.sqrt(np.sum(w * (gx ** 2 + gy ** 2))))
-
-
-def compute_loss(kind: str, predictions, targets) -> float:
-    """Dataset-averaged loss with trapezoid-discretized norms.
+def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Dataset-averaged loss over stacked (N, *grid.shape) predictions and
+    targets, with trapezoid-discretized norms.
 
     Kinds: mse (mean squared L2 error), relative-squared-l2, relative-l2,
     relative-l1, and h1-seminorm-relative (centered differences inside the
@@ -488,36 +465,41 @@ def compute_loss(kind: str, predictions, targets) -> float:
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    if len(predictions) != len(targets) or not predictions:
+    if predictions.shape != targets.shape or not len(targets):
         raise ValueError("need equal, nonzero numbers of predictions and targets")
-    terms = []
-    for pred, target in zip(predictions, targets):
-        if pred.grid != target.grid:
-            raise ValueError("prediction and target grids differ")
-        w = _quad_weights(target)
-        diff = pred.values - target.values
-        if kind == "mse":
-            terms.append(_l2(diff, w) ** 2)
-            continue
-        if kind == "relative-squared-l2":
-            denom = _l2(target.values, w) ** 2
-        elif kind == "relative-l2":
-            denom = _l2(target.values, w)
-        elif kind == "relative-l1":
-            denom = _l1(target.values, w)
-        else:
-            denom = _h1_seminorm(target.values, target.grid)
-        if denom == 0.0:
-            raise ValueError("relative loss undefined for a zero-norm target")
-        if kind == "relative-squared-l2":
-            terms.append(_l2(diff, w) ** 2 / denom)
-        elif kind == "relative-l2":
-            terms.append(_l2(diff, w) / denom)
-        elif kind == "relative-l1":
-            terms.append(_l1(diff, w) / denom)
-        else:
-            terms.append(_h1_seminorm(diff, target.grid) / denom)
-    return float(np.mean(terms))
+    w = grid.quad_weights()
+    axes = tuple(range(1, targets.ndim))  # one sample's grid axes
+
+    def l2(values):
+        return np.sqrt(np.sum(w * values ** 2, axis=axes))
+
+    def l1(values):
+        return np.sum(w * np.abs(values), axis=axes)
+
+    def h1_seminorm(values):
+        squared = sum(np.gradient(values, grid.spacing, axis=axis) ** 2 for axis in axes)
+        return np.sqrt(np.sum(w * squared, axis=axes))
+
+    diff = predictions - targets
+    if kind == "mse":
+        return float(np.mean(l2(diff) ** 2))
+    if kind == "relative-squared-l2":
+        num, denom = l2(diff) ** 2, l2(targets) ** 2
+    elif kind == "relative-l2":
+        num, denom = l2(diff), l2(targets)
+    elif kind == "relative-l1":
+        num, denom = l1(diff), l1(targets)
+    else:
+        num, denom = h1_seminorm(diff), h1_seminorm(targets)
+    if np.any(denom == 0.0):
+        raise ValueError("relative loss undefined for a zero-norm target")
+    return float(np.mean(num / denom))
+
+
+def compute_loss(kind: str, predictions, targets) -> float:
+    """batch_loss over paired FunctionSample sequences that share one grid."""
+    pairs = OperatorDataset.from_samples(predictions, targets)
+    return batch_loss(kind, pairs.grid, pairs.input_values, pairs.output_values)
 
 
 def evaluate_super_resolution(
@@ -533,6 +515,6 @@ def evaluate_super_resolution(
             raise ValueError(
                 f"dataset resolution {ds.grid.n} is below the training resolution {model.grid.n}"
             )
-        preds = [model.predict(f) for f in ds.inputs]
-        table.append((ds.grid.n, compute_loss("relative-l2", preds, ds.outputs)))
+        preds = model.predict_batch(ds.grid, ds.input_values)
+        table.append((ds.grid.n, batch_loss("relative-l2", ds.grid, preds, ds.output_values)))
     return table

@@ -12,7 +12,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import cg
 
-from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
+from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset, stacked_shape
 from .numerics import RngStream
 from .probes import CovarianceSpec, kl_decompose, sample_gp
 
@@ -261,13 +261,15 @@ def make_dataset(
     elif pde != "poisson1d":
         raise ValueError(f"unknown model problem {pde!r}")
 
-    basis = None
+    basis = grid = None
     if pde in ("poisson1d", "burgers1d") and num_pairs:
         basis = kl_decompose(spec, s)
-    burgers_grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else None
+        grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
+    elif num_pairs:
+        grid = Grid2D(s)
 
-    inputs: list[FunctionSample] = []
-    outputs: list[FunctionSample] = []
+    inputs = np.empty(stacked_shape(grid, num_pairs))
+    outputs = np.empty(stacked_shape(grid, num_pairs))
     for i in range(num_pairs):
         child = stream.derive(i)
         try:
@@ -275,7 +277,7 @@ def make_dataset(
                 f = sample_gp(basis, child)
                 u = solve_poisson_1d(f)
             elif pde == "burgers1d":
-                f = FunctionSample(burgers_grid, sample_gp(basis, child).values)
+                f = FunctionSample(grid, sample_gp(basis, child).values)
                 u = solve_burgers_1d(f, viscosity, final_time)
             else:
                 f = darcy_coefficient(child, spec, s)
@@ -283,8 +285,8 @@ def make_dataset(
                 u = solve_darcy_2d(f, source)
         except Exception as exc:
             raise SolverError(f"pair {i}: {exc}") from exc
-        inputs.append(f)
-        outputs.append(u)
+        inputs[i] = f.values
+        outputs[i] = u.values
 
     provenance = {
         "pde": pde,
@@ -300,4 +302,4 @@ def make_dataset(
         "resolution": s,
         "solver": solver_params,
     }
-    return OperatorDataset(inputs, outputs, provenance)
+    return OperatorDataset(grid, inputs, outputs, provenance)

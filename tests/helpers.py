@@ -46,7 +46,7 @@ def planted_multiplier_dataset(
         values = f.values
         inputs.append(FunctionSample(grid, values))
         outputs.append(FunctionSample(grid, apply_mode_multiplier(values, multiplier_fn)))
-    return OperatorDataset(inputs, outputs, {"planted": True, "seed": seed})
+    return OperatorDataset.from_samples(inputs, outputs, {"planted": True, "seed": seed})
 
 
 def white_noise_dataset(
@@ -60,7 +60,7 @@ def white_noise_dataset(
         f = RngStream(seed).derive(i).standard_normal(grid.n)
         inputs.append(FunctionSample(grid, f))
         outputs.append(FunctionSample(grid, kernel @ (w * f)))
-    return OperatorDataset(inputs, outputs, {"planted": True})
+    return OperatorDataset.from_samples(inputs, outputs, {"planted": True})
 
 
 def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:

@@ -96,7 +96,7 @@ class TestDatasetIo:
 
     def test_bitwise_roundtrip(self, tmp_path):
         grid = Grid1D(32)
-        ds = OperatorDataset(
+        ds = OperatorDataset.from_samples(
             [FunctionSample(grid, RngStream(0).standard_normal(32))],
             [FunctionSample(grid, RngStream(1).standard_normal(32))],
             {"pde": "poisson1d", "seed": 0},
@@ -110,13 +110,13 @@ class TestDatasetIo:
         assert again.read_bytes() == path.read_bytes()
 
     def test_empty_dataset(self, tmp_path):
-        _, loaded = self.roundtrip(tmp_path, OperatorDataset([], [], {"pde": "poisson1d"}))
+        _, loaded = self.roundtrip(tmp_path, OperatorDataset.from_samples([], [], {"pde": "poisson1d"}))
         assert len(loaded) == 0
         assert loaded.provenance["pde"] == "poisson1d"
 
     def test_checksum_error_on_flipped_byte(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset(
+        ds = OperatorDataset.from_samples(
             [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
         )
         path, _ = self.roundtrip(tmp_path, ds)
@@ -128,7 +128,7 @@ class TestDatasetIo:
 
     def test_truncation_error(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset(
+        ds = OperatorDataset.from_samples(
             [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
         )
         path, _ = self.roundtrip(tmp_path, ds)
@@ -139,7 +139,7 @@ class TestDatasetIo:
 
     def test_version_rejected(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset(
+        ds = OperatorDataset.from_samples(
             [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
         )
         path, _ = self.roundtrip(tmp_path, ds)
@@ -184,7 +184,7 @@ class TestDatasetIo:
     )
     def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
         grid = Grid1D(8)
-        ds = OperatorDataset(
+        ds = OperatorDataset.from_samples(
             [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
         )
         path, _ = self.roundtrip(tmp_path, ds)
@@ -529,6 +529,30 @@ class TestFitAndEval:
         assert capsys.readouterr().err.startswith("ERROR:checksum:")
 
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"num_pairs": 1}, {"num_pairs": 12},
+         {"grid": {"kind": "uniform-1d", "n": 99, "left": 0.0, "right": 1.0}}],
+        ids=["num-pairs-below-arrays", "num-pairs-above-arrays", "grid-n-disagrees"],
+    )
+    def test_pair_count_or_grid_mismatch_is_format_error(self, tmp_path, capsys, changes):
+        dataset = self.generate_poisson(tmp_path)  # 10 pairs at resolution 100
+        rewrite_container(dataset, changes)
+        config = write_config(
+            tmp_path / "fit.json",
+            {
+                "command": "fit",
+                "seed": 1,
+                "dataset": str(dataset),
+                "variant": "dense-kernel",
+                "model_output": "model.bin",
+                "metrics_output": "metrics.json",
+            },
+        )
+        assert run("fit", config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("ERROR:format:")
+
+
 class TestProcessInterface:
     def test_subprocess_error_is_single_line(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -559,3 +583,37 @@ class TestProcessInterface:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("ERROR:usage:")
+
+    def test_benchmark_tracer_runs_a_chain(self, tmp_path):
+        """perfbench/tracing.py wraps operlab functions by name, so a renamed
+        function breaks every traced benchmark run; a tiny traced chain must
+        succeed and record its spans."""
+        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        steps = {
+            "generate": dict(POISSON_GENERATE, num_pairs=6, resolution=32),
+            "fit": {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),
+                    "variant": "hierarchical", "levels": 2, "rank": 2, "train_fraction": 0.5,
+                    "model_output": "model.bin", "metrics_output": "metrics.json"},
+            "eval": {"command": "eval", "seed": 1, "model": str(tmp_path / "model.bin"),
+                     "datasets": [{"resolution": 32, "path": str(tmp_path / "train.ds")}],
+                     "output": "eval.csv"},
+        }
+        spans = {}
+        for command, config in steps.items():
+            config_path = write_config(tmp_path / f"{command}.json", config)
+            trace = tmp_path / f"{command}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "perfbench/tracing.py", "--trace-out", str(trace),
+                 "--run-id", "t", "--", command, "--config", config_path,
+                 "--out", str(tmp_path)],
+                capture_output=True,
+                text=True,
+                cwd=ROOT,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            records = [json.loads(line) for line in trace.read_text().splitlines()]
+            spans[command] = {r["name"] for r in records if r["kind"] == "span"}
+        assert "pdelab.make_dataset" in spans["generate"]
+        assert {"cli.cmd_fit", "dataio.load_dataset", "dataio.save_model"} <= spans["fit"]
+        assert {"cli.cmd_eval", "dataio.load_dataset", "dataio.load_model"} <= spans["eval"]

@@ -4,8 +4,10 @@ import pytest
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
+    LOSS_KINDS,
     DenseKernelModel,
     band_truncation_error,
+    batch_loss,
     compute_loss,
     evaluate_super_resolution,
     fit_fourier_multiplier,
@@ -73,7 +75,7 @@ class TestGreenFit:
         good_in = FunctionSample(grid, RngStream(5).standard_normal(20))
         good_out = FunctionSample(grid, RngStream(6).standard_normal(20))
         zero = FunctionSample(grid, np.zeros(20))
-        ds = OperatorDataset([good_in, zero], [good_out, zero], {})
+        ds = OperatorDataset.from_samples([good_in, zero], [good_out, zero], {})
         with pytest.warns(UserWarning, match="zero output norm"):
             model = fit_green_kernel(ds, ridge=1e-8)
         assert model.kernel.shape == (20, 20)
@@ -97,7 +99,7 @@ class TestGreenFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_green_kernel(OperatorDataset([], [], {}))
+            fit_green_kernel(OperatorDataset.from_samples([], [], {}))
 
 
 class TestLowRankFit:
@@ -175,7 +177,7 @@ class TestFourierFit:
         x = grid.points()
         inputs = [FunctionSample(grid, np.sin(x)), FunctionSample(grid, np.cos(x))]
         outputs = [FunctionSample(grid, 2 * np.sin(x)), FunctionSample(grid, 2 * np.cos(x))]
-        model = fit_fourier_multiplier(OperatorDataset(inputs, outputs, {}), 4)
+        model = fit_fourier_multiplier(OperatorDataset.from_samples(inputs, outputs, {}), 4)
         assert model.excited[1 + 4] and model.excited[-1 + 4]
         for mode in (-4, -3, -2, 0, 2, 3, 4):
             assert not model.excited[mode + 4]
@@ -380,7 +382,7 @@ class TestSuperResolution:
         datasets = []
         for n in (64, 128):
             raw = planted_multiplier_dataset(n, project, 5, seed=31)
-            datasets.append(OperatorDataset(raw.outputs, raw.outputs, {}))
+            datasets.append(OperatorDataset.from_samples(raw.outputs, raw.outputs, {}))
         model = fit_fourier_multiplier(datasets[0], 6)
         table = evaluate_super_resolution(model, datasets)
         for _, value in table:
@@ -402,3 +404,101 @@ class TestSuperResolution:
         model = fit_fourier_multiplier(fine, 8)
         with pytest.raises(ValueError):
             evaluate_super_resolution(model, [coarse])
+
+
+def reference_loss(kind, predictions, targets):
+    """Per-sample loss loop: the dataset average of one term per pair."""
+    terms = []
+    for pred, target in zip(predictions, targets):
+        grid = target.grid
+        w = grid.quad_weights()
+
+        def l2(values):
+            return np.sqrt(np.sum(w * values ** 2))
+
+        def h1(values):
+            grads = np.gradient(values, *[grid.spacing] * values.ndim)
+            grads = [grads] if values.ndim == 1 else grads
+            return np.sqrt(np.sum(w * sum(g ** 2 for g in grads)))
+
+        diff = pred.values - target.values
+        if kind == "mse":
+            terms.append(l2(diff) ** 2)
+        elif kind == "relative-squared-l2":
+            terms.append(l2(diff) ** 2 / l2(target.values) ** 2)
+        elif kind == "relative-l2":
+            terms.append(l2(diff) / l2(target.values))
+        elif kind == "relative-l1":
+            terms.append(np.sum(w * np.abs(diff)) / np.sum(w * np.abs(target.values)))
+        else:
+            terms.append(h1(diff) / h1(target.values))
+    return float(np.mean(terms))
+
+
+class TestBatchedPredictAndLoss:
+    """The stacked cores against one-sample-at-a-time evaluation."""
+
+    @pytest.mark.parametrize("builder", [
+        lambda ds: fit_green_kernel(ds, 1e-10),
+        lambda ds: fit_low_rank(ds, 8, 1e-10),
+        lambda ds: truncate_band(fit_green_kernel(ds, 1e-10), 0.3),
+        lambda ds: hierarchical_decompose(fit_green_kernel(ds, 1e-10), 3, 2),
+        None,
+    ], ids=["dense", "low-rank", "banded", "hierarchical", "fourier-multiplier"])
+    def test_rows_match_single_predictions(self, builder):
+        if builder is None:
+            ds = planted_multiplier_dataset(64, shifted_poisson_factor, 12, seed=70)
+            model = fit_fourier_multiplier(ds, 8)
+        else:
+            ds = poisson_dataset(40, 64, seed=71)
+            model = builder(ds)
+        batch = model.predict_batch(ds.grid, ds.input_values)
+        assert batch.shape == ds.input_values.shape
+        for row, f in zip(batch, ds.inputs):
+            single = model.predict(f).values
+            assert np.linalg.norm(row - single) <= 1e-13 * np.linalg.norm(single)
+
+    def test_multiplier_rows_match_at_finer_resolution(self):
+        model = fit_fourier_multiplier(
+            planted_multiplier_dataset(64, shifted_poisson_factor, 12, seed=72), 8
+        )
+        fine = planted_multiplier_dataset(256, shifted_poisson_factor, 3, seed=73)
+        batch = model.predict_batch(fine.grid, fine.input_values)
+        for row, f in zip(batch, fine.inputs):
+            assert np.array_equal(row, model.predict(f).values)
+
+    def test_grid_mismatch_rejected(self):
+        ds = poisson_dataset(5, 32, seed=74)
+        model = fit_green_kernel(ds, 1e-10)
+        with pytest.raises(ValueError):
+            model.predict_batch(Grid1D(64), np.zeros((2, 64)))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("pde", ["poisson1d", "darcy2d"])
+    def test_loss_matches_per_sample_reference(self, kind, pde):
+        spec = SE005 if pde == "poisson1d" else CovarianceSpec(
+            "helmholtz-power", smoothness=2.0, amplitude=1.0, shift=9.0, periodic=True
+        )
+        ds = make_dataset(pde, spec, 4, 40 if pde == "poisson1d" else 12, RngStream(75))
+        noise = RngStream(76).standard_normal(ds.output_values.shape)
+        preds = ds.output_values + 0.1 * np.abs(ds.output_values).max() * noise
+        pred_samples = [FunctionSample(ds.grid, p) for p in preds]
+        expected = reference_loss(kind, pred_samples, ds.outputs)
+        assert abs(batch_loss(kind, ds.grid, preds, ds.output_values) - expected) <= (
+            1e-14 * expected
+        )
+        assert abs(compute_loss(kind, pred_samples, ds.outputs) - expected) <= 1e-14 * expected
+
+    def test_zero_norm_target_among_others_rejected(self):
+        grid = Grid1D(10)
+        targets = np.ones((3, 10))
+        targets[1] = 0.0
+        with pytest.raises(ValueError, match="zero-norm"):
+            batch_loss("relative-l2", grid, np.ones((3, 10)), targets)
+
+    def test_mixed_grids_rejected(self):
+        a, b = Grid1D(10), Grid1D(12)
+        preds = [FunctionSample(a, np.ones(10)), FunctionSample(b, np.ones(12))]
+        targets = [FunctionSample(a, np.ones(10)), FunctionSample(a, np.ones(10))]
+        with pytest.raises(ValueError, match="one grid"):
+            compute_loss("relative-l2", preds, targets)
