@@ -8,9 +8,6 @@ periodic domain (pseudo-spectral with RK4 time stepping).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import cg
 
 from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset, stacked_shape
 from .numerics import RngStream
@@ -42,6 +39,10 @@ def solve_poisson_1d(f: FunctionSample) -> FunctionSample:
     Second-order central differences on the uniform grid, tridiagonal solve;
     the error decreases like the square of the spacing.
     """
+    # scipy is imported by the solvers that call it, so that commands that
+    # never solve a PDE (recover, fit, eval) start without loading it.
+    from scipy.linalg import solveh_banded
+
     grid = f.grid
     if not isinstance(grid, Grid1D) or grid.periodic:
         raise ValueError("needs a non-periodic 1D grid")
@@ -109,6 +110,9 @@ def solve_darcy_2d(
     solved by diagonally preconditioned conjugate gradients to the requested
     relative residual (contract: at most 1e-10).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import cg
+
     grid = a.grid
     if not isinstance(grid, Grid2D) or a.grid != f.grid:
         raise ValueError("coefficient and source must share one 2D grid")

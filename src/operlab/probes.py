@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv as bessel_kv
 
 from .grids import FunctionSample, Grid1D
 from .numerics import RngStream
@@ -98,6 +96,10 @@ def _matern_closed_form(scaled: np.ndarray, smoothness: float) -> np.ndarray | N
 
 def matern_bessel(distance, length_scale: float, smoothness: float) -> np.ndarray:
     """Matern covariance through the modified-Bessel formula (any smoothness)."""
+    # Imported here so that loading operlab does not load scipy.
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import kv as bessel_kv
+
     d = np.asarray(distance, dtype=float)
     scaled = np.sqrt(2.0 * smoothness) * d / length_scale
     out = np.ones_like(scaled)

@@ -66,11 +66,12 @@ def _relative_residual(recovered: StructuredOperator, reference) -> float | None
     if reference is None:
         return None
     ref = np.asarray(reference, dtype=float)
-    approx = recovered.materialize(cap=max(recovered.n, ref.shape[0]))
+    error = recovered.materialize(cap=max(recovered.n, ref.shape[0]))
+    error -= ref  # in place: one n-by-n array, not two
     denom = np.linalg.norm(ref)
     if denom == 0.0:
-        return float(np.linalg.norm(approx - ref))
-    return float(np.linalg.norm(approx - ref) / denom)
+        return float(np.linalg.norm(error))
+    return float(np.linalg.norm(error) / denom)
 
 
 def randomized_svd(
@@ -181,11 +182,10 @@ def recover_banded(
     probe[np.arange(n), schedule.color_of] = 1.0
     response = oracle.apply(probe)
     diagonals = np.zeros((2 * w + 1, n))
-    for col in range(n):
-        lo = max(0, col - w)
-        hi = min(n, col + w + 1)
-        rows = np.arange(lo, hi)
-        diagonals[w + col - rows, rows] = response[rows, schedule.color_of[col]]
+    for offset in range(-w, w + 1):
+        # entry (row, row + offset) for every row whose column is in range
+        rows = np.arange(max(0, -offset), n - max(0, offset))
+        diagonals[w + offset, rows] = response[rows, schedule.color_of[rows + offset]]
     recovered = BandedOperator(n, w, diagonals)
     return RecoveryReport(
         recovered,

@@ -1,10 +1,18 @@
-"""Shared builders for the test suite: planted operators and datasets."""
+"""Shared builders for the test suite: planted operators, datasets and
+small fitted models."""
 from __future__ import annotations
 
 import numpy as np
 
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
+from operlab.opfit import (
+    fit_fourier_multiplier,
+    fit_green_kernel,
+    fit_low_rank,
+    hierarchical_decompose,
+    truncate_band,
+)
 from operlab.probes import CovarianceSpec, kl_decompose, sample_from_coefficients
 
 SMOOTH_PERIODIC = CovarianceSpec(
@@ -71,3 +79,23 @@ def kernel_l2_distance(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
     w = grid.quad_weights()
     ww = np.outer(w, w)
     return float(np.sqrt(np.sum(ww * (a - b) ** 2)))
+
+
+MODEL_VARIANTS = ("dense-kernel", "low-rank", "fourier-multiplier", "banded", "hierarchical")
+
+
+def fitted_model(variant):
+    """A small fitted model of the variant plus an input sample on its grid."""
+    if variant == "fourier-multiplier":
+        ds = planted_multiplier_dataset(64, shifted_poisson_factor, 10, seed=40)
+        return fit_fourier_multiplier(ds, 8), ds.inputs[0]
+    grid = Grid1D(32)
+    ds = white_noise_dataset(grid, RngStream(41).standard_normal((32, 32)), 40, seed=42)
+    dense = fit_green_kernel(ds, 1e-9)
+    if variant == "low-rank":
+        return fit_low_rank(ds, 4, 1e-9), ds.inputs[0]
+    if variant == "banded":
+        return truncate_band(dense, 0.3), ds.inputs[0]
+    if variant == "hierarchical":
+        return hierarchical_decompose(dense, 3, 2), ds.inputs[0]
+    return dense, ds.inputs[0]

@@ -22,16 +22,9 @@ from operlab.dataio import (
 )
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
-from operlab.opfit import (
-    evaluate_super_resolution,
-    fit_fourier_multiplier,
-    fit_green_kernel,
-    fit_low_rank,
-    hierarchical_decompose,
-    truncate_band,
-)
+from operlab.opfit import evaluate_super_resolution, fit_fourier_multiplier, fit_green_kernel
 
-from helpers import planted_multiplier_dataset, shifted_poisson_factor, white_noise_dataset
+from helpers import MODEL_VARIANTS, fitted_model, planted_multiplier_dataset, shifted_poisson_factor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,26 +48,6 @@ def rewrite_container(path, changes, payload=None):
         header.pop(key) if value is None else header.update({key: value})
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     write_container(path, header, payload)
-
-
-MODEL_VARIANTS = ("dense-kernel", "low-rank", "fourier-multiplier", "banded", "hierarchical")
-
-
-def fitted_model(variant):
-    """A small fitted model of the variant plus an input sample on its grid."""
-    if variant == "fourier-multiplier":
-        ds = planted_multiplier_dataset(64, shifted_poisson_factor, 10, seed=40)
-        return fit_fourier_multiplier(ds, 8), ds.inputs[0]
-    grid = Grid1D(32)
-    ds = white_noise_dataset(grid, RngStream(41).standard_normal((32, 32)), 40, seed=42)
-    dense = fit_green_kernel(ds, 1e-9)
-    if variant == "low-rank":
-        return fit_low_rank(ds, 4, 1e-9), ds.inputs[0]
-    if variant == "banded":
-        return truncate_band(dense, 0.3), ds.inputs[0]
-    if variant == "hierarchical":
-        return hierarchical_decompose(dense, 3, 2), ds.inputs[0]
-    return dense, ds.inputs[0]
 
 
 POISSON_GENERATE = {
@@ -617,3 +590,56 @@ class TestProcessInterface:
         assert "pdelab.make_dataset" in spans["generate"]
         assert {"cli.cmd_fit", "dataio.load_dataset", "dataio.save_model"} <= spans["fit"]
         assert {"cli.cmd_eval", "dataio.load_dataset", "dataio.load_model"} <= spans["eval"]
+
+    def test_recover_fit_eval_never_import_scipy(self, tmp_path):
+        """Only the Poisson and Darcy solvers and the Matern-Bessel covariance
+        use scipy, and they import it themselves; every other command must run
+        in a process that never loads it, which saves most of its start-up."""
+        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        generate = write_config(
+            tmp_path / "generate.json", dict(POISSON_GENERATE, num_pairs=8, resolution=32)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "operlab", "generate", "--config", generate,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, cwd=ROOT, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        recover = {"command": "recover", "seed": 5}
+        fit = {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),
+               "train_fraction": 0.5, "metrics_output": "metrics.json"}
+        steps = [
+            ("recover", dict(recover, algorithm="circulant", dimension=64, output="c.json")),
+            ("recover", dict(recover, algorithm="banded", dimension=12, bandwidth=2,
+                             output="b.json")),
+            ("recover", dict(recover, algorithm="hodlr", dimension=64, block_rank=2, levels=3,
+                             output="h.json")),
+            ("recover", dict(recover, algorithm="low-rank", dimension=64, rank=3,
+                             output="l.json")),
+            ("fit", dict(fit, variant="dense-kernel", model_output="dense.bin")),
+            ("fit", dict(fit, variant="hierarchical", levels=2, rank=2,
+                         model_output="hier.bin")),
+            ("eval", {"command": "eval", "seed": 1, "model": str(tmp_path / "hier.bin"),
+                      "datasets": [{"resolution": 32, "path": str(tmp_path / "train.ds")}],
+                      "output": "eval.csv"}),
+        ]
+        argvs = [
+            [command, "--config", write_config(tmp_path / f"step{i}.json", config),
+             "--out", str(tmp_path)]
+            for i, (command, config) in enumerate(steps)
+        ]
+        child = (
+            "import json, sys\n"
+            "import operlab, operlab.cli\n"
+            "codes = [operlab.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(argvs)],
+            capture_output=True, text=True, cwd=ROOT, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0] * len(steps), proc.stderr
+        assert result["scipy"] == []

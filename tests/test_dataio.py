@@ -1,5 +1,5 @@
-"""Dataset container: the pair-count rule, version-1 files, and properties of
-save/load under corruption."""
+"""Dataset and model containers: the pair-count rule, version-1 files, and
+properties of save/load under corruption."""
 import hashlib
 import tempfile
 from pathlib import Path
@@ -23,7 +23,7 @@ from operlab.grids import Grid1D, Grid2D, OperatorDataset, stacked_shape
 from operlab.numerics import RngStream
 from operlab.opfit import fit_green_kernel
 
-from helpers import white_noise_dataset
+from helpers import MODEL_VARIANTS, fitted_model, white_noise_dataset
 
 
 def random_dataset(grid, count: int, seed: int) -> OperatorDataset:
@@ -161,6 +161,24 @@ class TestVersionOne:
             load_dataset(path)
 
 
+def check_flip_and_truncation(path, raw: bytes, data, load):
+    """A random single-byte flip of `raw` either loads or raises a
+    DataFormatError subclass; truncating it at the same position always
+    raises one."""
+    position = data.draw(st.integers(0, len(raw) - 1), label="position")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    corrupted = bytearray(raw)
+    corrupted[position] ^= flip
+    path.write_bytes(bytes(corrupted))
+    try:
+        load(path)  # a flip inside free-form header text may still load
+    except DataFormatError:
+        pass
+    path.write_bytes(raw[:position])
+    with pytest.raises(DataFormatError):
+        load(path)
+
+
 GRIDS = st.one_of(
     st.builds(Grid1D, st.integers(2, 12), st.just(0.0), st.sampled_from([1.0, 2 * np.pi]),
               st.booleans()),
@@ -188,16 +206,26 @@ class TestContainerProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.ds"
             save_dataset(path, random_dataset(grid, count, seed=count))
-            raw = path.read_bytes()
-            position = data.draw(st.integers(0, len(raw) - 1), label="position")
-            flip = data.draw(st.integers(1, 255), label="xor")
-            corrupted = bytearray(raw)
-            corrupted[position] ^= flip
-            path.write_bytes(bytes(corrupted))
-            try:
-                load_dataset(path)  # a flip inside free-form header text may still load
-            except DataFormatError:
-                pass
-            path.write_bytes(raw[:position])
-            with pytest.raises(DataFormatError):
-                load_dataset(path)
+            check_flip_and_truncation(path, path.read_bytes(), data, load_dataset)
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """The bytes of a saved model of every variant."""
+    saved = {}
+    for variant in MODEL_VARIANTS:
+        path = tmp_path_factory.mktemp("models") / f"{variant}.bin"
+        dataio.save_model(path, fitted_model(variant)[0])
+        saved[variant] = path.read_bytes()
+    return saved
+
+
+class TestModelFileProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(variant=st.sampled_from(MODEL_VARIANTS), data=st.data())
+    def test_flipped_byte_or_truncation_only_raises_format_errors(
+        self, saved_models, variant, data
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            check_flip_and_truncation(path, saved_models[variant], data, load_model)

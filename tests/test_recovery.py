@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operlab.numerics import RngStream
 from operlab.recovery import (
@@ -215,3 +217,68 @@ class TestExactRecoveryAcrossSizes:
                 fwd, tr = hodlr_query_budget(n, rank, levels, 5)
                 assert (report.forward_queries, report.transpose_queries) == (fwd, tr)
             assert report.residual_frobenius_relative <= 1e-8
+
+
+def column_read_off(oracle, n: int, w: int) -> np.ndarray:
+    """Reference read-off of recover_banded's response, one column at a time."""
+    schedule = banded_coloring(n, w)
+    probe = np.zeros((n, schedule.num_colors))
+    probe[np.arange(n), schedule.color_of] = 1.0
+    response = oracle.apply(probe)
+    diagonals = np.zeros((2 * w + 1, n))
+    for col in range(n):
+        rows = np.arange(max(0, col - w), min(n, col + w + 1))
+        diagonals[w + col - rows, rows] = response[rows, schedule.color_of[col]]
+    return diagonals
+
+
+def assert_exact(report, dense):
+    """The recovered operator matches the instance to 1e-8 relative, and the
+    report's residual is that same relative Frobenius error."""
+    error = np.linalg.norm(materialize(report.recovered) - dense)
+    assert error <= 1e-8 * np.linalg.norm(dense)
+    assert report.residual_frobenius_relative == error / np.linalg.norm(dense)
+
+
+@st.composite
+def band_cases(draw):
+    n = draw(st.integers(1, 48))
+    return n, draw(st.integers(0, n - 1))
+
+
+@st.composite
+def hodlr_cases(draw):
+    exponent = draw(st.integers(4, 7))  # n >= 16 keeps rank + 5 <= n/2
+    return 2 ** exponent, draw(st.integers(1, 3)), draw(st.integers(1, exponent))
+
+
+class TestRecoveryProperties:
+    """Exact recovery with exactly the documented query budget."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=band_cases(), seed=st.integers(0, 2 ** 31))
+    @example(case=(1, 0), seed=0)
+    @example(case=(40, 0), seed=1)
+    @example(case=(9, 4), seed=2)
+    @example(case=(6, 5), seed=3)
+    def test_banded(self, case, seed):
+        n, w = case
+        op = random_structured("banded", n, RngStream(seed), bandwidth=w)
+        dense = materialize(op)
+        report = recover_banded(oracle_for(op), w, reference=dense)
+        assert (report.forward_queries, report.transpose_queries) == (min(2 * w + 1, n), 0)
+        assert np.array_equal(report.recovered.diagonals, column_read_off(oracle_for(op), n, w))
+        assert_exact(report, dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=hodlr_cases(), seed=st.integers(0, 2 ** 31))
+    def test_hodlr(self, case, seed):
+        n, rank, levels = case
+        op = random_structured("hodlr", n, RngStream(seed), rank=rank, levels=levels)
+        dense = materialize(op)
+        report = recover_hodlr(
+            oracle_for(op), rank, levels, stream=RngStream(seed + 1), reference=dense
+        )
+        budget = hodlr_query_budget(n, rank, levels)
+        assert (report.forward_queries, report.transpose_queries) == budget
+        assert_exact(report, dense)
