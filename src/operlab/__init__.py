@@ -8,7 +8,7 @@ zero-shot super-resolution protocol.
 """
 
 from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
-from .numerics import RngStream, gaussian_vector
+from .numerics import RngStream
 from .probes import CovarianceSpec, KLBasis, kernel_eval, kl_decompose, sample_gp
 from .recovery import (
     RecoveryReport,
@@ -25,7 +25,6 @@ from .structured import (
     HodlrOperator,
     LowRankOperator,
     MatvecOracle,
-    materialize,
     random_structured,
 )
 
@@ -45,10 +44,8 @@ __all__ = [
     "RecoveryReport",
     "RngStream",
     "banded_coloring",
-    "gaussian_vector",
     "kernel_eval",
     "kl_decompose",
-    "materialize",
     "randomized_svd",
     "random_structured",
     "recover_banded",

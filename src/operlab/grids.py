@@ -164,18 +164,3 @@ class OperatorDataset:
 
     def __len__(self) -> int:
         return len(self.input_values)
-
-    @property
-    def inputs(self) -> tuple[FunctionSample, ...]:
-        """Read-only per-sample view of the inputs, built on access."""
-        return self._samples(self.input_values)
-
-    @property
-    def outputs(self) -> tuple[FunctionSample, ...]:
-        """Read-only per-sample view of the outputs, built on access."""
-        return self._samples(self.output_values)
-
-    def _samples(self, values: np.ndarray) -> tuple[FunctionSample, ...]:
-        view = values.view()
-        view.flags.writeable = False
-        return tuple(FunctionSample(self.grid, row) for row in view)

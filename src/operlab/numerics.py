@@ -1,9 +1,9 @@
-"""FFT, thin QR, and seeded randomness primitives.
+"""Thin QR and seeded randomness primitives.
 
-FFT convention used throughout the package: unnormalized forward transform,
-inverse scaled by 1/n (numpy's default).  Randomness comes from RngStream,
-a PCG64 generator keyed by a 64-bit seed; the same seed reproduces the same
-sequence within one build.
+FFT convention used throughout the package: numpy's, an unnormalized
+forward transform and an inverse scaled by 1/n.  Randomness comes from
+RngStream, a PCG64 generator keyed by a 64-bit seed; the same seed
+reproduces the same sequence within one build.
 """
 from __future__ import annotations
 
@@ -12,40 +12,16 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _as_vector(v, dtype=None) -> np.ndarray:
-    arr = np.asarray(v, dtype=dtype)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
-    return arr
-
-
-def fft_forward(v) -> np.ndarray:
-    """Unnormalized forward DFT of a vector."""
-    arr = _as_vector(v)
-    if arr.size == 0:
-        raise ValueError("cannot transform a zero-length vector")
-    return np.fft.fft(arr)
-
-
-def fft_inverse(v) -> np.ndarray:
-    """Inverse DFT, scaled by 1/n so that fft_inverse(fft_forward(v)) == v."""
-    arr = _as_vector(v)
-    if arr.size == 0:
-        raise ValueError("cannot transform a zero-length vector")
-    return np.fft.ifft(arr)
-
-
 class ThinQR(NamedTuple):
     q: np.ndarray
     r: np.ndarray
-    rank_deficient: bool
 
 
 def qr_thin(m) -> ThinQR:
     """Thin QR factorization of a tall matrix (rows >= cols).
 
-    Rank deficiency is not repaired, only flagged: the factorization is still
-    valid (Q orthonormal, QR = M) but R has negligible diagonal entries.
+    Rank deficiency is not repaired: the factorization is still valid (Q
+    orthonormal, QR = M) and R carries negligible diagonal entries.
     """
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2:
@@ -53,10 +29,7 @@ def qr_thin(m) -> ThinQR:
     rows, cols = mat.shape
     if rows < cols:
         raise ValueError(f"qr_thin needs rows >= cols, got {rows}x{cols}")
-    q, r = np.linalg.qr(mat)
-    diag = np.abs(np.diag(r))
-    tol = max(rows, cols) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    return ThinQR(q, r, bool(np.any(diag <= tol)))
+    return ThinQR(*np.linalg.qr(mat))
 
 
 class RngStream:
@@ -84,11 +57,3 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._path})"
-
-
-def gaussian_vector(stream: RngStream, n: int) -> np.ndarray:
-    """n i.i.d. standard normal deviates from the stream."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return stream.standard_normal(n)
-

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .grids import FunctionSample, Grid1D, OperatorDataset
+from .grids import Grid1D, OperatorDataset
 from .structured import (
     BlockLowRankOperator,
     CirculantOperator,
@@ -52,9 +52,6 @@ class KernelModel:
             raise ValueError("kernel must be square on the training grid")
         self.grid = grid
         self.operator = operator
-
-    def predict(self, f: FunctionSample) -> FunctionSample:
-        return FunctionSample(f.grid, self.predict_batch(f.grid, f.values[None])[0])
 
     def predict_batch(self, grid, values: np.ndarray) -> np.ndarray:
         """Predictions for the rows of values, an (N, n) block of inputs on grid."""
@@ -508,7 +505,7 @@ def evaluate_super_resolution(
     """Relative L2 error of a multiplier model on test sets at resolutions at
     least as fine as the training grid; the multiplier is zero-padded to the
     finer mode range.  Grid-kernel models evaluate only on their training
-    grid; their predict raises ValueError on any other."""
+    grid; their predict_batch raises ValueError on any other."""
     table = []
     for ds in datasets:
         if ds.grid.n < model.grid.n:

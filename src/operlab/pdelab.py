@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset, stacked_shape
+from .grids import Grid1D, Grid2D, OperatorDataset
 from .numerics import RngStream
 from .probes import CovarianceSpec, kl_decompose, sample_gp
 
@@ -33,32 +33,39 @@ def green_poisson_1d(x, y):
     return np.minimum(xa, ya) - xa * ya
 
 
-def solve_poisson_1d(f: FunctionSample) -> FunctionSample:
-    """Solve -u'' = f on [0, 1] with u(0) = u(1) = 0.
+def solve_poisson_1d(grid: Grid1D, f) -> np.ndarray:
+    """Solve -u'' = f on [0, 1] with u(0) = u(1) = 0, for f shaped (n,) or
+    for every row of an (N, n) block.
 
-    Second-order central differences on the uniform grid, tridiagonal solve;
-    the error decreases like the square of the spacing.
+    Second-order central differences on the uniform grid, one symmetric
+    tridiagonal solve for all rows; the error decreases like the square of
+    the spacing.
     """
     # scipy is imported by the solvers that call it, so that commands that
     # never solve a PDE (recover, fit, eval) start without loading it.
     from scipy.linalg import solveh_banded
 
-    grid = f.grid
     if not isinstance(grid, Grid1D) or grid.periodic:
         raise ValueError("needs a non-periodic 1D grid")
     if not (grid.left == 0.0 and grid.right == 1.0):
         raise ValueError("solver is set up on the unit interval")
     if grid.n < 3:
         raise ValueError("need at least 3 grid points")
-    h = grid.spacing
-    interior = f.values[1:-1]
-    m = interior.size
-    bands = np.zeros((2, m))
-    bands[0, 1:] = -1.0 / h ** 2
-    bands[1, :] = 2.0 / h ** 2
-    u = np.zeros(grid.n)
-    u[1:-1] = solveh_banded(bands, interior)
-    return FunctionSample(grid, u)
+    u = np.array(f, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != grid.n:
+        raise ValueError(f"source shape {u.shape} does not match grid of {grid.n} points")
+    # All n nodes are unknowns: the boundary rows are identity rows with a
+    # zero right-hand side, decoupled from the interior, so the interior
+    # factorization and solves round exactly as an interior-only system
+    # would, and a single interior node still makes a valid banded system.
+    h2 = grid.spacing ** 2
+    bands = np.zeros((2, grid.n))
+    bands[0, 2:-1] = -1.0 / h2
+    bands[1, 1:-1] = 2.0 / h2
+    bands[1, [0, -1]] = 1.0
+    u[..., [0, -1]] = 0.0
+    # u.T is Fortran-ordered, so the solve overwrites u in place
+    return solveh_banded(bands, u.T, overwrite_b=True).T
 
 
 def _helmholtz_spectrum_2d(spec: CovarianceSpec, s: int) -> np.ndarray:
@@ -83,7 +90,7 @@ def sample_helmholtz_periodic_2d(spec: CovarianceSpec, s: int, stream: RngStream
     return field.real
 
 
-def darcy_coefficient(stream: RngStream, spec: CovarianceSpec, s: int) -> FunctionSample:
+def darcy_coefficient(stream: RngStream, spec: CovarianceSpec, s: int) -> np.ndarray:
     """Piecewise-constant permeability: threshold a Gaussian field at zero,
     mapping nonnegative values to 12 and negative values to 3.
 
@@ -93,18 +100,19 @@ def darcy_coefficient(stream: RngStream, spec: CovarianceSpec, s: int) -> Functi
     if s < 8:
         raise ValueError("need resolution s >= 8")
     field = sample_helmholtz_periodic_2d(spec, s, stream)
-    a = np.where(field >= 0.0, DARCY_HIGH, DARCY_LOW)
-    return FunctionSample(Grid2D(s), a)
+    return np.where(field >= 0.0, DARCY_HIGH, DARCY_LOW)
 
 
 def solve_darcy_2d(
-    a: FunctionSample,
-    f: FunctionSample,
+    grid: Grid2D,
+    a,
+    f,
     *,
     rtol: float = 1e-12,
     maxiter: int | None = None,
-) -> FunctionSample:
-    """Solve -div(a grad u) = f on the unit square with zero Dirichlet data.
+) -> np.ndarray:
+    """Solve -div(a grad u) = f on the unit square with zero Dirichlet data,
+    for coefficient a and source f shaped like the grid.
 
     Five-point conservative scheme with harmonic-mean face coefficients,
     solved by diagonally preconditioned conjugate gradients to the requested
@@ -113,14 +121,14 @@ def solve_darcy_2d(
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import cg
 
-    grid = a.grid
-    if not isinstance(grid, Grid2D) or a.grid != f.grid:
+    av = np.asarray(a, dtype=float)
+    fv = np.asarray(f, dtype=float)
+    if not isinstance(grid, Grid2D) or av.shape != grid.shape or fv.shape != grid.shape:
         raise ValueError("coefficient and source must share one 2D grid")
-    if np.any(a.values <= 0.0):
+    if np.any(av <= 0.0):
         raise SolverError("coefficient must be positive everywhere")
     n = grid.n
     h = grid.spacing
-    av = a.values
     interior = n - 2
 
     def harmonic(p, q):
@@ -150,11 +158,11 @@ def solve_darcy_2d(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(interior * interior, interior * interior),
     )
-    rhs = f.values[1:-1, 1:-1].ravel()
+    rhs = fv[1:-1, 1:-1].ravel()
     u = np.zeros((n, n))
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return FunctionSample(grid, u)
+        return u
     if maxiter is None:
         maxiter = 40 * interior * interior
     precond = csr_matrix(
@@ -169,18 +177,20 @@ def solve_darcy_2d(
             f"(info={info}, relative residual {residual:.3e})"
         )
     u[1:-1, 1:-1] = solution.reshape(interior, interior)
-    return FunctionSample(grid, u)
+    return u
 
 
 def solve_burgers_1d(
-    u0: FunctionSample,
+    grid: Grid1D,
+    u0,
     viscosity: float = BURGERS_VISCOSITY,
     final_time: float = BURGERS_FINAL_TIME,
     *,
     nonlinear: bool = True,
     dt: float | None = None,
-) -> FunctionSample:
-    """Advance u_t + (u^2/2)_x = nu u_xx on a periodic grid to final_time.
+) -> np.ndarray:
+    """Advance u_t + (u^2/2)_x = nu u_xx on a periodic grid to final_time,
+    from initial values u0 shaped like the grid.
 
     Pseudo-spectral in space with 2/3-rule dealiasing of the quadratic flux;
     classical RK4 in time with step min(0.2 h^2/nu, 0.2 h/max|u0|) unless an
@@ -188,9 +198,11 @@ def solve_burgers_1d(
     Setting nonlinear=False drops the flux term (pure heat equation), which
     tests use to check the diffusive decay rate in isolation.
     """
-    grid = u0.grid
     if not isinstance(grid, Grid1D) or not grid.periodic:
         raise ValueError("needs a periodic 1D grid")
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != grid.shape:
+        raise ValueError(f"initial values shape {u0.shape} does not match grid shape {grid.shape}")
     s = grid.n
     if s & (s - 1):
         raise ValueError("resolution must be a power of two")
@@ -207,11 +219,11 @@ def solve_burgers_1d(
     if dt is None:
         dt = 0.2 * h ** 2 / viscosity
         if nonlinear:
-            speed = max(np.max(np.abs(u0.values)), 1e-12)
+            speed = max(np.max(np.abs(u0)), 1e-12)
             dt = min(dt, 0.2 * h / speed)
     steps = max(1, int(np.ceil(final_time / dt)))
     dt = final_time / steps
-    blowup = 1e6 * (1.0 + np.max(np.abs(u0.values)))
+    blowup = 1e6 * (1.0 + np.max(np.abs(u0)))
 
     if nonlinear:
         def rhs(state: np.ndarray) -> np.ndarray:
@@ -221,7 +233,7 @@ def solve_burgers_1d(
         def rhs(state: np.ndarray) -> np.ndarray:
             return decay * state
 
-    state = np.fft.rfft(u0.values)
+    state = np.fft.rfft(u0)
     for step in range(steps):
         k1 = rhs(state)
         k2 = rhs(state + (0.5 * dt) * k1)
@@ -235,7 +247,7 @@ def solve_burgers_1d(
                     f"time integration blew up at step {step}; reduce the step "
                     f"size (current dt = {dt:.3e})"
                 )
-    return FunctionSample(grid, np.fft.irfft(state, n=s))
+    return np.fft.irfft(state, n=s)
 
 
 def make_dataset(
@@ -253,7 +265,7 @@ def make_dataset(
     Inputs are Gaussian-process draws (for darcy2d, the thresholded
     coefficient field; the source term is fixed at 1).  Each pair uses a
     child stream derived from the pair index, so the dataset is deterministic
-    per seed and independent of generation order.
+    per seed and pair i has the same bits for every num_pairs above i.
     """
     if num_pairs < 0:
         raise ValueError("num_pairs must be nonnegative")
@@ -264,33 +276,6 @@ def make_dataset(
         solver_params = {"source": 1.0}
     elif pde != "poisson1d":
         raise ValueError(f"unknown model problem {pde!r}")
-
-    basis = grid = None
-    if pde in ("poisson1d", "burgers1d") and num_pairs:
-        basis = kl_decompose(spec, s)
-        grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
-    elif num_pairs:
-        grid = Grid2D(s)
-
-    inputs = np.empty(stacked_shape(grid, num_pairs))
-    outputs = np.empty(stacked_shape(grid, num_pairs))
-    for i in range(num_pairs):
-        child = stream.derive(i)
-        try:
-            if pde == "poisson1d":
-                f = sample_gp(basis, child)
-                u = solve_poisson_1d(f)
-            elif pde == "burgers1d":
-                f = FunctionSample(grid, sample_gp(basis, child).values)
-                u = solve_burgers_1d(f, viscosity, final_time)
-            else:
-                f = darcy_coefficient(child, spec, s)
-                source = FunctionSample(f.grid, np.ones((s, s)))
-                u = solve_darcy_2d(f, source)
-        except Exception as exc:
-            raise SolverError(f"pair {i}: {exc}") from exc
-        inputs[i] = f.values
-        outputs[i] = u.values
 
     provenance = {
         "pde": pde,
@@ -306,4 +291,30 @@ def make_dataset(
         "resolution": s,
         "solver": solver_params,
     }
+    if not num_pairs:
+        return OperatorDataset(None, np.empty(0), np.empty(0), provenance)
+
+    if pde == "darcy2d":
+        grid = Grid2D(s)
+        inputs = np.empty((num_pairs, s, s))
+    else:
+        basis = kl_decompose(spec, s)
+        grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
+        inputs = sample_gp(basis, (stream.derive(i) for i in range(num_pairs)))
+    if pde == "poisson1d":
+        try:
+            outputs = solve_poisson_1d(grid, inputs)
+        except Exception as exc:
+            raise SolverError(f"pairs 0-{num_pairs - 1}: {exc}") from exc
+    else:
+        outputs = np.empty_like(inputs)
+        for i in range(num_pairs):
+            try:
+                if pde == "burgers1d":
+                    outputs[i] = solve_burgers_1d(grid, inputs[i], viscosity, final_time)
+                else:
+                    inputs[i] = darcy_coefficient(stream.derive(i), spec, s)
+                    outputs[i] = solve_darcy_2d(grid, inputs[i], np.ones((s, s)))
+            except Exception as exc:
+                raise SolverError(f"pair {i}: {exc}") from exc
     return OperatorDataset(grid, inputs, outputs, provenance)

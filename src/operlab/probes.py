@@ -10,11 +10,12 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FunctionSample, Grid1D
+from .grids import Grid1D
 from .numerics import RngStream
 
 log = logging.getLogger(__name__)
@@ -248,42 +249,27 @@ def _kl_periodic_analytic(spec: CovarianceSpec, m: int) -> KLBasis:
     return KLBasis(spec, grid, eigenvalues, functions, truncation, draw_count)
 
 
-def sample_gp(basis: KLBasis, stream: RngStream) -> FunctionSample:
-    """One zero-mean Gaussian process sample from its KL expansion."""
-    coeffs = stream.standard_normal(basis.draw_count)
-    return sample_from_coefficients(basis, coeffs)
+def sample_gp(basis: KLBasis, streams: Iterable[RngStream]) -> np.ndarray:
+    """Zero-mean Gaussian process samples from the KL expansion, one row per
+    stream; each stream draws basis.draw_count normal deviates."""
+    coeffs = [stream.standard_normal(basis.draw_count) for stream in streams]
+    return sample_from_coefficients(basis, np.reshape(coeffs, (len(coeffs), basis.draw_count)))
 
 
-def sample_from_coefficients(basis: KLBasis, coeffs) -> FunctionSample:
-    """Deterministic KL expansion for given coefficients.
+def sample_from_coefficients(basis: KLBasis, coeffs) -> np.ndarray:
+    """Deterministic KL expansion for given coefficients, over any leading
+    batch axes: coefficients shaped (..., k) give values shaped (..., m).
 
     Coefficients beyond the stored basis are ignored and missing trailing
     coefficients count as zero; both conventions are what let samples at
     different resolutions share one coefficient vector.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a nonempty vector")
-    used = min(basis.truncation, c.size)
-    values = basis.functions[:, :used] @ (np.sqrt(basis.eigenvalues[:used]) * c[:used])
-    return FunctionSample(basis.grid, values)
-
-
-def interpolate_sensors(f: FunctionSample, target_grid: Grid1D) -> FunctionSample:
-    """Piecewise-linear resampling onto another grid (no extrapolation).
-
-    Exact at shared nodes; for a GP with length scale l sampled at m sensors
-    the interpolation error scales like 1/(m^2 l^2).
-    """
-    if not isinstance(f.grid, Grid1D):
-        raise ValueError("sensor interpolation is defined for 1D samples")
-    source = f.grid.points()
-    values = f.values
-    right_edge = f.grid.right
-    if f.grid.periodic:
-        source = np.append(source, f.grid.right)
-        values = np.append(values, values[0])
-    targets = target_grid.points()
-    if targets.min() < f.grid.left - 1e-12 or targets.max() > right_edge + 1e-12:
-        raise ValueError("target grid extends beyond the source domain")
-    return FunctionSample(target_grid, np.interp(targets, source, values))
+    if c.ndim == 0 or c.shape[-1] == 0:
+        raise ValueError("coefficients must have a nonempty last axis")
+    used = min(basis.truncation, c.shape[-1])
+    scaled = np.sqrt(basis.eigenvalues[:used]) * c[..., :used]
+    # One matrix-vector product per row, stacked: a single matrix-matrix
+    # product rounds differently, and would make a row's bits depend on how
+    # many rows are drawn together.
+    return np.matmul(basis.functions[:, :used], scaled[..., None])[..., 0]

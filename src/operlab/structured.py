@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, fft_forward
+from .numerics import RngStream
 
 DENSE_CAP = 4096
 
@@ -95,10 +95,6 @@ class LowRankOperator(StructuredOperator):
         self.row_factor = r
         self.n = c.shape[0]
 
-    @property
-    def rank_bound(self) -> int:
-        return self.col_factor.shape[1]
-
     def _apply(self, x):
         return self.col_factor @ (self.row_factor @ x)
 
@@ -120,7 +116,7 @@ class CirculantOperator(StructuredOperator):
         self.n = c.size
 
     def _symbol(self) -> np.ndarray:
-        return fft_forward(self.first_column)
+        return np.fft.fft(self.first_column)
 
     def _apply(self, x):
         xhat = np.fft.fft(x, axis=0)
@@ -349,11 +345,6 @@ class MatvecOracle:
             self.transpose_queries += mat.shape[1]
         out = np.asarray(self._transpose(mat))
         return out[:, 0] if squeeze else out
-
-
-def materialize(op: StructuredOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Exact dense form of a structured operator (refuses n > cap)."""
-    return op.materialize(cap=cap)
 
 
 def random_structured(

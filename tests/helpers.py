@@ -50,8 +50,7 @@ def planted_multiplier_dataset(
     inputs, outputs = [], []
     for i in range(num_pairs):
         coeffs = RngStream(seed).derive(i).standard_normal(basis.draw_count)
-        f = sample_from_coefficients(basis, coeffs)
-        values = f.values
+        values = sample_from_coefficients(basis, coeffs)
         inputs.append(FunctionSample(grid, values))
         outputs.append(FunctionSample(grid, apply_mode_multiplier(values, multiplier_fn)))
     return OperatorDataset.from_samples(inputs, outputs, {"planted": True, "seed": seed})
@@ -85,17 +84,17 @@ MODEL_VARIANTS = ("dense-kernel", "low-rank", "fourier-multiplier", "banded", "h
 
 
 def fitted_model(variant):
-    """A small fitted model of the variant plus an input sample on its grid."""
+    """A small fitted model of the variant plus a one-row input block on its grid."""
     if variant == "fourier-multiplier":
         ds = planted_multiplier_dataset(64, shifted_poisson_factor, 10, seed=40)
-        return fit_fourier_multiplier(ds, 8), ds.inputs[0]
+        return fit_fourier_multiplier(ds, 8), ds.input_values[:1]
     grid = Grid1D(32)
     ds = white_noise_dataset(grid, RngStream(41).standard_normal((32, 32)), 40, seed=42)
     dense = fit_green_kernel(ds, 1e-9)
     if variant == "low-rank":
-        return fit_low_rank(ds, 4, 1e-9), ds.inputs[0]
+        return fit_low_rank(ds, 4, 1e-9), ds.input_values[:1]
     if variant == "banded":
-        return truncate_band(dense, 0.3), ds.inputs[0]
+        return truncate_band(dense, 0.3), ds.input_values[:1]
     if variant == "hierarchical":
-        return hierarchical_decompose(dense, 3, 2), ds.inputs[0]
-    return dense, ds.inputs[0]
+        return hierarchical_decompose(dense, 3, 2), ds.input_values[:1]
+    return dense, ds.input_values[:1]

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from operlab.cli import main
-from operlab.grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
+from operlab.grids import Grid1D, Grid2D
 from operlab.numerics import RngStream
 from operlab.opfit import (
     DenseKernelModel,
     band_truncation_error,
-    compute_loss,
+    batch_loss,
     evaluate_super_resolution,
     fit_fourier_multiplier,
     fit_green_kernel,
@@ -38,7 +38,7 @@ from operlab.recovery import (
     recover_circulant,
     recover_hodlr,
 )
-from operlab.structured import MatvecOracle, materialize, random_structured
+from operlab.structured import MatvecOracle, random_structured
 
 from helpers import planted_multiplier_dataset, shifted_poisson_factor
 
@@ -63,7 +63,7 @@ def test_criterion_01_rank_k_recovery():
             op = random_structured("low-rank", 64, RngStream(10_000 + trial), rank=rank)
             oracle = MatvecOracle.from_operator(op)
             report = randomized_svd(
-                oracle, rank, 5, stream=RngStream(20_000 + trial), reference=materialize(op)
+                oracle, rank, 5, stream=RngStream(20_000 + trial), reference=op.materialize()
             )
             assert report.residual_frobenius_relative <= 1e-8
             assert (report.forward_queries, report.transpose_queries) == (rank + 5, rank + 5)
@@ -104,14 +104,14 @@ def test_criterion_04_banded():
     with criterion(4, "banded recovery"):
         op = random_structured("banded", 12, RngStream(3), bandwidth=2)
         report = recover_banded(
-            MatvecOracle.from_operator(op), 2, reference=materialize(op)
+            MatvecOracle.from_operator(op), 2, reference=op.materialize()
         )
         assert report.residual_frobenius_relative == 0.0
         assert report.forward_queries == 5
         for n, w in [(16, 0), (16, 10), (100, 3), (256, 7), (512, 2), (512, 255)]:
             op = random_structured("banded", n, RngStream(n + w), bandwidth=w)
             report = recover_banded(
-                MatvecOracle.from_operator(op), w, reference=materialize(op)
+                MatvecOracle.from_operator(op), w, reference=op.materialize()
             )
             assert report.residual_frobenius_relative <= 1e-12
             assert report.forward_queries == min(2 * w + 1, n)
@@ -123,7 +123,7 @@ def test_criterion_05_hodlr():
         op = random_structured("hodlr", 256, RngStream(4), rank=2, levels=6)
         oracle = MatvecOracle.from_operator(op)
         report = recover_hodlr(
-            oracle, 2, 6, 5, stream=RngStream(5), reference=materialize(op)
+            oracle, 2, 6, 5, stream=RngStream(5), reference=op.materialize()
         )
         assert report.residual_frobenius_relative <= 1e-8
         total = report.forward_queries + report.transpose_queries
@@ -135,9 +135,7 @@ def test_criterion_06_gp_sampling():
         basis = kl_decompose(SE_01, 64)
         count = 20_000
         root = RngStream(6)
-        samples = np.empty((count, 64))
-        for i in range(count):
-            samples[i] = sample_gp(basis, root.derive(i)).values
+        samples = sample_gp(basis, (root.derive(i) for i in range(count)))
         empirical = samples.T @ samples / count
         x = basis.grid.points()
         truth = kernel_eval(SE_01, x[:, None], x[None, :])
@@ -157,27 +155,22 @@ def test_criterion_07_solver_orders():
         for s in (33, 65, 129):
             grid = Grid1D(s)
             x = grid.points()
-            u = solve_poisson_1d(FunctionSample(grid, np.pi ** 2 * np.sin(np.pi * x)))
-            errors.append(np.max(np.abs(u.values - np.sin(np.pi * x))))
+            u = solve_poisson_1d(grid, np.pi ** 2 * np.sin(np.pi * x))
+            errors.append(np.max(np.abs(u - np.sin(np.pi * x))))
         assert 3.5 <= errors[0] / errors[1] <= 4.5
         assert 3.5 <= errors[1] / errors[2] <= 4.5
 
         coarse_grid = Grid1D(256, 0.0, 2 * np.pi, periodic=True)
         fine_grid = Grid1D(2048, 0.0, 2 * np.pi, periodic=True)
-        coarse = solve_burgers_1d(FunctionSample(coarse_grid, np.sin(coarse_grid.points())))
-        fine = solve_burgers_1d(FunctionSample(fine_grid, np.sin(fine_grid.points())))
-        rel = np.linalg.norm(coarse.values - fine.values[::8]) / np.linalg.norm(
-            fine.values[::8]
-        )
+        coarse = solve_burgers_1d(coarse_grid, np.sin(coarse_grid.points()))
+        fine = solve_burgers_1d(fine_grid, np.sin(fine_grid.points()))
+        rel = np.linalg.norm(coarse - fine[::8]) / np.linalg.norm(fine[::8])
         assert rel <= 1e-6
 
         solutions = {}
         for s in (33, 65, 129):
-            grid = Grid2D(s)
             ones = np.ones((s, s))
-            solutions[s] = solve_darcy_2d(
-                FunctionSample(grid, ones), FunctionSample(grid, ones)
-            ).values
+            solutions[s] = solve_darcy_2d(Grid2D(s), ones, ones)
         e1 = np.max(np.abs(solutions[33] - solutions[65][::2, ::2]))
         e2 = np.max(np.abs(solutions[65] - solutions[129][::2, ::2]))
         assert 3.0 <= e1 / e2 <= 5.0
@@ -197,8 +190,8 @@ def test_criterion_08_green_kernel_fit():
         )
         assert rel <= 0.10
         held_out = make_dataset("poisson1d", SE_005, 50, 100, RngStream(9))
-        predictions = [model.predict(f) for f in held_out.inputs]
-        assert compute_loss("relative-l2", predictions, held_out.outputs) <= 0.02
+        predictions = model.predict_batch(held_out.grid, held_out.input_values)
+        assert batch_loss("relative-l2", held_out.grid, predictions, held_out.output_values) <= 0.02
 
 
 def test_criterion_09_fourier_multiplier_fit():

@@ -75,8 +75,8 @@ class TestDatasetIo:
             {"pde": "poisson1d", "seed": 0},
         )
         path, loaded = self.roundtrip(tmp_path, ds)
-        assert np.array_equal(loaded.inputs[0].values, ds.inputs[0].values)
-        assert np.array_equal(loaded.outputs[0].values, ds.outputs[0].values)
+        assert np.array_equal(loaded.input_values, ds.input_values)
+        assert np.array_equal(loaded.output_values, ds.output_values)
         assert loaded.provenance == ds.provenance
         again = tmp_path / "again.ds"
         save_dataset(again, loaded)
@@ -130,8 +130,8 @@ class TestDatasetIo:
         path = tmp_path / "model.bin"
         dataio.save_model(path, model)
         loaded = load_model(path)
-        f = ds.inputs[0]
-        assert np.array_equal(loaded.predict(f).values, model.predict(f).values)
+        f = ds.input_values
+        assert np.array_equal(loaded.predict_batch(ds.grid, f), model.predict_batch(ds.grid, f))
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
     def test_model_roundtrip_every_variant(self, tmp_path, variant):
@@ -140,7 +140,7 @@ class TestDatasetIo:
         dataio.save_model(path, model)
         loaded = load_model(path)
         assert type(loaded) is type(model)
-        assert np.array_equal(loaded.predict(f).values, model.predict(f).values)
+        assert np.array_equal(loaded.predict_batch(model.grid, f), model.predict_batch(model.grid, f))
         for attr in ("ridge", "radius", "truncation_error", "max_mode", "levels", "rank"):
             assert getattr(loaded, attr, None) == getattr(model, attr, None)
         if variant == "hierarchical":
@@ -247,10 +247,10 @@ class TestGenerate:
         # residual re-check: re-solving the loaded inputs reproduces the outputs
         from operlab.pdelab import solve_burgers_1d
 
-        for f, u in zip(ds.inputs, ds.outputs):
-            again = solve_burgers_1d(f)
-            assert np.array_equal(again.values, u.values)
-            assert abs(f.values.mean() - u.values.mean()) <= 1e-10
+        for f, u in zip(ds.input_values, ds.output_values):
+            again = solve_burgers_1d(ds.grid, f)
+            assert np.array_equal(again, u)
+            assert abs(f.mean() - u.mean()) <= 1e-10
 
     def test_darcy_generates(self, tmp_path):
         config = write_config(
@@ -267,8 +267,21 @@ class TestGenerate:
         )
         assert run("generate", config, tmp_path) == 0
         ds = load_dataset(tmp_path / "d.ds")
-        assert ds.inputs[0].values.shape == (16, 16)
-        assert set(np.unique(ds.inputs[0].values)) <= {3.0, 12.0}
+        assert ds.input_values[0].shape == (16, 16)
+        assert set(np.unique(ds.input_values[0])) <= {3.0, 12.0}
+
+    def test_three_point_poisson(self, tmp_path):
+        # a single interior node: -(0 - 2u + 0)/h^2 = f gives u = f h^2 / 2
+        cov = {"family": "squared-exponential", "length_scale": 0.5}
+        config = write_config(
+            tmp_path / "c.json", dict(POISSON_GENERATE, num_pairs=4, resolution=3, covariance=cov)
+        )
+        assert run("generate", config, tmp_path) == 0
+        ds = load_dataset(tmp_path / "train.ds")
+        assert ds.output_values.shape == (4, 3)
+        assert np.all(ds.output_values[:, [0, 2]] == 0.0)
+        expected = ds.input_values[:, 1] * ds.grid.spacing ** 2 / 2
+        assert np.allclose(ds.output_values[:, 1], expected, rtol=1e-15, atol=0)
 
     def test_seed_override(self, tmp_path):
         config = write_config(tmp_path / "c.json", dict(POISSON_GENERATE, num_pairs=2))

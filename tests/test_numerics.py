@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from operlab.numerics import (
-    RngStream,
-    fft_forward,
-    fft_inverse,
-    gaussian_vector,
-    qr_thin,
-)
+from operlab.numerics import RngStream, qr_thin
 
 
 def dft_direct(v):
-    """O(n^2) DFT, the independent oracle for the FFT."""
+    """O(n^2) DFT, the independent oracle for the FFT convention the package
+    relies on (numpy's: unnormalized forward, inverse scaled by 1/n)."""
     n = len(v)
     j = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(j, j) / n) @ np.asarray(v, dtype=complex)
@@ -19,33 +14,33 @@ def dft_direct(v):
 
 class TestFft:
     def test_delta_to_constant(self):
-        assert np.allclose(fft_forward([1, 0, 0, 0]), np.ones(4))
+        assert np.allclose(np.fft.fft([1, 0, 0, 0]), np.ones(4))
 
     def test_shift_theorem(self):
-        assert np.allclose(fft_forward([0, 1, 0, 0]), [1, -1j, -1, 1j])
+        assert np.allclose(np.fft.fft([0, 1, 0, 0]), [1, -1j, -1, 1j])
 
     def test_matches_direct_dft(self):
         v = RngStream(3).standard_normal(128)
-        assert np.allclose(fft_forward(v), dft_direct(v), rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.fft.fft(v), dft_direct(v), rtol=1e-12, atol=1e-12)
 
     def test_round_trip_all_lengths(self):
         for n in range(1, 257):
             v = RngStream(n).standard_normal(n)
-            back = fft_inverse(fft_forward(v)).real
+            back = np.fft.ifft(np.fft.fft(v)).real
             assert np.linalg.norm(back - v) <= 1e-12 * max(np.linalg.norm(v), 1.0)
 
     def test_parseval(self):
         for n in (1, 2, 7, 64, 255):
             v = RngStream(n + 1000).standard_normal(n)
             lhs = np.sum(v ** 2)
-            rhs = np.sum(np.abs(fft_forward(v)) ** 2) / n
+            rhs = np.sum(np.abs(np.fft.fft(v)) ** 2) / n
             assert abs(lhs - rhs) <= 1e-12 * lhs
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            fft_forward(np.zeros(0))
+            np.fft.fft(np.zeros(0))
         with pytest.raises(ValueError):
-            fft_inverse(np.zeros(0))
+            np.fft.ifft(np.zeros(0))
 
 
 class TestQr:
@@ -69,7 +64,6 @@ class TestQr:
         res = qr_thin(m)
         assert np.linalg.norm(res.q.T @ res.q - np.eye(cols)) <= 1e-12 * cols
         assert np.linalg.norm(res.q @ res.r - m) <= 1e-10 * np.linalg.norm(m)
-        assert not res.rank_deficient
 
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
@@ -78,17 +72,21 @@ class TestQr:
     def test_rank_deficient_flagged(self):
         col = RngStream(9).standard_normal(12)
         m = np.column_stack([col, 2 * col, 3 * col])
-        assert qr_thin(m).rank_deficient
+        res = qr_thin(m)
+        # not repaired: still a valid factorization, with the deficiency in R
+        assert np.linalg.norm(res.q @ res.r - m) <= 1e-10 * np.linalg.norm(m)
+        diag = np.abs(np.diag(res.r))
+        assert np.all(diag[1:] <= 1e-12 * diag[0])
 
 
 class TestRng:
     def test_determinism(self):
-        a = gaussian_vector(RngStream(123), 64)
-        b = gaussian_vector(RngStream(123), 64)
+        a = RngStream(123).standard_normal(64)
+        b = RngStream(123).standard_normal(64)
         assert np.array_equal(a, b)
 
     def test_moments(self):
-        v = gaussian_vector(RngStream(99), 100_000)
+        v = RngStream(99).standard_normal(100_000)
         assert abs(v.mean()) <= 3.0 / np.sqrt(100_000)
         assert 0.98 <= v.var() <= 1.02
 
@@ -105,4 +103,4 @@ class TestRng:
 
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_vector(RngStream(0), 0)
+            RngStream(0).standard_normal(-1)

@@ -55,10 +55,10 @@ class TestGreenFit:
     def test_single_pair_interpolates(self):
         ds = poisson_dataset(1, 50, seed=3)
         model = fit_green_kernel(ds, ridge=1e-12)
-        pred = model.predict(ds.inputs[0])
+        pred = model.predict_batch(ds.grid, ds.input_values)[0]
         w = ds.grid.quad_weights()
-        num = np.sqrt(np.sum(w * (pred.values - ds.outputs[0].values) ** 2))
-        den = np.sqrt(np.sum(w * ds.outputs[0].values ** 2))
+        num = np.sqrt(np.sum(w * (pred - ds.output_values[0]) ** 2))
+        den = np.sqrt(np.sum(w * ds.output_values[0] ** 2))
         assert num / den <= 1e-8
 
     def test_poisson_kernel_close_to_exact(self):
@@ -94,8 +94,8 @@ class TestGreenFit:
         ds = poisson_dataset(40, 50, seed=31)
         model = fit_green_kernel(ds)  # ridge defaults to 1e-8 * trace scale
         assert model.ridge > 0
-        preds = [model.predict(f) for f in ds.inputs]
-        assert compute_loss("relative-l2", preds, ds.outputs) <= 1e-3
+        preds = model.predict_batch(ds.grid, ds.input_values)
+        assert batch_loss("relative-l2", ds.grid, preds, ds.output_values) <= 1e-3
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -107,8 +107,8 @@ class TestLowRankFit:
         ds = poisson_dataset(20, 32, seed=8)
         dense = fit_green_kernel(ds, ridge=1e-10)
         low = fit_low_rank(ds, 32, ridge=1e-10)
-        f = ds.inputs[0]
-        assert np.allclose(low.predict(f).values, dense.predict(f).values, atol=1e-12)
+        f = ds.input_values[:1]
+        assert np.allclose(low.predict_batch(ds.grid, f), dense.predict_batch(ds.grid, f), atol=1e-12)
 
     def test_rank_one_plant(self):
         grid = Grid1D(24)
@@ -267,11 +267,9 @@ class TestHierarchical:
         ds = poisson_dataset(30, 64, seed=22)
         dense = fit_green_kernel(ds, ridge=1e-10)
         model = hierarchical_decompose(dense, 3, 2)
-        f = ds.inputs[0]
-        gap = np.linalg.norm(model.predict(f).values - dense.predict(f).values)
-        bound = model.total_truncation_error * np.linalg.norm(
-            ds.grid.quad_weights() * f.values
-        )
+        f = ds.input_values[:1]
+        gap = np.linalg.norm(model.predict_batch(ds.grid, f) - dense.predict_batch(ds.grid, f))
+        bound = model.total_truncation_error * np.linalg.norm(ds.grid.quad_weights() * f)
         assert gap <= bound + 1e-12
 
     def test_divisibility_check(self):
@@ -284,7 +282,8 @@ class TestLosses:
     def sample_pairs(self, n=3):
         grid = Grid1D(40)
         basis = kl_decompose(CovarianceSpec("squared-exponential", length_scale=0.2), 40)
-        targets = [sample_gp(basis, RngStream(100 + i)) for i in range(n)]
+        values = sample_gp(basis, (RngStream(100 + i) for i in range(n)))
+        targets = [FunctionSample(grid, v) for v in values]
         return grid, targets
 
     def test_zero_for_equal(self):
@@ -342,35 +341,34 @@ class TestModelLinearity:
         ds = poisson_dataset(20, 32, seed=23)
         model = builder(ds)
         grid = ds.grid
-        f1 = FunctionSample(grid, RngStream(24).standard_normal(32))
-        f2 = FunctionSample(grid, RngStream(25).standard_normal(32))
-        combo = FunctionSample(grid, 2.0 * f1.values - 0.5 * f2.values)
-        lhs = model.predict(combo).values
-        rhs = 2.0 * model.predict(f1).values - 0.5 * model.predict(f2).values
+        f1 = RngStream(24).standard_normal(32)
+        f2 = RngStream(25).standard_normal(32)
+        lhs = model.predict_batch(grid, (2.0 * f1 - 0.5 * f2)[None])[0]
+        p1, p2 = model.predict_batch(grid, np.array([f1, f2]))
+        rhs = 2.0 * p1 - 0.5 * p2
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
     def test_multiplier_model(self):
         ds = planted_multiplier_dataset(64, shifted_poisson_factor, 10, seed=26)
         model = fit_fourier_multiplier(ds, 8)
         grid = ds.grid
-        f1 = FunctionSample(grid, RngStream(27).standard_normal(64))
-        f2 = FunctionSample(grid, RngStream(28).standard_normal(64))
-        combo = FunctionSample(grid, 1.5 * f1.values + 2.5 * f2.values)
-        lhs = model.predict(combo).values
-        rhs = 1.5 * model.predict(f1).values + 2.5 * model.predict(f2).values
+        f1 = RngStream(27).standard_normal(64)
+        f2 = RngStream(28).standard_normal(64)
+        lhs = model.predict_batch(grid, (1.5 * f1 + 2.5 * f2)[None])[0]
+        p1, p2 = model.predict_batch(grid, np.array([f1, f2]))
+        rhs = 1.5 * p1 + 2.5 * p2
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_zero_maps_to_zero(self):
         ds = poisson_dataset(5, 32, seed=29)
         model = fit_green_kernel(ds, 1e-10)
-        zero = FunctionSample(ds.grid, np.zeros(32))
-        assert np.all(model.predict(zero).values == 0.0)
+        assert np.all(model.predict_batch(ds.grid, np.zeros((1, 32))) == 0.0)
 
     def test_grid_mismatch_rejected(self):
         ds = poisson_dataset(5, 32, seed=30)
         model = fit_green_kernel(ds, 1e-10)
         with pytest.raises(ValueError):
-            model.predict(FunctionSample(Grid1D(64), np.zeros(64)))
+            model.predict_batch(Grid1D(64), np.zeros((1, 64)))
 
 
 class TestSuperResolution:
@@ -382,7 +380,7 @@ class TestSuperResolution:
         datasets = []
         for n in (64, 128):
             raw = planted_multiplier_dataset(n, project, 5, seed=31)
-            datasets.append(OperatorDataset.from_samples(raw.outputs, raw.outputs, {}))
+            datasets.append(OperatorDataset(raw.grid, raw.output_values, raw.output_values))
         model = fit_fourier_multiplier(datasets[0], 6)
         table = evaluate_super_resolution(model, datasets)
         for _, value in table:
@@ -454,8 +452,8 @@ class TestBatchedPredictAndLoss:
             model = builder(ds)
         batch = model.predict_batch(ds.grid, ds.input_values)
         assert batch.shape == ds.input_values.shape
-        for row, f in zip(batch, ds.inputs):
-            single = model.predict(f).values
+        for row, f in zip(batch, ds.input_values):
+            single = model.predict_batch(ds.grid, f[None])[0]
             assert np.linalg.norm(row - single) <= 1e-13 * np.linalg.norm(single)
 
     def test_multiplier_rows_match_at_finer_resolution(self):
@@ -464,8 +462,8 @@ class TestBatchedPredictAndLoss:
         )
         fine = planted_multiplier_dataset(256, shifted_poisson_factor, 3, seed=73)
         batch = model.predict_batch(fine.grid, fine.input_values)
-        for row, f in zip(batch, fine.inputs):
-            assert np.array_equal(row, model.predict(f).values)
+        for row, f in zip(batch, fine.input_values):
+            assert np.array_equal(row, model.predict_batch(fine.grid, f[None])[0])
 
     def test_grid_mismatch_rejected(self):
         ds = poisson_dataset(5, 32, seed=74)
@@ -483,11 +481,12 @@ class TestBatchedPredictAndLoss:
         noise = RngStream(76).standard_normal(ds.output_values.shape)
         preds = ds.output_values + 0.1 * np.abs(ds.output_values).max() * noise
         pred_samples = [FunctionSample(ds.grid, p) for p in preds]
-        expected = reference_loss(kind, pred_samples, ds.outputs)
+        target_samples = [FunctionSample(ds.grid, t) for t in ds.output_values]
+        expected = reference_loss(kind, pred_samples, target_samples)
         assert abs(batch_loss(kind, ds.grid, preds, ds.output_values) - expected) <= (
             1e-14 * expected
         )
-        assert abs(compute_loss(kind, pred_samples, ds.outputs) - expected) <= 1e-14 * expected
+        assert abs(compute_loss(kind, pred_samples, target_samples) - expected) <= 1e-14 * expected
 
     def test_zero_norm_target_among_others_rejected(self):
         grid = Grid1D(10)

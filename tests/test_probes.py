@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from operlab.grids import FunctionSample, Grid1D
+from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.probes import (
     CovarianceSpec,
     KLBasis,
     helmholtz_eigenvalue,
-    interpolate_sensors,
     kernel_eval,
     kl_decompose,
     matern_bessel,
@@ -142,31 +141,30 @@ class TestSampling:
     def test_zero_spectrum_gives_zero_function(self):
         grid = Grid1D(16)
         basis = KLBasis(SE01, grid, np.zeros(3), np.ones((16, 3)), 3, 3)
-        sample = sample_gp(basis, RngStream(0))
-        assert np.all(sample.values == 0.0)
+        samples = sample_gp(basis, [RngStream(0), RngStream(1)])
+        assert samples.shape == (2, 16)
+        assert np.all(samples == 0.0)
 
     def test_determinism(self):
         basis = kl_decompose(SE01, 64)
-        a = sample_gp(basis, RngStream(11)).values
-        b = sample_gp(basis, RngStream(11)).values
+        a = sample_gp(basis, [RngStream(11)])[0]
+        b = sample_gp(basis, [RngStream(11)])[0]
         assert np.array_equal(a, b)
 
     def test_coefficient_linearity(self):
         basis = kl_decompose(SE01, 64)
         coeffs = RngStream(12).standard_normal(basis.draw_count)
-        one = sample_from_coefficients(basis, coeffs).values
+        one = sample_from_coefficients(basis, coeffs)
         # power-of-two scale commutes with rounding, so equality is exact
-        doubled = sample_from_coefficients(basis, 2.0 * coeffs).values
+        doubled = sample_from_coefficients(basis, 2.0 * coeffs)
         assert np.array_equal(doubled, 2.0 * one)
-        tripled = sample_from_coefficients(basis, 3.0 * coeffs).values
+        tripled = sample_from_coefficients(basis, 3.0 * coeffs)
         assert np.allclose(tripled, 3.0 * one, rtol=1e-14, atol=0)
 
     def test_empirical_covariance(self):
         basis = kl_decompose(SE01, 64)
         count = 4000
-        samples = np.array(
-            [sample_gp(basis, RngStream(7000).derive(i)).values for i in range(count)]
-        )
+        samples = sample_gp(basis, (RngStream(7000).derive(i) for i in range(count)))
         emp = samples.T @ samples / count
         x = basis.grid.points()
         truth = kernel_eval(SE01, x[:, None], x[None, :])
@@ -175,7 +173,7 @@ class TestSampling:
     def test_long_length_scale_flat_samples(self):
         basis = kl_decompose(CovarianceSpec("squared-exponential", length_scale=100.0), 50)
         for seed in range(5):
-            sample = sample_gp(basis, RngStream(seed)).values
+            sample = sample_gp(basis, [RngStream(seed)])[0]
             assert sample.max() - sample.min() <= 0.05
 
     def test_helmholtz_draw_count_resolution_independent(self):
@@ -186,47 +184,10 @@ class TestSampling:
         fine = kl_decompose(spec, 2048)
         assert coarse.draw_count == fine.draw_count
         coeffs = RngStream(14).standard_normal(coarse.draw_count)
-        a = sample_from_coefficients(coarse, coeffs).values
-        b = sample_from_coefficients(fine, coeffs).values
+        a = sample_from_coefficients(coarse, coeffs)
+        b = sample_from_coefficients(fine, coeffs)
         rel = np.linalg.norm(a - b[::8]) / np.linalg.norm(b[::8])
         assert rel <= 1e-5  # only super-Nyquist content differs
-
-
-class TestInterpolation:
-    def test_identity_on_same_grid(self):
-        basis = kl_decompose(SE01, 40)
-        f = sample_gp(basis, RngStream(15))
-        out = interpolate_sensors(f, f.grid)
-        assert np.allclose(out.values, f.values, atol=1e-15)
-
-    def test_linear_function_exact(self):
-        grid = Grid1D(9)
-        f = FunctionSample(grid, 2.0 * grid.points() - 0.5)
-        fine = Grid1D(33)
-        out = interpolate_sensors(f, fine)
-        assert np.allclose(out.values, 2.0 * fine.points() - 0.5, atol=1e-14)
-
-    def test_refinement_error_vs_direct_resample(self):
-        spec = SE01
-        coarse = kl_decompose(spec, 100)
-        fine = kl_decompose(spec, 1000)
-        coeffs = RngStream(16).standard_normal(coarse.draw_count)
-        coarse_sample = sample_from_coefficients(coarse, coeffs)
-        direct = sample_from_coefficients(fine, coeffs)
-        interp = interpolate_sensors(coarse_sample, fine.grid)
-        # piecewise-linear error guidance: O(1/(m^2 l^2)) = 1e-2 here
-        assert np.max(np.abs(interp.values - direct.values)) <= 2e-2
-
-    def test_extrapolation_rejected(self):
-        f = FunctionSample(Grid1D(5, 0.2, 0.8), np.ones(5))
-        with pytest.raises(ValueError):
-            interpolate_sensors(f, Grid1D(5, 0.0, 1.0))
-
-    def test_periodic_wraps(self):
-        grid = Grid1D(8, periodic=True)
-        f = FunctionSample(grid, np.arange(8.0))
-        out = interpolate_sensors(f, Grid1D(17, 0.0, 1.0))
-        assert math.isclose(out.values[-1], f.values[0], abs_tol=1e-12)
 
 
 def test_helmholtz_zero_shift_excludes_constant():

@@ -14,7 +14,7 @@ from operlab.recovery import (
     recover_circulant,
     recover_hodlr,
 )
-from operlab.structured import MatvecOracle, materialize, random_structured
+from operlab.structured import MatvecOracle, random_structured
 
 
 def oracle_for(op):
@@ -96,25 +96,25 @@ class TestColoring:
 class TestBanded:
     def test_figure_case_exact(self):
         op = random_structured("banded", 12, RngStream(5), bandwidth=2)
-        report = recover_banded(oracle_for(op), 2, reference=materialize(op))
+        report = recover_banded(oracle_for(op), 2, reference=op.materialize())
         assert report.residual_frobenius_relative == 0.0
         assert report.forward_queries == 5
 
     def test_diagonal_single_query(self):
         op = random_structured("banded", 10, RngStream(6), bandwidth=0)
-        report = recover_banded(oracle_for(op), 0, reference=materialize(op))
+        report = recover_banded(oracle_for(op), 0, reference=op.materialize())
         assert report.residual_frobenius_relative <= 1e-12
         assert report.forward_queries == 1
 
     def test_tridiagonal(self):
         op = random_structured("banded", 64, RngStream(7), bandwidth=1)
-        report = recover_banded(oracle_for(op), 1, reference=materialize(op))
+        report = recover_banded(oracle_for(op), 1, reference=op.materialize())
         assert report.residual_frobenius_relative <= 1e-12
         assert report.forward_queries == 3
 
     def test_overestimated_bandwidth_still_exact(self):
         op = random_structured("banded", 20, RngStream(8), bandwidth=1)
-        report = recover_banded(oracle_for(op), 3, reference=materialize(op))
+        report = recover_banded(oracle_for(op), 3, reference=op.materialize())
         assert report.residual_frobenius_relative <= 1e-12
         assert report.forward_queries == 7
 
@@ -124,19 +124,19 @@ class TestHodlr:
         oracle = MatvecOracle.from_dense(np.zeros((16, 16)))
         report = recover_hodlr(oracle, 1, 2, 3, stream=RngStream(0), reference=np.zeros((16, 16)))
         assert report.residual_frobenius_relative <= 1e-12
-        assert np.all(materialize(report.recovered) == 0.0)
+        assert np.all(report.recovered.materialize() == 0.0)
 
     def test_small_instance(self):
         op = random_structured("hodlr", 8, RngStream(1), rank=1, levels=1)
         report = recover_hodlr(
-            oracle_for(op), 1, 1, 3, stream=RngStream(2), reference=materialize(op)
+            oracle_for(op), 1, 1, 3, stream=RngStream(2), reference=op.materialize()
         )
         assert report.residual_frobenius_relative <= 1e-8
 
     def test_default_config_budget(self):
         op = random_structured("hodlr", 256, RngStream(3), rank=2, levels=6)
         report = recover_hodlr(
-            oracle_for(op), 2, 6, 5, stream=RngStream(4), reference=materialize(op)
+            oracle_for(op), 2, 6, 5, stream=RngStream(4), reference=op.materialize()
         )
         assert report.residual_frobenius_relative <= 1e-8
         fwd, tr = hodlr_query_budget(256, 2, 6, 5)
@@ -152,13 +152,13 @@ class TestHodlr:
     def test_overestimated_rank_still_exact(self):
         op = random_structured("hodlr", 64, RngStream(9), rank=1, levels=3)
         report = recover_hodlr(
-            oracle_for(op), 3, 3, 5, stream=RngStream(10), reference=materialize(op)
+            oracle_for(op), 3, 3, 5, stream=RngStream(10), reference=op.materialize()
         )
         assert report.residual_frobenius_relative <= 1e-8
 
     def test_peeling_residual_per_level(self):
         op = random_structured("hodlr", 64, RngStream(7), rank=2, levels=3)
-        dense = materialize(op)
+        dense = op.materialize()
         report = recover_hodlr(oracle_for(op), 2, 3, 5, stream=RngStream(8), reference=dense)
         remainder = dense.copy()
         for level in range(1, 4):
@@ -195,24 +195,24 @@ class TestExactRecoveryAcrossSizes:
                 rank = 1 + seed % 4
                 op = random_structured(kind, n, stream, rank=rank)
                 report = randomized_svd(
-                    oracle_for(op), rank, 5, stream=probes, reference=materialize(op)
+                    oracle_for(op), rank, 5, stream=probes, reference=op.materialize()
                 )
                 assert (report.forward_queries, report.transpose_queries) == (rank + 5, rank + 5)
             elif kind == "circulant":
                 op = random_structured(kind, n, stream)
-                report = recover_circulant(oracle_for(op), probes, reference=materialize(op))
+                report = recover_circulant(oracle_for(op), probes, reference=op.materialize())
                 assert (report.forward_queries, report.transpose_queries) == (1, 0)
             elif kind == "banded":
                 w = seed % 4
                 op = random_structured(kind, n, stream, bandwidth=w)
-                report = recover_banded(oracle_for(op), w, reference=materialize(op))
+                report = recover_banded(oracle_for(op), w, reference=op.materialize())
                 assert report.forward_queries == min(2 * w + 1, n)
             else:
                 levels = 2 if n == 16 else 3
                 rank = 1 + seed % 2
                 op = random_structured(kind, n, stream, rank=rank, levels=levels)
                 report = recover_hodlr(
-                    oracle_for(op), rank, levels, 5, stream=probes, reference=materialize(op)
+                    oracle_for(op), rank, levels, 5, stream=probes, reference=op.materialize()
                 )
                 fwd, tr = hodlr_query_budget(n, rank, levels, 5)
                 assert (report.forward_queries, report.transpose_queries) == (fwd, tr)
@@ -235,7 +235,7 @@ def column_read_off(oracle, n: int, w: int) -> np.ndarray:
 def assert_exact(report, dense):
     """The recovered operator matches the instance to 1e-8 relative, and the
     report's residual is that same relative Frobenius error."""
-    error = np.linalg.norm(materialize(report.recovered) - dense)
+    error = np.linalg.norm(report.recovered.materialize() - dense)
     assert error <= 1e-8 * np.linalg.norm(dense)
     assert report.residual_frobenius_relative == error / np.linalg.norm(dense)
 
@@ -264,7 +264,7 @@ class TestRecoveryProperties:
     def test_banded(self, case, seed):
         n, w = case
         op = random_structured("banded", n, RngStream(seed), bandwidth=w)
-        dense = materialize(op)
+        dense = op.materialize()
         report = recover_banded(oracle_for(op), w, reference=dense)
         assert (report.forward_queries, report.transpose_queries) == (min(2 * w + 1, n), 0)
         assert np.array_equal(report.recovered.diagonals, column_read_off(oracle_for(op), n, w))
@@ -275,7 +275,7 @@ class TestRecoveryProperties:
     def test_hodlr(self, case, seed):
         n, rank, levels = case
         op = random_structured("hodlr", n, RngStream(seed), rank=rank, levels=levels)
-        dense = materialize(op)
+        dense = op.materialize()
         report = recover_hodlr(
             oracle_for(op), rank, levels, stream=RngStream(seed + 1), reference=dense
         )

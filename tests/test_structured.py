@@ -14,7 +14,6 @@ from operlab.structured import (
     HodlrOperator,
     LowRankOperator,
     MatvecOracle,
-    materialize,
     random_structured,
 )
 
@@ -36,7 +35,7 @@ class TestApplyMaterializeConsistency:
         for seed in range(50):
             n = (8, 16, 32)[seed % 3]
             op = make_instance(kind, n, seed)
-            dense = materialize(op)
+            dense = op.materialize()
             x = RngStream(1000 + seed).standard_normal((n, 3))
             scale = max(np.linalg.norm(dense @ x), 1.0)
             assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale
@@ -64,9 +63,36 @@ class TestBlockLowRankProperties:
         else:
             op = random_structured("hodlr", n, stream, rank=rank, levels=levels)
         x, y = stream.standard_normal((2, n))
-        dense = materialize(op)
+        dense = op.materialize()
         scale = max(np.linalg.norm(dense), 1.0) * np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(op.apply(x) @ y - x @ op.apply_transpose(y)) <= 1e-12 * scale
+        assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale / np.linalg.norm(y)
+
+
+class TestOperatorProperties:
+    """The same two properties for each of the other operator types."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["dense", "low-rank", "circulant", "banded"]),
+        n=st.integers(2, 40),
+        param=st.integers(0, 39),
+        cols=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_adjoint_and_materialize(self, kind, n, param, cols, seed):
+        stream = RngStream(seed)
+        if kind == "low-rank":
+            op = random_structured(kind, n, stream, rank=1 + param % (n - 1))
+        elif kind == "banded":
+            op = random_structured(kind, n, stream, bandwidth=param % n)
+        else:
+            op = random_structured(kind, n, stream)
+        shape = (n,) if cols is None else (n, cols)
+        x, y = stream.standard_normal((2, *shape))
+        dense = op.materialize()
+        scale = max(np.linalg.norm(dense), 1.0) * np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(np.sum(op.apply(x) * y) - np.sum(x * op.apply_transpose(y))) <= 1e-12 * scale
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale / np.linalg.norm(y)
 
 
@@ -91,7 +117,7 @@ class TestOracle:
         for seed, kind in enumerate(["low-rank", "circulant", "banded", "hodlr"]):
             op = make_instance(kind, 16, seed + 77)
             oracle = MatvecOracle.from_operator(op)
-            dense = materialize(op)
+            dense = op.materialize()
             x = RngStream(seed).standard_normal((16, 5))
             assert np.linalg.norm(oracle.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
 
@@ -122,12 +148,12 @@ class TestOracle:
 
 class TestMaterialize:
     def test_circulant_identity(self):
-        assert np.array_equal(materialize(CirculantOperator([1, 0, 0, 0])), np.eye(4))
+        assert np.array_equal(CirculantOperator([1, 0, 0, 0]).materialize(), np.eye(4))
 
     def test_banded_diagonal(self):
         d = np.array([2.0, -1.0, 3.0])
         op = BandedOperator(3, 0, d[None, :])
-        assert np.array_equal(materialize(op), np.diag(d))
+        assert np.array_equal(op.materialize(), np.diag(d))
 
     def test_hodlr_matches_manual_assembly(self):
         stream = RngStream(4)
@@ -144,36 +170,36 @@ class TestMaterialize:
         manual[4:, :4] = u2 @ v2.T
         manual[:4, :4] = leaves[0]
         manual[4:, 4:] = leaves[1]
-        assert np.allclose(materialize(op), manual, atol=1e-14)
+        assert np.allclose(op.materialize(), manual, atol=1e-14)
 
     def test_dense_cap(self):
         op = CirculantOperator(np.ones(8))
         with pytest.raises(ValueError):
-            materialize(op, cap=4)
+            op.materialize(cap=4)
 
 
 class TestRandomStructured:
     def test_low_rank_bound(self):
         op = random_structured("low-rank", 64, RngStream(8), rank=3)
-        s = np.linalg.svd(materialize(op), compute_uv=False)
+        s = np.linalg.svd(op.materialize(), compute_uv=False)
         assert s[3] <= 1e-12 * s[0]
 
     def test_banded_five_diagonals(self):
         op = random_structured("banded", 12, RngStream(9), bandwidth=2)
-        dense = materialize(op)
+        dense = op.materialize()
         i, j = np.indices(dense.shape)
         assert np.all(dense[np.abs(i - j) > 2] == 0.0)
         offsets = {int(o) for o in (j - i)[dense != 0.0]}
         assert offsets <= {-2, -1, 0, 1, 2}
 
     def test_same_seed_same_instance(self):
-        a = materialize(random_structured("hodlr", 16, RngStream(3), rank=2, levels=2))
-        b = materialize(random_structured("hodlr", 16, RngStream(3), rank=2, levels=2))
+        a = random_structured("hodlr", 16, RngStream(3), rank=2, levels=2).materialize()
+        b = random_structured("hodlr", 16, RngStream(3), rank=2, levels=2).materialize()
         assert np.array_equal(a, b)
 
     def test_hodlr_offdiagonal_rank(self):
         op = random_structured("hodlr", 32, RngStream(10), rank=2, levels=3)
-        dense = materialize(op)
+        dense = op.materialize()
         for b in op.blocks:
             sub = dense[b.row_start:b.row_start + b.size, b.col_start:b.col_start + b.size]
             s = np.linalg.svd(sub, compute_uv=False)
