@@ -88,6 +88,20 @@ def _check_keys(mapping: dict, required: set, optional: set, context: str):
         raise CliError("config", f"{context}: missing required keys {sorted(missing)}")
 
 
+# integer fields of recover configs and their smallest allowed values
+_RECOVER_INTS = {
+    "dimension": 1, "rank": 1, "oversampling": 0, "bandwidth": 0, "block_rank": 1, "levels": 1,
+}
+
+
+def _check_int(config: dict, key: str, minimum: int):
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError("config", f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise CliError("config", f"{key} must be at least {minimum}, got {value}")
+
+
 def validate_config(config: dict) -> dict:
     """Schema-check a config dict; returns it unchanged on success."""
     if not isinstance(config, dict):
@@ -97,9 +111,7 @@ def validate_config(config: dict) -> dict:
         raise CliError("config", f"unknown or missing command {command!r}")
     schema = _COMMAND_SCHEMAS[command]
     _check_keys(config, schema["required"], schema["optional"], f"{command} config")
-    seed = config["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise CliError("config", "seed must be a nonnegative integer")
+    _check_int(config, "seed", 0)
 
     if command == "generate":
         pde = config["pde"]
@@ -121,6 +133,13 @@ def validate_config(config: dict) -> dict:
             for key in ("viscosity", "final_time"):
                 if key in config:
                     raise CliError("config", f"{key} only applies to burgers1d")
+        _check_int(config, "num_pairs", 0)
+        _check_int(config, "resolution", pdelab.MIN_RESOLUTION[pde])
+        resolution = config["resolution"]
+        if pde == "burgers1d" and resolution & (resolution - 1):
+            raise CliError(
+                "config", f"burgers1d resolution must be a power of two, got {resolution}"
+            )
     elif command == "recover":
         algorithm = config["algorithm"]
         if algorithm not in _ALGORITHM_PARAMS:
@@ -133,6 +152,9 @@ def validate_config(config: dict) -> dict:
             params["optional"],
             f"{algorithm} recovery",
         )
+        for key, minimum in _RECOVER_INTS.items():
+            if key in config:
+                _check_int(config, key, minimum)
     elif command == "fit":
         variant = config["variant"]
         if variant not in _VARIANT_PARAMS:
@@ -234,7 +256,7 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         instance = random_structured(algorithm, n, instance_stream, **params)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    reference = instance.materialize() if n <= DENSE_CAP else None
+    reference = instance if n <= DENSE_CAP else None
     oracle = MatvecOracle.from_operator(instance)
     started = time.perf_counter()
     try:
@@ -254,6 +276,8 @@ def cmd_recover(config: dict, out_dir: str) -> int:
             )
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
+    except ValueError as exc:  # parameters that do not fit the dimension
+        raise CliError("config", str(exc)) from exc
     elapsed = time.perf_counter() - started
     payload = {
         "algorithm": algorithm,

@@ -17,6 +17,10 @@ BURGERS_VISCOSITY = 0.1
 BURGERS_FINAL_TIME = 1.0
 DARCY_HIGH = 12.0
 DARCY_LOW = 3.0
+# smallest resolution each model problem generates at: Poisson's solver needs
+# an interior node, a periodic KL basis needs 4 sensors to carry a nonconstant
+# mode, and the Darcy coefficient field needs s >= 8
+MIN_RESOLUTION = {"poisson1d": 3, "burgers1d": 4, "darcy2d": 8}
 
 
 class SolverError(RuntimeError):
@@ -49,7 +53,7 @@ def solve_poisson_1d(grid: Grid1D, f) -> np.ndarray:
         raise ValueError("needs a non-periodic 1D grid")
     if not (grid.left == 0.0 and grid.right == 1.0):
         raise ValueError("solver is set up on the unit interval")
-    if grid.n < 3:
+    if grid.n < MIN_RESOLUTION["poisson1d"]:
         raise ValueError("need at least 3 grid points")
     u = np.array(f, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != grid.n:
@@ -97,7 +101,7 @@ def darcy_coefficient(stream: RngStream, spec: CovarianceSpec, s: int) -> np.nda
     The field is generated on the periodic lattice and reinterpreted on the
     solver's nodal grid; the threshold statistics are unaffected.
     """
-    if s < 8:
+    if s < MIN_RESOLUTION["darcy2d"]:
         raise ValueError("need resolution s >= 8")
     field = sample_helmholtz_periodic_2d(spec, s, stream)
     return np.where(field >= 0.0, DARCY_HIGH, DARCY_LOW)

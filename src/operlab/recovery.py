@@ -16,6 +16,7 @@ from .structured import (
     BandedOperator,
     BlockLowRankOperator,
     CirculantOperator,
+    DenseOperator,
     HodlrBlock,
     HodlrOperator,
     LowRankOperator,
@@ -62,16 +63,37 @@ class ColoringSchedule:
     color_of: np.ndarray
 
 
+RESIDUAL_SLAB = 256
+
+
 def _relative_residual(recovered: StructuredOperator, reference) -> float | None:
+    """||R - A||_F / ||A||_F (or ||R||_F when A is zero) for the recovered R and
+    a reference A, given as an operator or a dense matrix.
+
+    Both are materialized RESIDUAL_SLAB columns at a time, so memory stays
+    O(RESIDUAL_SLAB * n); the per-slab norms combine into the Frobenius norms.
+    No oracle query is made.
+    """
     if reference is None:
         return None
-    ref = np.asarray(reference, dtype=float)
-    error = recovered.materialize(cap=max(recovered.n, ref.shape[0]))
-    error -= ref  # in place: one n-by-n array, not two
-    denom = np.linalg.norm(ref)
+    if not isinstance(reference, StructuredOperator):
+        reference = DenseOperator(reference)
+    if reference.n != recovered.n:
+        raise ValueError(f"reference dimension {reference.n} does not match {recovered.n}")
+    n = recovered.n
+    error_norms, reference_norms = [], []
+    for lo in range(0, n, RESIDUAL_SLAB):
+        hi = min(lo + RESIDUAL_SLAB, n)
+        ref = reference.materialize(lo, hi, cap=n)
+        error = recovered.materialize(lo, hi, cap=n)
+        error -= ref  # in place: one slab, not two
+        error_norms.append(np.linalg.norm(error))
+        reference_norms.append(np.linalg.norm(ref))
+    error_norm = np.linalg.norm(error_norms)
+    denom = np.linalg.norm(reference_norms)
     if denom == 0.0:
-        return float(np.linalg.norm(error))
-    return float(np.linalg.norm(error) / denom)
+        return float(error_norm)
+    return float(error_norm / denom)
 
 
 def randomized_svd(
@@ -200,7 +222,7 @@ def _rank_limited_basis(sketch: np.ndarray, rank: int) -> tuple[np.ndarray, floa
     space, plus the relative residual left outside it."""
     u, s, _ = np.linalg.svd(sketch, full_matrices=False)
     r = min(rank, *sketch.shape)
-    basis = u[:, :r]
+    basis = u[:, :r].copy()  # a view would keep all of u alive in the recovered block
     total = np.linalg.norm(s)
     if total == 0.0:
         return basis, 0.0
@@ -273,7 +295,8 @@ def recover_hodlr(
             for t in range(pairs):
                 src = (2 * t + parity) * size
                 dst = (2 * t + 1 - parity) * size
-                row_factor = coeff[src:src + size, : bases[t].shape[1]]
+                # a copy, so the block does not keep the whole n-by-r coeff alive
+                row_factor = coeff[src:src + size, : bases[t].shape[1]].copy()
                 recovered_blocks.append(
                     HodlrBlock(level, dst, src, size, bases[t], row_factor)
                 )

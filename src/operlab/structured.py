@@ -2,8 +2,8 @@
 
 Operators are immutable after construction and expose apply / apply_transpose
 for vectors or column-stacked probe matrices, plus exact dense
-materialization (capped, to keep tests from accidentally going O(N^2) in
-memory at large N).
+materialization of any column range (capped, to keep tests from accidentally
+going O(N^2) in memory at large N).
 """
 from __future__ import annotations
 
@@ -52,13 +52,20 @@ class StructuredOperator:
         out = self._apply_transpose(mat)
         return out[:, 0] if squeeze else out
 
-    def materialize(self, cap: int = DENSE_CAP) -> np.ndarray:
+    def materialize(
+        self, start: int = 0, stop: int | None = None, *, cap: int = DENSE_CAP
+    ) -> np.ndarray:
+        """Columns [start, stop) of the dense matrix, an n x (stop - start) array;
+        the defaults give the whole matrix."""
         if self.n > cap:
             raise ValueError(f"dimension {self.n} exceeds dense cap {cap}")
-        return self._materialize()
+        stop = self.n if stop is None else stop
+        if not 0 <= start <= stop <= self.n:
+            raise ValueError(f"column range [{start}, {stop}) is not within [0, {self.n}]")
+        return self._materialize(start, stop)
 
-    def _materialize(self) -> np.ndarray:
-        return self._apply(np.eye(self.n))
+    def _materialize(self, lo: int, hi: int) -> np.ndarray:
+        raise NotImplementedError
 
 
 class DenseOperator(StructuredOperator):
@@ -79,8 +86,8 @@ class DenseOperator(StructuredOperator):
     def _apply_transpose(self, x):
         return self.matrix.T @ x
 
-    def _materialize(self):
-        return self.matrix.copy()
+    def _materialize(self, lo, hi):
+        return self.matrix[:, lo:hi].copy()
 
 
 class LowRankOperator(StructuredOperator):
@@ -101,8 +108,8 @@ class LowRankOperator(StructuredOperator):
     def _apply_transpose(self, x):
         return self.row_factor.T @ (self.col_factor.T @ x)
 
-    def _materialize(self):
-        return self.col_factor @ self.row_factor
+    def _materialize(self, lo, hi):
+        return self.col_factor @ self.row_factor[:, lo:hi]
 
 
 class CirculantOperator(StructuredOperator):
@@ -128,9 +135,9 @@ class CirculantOperator(StructuredOperator):
         sym = np.conj(self._symbol())
         return np.fft.ifft(sym[:, None] * xhat, axis=0).real
 
-    def _materialize(self):
-        cols = [np.roll(self.first_column, j) for j in range(self.n)]
-        return np.column_stack(cols)
+    def _materialize(self, lo, hi):
+        # column j is the first column rolled down by j: A[i, j] = c[(i - j) mod n]
+        return self.first_column[(np.arange(self.n)[:, None] - np.arange(lo, hi)) % self.n]
 
 
 class BandedOperator(StructuredOperator):
@@ -170,19 +177,40 @@ class BandedOperator(StructuredOperator):
             y[lo + offset:hi + offset] += band[:, None] * x[lo:hi]
         return y
 
-    def _materialize(self):
-        a = np.zeros((self.n, self.n))
+    def _materialize(self, lo, hi):
+        a = np.zeros((self.n, hi - lo))
         w = self.bandwidth
         for offset in range(-w, w + 1):
-            lo = max(0, -offset)
-            hi = self.n - max(0, offset)
-            rows = np.arange(lo, hi)
-            a[rows, rows + offset] = self.diagonals[w + offset, lo:hi]
+            # rows whose entry (row, row + offset) falls in columns [lo, hi)
+            rows = np.arange(max(0, lo - offset), min(self.n, hi - offset))
+            a[rows, rows + offset - lo] = self.diagonals[w + offset, rows]
         return a
 
 
 def _span(start: int, size: int) -> slice:
     return slice(start, start + size)
+
+
+def _overlap(cols: slice, lo: int, hi: int) -> tuple[slice, slice] | None:
+    """Where a block's columns meet [lo, hi): the shared columns counted from
+    the block's first column and from lo, or None if they do not meet."""
+    first, last = max(cols.start, lo), min(cols.stop, hi)
+    if first >= last:
+        return None
+    return slice(first - cols.start, last - cols.start), slice(first - lo, last - lo)
+
+
+def _block_columns(col_factor: np.ndarray, row_factor_t: np.ndarray, part: slice) -> np.ndarray:
+    """col_factor @ row_factor_t[:, part] with the bits of the whole block's product.
+
+    numpy hands a one-column product to gemv, which rounds differently from
+    gemm, so a lone column is cut from a two-column product instead.
+    """
+    width = row_factor_t.shape[1]
+    if part.stop - part.start == 1 and width > 1:
+        start = min(part.start, width - 2)
+        return (col_factor @ row_factor_t[:, start:start + 2])[:, [part.start - start]]
+    return col_factor @ row_factor_t[:, part]
 
 
 @dataclass(frozen=True)
@@ -260,12 +288,17 @@ class BlockLowRankOperator(StructuredOperator):
             y[cols] += m.T @ x[rows]
         return y
 
-    def _materialize(self):
-        a = np.zeros((self.n, self.n))
+    def _materialize(self, lo, hi):
+        # only the blocks that meet columns [lo, hi), and only those columns of them
+        a = np.zeros((self.n, hi - lo))
         for rows, cols, col_factor, row_factor_t in self._low_rank:
-            a[rows, cols] = col_factor @ row_factor_t
+            if where := _overlap(cols, lo, hi):
+                inside, out = where
+                a[rows, out] = _block_columns(col_factor, row_factor_t, inside)
         for rows, cols, m in self._dense:
-            a[rows, cols] = m
+            if where := _overlap(cols, lo, hi):
+                inside, out = where
+                a[rows, out] = m[:, inside]
         return a
 
 

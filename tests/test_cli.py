@@ -344,6 +344,62 @@ class TestRecover:
         assert report["residual_frobenius_relative"] <= 1e-8
 
 
+RECOVER = {"command": "recover", "seed": 5, "output": "report.json"}
+RECOVER_HODLR = dict(RECOVER, algorithm="hodlr", dimension=64, block_rank=2, levels=3)
+RECOVER_LOW_RANK = dict(RECOVER, algorithm="low-rank", dimension=64, rank=3)
+RECOVER_BANDED = dict(RECOVER, algorithm="banded", dimension=12, bandwidth=2)
+
+
+class TestIntegerFields:
+    """Every integer field is type- and range-checked before any work starts,
+    so each fault is one ERROR:config: line."""
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            (POISSON_GENERATE, "seed", True),
+            (POISSON_GENERATE, "num_pairs", -1),
+            (POISSON_GENERATE, "num_pairs", "3"),
+            (POISSON_GENERATE, "resolution", 2),
+            (POISSON_GENERATE, "resolution", 64.0),
+            (RECOVER_HODLR, "dimension", "8"),
+            (RECOVER_HODLR, "block_rank", "2"),
+            (RECOVER_HODLR, "levels", 0),
+            (RECOVER_HODLR, "oversampling", -3),
+            (RECOVER_HODLR, "oversampling", 2.5),
+            (RECOVER_LOW_RANK, "rank", False),
+            (RECOVER_BANDED, "bandwidth", -1),
+        ],
+        ids=lambda v: v.get("algorithm", v["command"]) if isinstance(v, dict) else repr(v),
+    )
+    def test_bad_integer_is_config_error(self, tmp_path, capsys, base, field, value):
+        config = dict(base, **{field: value})
+        assert run(config["command"], write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"ERROR:config: {field} must be")
+
+    @pytest.mark.parametrize(
+        "pde, cov, resolution",
+        [
+            ("burgers1d", {"family": "helmholtz-power", "smoothness": 3.0}, 2),
+            ("burgers1d", {"family": "helmholtz-power", "smoothness": 3.0}, 12),
+            ("darcy2d", {"family": "helmholtz-power", "smoothness": 2.0}, 7),
+        ],
+    )
+    def test_resolution_off_the_solver_grid(self, tmp_path, capsys, pde, cov, resolution):
+        config = dict(POISSON_GENERATE, pde=pde, covariance=cov, resolution=resolution)
+        assert run("generate", write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR:config:")
+
+    def test_parameters_too_large_for_the_dimension(self, tmp_path, capsys):
+        config = dict(RECOVER_HODLR, block_rank=30)  # block_rank + oversampling > n/2
+        assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1
+        assert capsys.readouterr().err.startswith("ERROR:config:")
+
+
 class TestFitAndEval:
     def generate_poisson(self, tmp_path):
         config = write_config(tmp_path / "gen.json", POISSON_GENERATE)
@@ -554,6 +610,41 @@ class TestProcessInterface:
         lines = [l for l in proc.stderr.strip().splitlines() if l]
         assert len(lines) == 1
         assert lines[0].startswith("ERROR:config:")
+
+    def test_recover_hodlr_4096_is_repeatable_and_small(self, tmp_path):
+        """The residual reference is the instance itself, walked in column slabs:
+        two runs agree apart from the wall time, and neither child's peak RSS
+        reaches the 256 MB that two dense 4096 x 4096 arrays would take.
+
+        A child's ru_maxrss includes the RSS of the process it was forked from,
+        so each run is started by a fresh interpreter, not by this one."""
+        config = write_config(
+            tmp_path / "r.json",
+            dict(RECOVER, algorithm="hodlr", dimension=4096, block_rank=4, levels=7),
+        )
+        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        launcher = (
+            "import json, os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))\n"
+        )
+        reports = []
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-m", "operlab", "recover",
+                 "--config", config, "--out", str(run_dir)],
+                capture_output=True, text=True, cwd=ROOT, env=env,
+            )
+            code, max_rss_kib = json.loads(proc.stdout)
+            assert code == 0, proc.stderr
+            assert max_rss_kib < 160 * 1024
+            report = json.loads((run_dir / "report.json").read_text())
+            del report["wall_time_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["residual_frobenius_relative"] <= 1e-10
 
     def test_mismatched_command_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", POISSON_GENERATE)

@@ -96,6 +96,54 @@ class TestOperatorProperties:
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale / np.linalg.norm(y)
 
 
+@st.composite
+def column_range_cases(draw):
+    """An operator of any type (strong and weak block layouts included) and a
+    random column range lo < hi."""
+    kind = draw(st.sampled_from(["dense", "low-rank", "circulant", "banded", "hodlr", "strong"]))
+    stream = RngStream(draw(st.integers(0, 2 ** 31)))
+    if kind in ("hodlr", "strong"):
+        levels = draw(st.integers(1, 4))
+        n = 2 ** (levels + draw(st.integers(0, 2)))
+        rank = draw(st.integers(1, 4))
+        if kind == "strong":
+            model = DenseKernelModel(Grid1D(n), stream.standard_normal((n, n)))
+            op = hierarchical_decompose(model, levels, rank).operator
+        else:
+            op = random_structured(kind, n, stream, rank=rank, levels=levels)
+    else:
+        n = draw(st.integers(2, 80))
+        if kind == "low-rank":
+            op = random_structured(kind, n, stream, rank=draw(st.integers(1, n - 1)))
+        elif kind == "banded":
+            op = random_structured(kind, n, stream, bandwidth=draw(st.integers(0, n - 1)))
+        else:
+            op = random_structured(kind, n, stream)
+    lo = draw(st.integers(0, n - 1))
+    return kind, op, lo, draw(st.integers(lo + 1, n))
+
+
+class TestColumnRange:
+    @settings(max_examples=150, deadline=None)
+    @given(case=column_range_cases())
+    def test_slab_is_a_slice_of_the_matrix(self, case):
+        """Exact for every type but low-rank, whose gemm rounds by slab width."""
+        kind, op, lo, hi = case
+        part, whole = op.materialize(lo, hi), op.materialize()[:, lo:hi]
+        assert part.shape == (op.n, hi - lo)
+        if kind == "low-rank":
+            assert np.linalg.norm(part - whole) <= 1e-14 * max(np.linalg.norm(whole), 1e-300)
+        else:
+            assert np.array_equal(part, whole)
+
+    def test_range_checked(self):
+        op = CirculantOperator(np.ones(8))
+        assert op.materialize(3, 3).shape == (8, 0)
+        for start, stop in ((-1, 4), (5, 4), (0, 9)):
+            with pytest.raises(ValueError):
+                op.materialize(start, stop)
+
+
 class TestOracle:
     def test_identity_counts_columns(self):
         oracle = MatvecOracle.from_dense(np.eye(6))
