@@ -11,12 +11,12 @@ from .grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
 from .numerics import RngStream
 from .probes import CovarianceSpec, KLBasis, kernel_eval, kl_decompose, sample_gp
 from .recovery import (
-    RecoveryReport,
     banded_coloring,
     randomized_svd,
     recover_banded,
     recover_circulant,
     recover_hodlr,
+    relative_residual,
 )
 from .structured import (
     BandedOperator,
@@ -41,7 +41,6 @@ __all__ = [
     "LowRankOperator",
     "MatvecOracle",
     "OperatorDataset",
-    "RecoveryReport",
     "RngStream",
     "banded_coloring",
     "kernel_eval",
@@ -51,6 +50,7 @@ __all__ = [
     "recover_banded",
     "recover_circulant",
     "recover_hodlr",
+    "relative_residual",
     "sample_gp",
 ]
 

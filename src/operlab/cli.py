@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -88,9 +89,10 @@ def _check_keys(mapping: dict, required: set, optional: set, context: str):
         raise CliError("config", f"{context}: missing required keys {sorted(missing)}")
 
 
-# integer fields of recover configs and their smallest allowed values
-_RECOVER_INTS = {
+# integer fields of recover and fit configs and their smallest allowed values
+_INT_FIELDS = {
     "dimension": 1, "rank": 1, "oversampling": 0, "bandwidth": 0, "block_rank": 1, "levels": 1,
+    "max_mode": 0,
 }
 
 
@@ -100,6 +102,14 @@ def _check_int(config: dict, key: str, minimum: int):
         raise CliError("config", f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise CliError("config", f"{key} must be at least {minimum}, got {value}")
+
+
+def _check_number(config: dict, key: str):
+    value = config[key]
+    # json.load also accepts NaN and Infinity, which are not JSON numbers
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise CliError("config", f"{key} must be a finite number, got {value!r}")
 
 
 def validate_config(config: dict) -> dict:
@@ -152,9 +162,6 @@ def validate_config(config: dict) -> dict:
             params["optional"],
             f"{algorithm} recovery",
         )
-        for key, minimum in _RECOVER_INTS.items():
-            if key in config:
-                _check_int(config, key, minimum)
     elif command == "fit":
         variant = config["variant"]
         if variant not in _VARIANT_PARAMS:
@@ -167,6 +174,9 @@ def validate_config(config: dict) -> dict:
             params["optional"],
             f"{variant} fit",
         )
+        for key in ("radius", "ridge", "train_fraction"):
+            if key in config:
+                _check_number(config, key)
         _check_losses(config.get("losses"))
     elif command == "eval":
         datasets = config["datasets"]
@@ -176,7 +186,12 @@ def validate_config(config: dict) -> dict:
             if not isinstance(entry, dict):
                 raise CliError("config", "each dataset entry must be an object")
             _check_keys(entry, {"resolution", "path"}, set(), "eval dataset entry")
+            _check_int(entry, "resolution", 2)
         _check_losses(config.get("losses"))
+    if command in ("recover", "fit"):
+        for key, minimum in _INT_FIELDS.items():
+            if key in config:
+                _check_int(config, key, minimum)
     return config
 
 
@@ -256,28 +271,27 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         instance = random_structured(algorithm, n, instance_stream, **params)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    reference = instance if n <= DENSE_CAP else None
     oracle = MatvecOracle.from_operator(instance)
     started = time.perf_counter()
     try:
         if algorithm == "low-rank":
-            report = recovery.randomized_svd(
-                oracle, config["rank"], config.get("oversampling", 5),
-                stream=probe_stream, reference=reference,
+            recovered = recovery.randomized_svd(
+                oracle, config["rank"], config.get("oversampling", 5), stream=probe_stream
             )
         elif algorithm == "circulant":
-            report = recovery.recover_circulant(oracle, probe_stream, reference=reference)
+            recovered = recovery.recover_circulant(oracle, probe_stream)
         elif algorithm == "banded":
-            report = recovery.recover_banded(oracle, config["bandwidth"], reference=reference)
+            recovered = recovery.recover_banded(oracle, config["bandwidth"])
         else:
-            report = recovery.recover_hodlr(
+            recovered = recovery.recover_hodlr(
                 oracle, config["block_rank"], config["levels"],
-                config.get("oversampling", 5), stream=probe_stream, reference=reference,
+                config.get("oversampling", 5), stream=probe_stream,
             )
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
     except ValueError as exc:  # parameters that do not fit the dimension
         raise CliError("config", str(exc)) from exc
+    residual = recovery.relative_residual(recovered, instance) if n <= DENSE_CAP else None
     elapsed = time.perf_counter() - started
     payload = {
         "algorithm": algorithm,
@@ -285,9 +299,9 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         "parameters": {k: config[k] for k in config
                        if k in ("rank", "oversampling", "bandwidth", "block_rank", "levels")},
         "seed": seed,
-        "forward_queries": report.forward_queries,
-        "transpose_queries": report.transpose_queries,
-        "residual_frobenius_relative": report.residual_frobenius_relative,
+        "forward_queries": oracle.forward_queries,
+        "transpose_queries": oracle.transpose_queries,
+        "residual_frobenius_relative": residual,
         "wall_time_seconds": elapsed,
     }
     path = _out_path(out_dir, config["output"])
@@ -296,9 +310,9 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         fh.write("\n")
     print(
         f"recover algorithm={algorithm} dimension={n} "
-        f"forward_queries={report.forward_queries} "
-        f"transpose_queries={report.transpose_queries} "
-        f"residual={report.residual_frobenius_relative} output={path}"
+        f"forward_queries={oracle.forward_queries} "
+        f"transpose_queries={oracle.transpose_queries} "
+        f"residual={residual} output={path}"
     )
     return 0
 

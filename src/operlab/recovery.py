@@ -2,12 +2,12 @@
 
 Four algorithms: randomized SVD for (numerically) low-rank matrices,
 single-query circulant recovery in Fourier space, coloring-based banded
-recovery, and level-by-level peeling for HODLR matrices.  Each returns a
-RecoveryReport carrying the recovered operator and the exact query counts.
+recovery, and level-by-level peeling for HODLR matrices.  Each takes a
+MatvecOracle and returns the recovered StructuredOperator; the oracle keeps
+the exact query counts.  relative_residual scores a recovered operator
+against a known instance without querying the oracle.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,26 +47,10 @@ class RankDeficitError(RuntimeError):
         )
 
 
-@dataclass
-class RecoveryReport:
-    recovered: StructuredOperator
-    forward_queries: int
-    transpose_queries: int
-    residual_frobenius_relative: float | None = None
-
-
-@dataclass(frozen=True)
-class ColoringSchedule:
-    """Column groups that can share one probe because their supports are disjoint."""
-
-    num_colors: int
-    color_of: np.ndarray
-
-
 RESIDUAL_SLAB = 256
 
 
-def _relative_residual(recovered: StructuredOperator, reference) -> float | None:
+def relative_residual(recovered: StructuredOperator, reference) -> float:
     """||R - A||_F / ||A||_F (or ||R||_F when A is zero) for the recovered R and
     a reference A, given as an operator or a dense matrix.
 
@@ -74,8 +58,6 @@ def _relative_residual(recovered: StructuredOperator, reference) -> float | None
     O(RESIDUAL_SLAB * n); the per-slab norms combine into the Frobenius norms.
     No oracle query is made.
     """
-    if reference is None:
-        return None
     if not isinstance(reference, StructuredOperator):
         reference = DenseOperator(reference)
     if reference.n != recovered.n:
@@ -102,8 +84,7 @@ def randomized_svd(
     oversampling: int = 5,
     *,
     stream: RngStream,
-    reference=None,
-) -> RecoveryReport:
+) -> LowRankOperator:
     """Recover a (numerically) low-rank matrix from rank + oversampling
     forward and equally many transpose queries.
 
@@ -123,13 +104,7 @@ def randomized_svd(
     response = oracle.apply(probe)
     q = qr_thin(response).q
     row_action = oracle.apply_transpose(q)
-    recovered = LowRankOperator(q, row_action.T)
-    return RecoveryReport(
-        recovered,
-        oracle.forward_queries,
-        oracle.transpose_queries,
-        _relative_residual(recovered, reference),
-    )
+    return LowRankOperator(q, row_action.T)
 
 
 def recover_circulant(
@@ -138,8 +113,7 @@ def recover_circulant(
     *,
     probe=None,
     pivot_rtol: float = 1e-8,
-    reference=None,
-) -> RecoveryReport:
+) -> CirculantOperator:
     """Recover a circulant matrix from a single forward query.
 
     Applying the matrix to a probe g commutes: the response y equals the
@@ -166,31 +140,19 @@ def recover_circulant(
         )
     response = oracle.apply(g)
     column = np.fft.ifft(np.fft.fft(response) / g_hat).real
-    recovered = CirculantOperator(column)
-    return RecoveryReport(
-        recovered,
-        oracle.forward_queries,
-        oracle.transpose_queries,
-        _relative_residual(recovered, reference),
-    )
+    return CirculantOperator(column)
 
 
-def banded_coloring(n: int, bandwidth: int) -> ColoringSchedule:
-    """Color columns by index mod (2w+1); same-colored columns have disjoint
-    row support for any matrix of bandwidth <= w."""
+def banded_coloring(n: int, bandwidth: int) -> np.ndarray:
+    """The color of each column, its index mod (2w+1): min(2w+1, n) colors,
+    and same-colored columns have disjoint row support for any matrix of
+    bandwidth <= w."""
     if not 0 <= bandwidth < n:
         raise ValueError("need 0 <= bandwidth < n")
-    stride = 2 * bandwidth + 1
-    color_of = np.arange(n) % stride
-    return ColoringSchedule(min(stride, n), color_of)
+    return np.arange(n) % (2 * bandwidth + 1)
 
 
-def recover_banded(
-    oracle: MatvecOracle,
-    bandwidth: int,
-    *,
-    reference=None,
-) -> RecoveryReport:
+def recover_banded(oracle: MatvecOracle, bandwidth: int) -> BandedOperator:
     """Recover a banded matrix exactly in min(2w+1, n) forward queries.
 
     Columns sharing a color are probed together with one indicator-sum
@@ -199,22 +161,16 @@ def recover_banded(
     """
     n = oracle.n
     w = bandwidth
-    schedule = banded_coloring(n, w)
-    probe = np.zeros((n, schedule.num_colors))
-    probe[np.arange(n), schedule.color_of] = 1.0
+    color_of = banded_coloring(n, w)
+    probe = np.zeros((n, min(2 * w + 1, n)))
+    probe[np.arange(n), color_of] = 1.0
     response = oracle.apply(probe)
     diagonals = np.zeros((2 * w + 1, n))
     for offset in range(-w, w + 1):
         # entry (row, row + offset) for every row whose column is in range
         rows = np.arange(max(0, -offset), n - max(0, offset))
-        diagonals[w + offset, rows] = response[rows, schedule.color_of[rows + offset]]
-    recovered = BandedOperator(n, w, diagonals)
-    return RecoveryReport(
-        recovered,
-        oracle.forward_queries,
-        oracle.transpose_queries,
-        _relative_residual(recovered, reference),
-    )
+        diagonals[w + offset, rows] = response[rows, color_of[rows + offset]]
+    return BandedOperator(n, w, diagonals)
 
 
 def _rank_limited_basis(sketch: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
@@ -238,8 +194,7 @@ def recover_hodlr(
     *,
     stream: RngStream,
     rank_rtol: float = 1e-8,
-    reference=None,
-) -> RecoveryReport:
+) -> HodlrOperator:
     """Recover a HODLR matrix by top-down peeling.
 
     At each level the upper and lower sibling block families occupy disjoint
@@ -279,7 +234,8 @@ def recover_hodlr(
             for t in range(pairs):
                 src = (2 * t + parity) * size
                 probe[src:src + size] = stream.standard_normal((size, width))
-            sketch = oracle.apply(probe) - known.apply(probe)
+            sketch = oracle.apply(probe)
+            sketch -= known.apply(probe)
             bases = []
             for t in range(pairs):
                 dst = (2 * t + 1 - parity) * size
@@ -291,7 +247,8 @@ def recover_hodlr(
             for t in range(pairs):
                 dst = (2 * t + 1 - parity) * size
                 projection[dst:dst + size, : bases[t].shape[1]] = bases[t]
-            coeff = oracle.apply_transpose(projection) - known.apply_transpose(projection)
+            coeff = oracle.apply_transpose(projection)
+            coeff -= known.apply_transpose(projection)
             for t in range(pairs):
                 src = (2 * t + parity) * size
                 dst = (2 * t + 1 - parity) * size
@@ -303,16 +260,11 @@ def recover_hodlr(
 
     leaf = n >> levels
     probe = np.tile(np.eye(leaf), (1 << levels, 1))
-    sketch = oracle.apply(probe) - BlockLowRankOperator(n, recovered_blocks).apply(probe)
+    sketch = oracle.apply(probe)
+    sketch -= BlockLowRankOperator(n, recovered_blocks).apply(probe)
     leaves = [sketch[j * leaf:(j + 1) * leaf] for j in range(1 << levels)]
 
-    recovered = HodlrOperator(n, levels, block_rank, recovered_blocks, leaves)
-    return RecoveryReport(
-        recovered,
-        oracle.forward_queries,
-        oracle.transpose_queries,
-        _relative_residual(recovered, reference),
-    )
+    return HodlrOperator(n, levels, block_rank, recovered_blocks, leaves)
 
 
 def hodlr_query_budget(n: int, block_rank: int, levels: int, oversampling: int = 5):

@@ -394,6 +394,40 @@ class TestIntegerFields:
         assert len(lines) == 1
         assert lines[0].startswith("ERROR:config:")
 
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            ("fit", {"variant": "low-rank", "rank": "3"}),
+            ("fit", {"variant": "hierarchical", "levels": 2.0, "rank": 2}),
+            ("fit", {"variant": "fourier-multiplier", "max_mode": -1}),
+            ("fit", {"ridge": "0.1"}),
+            ("fit", {"ridge": float("nan")}),
+            ("fit", {"train_fraction": "0.5"}),
+            ("fit", {"variant": "banded", "radius": True}),
+            ("eval", {"resolution": "32"}),
+        ],
+        ids=repr,
+    )
+    def test_bad_fit_or_eval_field_is_config_error(self, tmp_path, capsys, command, changes):
+        """Checked before any file is read; here on a real 8-pair dataset and model."""
+        gen = dict(POISSON_GENERATE, num_pairs=8, resolution=32)
+        assert run("generate", write_config(tmp_path / "gen.json", gen), tmp_path) == 0
+        dataset = str(tmp_path / "train.ds")
+        fit = {"command": "fit", "seed": 1, "dataset": dataset, "variant": "dense-kernel",
+               "model_output": "model.bin", "metrics_output": "metrics.json"}
+        assert run("fit", write_config(tmp_path / "fit.json", fit), tmp_path) == 0
+        capsys.readouterr()
+        if command == "fit":
+            config = dict(fit, **changes)
+        else:
+            config = {"command": "eval", "seed": 1, "model": str(tmp_path / "model.bin"),
+                      "datasets": [dict({"resolution": 32, "path": dataset}, **changes)],
+                      "output": "eval.csv"}
+        assert run(command, write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR:config:")
+
     def test_parameters_too_large_for_the_dimension(self, tmp_path, capsys):
         config = dict(RECOVER_HODLR, block_rank=30)  # block_rank + oversampling > n/2
         assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1

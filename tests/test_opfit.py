@@ -19,7 +19,7 @@ from operlab.opfit import (
 )
 from operlab.pdelab import green_poisson_1d, make_dataset
 from operlab.probes import CovarianceSpec, kl_decompose, sample_gp
-from operlab.recovery import recover_circulant
+from operlab.recovery import recover_circulant, relative_residual
 from operlab.structured import MatvecOracle
 
 from helpers import (
@@ -193,11 +193,8 @@ class TestFourierFit:
         ds = planted_multiplier_dataset(64, shifted_poisson_factor, 20, seed=18)
         model = fit_fourier_multiplier(ds, 10)
         circ = model.to_circulant()
-        reference = circ.materialize()
-        report = recover_circulant(
-            MatvecOracle.from_operator(circ), RngStream(19), reference=reference
-        )
-        assert report.residual_frobenius_relative <= 1e-8
+        recovered = recover_circulant(MatvecOracle.from_operator(circ), RngStream(19))
+        assert relative_residual(recovered, circ.materialize()) <= 1e-8
 
 
 class TestBandTruncation:

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from operlab.recovery import (
     recover_banded,
     recover_circulant,
     recover_hodlr,
+    relative_residual,
 )
 from operlab.structured import MatvecOracle, random_structured
 
@@ -26,24 +29,25 @@ def oracle_for(op):
 class TestRandomizedSvd:
     def test_zero_matrix(self):
         oracle = MatvecOracle.from_dense(np.zeros((8, 8)))
-        report = randomized_svd(oracle, 2, 5, stream=RngStream(0), reference=np.zeros((8, 8)))
-        assert report.residual_frobenius_relative <= 1e-12
-        assert (report.forward_queries, report.transpose_queries) == (7, 7)
+        recovered = randomized_svd(oracle, 2, 5, stream=RngStream(0))
+        assert relative_residual(recovered, np.zeros((8, 8))) <= 1e-12
+        assert (oracle.forward_queries, oracle.transpose_queries) == (7, 7)
 
     def test_rank_one(self):
         u = RngStream(1).standard_normal(32)
         v = RngStream(2).standard_normal(32)
         a = np.outer(u, v)
-        report = randomized_svd(MatvecOracle.from_dense(a), 1, 5, stream=RngStream(3), reference=a)
-        assert report.residual_frobenius_relative <= 1e-10
-        assert (report.forward_queries, report.transpose_queries) == (6, 6)
+        oracle = MatvecOracle.from_dense(a)
+        recovered = randomized_svd(oracle, 1, 5, stream=RngStream(3))
+        assert relative_residual(recovered, a) <= 1e-10
+        assert (oracle.forward_queries, oracle.transpose_queries) == (6, 6)
 
     def test_near_best_bound_decaying_diagonal(self):
         a = np.diag(2.0 ** -np.arange(16.0))
         tail = np.linalg.norm(np.diag(a)[4:])  # best rank-4 error, from the exact SVD
         bound = (1.0 + 15.0 * np.sqrt(4 + 5)) * tail
-        report = randomized_svd(MatvecOracle.from_dense(a), 4, 5, stream=RngStream(4), reference=a)
-        assert report.residual_frobenius_relative * np.linalg.norm(a) <= bound
+        recovered = randomized_svd(MatvecOracle.from_dense(a), 4, 5, stream=RngStream(4))
+        assert relative_residual(recovered, a) * np.linalg.norm(a) <= bound
 
     def test_parameter_validation(self):
         oracle = MatvecOracle.from_dense(np.eye(4))
@@ -57,16 +61,17 @@ class TestCirculant:
     def test_identity_matrix(self):
         op = random_structured("circulant", 4, RngStream(0))
         identity = MatvecOracle.from_dense(np.eye(4))
-        report = recover_circulant(identity, RngStream(1), reference=np.eye(4))
-        assert report.residual_frobenius_relative <= 1e-12
+        recovered = recover_circulant(identity, RngStream(1))
+        assert relative_residual(recovered, np.eye(4)) <= 1e-12
 
     def test_random_large(self):
         op = random_structured("circulant", 1024, RngStream(2))
-        report = recover_circulant(oracle_for(op), RngStream(3))
+        oracle = oracle_for(op)
+        recovered = recover_circulant(oracle, RngStream(3))
         truth = op.first_column
-        err = np.linalg.norm(report.recovered.first_column - truth) / np.linalg.norm(truth)
+        err = np.linalg.norm(recovered.first_column - truth) / np.linalg.norm(truth)
         assert err <= 1e-10
-        assert (report.forward_queries, report.transpose_queries) == (1, 0)
+        assert (oracle.forward_queries, oracle.transpose_queries) == (1, 0)
 
     def test_constant_probe_rejected(self):
         op = random_structured("circulant", 64, RngStream(4))
@@ -78,19 +83,19 @@ class TestCirculant:
 
 class TestColoring:
     def test_figure_case(self):
-        assert banded_coloring(12, 2).num_colors == 5
+        assert np.array_equal(np.unique(banded_coloring(12, 2)), np.arange(5))
 
     def test_diagonal(self):
-        assert banded_coloring(9, 0).num_colors == 1
+        assert np.array_equal(banded_coloring(9, 0), np.zeros(9))
 
     def test_capped_at_dimension(self):
-        assert banded_coloring(6, 5).num_colors == 6
+        assert np.array_equal(banded_coloring(6, 5), np.arange(6))
 
     def test_disjoint_support(self):
         n, w = 23, 3
-        schedule = banded_coloring(n, w)
-        for color in range(schedule.num_colors):
-            cols = np.flatnonzero(schedule.color_of == color)
+        color_of = banded_coloring(n, w)
+        for color in range(2 * w + 1):
+            cols = np.flatnonzero(color_of == color)
             for a, b in zip(cols, cols[1:]):
                 assert b - a > 2 * w  # row supports [c-w, c+w] cannot overlap
 
@@ -98,52 +103,53 @@ class TestColoring:
 class TestBanded:
     def test_figure_case_exact(self):
         op = random_structured("banded", 12, RngStream(5), bandwidth=2)
-        report = recover_banded(oracle_for(op), 2, reference=op.materialize())
-        assert report.residual_frobenius_relative == 0.0
-        assert report.forward_queries == 5
+        oracle = oracle_for(op)
+        recovered = recover_banded(oracle, 2)
+        assert relative_residual(recovered, op.materialize()) == 0.0
+        assert oracle.forward_queries == 5
 
     def test_diagonal_single_query(self):
         op = random_structured("banded", 10, RngStream(6), bandwidth=0)
-        report = recover_banded(oracle_for(op), 0, reference=op.materialize())
-        assert report.residual_frobenius_relative <= 1e-12
-        assert report.forward_queries == 1
+        oracle = oracle_for(op)
+        recovered = recover_banded(oracle, 0)
+        assert relative_residual(recovered, op.materialize()) <= 1e-12
+        assert oracle.forward_queries == 1
 
     def test_tridiagonal(self):
         op = random_structured("banded", 64, RngStream(7), bandwidth=1)
-        report = recover_banded(oracle_for(op), 1, reference=op.materialize())
-        assert report.residual_frobenius_relative <= 1e-12
-        assert report.forward_queries == 3
+        oracle = oracle_for(op)
+        recovered = recover_banded(oracle, 1)
+        assert relative_residual(recovered, op.materialize()) <= 1e-12
+        assert oracle.forward_queries == 3
 
     def test_overestimated_bandwidth_still_exact(self):
         op = random_structured("banded", 20, RngStream(8), bandwidth=1)
-        report = recover_banded(oracle_for(op), 3, reference=op.materialize())
-        assert report.residual_frobenius_relative <= 1e-12
-        assert report.forward_queries == 7
+        oracle = oracle_for(op)
+        recovered = recover_banded(oracle, 3)
+        assert relative_residual(recovered, op.materialize()) <= 1e-12
+        assert oracle.forward_queries == 7
 
 
 class TestHodlr:
     def test_zero_matrix(self):
         oracle = MatvecOracle.from_dense(np.zeros((16, 16)))
-        report = recover_hodlr(oracle, 1, 2, 3, stream=RngStream(0), reference=np.zeros((16, 16)))
-        assert report.residual_frobenius_relative <= 1e-12
-        assert np.all(report.recovered.materialize() == 0.0)
+        recovered = recover_hodlr(oracle, 1, 2, 3, stream=RngStream(0))
+        assert relative_residual(recovered, np.zeros((16, 16))) <= 1e-12
+        assert np.all(recovered.materialize() == 0.0)
 
     def test_small_instance(self):
         op = random_structured("hodlr", 8, RngStream(1), rank=1, levels=1)
-        report = recover_hodlr(
-            oracle_for(op), 1, 1, 3, stream=RngStream(2), reference=op.materialize()
-        )
-        assert report.residual_frobenius_relative <= 1e-8
+        recovered = recover_hodlr(oracle_for(op), 1, 1, 3, stream=RngStream(2))
+        assert relative_residual(recovered, op.materialize()) <= 1e-8
 
     def test_default_config_budget(self):
         op = random_structured("hodlr", 256, RngStream(3), rank=2, levels=6)
-        report = recover_hodlr(
-            oracle_for(op), 2, 6, 5, stream=RngStream(4), reference=op.materialize()
-        )
-        assert report.residual_frobenius_relative <= 1e-8
+        oracle = oracle_for(op)
+        recovered = recover_hodlr(oracle, 2, 6, 5, stream=RngStream(4))
+        assert relative_residual(recovered, op.materialize()) <= 1e-8
         fwd, tr = hodlr_query_budget(256, 2, 6, 5)
-        assert (report.forward_queries, report.transpose_queries) == (fwd, tr)
-        assert report.forward_queries + report.transpose_queries <= 10 * 2 * 8
+        assert (oracle.forward_queries, oracle.transpose_queries) == (fwd, tr)
+        assert oracle.forward_queries + oracle.transpose_queries <= 10 * 2 * 8
 
     def test_rank_deficit_detected(self):
         dense = RngStream(5).standard_normal((16, 16))
@@ -153,18 +159,16 @@ class TestHodlr:
 
     def test_overestimated_rank_still_exact(self):
         op = random_structured("hodlr", 64, RngStream(9), rank=1, levels=3)
-        report = recover_hodlr(
-            oracle_for(op), 3, 3, 5, stream=RngStream(10), reference=op.materialize()
-        )
-        assert report.residual_frobenius_relative <= 1e-8
+        recovered = recover_hodlr(oracle_for(op), 3, 3, 5, stream=RngStream(10))
+        assert relative_residual(recovered, op.materialize()) <= 1e-8
 
     def test_peeling_residual_per_level(self):
         op = random_structured("hodlr", 64, RngStream(7), rank=2, levels=3)
         dense = op.materialize()
-        report = recover_hodlr(oracle_for(op), 2, 3, 5, stream=RngStream(8), reference=dense)
+        recovered = recover_hodlr(oracle_for(op), 2, 3, 5, stream=RngStream(8))
         remainder = dense.copy()
         for level in range(1, 4):
-            for b in report.recovered.blocks:
+            for b in recovered.blocks:
                 if b.level == level:
                     remainder[
                         b.row_start:b.row_start + b.size, b.col_start:b.col_start + b.size
@@ -196,50 +200,50 @@ class TestExactRecoveryAcrossSizes:
             if kind == "low-rank":
                 rank = 1 + seed % 4
                 op = random_structured(kind, n, stream, rank=rank)
-                report = randomized_svd(
-                    oracle_for(op), rank, 5, stream=probes, reference=op.materialize()
-                )
-                assert (report.forward_queries, report.transpose_queries) == (rank + 5, rank + 5)
+                oracle = oracle_for(op)
+                recovered = randomized_svd(oracle, rank, 5, stream=probes)
+                assert (oracle.forward_queries, oracle.transpose_queries) == (rank + 5, rank + 5)
             elif kind == "circulant":
                 op = random_structured(kind, n, stream)
-                report = recover_circulant(oracle_for(op), probes, reference=op.materialize())
-                assert (report.forward_queries, report.transpose_queries) == (1, 0)
+                oracle = oracle_for(op)
+                recovered = recover_circulant(oracle, probes)
+                assert (oracle.forward_queries, oracle.transpose_queries) == (1, 0)
             elif kind == "banded":
                 w = seed % 4
                 op = random_structured(kind, n, stream, bandwidth=w)
-                report = recover_banded(oracle_for(op), w, reference=op.materialize())
-                assert report.forward_queries == min(2 * w + 1, n)
+                oracle = oracle_for(op)
+                recovered = recover_banded(oracle, w)
+                assert oracle.forward_queries == min(2 * w + 1, n)
             else:
                 levels = 2 if n == 16 else 3
                 rank = 1 + seed % 2
                 op = random_structured(kind, n, stream, rank=rank, levels=levels)
-                report = recover_hodlr(
-                    oracle_for(op), rank, levels, 5, stream=probes, reference=op.materialize()
-                )
+                oracle = oracle_for(op)
+                recovered = recover_hodlr(oracle, rank, levels, 5, stream=probes)
                 fwd, tr = hodlr_query_budget(n, rank, levels, 5)
-                assert (report.forward_queries, report.transpose_queries) == (fwd, tr)
-            assert report.residual_frobenius_relative <= 1e-8
+                assert (oracle.forward_queries, oracle.transpose_queries) == (fwd, tr)
+            assert relative_residual(recovered, op.materialize()) <= 1e-8
 
 
 def column_read_off(oracle, n: int, w: int) -> np.ndarray:
     """Reference read-off of recover_banded's response, one column at a time."""
-    schedule = banded_coloring(n, w)
-    probe = np.zeros((n, schedule.num_colors))
-    probe[np.arange(n), schedule.color_of] = 1.0
+    color_of = banded_coloring(n, w)
+    probe = np.zeros((n, min(2 * w + 1, n)))
+    probe[np.arange(n), color_of] = 1.0
     response = oracle.apply(probe)
     diagonals = np.zeros((2 * w + 1, n))
     for col in range(n):
         rows = np.arange(max(0, col - w), min(n, col + w + 1))
-        diagonals[w + col - rows, rows] = response[rows, schedule.color_of[col]]
+        diagonals[w + col - rows, rows] = response[rows, color_of[col]]
     return diagonals
 
 
-def assert_exact(report, dense):
-    """The recovered operator matches the instance to 1e-8 relative, and the
-    report's residual is that same relative Frobenius error."""
-    error = np.linalg.norm(report.recovered.materialize() - dense)
+def assert_exact(recovered, dense):
+    """The recovered operator matches the instance to 1e-8 relative, and
+    relative_residual is that same relative Frobenius error."""
+    error = np.linalg.norm(recovered.materialize() - dense)
     assert error <= 1e-8 * np.linalg.norm(dense)
-    assert report.residual_frobenius_relative == error / np.linalg.norm(dense)
+    assert relative_residual(recovered, dense) == error / np.linalg.norm(dense)
 
 
 @st.composite
@@ -254,8 +258,37 @@ def hodlr_cases(draw):
     return 2 ** exponent, draw(st.integers(1, 3)), draw(st.integers(1, exponent))
 
 
+@st.composite
+def low_rank_cases(draw):
+    n = draw(st.integers(6, 64))  # rank + 5 <= n and rank < n
+    return n, draw(st.integers(1, min(8, n - 5)))
+
+
 class TestRecoveryProperties:
     """Exact recovery with exactly the documented query budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=low_rank_cases(), seed=st.integers(0, 2 ** 31))
+    @example(case=(6, 1), seed=0)
+    @example(case=(13, 8), seed=1)
+    def test_low_rank(self, case, seed):
+        n, rank = case
+        op = random_structured("low-rank", n, RngStream(seed), rank=rank)
+        oracle = oracle_for(op)
+        recovered = randomized_svd(oracle, rank, 5, stream=RngStream(seed + 1))
+        assert (oracle.forward_queries, oracle.transpose_queries) == (rank + 5, rank + 5)
+        assert relative_residual(recovered, op) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 128), seed=st.integers(0, 2 ** 31))
+    @example(n=1, seed=0)
+    @example(n=2, seed=1)
+    def test_circulant(self, n, seed):
+        op = random_structured("circulant", n, RngStream(seed))
+        oracle = oracle_for(op)
+        recovered = recover_circulant(oracle, RngStream(seed + 1))
+        assert (oracle.forward_queries, oracle.transpose_queries) == (1, 0)
+        assert relative_residual(recovered, op) <= 1e-8
 
     @settings(max_examples=80, deadline=None)
     @given(case=band_cases(), seed=st.integers(0, 2 ** 31))
@@ -267,10 +300,11 @@ class TestRecoveryProperties:
         n, w = case
         op = random_structured("banded", n, RngStream(seed), bandwidth=w)
         dense = op.materialize()
-        report = recover_banded(oracle_for(op), w, reference=dense)
-        assert (report.forward_queries, report.transpose_queries) == (min(2 * w + 1, n), 0)
-        assert np.array_equal(report.recovered.diagonals, column_read_off(oracle_for(op), n, w))
-        assert_exact(report, dense)
+        oracle = oracle_for(op)
+        recovered = recover_banded(oracle, w)
+        assert (oracle.forward_queries, oracle.transpose_queries) == (min(2 * w + 1, n), 0)
+        assert np.array_equal(recovered.diagonals, column_read_off(oracle_for(op), n, w))
+        assert_exact(recovered, dense)
 
     @settings(max_examples=40, deadline=None)
     @given(case=hodlr_cases(), seed=st.integers(0, 2 ** 31))
@@ -278,12 +312,11 @@ class TestRecoveryProperties:
         n, rank, levels = case
         op = random_structured("hodlr", n, RngStream(seed), rank=rank, levels=levels)
         dense = op.materialize()
-        report = recover_hodlr(
-            oracle_for(op), rank, levels, stream=RngStream(seed + 1), reference=dense
-        )
+        oracle = oracle_for(op)
+        recovered = recover_hodlr(oracle, rank, levels, stream=RngStream(seed + 1))
         budget = hodlr_query_budget(n, rank, levels)
-        assert (report.forward_queries, report.transpose_queries) == budget
-        assert_exact(report, dense)
+        assert (oracle.forward_queries, oracle.transpose_queries) == budget
+        assert_exact(recovered, dense)
 
 
 class TestSlabResidual:
@@ -292,27 +325,24 @@ class TestSlabResidual:
     @pytest.mark.parametrize("n, levels", [(512, 4), (1024, 5)])
     def test_hodlr_matches_dense_norm(self, n, levels):
         op = random_structured("hodlr", n, RngStream(n), rank=3, levels=levels)
-        report = recover_hodlr(oracle_for(op), 3, levels, stream=RngStream(1), reference=op)
+        recovered = recover_hodlr(oracle_for(op), 3, levels, stream=RngStream(1))
         dense = op.materialize()
-        expected = np.linalg.norm(report.recovered.materialize() - dense) / np.linalg.norm(dense)
-        assert report.residual_frobenius_relative == pytest.approx(expected, rel=1e-12)
+        expected = np.linalg.norm(recovered.materialize() - dense) / np.linalg.norm(dense)
+        assert relative_residual(recovered, op) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n, w", [(257, 3), (700, 0), (1100, 7)])
     def test_banded_matches_dense_norm(self, n, w):
         op = random_structured("banded", n, RngStream(n), bandwidth=w)
         # a perturbed reference, so the residual is not zero
         dense = op.materialize() + 1e-3 * RngStream(n + 1).standard_normal((n, n))
-        report = recover_banded(oracle_for(op), w, reference=dense)
-        expected = np.linalg.norm(report.recovered.materialize() - dense) / np.linalg.norm(dense)
-        assert report.residual_frobenius_relative == pytest.approx(expected, rel=1e-12)
+        recovered = recover_banded(oracle_for(op), w)
+        expected = np.linalg.norm(recovered.materialize() - dense) / np.linalg.norm(dense)
+        assert relative_residual(recovered, dense) == pytest.approx(expected, rel=1e-12)
 
     def test_operator_and_matrix_references_agree(self):
         op = random_structured("hodlr", 512, RngStream(3), rank=2, levels=4)
-        reports = [
-            recover_hodlr(oracle_for(op), 2, 4, stream=RngStream(4), reference=ref)
-            for ref in (op, op.materialize())
-        ]
-        assert reports[0].residual_frobenius_relative == reports[1].residual_frobenius_relative
+        recovered = recover_hodlr(oracle_for(op), 2, 4, stream=RngStream(4))
+        assert relative_residual(recovered, op) == relative_residual(recovered, op.materialize())
 
     def test_hodlr_4096_peak_memory(self):
         """Two dense 4096 x 4096 arrays would be 256 MB; slabs keep the whole
@@ -320,9 +350,22 @@ class TestSlabResidual:
         op = random_structured("hodlr", 4096, RngStream(11), rank=4, levels=7)
         tracemalloc.start()
         try:
-            report = recover_hodlr(oracle_for(op), 4, 7, stream=RngStream(12), reference=op)
+            recovered = recover_hodlr(oracle_for(op), 4, 7, stream=RngStream(12))
+            residual = relative_residual(recovered, op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.residual_frobenius_relative <= 1e-10
+        assert residual <= 1e-10
         assert peak < 48 * 2 ** 20
+
+
+def test_readme_example_runs(capsys):
+    """The README's Python example runs against the public API and prints the
+    documented budget and an exact recovery."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    forward, transpose, residual = capsys.readouterr().out.split()
+    assert (int(forward), int(transpose)) == hodlr_query_budget(256, 2, 6, 5)
+    assert float(residual) <= 1e-8
