@@ -20,29 +20,31 @@ from .recovery import (
 )
 from .structured import (
     BandedOperator,
+    BlockLowRankOperator,
     CirculantOperator,
     DenseOperator,
-    HodlrOperator,
     LowRankOperator,
     MatvecOracle,
+    hodlr_partition,
     random_structured,
 )
 
 __all__ = [
     "BandedOperator",
+    "BlockLowRankOperator",
     "CirculantOperator",
     "CovarianceSpec",
     "DenseOperator",
     "FunctionSample",
     "Grid1D",
     "Grid2D",
-    "HodlrOperator",
     "KLBasis",
     "LowRankOperator",
     "MatvecOracle",
     "OperatorDataset",
     "RngStream",
     "banded_coloring",
+    "hodlr_partition",
     "kernel_eval",
     "kl_decompose",
     "randomized_svd",

@@ -94,6 +94,8 @@ _INT_FIELDS = {
     "dimension": 1, "rank": 1, "oversampling": 0, "bandwidth": 0, "block_rank": 1, "levels": 1,
     "max_mode": 0,
 }
+# no array dimension, count or seed stream of numpy goes beyond int64
+_INT_MAX = 2 ** 63 - 1
 
 
 def _check_int(config: dict, key: str, minimum: int):
@@ -102,12 +104,18 @@ def _check_int(config: dict, key: str, minimum: int):
         raise CliError("config", f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise CliError("config", f"{key} must be at least {minimum}, got {value}")
+    if value > _INT_MAX:
+        raise CliError("config", f"{key} must be below 2**63, got {value}")
 
 
 def _check_number(config: dict, key: str):
     value = config[key]
-    # json.load also accepts NaN and Infinity, which are not JSON numbers
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    # json.load also accepts NaN and Infinity, which are not JSON numbers, and
+    # math.isfinite rejects an integer too large for a float with OverflowError
+    try:
+        finite = isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        finite = False
     if isinstance(value, bool) or not finite:
         raise CliError("config", f"{key} must be a finite number, got {value!r}")
 
@@ -139,10 +147,18 @@ def validate_config(config: dict) -> dict:
             )
         fam_schema = _COVARIANCE_SCHEMAS[family]
         _check_keys(cov, fam_schema["required"], fam_schema["optional"], f"{family} covariance")
-        if pde != "burgers1d":
-            for key in ("viscosity", "final_time"):
-                if key in config:
+        for key in cov:
+            if key != "family":
+                _check_number(cov, key)
+        for key in ("viscosity", "final_time"):
+            if key in config:
+                if pde != "burgers1d":
                     raise CliError("config", f"{key} only applies to burgers1d")
+                _check_number(config, key)
+        if config.get("viscosity", 1.0) <= 0:
+            raise CliError("config", f"viscosity must be positive, got {config['viscosity']}")
+        if config.get("final_time", 0.0) < 0:
+            raise CliError("config", f"final_time must be nonnegative, got {config['final_time']}")
         _check_int(config, "num_pairs", 0)
         _check_int(config, "resolution", pdelab.MIN_RESOLUTION[pde])
         resolution = config["resolution"]
@@ -206,19 +222,10 @@ def _check_losses(losses):
 
 
 def _covariance_from_config(cov: dict) -> CovarianceSpec:
-    family = cov["family"]
-    if family == "squared-exponential":
-        return CovarianceSpec(family, length_scale=cov["length_scale"])
-    if family == "matern":
-        return CovarianceSpec(family, length_scale=cov["length_scale"],
-                              smoothness=cov["smoothness"])
-    return CovarianceSpec(
-        family,
-        smoothness=cov["smoothness"],
-        amplitude=cov.get("amplitude", 1.0),
-        shift=cov.get("shift", 0.0),
-        periodic=True,
-    )
+    try:
+        return CovarianceSpec(**cov, periodic=cov["family"] == "helmholtz-power")
+    except ValueError as exc:  # a hyperparameter out of its family's range
+        raise CliError("config", str(exc)) from exc
 
 
 def _out_path(out_dir: str, path: str) -> str:

@@ -78,9 +78,6 @@ class Grid2D:
     def shape(self) -> tuple[int, ...]:
         return (self.n, self.n)
 
-    def points_1d(self) -> np.ndarray:
-        return np.linspace(self.left, self.right, self.n)
-
     def quad_weights(self) -> np.ndarray:
         w = np.full(self.n, self.spacing)
         w[0] *= 0.5

@@ -60,9 +60,6 @@ class KernelModel:
         weighted = self.grid.quad_weights() * values
         return np.ascontiguousarray(self.operator.apply(weighted.T).T)
 
-    def kernel_matrix(self) -> np.ndarray:
-        return self.operator.materialize(cap=self.grid.n)
-
     def saved_arrays(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
 

@@ -80,10 +80,6 @@ class KLBasis:
     truncation: int
     draw_count: int
 
-    @property
-    def quad_weights(self) -> np.ndarray:
-        return self.grid.quad_weights()
-
 
 def _matern_closed_form(scaled: np.ndarray, smoothness: float) -> np.ndarray | None:
     if math.isclose(smoothness, 0.5):

@@ -3,9 +3,11 @@
 Four algorithms: randomized SVD for (numerically) low-rank matrices,
 single-query circulant recovery in Fourier space, coloring-based banded
 recovery, and level-by-level peeling for HODLR matrices.  Each takes a
-MatvecOracle and returns the recovered StructuredOperator; the oracle keeps
-the exact query counts.  relative_residual scores a recovered operator
-against a known instance without querying the oracle.
+MatvecOracle and returns the recovered StructuredOperator (HODLR peeling
+returns a BlockLowRankOperator over the blocks of hodlr_partition, the type
+that hierarchical kernel fits hold); the oracle keeps the exact query
+counts.  relative_residual scores a recovered operator against a known
+instance without querying the oracle.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ from .structured import (
     CirculantOperator,
     DenseOperator,
     HodlrBlock,
-    HodlrOperator,
     LowRankOperator,
     MatvecOracle,
     StructuredOperator,
+    hodlr_partition,
 )
 
 
@@ -194,17 +196,19 @@ def recover_hodlr(
     *,
     stream: RngStream,
     rank_rtol: float = 1e-8,
-) -> HodlrOperator:
+) -> BlockLowRankOperator:
     """Recover a HODLR matrix by top-down peeling.
 
-    At each level the upper and lower sibling block families occupy disjoint
+    The off-diagonal blocks are those of hodlr_partition(n, levels).  At
+    each level the upper and lower sibling block families occupy disjoint
     column (and row) ranges, so each family is sketched with a single
     Gaussian probe block of width block_rank + oversampling supported on its
     column ranges; after subtracting the contributions of already-recovered
     coarser levels, each block's sketch is orthonormalized, truncated to its
     best rank-limited basis, and completed with one transpose projection
     sweep carrying those bases.  The dense diagonal leaf blocks are read off
-    last with n/2^levels block-identity probes.
+    last with n/2^levels block-identity probes.  The result is a
+    BlockLowRankOperator with the leaves as its dense diagonal blocks.
 
     Query budget per level: 2*(block_rank + oversampling) forward plus
     2*block_rank transpose, with n/2^levels extra forward queries for the
@@ -213,10 +217,7 @@ def recover_hodlr(
     block.
     """
     n = oracle.n
-    if n < 2 or n & (n - 1):
-        raise ValueError("dimension must be a power of two")
-    if levels < 1 or n % (1 << levels):
-        raise ValueError("2^levels must divide the dimension")
+    partition = hodlr_partition(n, levels)
     width = block_rank + oversampling
     if width > n // 2:
         raise ValueError("need block_rank + oversampling <= n/2")
@@ -224,47 +225,41 @@ def recover_hodlr(
     recovered_blocks: list[HodlrBlock] = []
 
     for level in range(1, levels + 1):
-        size = n >> level
-        pairs = 1 << (level - 1)
-        r = min(block_rank, size)
-        # side = "upper": blocks sit at (rows 2t, cols 2t+1); "lower" mirrors it.
-        for side, parity in (("upper", 1), ("lower", 0)):
+        r = min(block_rank, n >> level)
+        for side in ("upper", "lower"):
+            # a block maps columns src to rows dst; upper blocks lie above the diagonal
+            family = [
+                (dst, src, size) for lv, dst, src, size in partition
+                if lv == level and (dst < src) == (side == "upper")
+            ]
             known = BlockLowRankOperator(n, recovered_blocks)
             probe = np.zeros((n, width))
-            for t in range(pairs):
-                src = (2 * t + parity) * size
+            for _, src, size in family:
                 probe[src:src + size] = stream.standard_normal((size, width))
             sketch = oracle.apply(probe)
             sketch -= known.apply(probe)
             bases = []
-            for t in range(pairs):
-                dst = (2 * t + 1 - parity) * size
+            projection = np.zeros((n, r))
+            for pair, (dst, _, size) in enumerate(family):
                 basis, resid = _rank_limited_basis(sketch[dst:dst + size], block_rank)
                 if resid > rank_rtol:
-                    raise RankDeficitError(level, t, side, resid)
+                    raise RankDeficitError(level, pair, side, resid)
+                projection[dst:dst + size, : basis.shape[1]] = basis
                 bases.append(basis)
-            projection = np.zeros((n, r))
-            for t in range(pairs):
-                dst = (2 * t + 1 - parity) * size
-                projection[dst:dst + size, : bases[t].shape[1]] = bases[t]
             coeff = oracle.apply_transpose(projection)
             coeff -= known.apply_transpose(projection)
-            for t in range(pairs):
-                src = (2 * t + parity) * size
-                dst = (2 * t + 1 - parity) * size
+            for (dst, src, size), basis in zip(family, bases):
                 # a copy, so the block does not keep the whole n-by-r coeff alive
-                row_factor = coeff[src:src + size, : bases[t].shape[1]].copy()
-                recovered_blocks.append(
-                    HodlrBlock(level, dst, src, size, bases[t], row_factor)
-                )
+                row_factor = coeff[src:src + size, : basis.shape[1]].copy()
+                recovered_blocks.append(HodlrBlock(level, dst, src, size, basis, row_factor))
 
     leaf = n >> levels
     probe = np.tile(np.eye(leaf), (1 << levels, 1))
     sketch = oracle.apply(probe)
     sketch -= BlockLowRankOperator(n, recovered_blocks).apply(probe)
-    leaves = [sketch[j * leaf:(j + 1) * leaf] for j in range(1 << levels)]
+    leaves = [(j, j, sketch[j:j + leaf]) for j in range(0, n, leaf)]
 
-    return HodlrOperator(n, levels, block_rank, recovered_blocks, leaves)
+    return BlockLowRankOperator(n, recovered_blocks, leaves)
 
 
 def hodlr_query_budget(n: int, block_rank: int, levels: int, oversampling: int = 5):

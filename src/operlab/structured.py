@@ -3,7 +3,9 @@
 Operators are immutable after construction and expose apply / apply_transpose
 for vectors or column-stacked probe matrices, plus exact dense
 materialization of any column range (capped, to keep tests from accidentally
-going O(N^2) in memory at large N).
+going O(N^2) in memory at large N).  hodlr_partition states the dyadic
+HODLR tiling once; random HODLR instances (and recovery.recover_hodlr) are
+BlockLowRankOperators over its blocks with dense diagonal leaves.
 """
 from __future__ import annotations
 
@@ -239,6 +241,28 @@ class HodlrBlock:
         object.__setattr__(self, "tail", float(self.tail))
 
 
+def hodlr_partition(n: int, levels: int) -> list[tuple[int, int, int, int]]:
+    """(level, row_start, col_start, size) of every off-diagonal block of the
+    weak-admissibility (HODLR) partition of an n x n matrix.
+
+    [0, n) is halved `levels` times; at each level every sibling pair gives
+    its upper block (rows of the first half, columns of the second), then its
+    lower one.  Blocks go level by level, and the 2^levels diagonal leaves of
+    size n / 2^levels cover the rest.  n must be a power of two divisible by
+    2^levels.
+    """
+    if n < 2 or n & (n - 1):
+        raise ValueError("dimension must be a power of two")
+    if levels < 1 or n >> levels == 0:
+        raise ValueError("2^levels must divide the dimension")
+    blocks = []
+    for level in range(1, levels + 1):
+        size = n >> level
+        for base in range(0, n, 2 * size):
+            blocks += [(level, base, base + size, size), (level, base + size, base, size)]
+    return blocks
+
+
 class BlockLowRankOperator(StructuredOperator):
     """Sum of low-rank blocks and dense blocks placed anywhere in an n x n matrix.
 
@@ -300,45 +324,6 @@ class BlockLowRankOperator(StructuredOperator):
                 inside, out = where
                 a[rows, out] = m[:, inside]
         return a
-
-
-class HodlrOperator(BlockLowRankOperator):
-    """Hierarchically off-diagonal low-rank matrix.
-
-    The index range [0, n) is split dyadically for `levels` levels; every
-    off-diagonal sibling block carries a rank-limited factorization and the
-    finest diagonal blocks (the leaves) are stored densely.  n must be a
-    power of two divisible by 2^levels.
-    """
-
-    def __init__(self, n: int, levels: int, block_rank: int, blocks, leaves):
-        if n < 2 or n & (n - 1):
-            raise ValueError("dimension must be a power of two")
-        if levels < 1 or n % (1 << levels):
-            raise ValueError("2^levels must divide the dimension")
-        if block_rank < 1:
-            raise ValueError("block rank must be positive")
-        leaf = n >> levels
-        expected = []
-        for level in range(1, levels + 1):
-            size = n >> level
-            for pair in range(1 << (level - 1)):
-                base = 2 * pair * size
-                expected.append((level, base, base + size, size))        # upper
-                expected.append((level, base + size, base, size))        # lower
-        got = [(b.level, b.row_start, b.col_start, b.size) for b in blocks]
-        if sorted(got) != sorted(expected):
-            raise ValueError("blocks do not tile the off-diagonal structure")
-        for b in blocks:
-            if b.col_factor.shape[1] > block_rank:
-                raise ValueError("block factor rank exceeds the declared block rank")
-        if len(leaves) != (1 << levels) or any(
-            np.asarray(m).shape != (leaf, leaf) for m in leaves
-        ):
-            raise ValueError(f"need {1 << levels} dense leaf blocks of size {leaf}x{leaf}")
-        super().__init__(n, blocks, [(j * leaf, j * leaf, m) for j, m in enumerate(leaves)])
-        self.levels = levels
-        self.block_rank = block_rank
 
 
 class MatvecOracle:
@@ -412,28 +397,17 @@ def random_structured(
             diagonals[w + offset, lo:hi] = stream.standard_normal(hi - lo)
         return BandedOperator(n, w, diagonals)
     if kind == "hodlr":
-        if rank is None or levels is None:
-            raise ValueError("hodlr instance needs rank and levels")
-        if n < 2 or n & (n - 1) or levels < 1 or n % (1 << levels):
-            raise ValueError("hodlr needs n a power of two with 2^levels | n")
-        blocks = []
-        for level in range(1, levels + 1):
-            size = n >> level
-            r = min(rank, size)
-            for pair in range(1 << (level - 1)):
-                base = 2 * pair * size
-                for row_start, col_start in ((base, base + size), (base + size, base)):
-                    blocks.append(
-                        HodlrBlock(
-                            level,
-                            row_start,
-                            col_start,
-                            size,
-                            stream.standard_normal((size, r)),
-                            stream.standard_normal((size, r)),
-                        )
-                    )
+        if rank is None or levels is None or rank < 1:
+            raise ValueError("hodlr instance needs rank >= 1 and levels")
+        blocks = [
+            HodlrBlock(
+                level, row_start, col_start, size,
+                stream.standard_normal((size, min(rank, size))),
+                stream.standard_normal((size, min(rank, size))),
+            )
+            for level, row_start, col_start, size in hodlr_partition(n, levels)
+        ]
         leaf = n >> levels
-        leaves = [stream.standard_normal((leaf, leaf)) for _ in range(1 << levels)]
-        return HodlrOperator(n, levels, rank, blocks, leaves)
+        leaves = [(j, j, stream.standard_normal((leaf, leaf))) for j in range(0, n, leaf)]
+        return BlockLowRankOperator(n, blocks, leaves)
     raise ValueError(f"unknown structured kind {kind!r}")

@@ -14,10 +14,25 @@ from operlab.opfit import (
     truncate_band,
 )
 from operlab.probes import CovarianceSpec, kl_decompose, sample_from_coefficients
+from operlab.structured import hodlr_partition
 
 SMOOTH_PERIODIC = CovarianceSpec(
     "helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0, periodic=True
 )
+
+
+def hodlr_layout(op) -> tuple[list, list]:
+    """The sorted (level, row_start, col_start, size) of a block operator's
+    low-rank blocks and the (row_start, col_start, shape) of its dense ones."""
+    blocks = sorted((b.level, b.row_start, b.col_start, b.size) for b in op.blocks)
+    return blocks, [(r0, c0, m.shape) for r0, c0, m in op.dense_blocks]
+
+
+def expected_hodlr_layout(n: int, levels: int) -> tuple[list, list]:
+    """hodlr_layout of a HODLR matrix: the partition's blocks and the
+    2^levels leaves on the diagonal."""
+    leaf = n >> levels
+    return sorted(hodlr_partition(n, levels)), [(j, j, (leaf, leaf)) for j in range(0, n, leaf)]
 
 
 def apply_mode_multiplier(values: np.ndarray, multiplier_fn) -> np.ndarray:

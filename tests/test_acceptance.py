@@ -229,7 +229,7 @@ def test_criterion_11_hierarchical_decomposition():
         assert model.blocks
         for block in model.blocks:
             assert block.tail <= 1e-10
-        reconstruction_error = np.linalg.norm(model.kernel_matrix() - kernel)
+        reconstruction_error = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(reconstruction_error - model.total_truncation_error) <= 1e-10
 
 

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operlab import dataio
 from operlab.cli import main
@@ -432,6 +438,108 @@ class TestIntegerFields:
         config = dict(RECOVER_HODLR, block_rank=30)  # block_rank + oversampling > n/2
         assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:config:")
+
+
+@pytest.fixture(scope="module")
+def valid_configs(tmp_path_factory):
+    """One valid config per command and variant, named by what it sets; fit
+    and eval point at a real 8-pair poisson dataset (a 4-pair burgers one for
+    the Fourier fit) and a fitted model."""
+    root = tmp_path_factory.mktemp("valid")
+    gen = dict(POISSON_GENERATE, num_pairs=8, resolution=32)
+    burgers_cov = {"family": "helmholtz-power", "smoothness": 3.0, "amplitude": 400.0, "shift": 9.0}
+    burgers = dict(gen, pde="burgers1d", num_pairs=4, resolution=16, covariance=burgers_cov,
+                   viscosity=0.1, final_time=0.1, output="burgers.ds")
+    assert run("generate", write_config(root / "gen.json", gen), root) == 0
+    assert run("generate", write_config(root / "burgers.json", burgers), root) == 0
+    fit = {"command": "fit", "seed": 1, "dataset": str(root / "train.ds"),
+           "variant": "dense-kernel", "ridge": 1e-6, "train_fraction": 0.5,
+           "model_output": "model.bin", "metrics_output": "metrics.json"}
+    assert run("fit", write_config(root / "fit.json", fit), root) == 0
+    return {
+        "generate": dict(gen, num_pairs=2),
+        "generate-matern": dict(gen, covariance={"family": "matern", "length_scale": 0.1,
+                                                 "smoothness": 1.5}),
+        "generate-burgers": dict(burgers, num_pairs=1),
+        "recover-hodlr": dict(RECOVER_HODLR, oversampling=3),
+        "recover-low-rank": RECOVER_LOW_RANK,
+        "recover-banded": RECOVER_BANDED,
+        "fit": fit,
+        "fit-low-rank": dict(fit, variant="low-rank", rank=2),
+        "fit-fourier": dict(fit, dataset=str(root / "burgers.ds"), variant="fourier-multiplier",
+                            max_mode=4),
+        "fit-banded": dict(fit, variant="banded", radius=0.2),
+        "fit-hierarchical": dict(fit, variant="hierarchical", levels=2, rank=2),
+        "eval": {"command": "eval", "seed": 1, "model": str(root / "model.bin"),
+                 "datasets": [{"resolution": 32, "path": str(root / "train.ds")}],
+                 "output": "eval.csv"},
+    }
+
+
+# every numeric field of every command: (valid config, path to the field)
+NUMERIC_FIELDS = [
+    ("generate", ("seed",)),
+    ("generate", ("num_pairs",)),
+    ("generate", ("resolution",)),
+    ("generate", ("covariance", "length_scale")),
+    ("generate-matern", ("covariance", "length_scale")),
+    ("generate-matern", ("covariance", "smoothness")),
+    ("generate-burgers", ("covariance", "smoothness")),
+    ("generate-burgers", ("covariance", "amplitude")),
+    ("generate-burgers", ("covariance", "shift")),
+    ("generate-burgers", ("viscosity",)),
+    ("generate-burgers", ("final_time",)),
+    ("recover-hodlr", ("dimension",)),
+    ("recover-hodlr", ("block_rank",)),
+    ("recover-hodlr", ("levels",)),
+    ("recover-hodlr", ("oversampling",)),
+    ("recover-low-rank", ("rank",)),
+    ("recover-banded", ("bandwidth",)),
+    ("fit", ("ridge",)),
+    ("fit", ("train_fraction",)),
+    ("fit-low-rank", ("rank",)),
+    ("fit-fourier", ("max_mode",)),
+    ("fit-banded", ("radius",)),
+    ("fit-hierarchical", ("levels",)),
+    ("fit-hierarchical", ("rank",)),
+    ("eval", ("datasets", 0, "resolution")),
+]
+
+BAD_NUMBERS = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.just(float("nan")),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_nan=False),  # includes -Infinity
+    st.integers(min_value=2 ** 1100, max_value=2 ** 1400),  # too large for a float
+)
+
+
+class TestEveryFailureIsOneLine:
+    @pytest.mark.parametrize("name", sorted({name for name, _ in NUMERIC_FIELDS}))
+    def test_valid_config_runs(self, valid_configs, name, tmp_path):
+        config = valid_configs[name]
+        assert run(config["command"], write_config(tmp_path / "c.json", config), tmp_path) == 0
+
+    @settings(max_examples=250, deadline=None)
+    @given(field=st.sampled_from(NUMERIC_FIELDS), value=BAD_NUMBERS)
+    def test_bad_numeric_field(self, valid_configs, field, value):
+        name, path = field
+        config = json.loads(json.dumps(valid_configs[name]))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as out_dir:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = run(config["command"], write_config(Path(out_dir) / "c.json", config),
+                           out_dir)
+        lines = stderr.getvalue().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and re.match(r"^ERROR:[a-z]+: ", lines[0]), lines
+        assert not lines[0].startswith("ERROR:internal:"), lines[0]
 
 
 class TestFitAndEval:

@@ -116,7 +116,7 @@ class TestLowRankFit:
         planted = np.outer(np.sin(np.pi * x), np.cos(np.pi * x))
         ds = white_noise_dataset(grid, planted, 40, seed=9)
         model = fit_low_rank(ds, 1, ridge=1e-12)
-        err = np.linalg.norm(model.kernel_matrix() - planted) / np.linalg.norm(planted)
+        err = np.linalg.norm(model.operator.materialize() - planted) / np.linalg.norm(planted)
         assert err <= 1e-6
 
     def test_error_tracks_singular_value_tail(self):
@@ -126,7 +126,7 @@ class TestLowRankFit:
         tail = np.linalg.svd(exact, compute_uv=False)
         for rank in (2, 4, 8):
             low = fit_low_rank(ds, rank, ridge=1e-10)
-            err = np.linalg.norm(low.kernel_matrix() - dense.kernel)
+            err = np.linalg.norm(low.operator.materialize() - dense.kernel)
             oracle_tail = np.linalg.norm(tail[rank:])
             assert err <= 1.5 * oracle_tail
             # Eckart-Young: truncation error cannot beat the exact-kernel tail by much
@@ -238,7 +238,7 @@ class TestHierarchical:
         grid = Grid1D(32)
         kernel = RngStream(20).standard_normal((32, 32))
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 2, 8)
-        assert np.allclose(model.kernel_matrix(), kernel, atol=1e-12)
+        assert np.allclose(model.operator.materialize(), kernel, atol=1e-12)
         assert model.total_truncation_error <= 1e-12
 
     def test_poisson_admissible_blocks_rank_one(self):
@@ -248,7 +248,7 @@ class TestHierarchical:
         assert model.blocks  # admissible blocks exist from level 2 on
         for block in model.blocks:
             assert block.tail <= 1e-10
-        err = np.linalg.norm(model.kernel_matrix() - kernel)
+        err = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(err - model.total_truncation_error) <= 1e-10
 
     def test_block_tails_decay_with_rank(self):

@@ -87,7 +87,7 @@ class TestKlDecompose:
 
     def test_weighted_orthonormality(self):
         basis = kl_decompose(CovarianceSpec("squared-exponential", length_scale=0.05), 120)
-        w = basis.quad_weights
+        w = basis.grid.quad_weights()
         gram = basis.functions.T @ (w[:, None] * basis.functions)
         assert np.linalg.norm(gram - np.eye(basis.truncation)) <= 1e-10 * basis.truncation
 
@@ -102,7 +102,7 @@ class TestKlDecompose:
             expected = ((2 * np.pi * j) ** 2 + 9.0) ** -2
             assert math.isclose(basis.eigenvalues[2 * j - 1], expected, rel_tol=1e-12)
             assert math.isclose(basis.eigenvalues[2 * j], expected, rel_tol=1e-12)
-        w = basis.quad_weights
+        w = basis.grid.quad_weights()
         gram = basis.functions.T @ (w[:, None] * basis.functions)
         assert np.linalg.norm(gram - np.eye(basis.truncation)) <= 1e-10 * basis.truncation
 

@@ -19,7 +19,9 @@ from operlab.recovery import (
     recover_hodlr,
     relative_residual,
 )
-from operlab.structured import MatvecOracle, random_structured
+from operlab.structured import BlockLowRankOperator, MatvecOracle, random_structured
+
+from helpers import expected_hodlr_layout, hodlr_layout
 
 
 def oracle_for(op):
@@ -179,6 +181,16 @@ class TestHodlr:
             for j in range(1 << level):
                 off[j * size:(j + 1) * size, j * size:(j + 1) * size] = 0.0
             assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize(
+        "n, true_rank, block_rank, levels", [(8, 1, 1, 1), (64, 2, 2, 3), (64, 1, 3, 5), (256, 2, 4, 6)]
+    )
+    def test_blocks_follow_the_partition(self, n, true_rank, block_rank, levels):
+        op = random_structured("hodlr", n, RngStream(n), rank=true_rank, levels=levels)
+        recovered = recover_hodlr(oracle_for(op), block_rank, levels, 3, stream=RngStream(1))
+        assert isinstance(recovered, BlockLowRankOperator)
+        assert hodlr_layout(recovered) == expected_hodlr_layout(n, levels)
+        assert all(b.col_factor.shape[1] <= block_rank for b in recovered.blocks)
 
     def test_parameter_validation(self):
         oracle = MatvecOracle.from_dense(np.zeros((16, 16)))

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, hierarchical_decompose
+from operlab.recovery import recover_hodlr
 from operlab.structured import (
     BandedOperator,
+    BlockLowRankOperator,
     CirculantOperator,
     DenseOperator,
     HodlrBlock,
-    HodlrOperator,
     LowRankOperator,
     MatvecOracle,
+    hodlr_partition,
     random_structured,
 )
+
+from helpers import expected_hodlr_layout, hodlr_layout
 
 
 def make_instance(kind, n, seed):
@@ -212,7 +216,7 @@ class TestMaterialize:
             HodlrBlock(1, 0, 4, 4, u1, v1),
             HodlrBlock(1, 4, 0, 4, u2, v2),
         ]
-        op = HodlrOperator(8, 1, 1, blocks, leaves)
+        op = BlockLowRankOperator(8, blocks, [(0, 0, leaves[0]), (4, 4, leaves[1])])
         manual = np.zeros((8, 8))
         manual[:4, 4:] = u1 @ v1.T
         manual[4:, :4] = u2 @ v2.T
@@ -280,4 +284,52 @@ class TestOperatorValidation:
 
     def test_hodlr_power_of_two(self):
         with pytest.raises(ValueError):
-            HodlrOperator(12, 1, 1, [], [])
+            random_structured("hodlr", 12, RngStream(0), rank=1, levels=1)
+        with pytest.raises(ValueError):
+            recover_hodlr(MatvecOracle.from_dense(np.eye(12)), 1, 1, 1, stream=RngStream(0))
+
+
+@st.composite
+def partition_cases(draw):
+    """(n, levels) with n = 2^k and 1 <= levels <= k."""
+    k = draw(st.integers(1, 8))
+    return 1 << k, draw(st.integers(1, k))
+
+
+class TestHodlrPartition:
+    @settings(max_examples=80, deadline=None)
+    @given(case=partition_cases())
+    def test_blocks_and_leaves_cover_every_entry_once(self, case):
+        n, levels = case
+        cover = np.zeros((n, n), dtype=int)
+        for _, r0, c0, size in hodlr_partition(n, levels):
+            cover[r0:r0 + size, c0:c0 + size] += 1
+        for r0, c0, (rows, cols) in expected_hodlr_layout(n, levels)[1]:
+            cover[r0:r0 + rows, c0:c0 + cols] += 1
+        assert np.all(cover == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=partition_cases())
+    def test_order_is_level_by_level_upper_first(self, case):
+        n, levels = case
+        blocks = hodlr_partition(n, levels)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        for upper, lower in zip(blocks[::2], blocks[1::2]):
+            level, r0, c0, size = upper
+            assert size == n >> level and r0 < c0 and r0 % (2 * size) == 0
+            assert lower == (level, c0, r0, size)
+
+    @pytest.mark.parametrize("n, levels", [(12, 1), (1, 1), (0, 1), (8, 0), (8, 4), (16, 5)])
+    def test_rejects_non_dyadic_sizes(self, n, levels):
+        with pytest.raises(ValueError):
+            hodlr_partition(n, levels)
+
+    @pytest.mark.parametrize("n, rank, levels", [(8, 1, 1), (64, 2, 3), (256, 4, 6), (32, 40, 5)])
+    def test_random_instance_follows_the_partition(self, n, rank, levels):
+        op = random_structured("hodlr", n, RngStream(n), rank=rank, levels=levels)
+        assert isinstance(op, BlockLowRankOperator)
+        assert hodlr_layout(op) == expected_hodlr_layout(n, levels)
+
+    def test_random_instance_needs_positive_rank(self):
+        with pytest.raises(ValueError):
+            random_structured("hodlr", 16, RngStream(0), rank=0, levels=2)
