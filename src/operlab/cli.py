@@ -193,6 +193,11 @@ def validate_config(config: dict) -> dict:
         for key in ("radius", "ridge", "train_fraction"):
             if key in config:
                 _check_number(config, key)
+        if config.get("ridge", 0.0) < 0:
+            raise CliError("config", f"ridge must be nonnegative, got {config['ridge']}")
+        # a radius above the domain length depends on the dataset: opfit checks it
+        if config.get("radius", 1.0) <= 0:
+            raise CliError("config", f"radius must be positive, got {config['radius']}")
         _check_losses(config.get("losses"))
     elif command == "eval":
         datasets = config["datasets"]

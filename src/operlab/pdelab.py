@@ -1,9 +1,10 @@
 """Desk-scale PDE solvers and training-pair synthesis.
 
 Model problems: 1D Poisson with zero Dirichlet data (second-order finite
-differences), 2D Darcy flow with piecewise-constant coefficients
-(conservative finite volumes, iterative solve), and 1D viscous Burgers on a
-periodic domain (pseudo-spectral with RK4 time stepping).
+differences, solved in numpy by the LDL^T sweep of LAPACK ?ptsv), 2D Darcy
+flow with piecewise-constant coefficients (conservative finite volumes,
+iterative solve), and 1D viscous Burgers on a periodic domain
+(pseudo-spectral with RK4 time stepping).  Only the Darcy solver loads scipy.
 """
 from __future__ import annotations
 
@@ -39,37 +40,48 @@ def green_poisson_1d(x, y):
 
 def solve_poisson_1d(grid: Grid1D, f) -> np.ndarray:
     """Solve -u'' = f on [0, 1] with u(0) = u(1) = 0, for f shaped (n,) or
-    for every row of an (N, n) block.
+    for every row of an (N, n) block; f itself is left unchanged.
 
-    Second-order central differences on the uniform grid, one symmetric
-    tridiagonal solve for all rows; the error decreases like the square of
-    the spacing.
+    Second-order central differences on the uniform grid; the error
+    decreases like the square of the spacing.  The symmetric tridiagonal
+    system on the n - 2 interior nodes is factored as L D L^T and solved by
+    one forward and one backward sweep, each step one row operation across
+    all N right-hand sides.  These are the operations, in the order, of
+    LAPACK ?ptsv (?pttrf, then ?pttrs), so the result has the same bits as
+    scipy.linalg.solveh_banded on this system, without loading scipy.
     """
-    # scipy is imported by the solvers that call it, so that commands that
-    # never solve a PDE (recover, fit, eval) start without loading it.
-    from scipy.linalg import solveh_banded
-
     if not isinstance(grid, Grid1D) or grid.periodic:
         raise ValueError("needs a non-periodic 1D grid")
     if not (grid.left == 0.0 and grid.right == 1.0):
         raise ValueError("solver is set up on the unit interval")
     if grid.n < MIN_RESOLUTION["poisson1d"]:
         raise ValueError("need at least 3 grid points")
-    u = np.array(f, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != grid.n:
-        raise ValueError(f"source shape {u.shape} does not match grid of {grid.n} points")
-    # All n nodes are unknowns: the boundary rows are identity rows with a
-    # zero right-hand side, decoupled from the interior, so the interior
-    # factorization and solves round exactly as an interior-only system
-    # would, and a single interior node still makes a valid banded system.
+    fv = np.asarray(f, dtype=float)
+    if fv.ndim not in (1, 2) or fv.shape[-1] != grid.n:
+        raise ValueError(f"source shape {fv.shape} does not match grid of {grid.n} points")
+    rows = fv.reshape(-1, grid.n)
+    # sweep node j is interior node j + 1; each x[j] is one contiguous row
+    x = rows[:, 1:-1].T.copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("source must not contain infs or NaNs")
     h2 = grid.spacing ** 2
-    bands = np.zeros((2, grid.n))
-    bands[0, 2:-1] = -1.0 / h2
-    bands[1, 1:-1] = 2.0 / h2
-    bands[1, [0, -1]] = 1.0
-    u[..., [0, -1]] = 0.0
-    # u.T is Fortran-ordered, so the solve overwrites u in place
-    return solveh_banded(bands, u.T, overwrite_b=True).T
+    diag = 2.0 / h2
+    off = -1.0 / h2
+    # L D L^T factor: pivot[j] = D[j, j], mult[j] = L[j, j - 1]
+    pivot = [diag]
+    mult = [0.0]
+    for _ in range(len(x) - 1):
+        mult.append(off / pivot[-1])
+        pivot.append(diag - mult[-1] * off)
+    for j in range(1, len(x)):  # solve L y = f
+        x[j] -= mult[j] * x[j - 1]
+    x[-1] /= pivot[-1]
+    for j in range(len(x) - 2, -1, -1):  # solve D L^T u = y
+        x[j] /= pivot[j]
+        x[j] -= mult[j + 1] * x[j + 1]
+    u = np.zeros(rows.shape)
+    u[:, 1:-1] = x.T
+    return u.reshape(fv.shape)
 
 
 def _helmholtz_spectrum_2d(spec: CovarianceSpec, s: int) -> np.ndarray:
@@ -122,6 +134,8 @@ def solve_darcy_2d(
     solved by diagonally preconditioned conjugate gradients to the requested
     relative residual (contract: at most 1e-10).
     """
+    # scipy is imported here, by the one solver that needs it, so that
+    # commands that never solve a Darcy problem start without loading it.
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import cg
 

@@ -410,6 +410,9 @@ class TestIntegerFields:
             ("fit", {"ridge": float("nan")}),
             ("fit", {"train_fraction": "0.5"}),
             ("fit", {"variant": "banded", "radius": True}),
+            ("fit", {"ridge": -1}),
+            ("fit", {"variant": "banded", "radius": -0.5}),
+            ("fit", {"variant": "banded", "radius": 0}),
             ("eval", {"resolution": "32"}),
         ],
         ids=repr,
@@ -521,6 +524,11 @@ class TestEveryFailureIsOneLine:
     def test_valid_config_runs(self, valid_configs, name, tmp_path):
         config = valid_configs[name]
         assert run(config["command"], write_config(tmp_path / "c.json", config), tmp_path) == 0
+
+    @pytest.mark.parametrize("name", ["fit", "fit-fourier", "fit-banded"])
+    def test_zero_ridge_fits(self, valid_configs, name, tmp_path):
+        config = dict(valid_configs[name], ridge=0)
+        assert run("fit", write_config(tmp_path / "c.json", config), tmp_path) == 0
 
     @settings(max_examples=250, deadline=None)
     @given(field=st.sampled_from(NUMERIC_FIELDS), value=BAD_NUMBERS)
@@ -837,24 +845,22 @@ class TestProcessInterface:
         assert {"cli.cmd_fit", "dataio.load_dataset", "dataio.save_model"} <= spans["fit"]
         assert {"cli.cmd_eval", "dataio.load_dataset", "dataio.load_model"} <= spans["eval"]
 
-    def test_recover_fit_eval_never_import_scipy(self, tmp_path):
-        """Only the Poisson and Darcy solvers and the Matern-Bessel covariance
-        use scipy, and they import it themselves; every other command must run
-        in a process that never loads it, which saves most of its start-up."""
+    def test_poisson_generate_recover_fit_eval_never_import_scipy(self, tmp_path):
+        """Only the Darcy solver and the Matern-Bessel covariance (smoothness
+        other than 0.5, 1.5 or 2.5) use scipy, and they import it themselves;
+        generate for poisson1d and every other command must run in a process
+        that never loads it, which saves most of its start-up."""
         env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
-        generate = write_config(
-            tmp_path / "generate.json", dict(POISSON_GENERATE, num_pairs=8, resolution=32)
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "operlab", "generate", "--config", generate,
-             "--out", str(tmp_path)],
-            capture_output=True, text=True, cwd=ROOT, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        generate = dict(POISSON_GENERATE, num_pairs=8, resolution=32)
         recover = {"command": "recover", "seed": 5}
         fit = {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),
                "train_fraction": 0.5, "metrics_output": "metrics.json"}
-        steps = [
+        steps = [("generate", generate)] + [
+            ("generate", dict(generate, output=f"matern{nu}.ds",
+                              covariance={"family": "matern", "length_scale": 0.1,
+                                          "smoothness": nu}))
+            for nu in (0.5, 1.5, 2.5)
+        ] + [
             ("recover", dict(recover, algorithm="circulant", dimension=64, output="c.json")),
             ("recover", dict(recover, algorithm="banded", dimension=12, bandwidth=2,
                              output="b.json")),

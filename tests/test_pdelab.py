@@ -105,6 +105,51 @@ class TestPoissonSolver:
             solve_poisson_1d(Grid1D(16, 0.0, 2.0), np.zeros(16))
         with pytest.raises(ValueError):
             solve_poisson_1d(Grid1D(16), np.zeros(15))
+        with pytest.raises(ValueError):
+            solve_poisson_1d(Grid1D(16), np.full(16, np.nan))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from([3, 4, 256, 512]) | st.integers(3, 512),
+        rows=st.none() | st.integers(1, 6),
+        source=st.sampled_from(("normal", "tiny", "huge") + POISSON_SPECS),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(n=3, rows=None, source="normal", seed=0)
+    @example(n=512, rows=6, source=SE005, seed=1)
+    def test_same_bits_as_lapack(self, n, rows, source, seed):
+        """The sweep rounds exactly as LAPACK ?ptsv does when scipy solves
+        the same system from its two-row band (boundary rows are identity
+        rows with zero data), for 1D sources and (N, n) blocks."""
+        from scipy.linalg import solveh_banded
+
+        from operlab.probes import kl_decompose, sample_gp
+
+        count = 1 if rows is None else rows
+        streams = [RngStream(seed).derive(i) for i in range(count)]
+        if isinstance(source, CovarianceSpec):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # coarse grids under-resolve
+                f = sample_gp(kl_decompose(source, n), streams)
+        else:
+            scale = {"normal": 1.0, "tiny": 1e-300, "huge": 1e300}[source]
+            f = scale * np.array([stream.standard_normal(n) for stream in streams])
+        if rows is None:
+            f = f[0]
+        given_f = f.copy()
+        grid = Grid1D(n)
+        h2 = grid.spacing ** 2
+        bands = np.zeros((2, n))
+        bands[0, 2:-1] = -1.0 / h2
+        bands[1, 1:-1] = 2.0 / h2
+        bands[1, [0, -1]] = 1.0
+        rhs = f.copy()
+        rhs[..., [0, -1]] = 0.0
+        expected = solveh_banded(bands, rhs.T).T
+        u = solve_poisson_1d(grid, f)
+        assert u.shape == f.shape
+        assert np.array_equal(u, expected)
+        assert np.array_equal(f, given_f)
 
 
 class TestDarcy:
