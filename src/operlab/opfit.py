@@ -400,12 +400,6 @@ def truncate_band(model: DenseKernelModel, radius: float) -> BandedKernelModel:
     return BandedKernelModel(grid, banded, radius, error)
 
 
-def band_truncation_error(grid: Grid1D, kernel: np.ndarray, radius: float) -> float:
-    """Standalone ||K - K_r||_{L2} quadrature (used as a fine-grid oracle)."""
-    _, error = _band_mask_and_error(grid, np.asarray(kernel, dtype=float), radius)
-    return error
-
-
 def hierarchical_decompose(
     model: DenseKernelModel, levels: int, rank: int
 ) -> HierarchicalKernelModel:

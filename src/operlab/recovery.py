@@ -6,8 +6,11 @@ recovery, and level-by-level peeling for HODLR matrices.  Each takes a
 MatvecOracle and returns the recovered StructuredOperator (HODLR peeling
 returns a BlockLowRankOperator over the blocks of hodlr_partition, the type
 that hierarchical kernel fits hold); the oracle keeps the exact query
-counts.  relative_residual scores a recovered operator against a known
-instance without querying the oracle.
+counts.  HODLR peeling makes one forward and one transpose oracle call per
+level, with both sibling families side by side, and reads the diagonal
+leaves off in chunks of at most block_rank + oversampling columns straight
+into the stack the result stores.  relative_residual scores a recovered
+operator against a known instance without querying the oracle.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from .structured import (
     BlockLowRankOperator,
     CirculantOperator,
     DenseOperator,
-    HodlrBlock,
     LowRankOperator,
     MatvecOracle,
     StructuredOperator,
@@ -175,17 +177,16 @@ def recover_banded(oracle: MatvecOracle, bandwidth: int) -> BandedOperator:
     return BandedOperator(n, w, diagonals)
 
 
-def _rank_limited_basis(sketch: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of at most `rank` columns for the sketch's column
-    space, plus the relative residual left outside it."""
-    u, s, _ = np.linalg.svd(sketch, full_matrices=False)
-    r = min(rank, *sketch.shape)
-    basis = u[:, :r].copy()  # a view would keep all of u alive in the recovered block
-    total = np.linalg.norm(s)
-    if total == 0.0:
-        return basis, 0.0
-    tail = np.linalg.norm(s[r:])
-    return basis, float(tail / total)
+def _rank_limited_bases(sketches: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of at most `rank` columns for the column spaces of a
+    stack of sketches (one stacked SVD), plus the relative residual each
+    sketch leaves outside its basis."""
+    u, s, _ = np.linalg.svd(sketches, full_matrices=False)
+    r = min(rank, *sketches.shape[1:])
+    total = np.linalg.norm(s, axis=1)
+    tail = np.linalg.norm(s[:, r:], axis=1)
+    residuals = np.divide(tail, total, out=np.zeros_like(total), where=total > 0.0)
+    return u[:, :, :r], residuals
 
 
 def recover_hodlr(
@@ -197,69 +198,96 @@ def recover_hodlr(
     stream: RngStream,
     rank_rtol: float = 1e-8,
 ) -> BlockLowRankOperator:
-    """Recover a HODLR matrix by top-down peeling.
+    """Recover a HODLR matrix by top-down peeling, one level at a time.
 
     The off-diagonal blocks are those of hodlr_partition(n, levels).  At
     each level the upper and lower sibling block families occupy disjoint
-    column (and row) ranges, so each family is sketched with a single
-    Gaussian probe block of width block_rank + oversampling supported on its
-    column ranges; after subtracting the contributions of already-recovered
-    coarser levels, each block's sketch is orthonormalized, truncated to its
-    best rank-limited basis, and completed with one transpose projection
-    sweep carrying those bases.  The dense diagonal leaf blocks are read off
-    last with n/2^levels block-identity probes.  The result is a
-    BlockLowRankOperator with the leaves as its dense diagonal blocks.
+    column (and row) ranges, so each family is sketched with a Gaussian
+    probe block of width block_rank + oversampling supported on its column
+    ranges, and both families go to the oracle side by side in one call.
+    After subtracting the already-recovered coarser levels, each block's
+    sketch is truncated to its best rank-limited basis (one stacked SVD per
+    family), and one transpose call carrying both families' bases completes
+    the blocks.  The dense diagonal leaf blocks are read off last with
+    n/2^levels block-identity probes, in chunks of at most block_rank +
+    oversampling columns, straight into the leaf stack.  The result is a
+    BlockLowRankOperator stored in the arrays filled here.
 
     Query budget per level: 2*(block_rank + oversampling) forward plus
-    2*block_rank transpose, with n/2^levels extra forward queries for the
-    leaves (see hodlr_query_budget).  A sketch whose residual after the
-    rank truncation exceeds rank_rtol raises RankDeficitError naming the
-    block.
+    2*min(block_rank, n/2^level) transpose, with n/2^levels extra forward
+    queries for the leaves (see hodlr_query_budget).  A sketch whose
+    residual after the rank truncation exceeds rank_rtol raises
+    RankDeficitError naming the block; upper blocks are checked before
+    lower ones, pairs in ascending order.
     """
     n = oracle.n
-    partition = hodlr_partition(n, levels)
+    hodlr_partition(n, levels)
     width = block_rank + oversampling
     if width > n // 2:
         raise ValueError("need block_rank + oversampling <= n/2")
 
-    recovered_blocks: list[HodlrBlock] = []
-
+    factors: list[tuple[np.ndarray, np.ndarray]] = []
     for level in range(1, levels + 1):
-        r = min(block_rank, n >> level)
-        for side in ("upper", "lower"):
-            # a block maps columns src to rows dst; upper blocks lie above the diagonal
-            family = [
-                (dst, src, size) for lv, dst, src, size in partition
-                if lv == level and (dst < src) == (side == "upper")
-            ]
-            known = BlockLowRankOperator(n, recovered_blocks)
-            probe = np.zeros((n, width))
-            for _, src, size in family:
-                probe[src:src + size] = stream.standard_normal((size, width))
-            sketch = oracle.apply(probe)
-            sketch -= known.apply(probe)
-            bases = []
-            projection = np.zeros((n, r))
-            for pair, (dst, _, size) in enumerate(family):
-                basis, resid = _rank_limited_basis(sketch[dst:dst + size], block_rank)
-                if resid > rank_rtol:
-                    raise RankDeficitError(level, pair, side, resid)
-                projection[dst:dst + size, : basis.shape[1]] = basis
-                bases.append(basis)
-            coeff = oracle.apply_transpose(projection)
-            coeff -= known.apply_transpose(projection)
-            for (dst, src, size), basis in zip(family, bases):
-                # a copy, so the block does not keep the whole n-by-r coeff alive
-                row_factor = coeff[src:src + size, : basis.shape[1]].copy()
-                recovered_blocks.append(HodlrBlock(level, dst, src, size, basis, row_factor))
+        known = BlockLowRankOperator.hodlr(n, factors)
+        factors.append(_peel_level(oracle, known, level, block_rank, width, stream, rank_rtol))
+    leaves = _read_leaves(oracle, BlockLowRankOperator.hodlr(n, factors), levels, width)
+    return BlockLowRankOperator.hodlr(n, factors, leaves)
 
-    leaf = n >> levels
-    probe = np.tile(np.eye(leaf), (1 << levels, 1))
+
+def _peel_level(oracle, known, level, block_rank, width, stream, rank_rtol):
+    """The (col_factors, row_factors) stacks of one level's blocks, in
+    partition order, from one forward and one transpose oracle call; known
+    holds the coarser levels."""
+    n = oracle.n
+    size, pairs = n >> level, 1 << (level - 1)
+    r = min(block_rank, size)
+    # tile 2i holds pair i's upper-block rows and lower-block columns, tile
+    # 2i + 1 the other way round; the upper family is probed in the first
+    # `width` columns, the lower one in the next
+    probe = np.zeros((n, 2 * width))
+    tiles = probe.reshape(2 * pairs, size, 2 * width)
+    tiles[1::2, :, :width] = stream.standard_normal((pairs, size, width))
+    tiles[0::2, :, width:] = stream.standard_normal((pairs, size, width))
     sketch = oracle.apply(probe)
-    sketch -= BlockLowRankOperator(n, recovered_blocks).apply(probe)
-    leaves = [(j, j, sketch[j:j + leaf]) for j in range(0, n, leaf)]
+    sketch -= known.apply(probe)
+    sketch = sketch.reshape(2 * pairs, size, 2 * width)
+    bases = []
+    for side, family in (("upper", sketch[0::2, :, :width]), ("lower", sketch[1::2, :, width:])):
+        basis, residuals = _rank_limited_bases(family, block_rank)
+        deficient = np.flatnonzero(residuals > rank_rtol)
+        if deficient.size:
+            pair = int(deficient[0])
+            raise RankDeficitError(level, pair, side, float(residuals[pair]))
+        bases.append(basis)
+    projection = np.zeros((n, 2 * r))
+    tiles = projection.reshape(2 * pairs, size, 2 * r)
+    tiles[0::2, :, :r], tiles[1::2, :, r:] = bases
+    coeff = oracle.apply_transpose(projection)
+    coeff -= known.apply_transpose(projection)
+    coeff = coeff.reshape(2 * pairs, size, 2 * r)
+    # pair i's upper block, then its lower one
+    col_factors, row_factors = np.empty((2, 2 * pairs, size, r))
+    col_factors[0::2], col_factors[1::2] = bases
+    row_factors[0::2], row_factors[1::2] = coeff[1::2, :, :r], coeff[0::2, :, r:]
+    return col_factors, row_factors
 
-    return BlockLowRankOperator(n, recovered_blocks, leaves)
+
+def _read_leaves(oracle, known, levels, width) -> np.ndarray:
+    """The (2^levels, leaf, leaf) stack of diagonal leaves, read off with
+    block-identity probes in equal chunks of at most `width` columns; known
+    holds every off-diagonal level."""
+    n = oracle.n
+    leaf, count = n >> levels, 1 << levels
+    leaves = np.empty((count, leaf, leaf))
+    chunks = -(-leaf // width)
+    for chunk in range(chunks):
+        lo, hi = leaf * chunk // chunks, leaf * (chunk + 1) // chunks
+        probe = np.zeros((n, hi - lo))
+        probe.reshape(count, leaf, hi - lo)[:, lo:hi] = np.eye(hi - lo)
+        sketch = oracle.apply(probe)
+        sketch -= known.apply(probe)
+        leaves[:, :, lo:hi] = sketch.reshape(count, leaf, hi - lo)
+    return leaves
 
 
 def hodlr_query_budget(n: int, block_rank: int, levels: int, oversampling: int = 5):

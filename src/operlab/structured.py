@@ -5,13 +5,17 @@ for vectors or column-stacked probe matrices, plus exact dense
 materialization of any column range (capped, to keep tests from accidentally
 going O(N^2) in memory at large N).  hodlr_partition states the dyadic
 HODLR tiling once; random HODLR instances (and recovery.recover_hodlr) are
-BlockLowRankOperators over its blocks with dense diagonal leaves.
+BlockLowRankOperators over its blocks with dense diagonal leaves.  A block
+operator stores runs of same-shape blocks as stacked factor arrays (a HODLR
+level is one run, its leaves another) and applies each run with one batched
+product per factor; its blocks and dense_blocks are views into the stacks.
 """
 from __future__ import annotations
 
 import operator
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,30 +193,123 @@ class BandedOperator(StructuredOperator):
         return a
 
 
-def _span(start: int, size: int) -> slice:
-    return slice(start, start + size)
-
-
-def _overlap(cols: slice, lo: int, hi: int) -> tuple[slice, slice] | None:
-    """Where a block's columns meet [lo, hi): the shared columns counted from
-    the block's first column and from lo, or None if they do not meet."""
-    first, last = max(cols.start, lo), min(cols.stop, hi)
+def _overlap(start: int, width: int, lo: int, hi: int) -> tuple[slice, slice] | None:
+    """Where a block's columns [start, start + width) meet [lo, hi): the shared
+    columns counted from the block's first column and from lo, or None if
+    they do not meet."""
+    first, last = max(start, lo), min(start + width, hi)
     if first >= last:
         return None
-    return slice(first - cols.start, last - cols.start), slice(first - lo, last - lo)
+    return slice(first - start, last - start), slice(first - lo, last - lo)
 
 
-def _block_columns(col_factor: np.ndarray, row_factor_t: np.ndarray, part: slice) -> np.ndarray:
-    """col_factor @ row_factor_t[:, part] with the bits of the whole block's product.
+def _block_columns(factors, part: slice) -> np.ndarray:
+    """Columns `part` of a block (its one dense matrix, or col_factor @
+    row_factor.T) with the bits of the whole block's product.
 
     numpy hands a one-column product to gemv, which rounds differently from
     gemm, so a lone column is cut from a two-column product instead.
     """
-    width = row_factor_t.shape[1]
+    *head, last = factors
+    if not head:
+        return last[:, part]
+    (col_factor,) = head
+    width = last.shape[1]
     if part.stop - part.start == 1 and width > 1:
         start = min(part.start, width - 2)
-        return (col_factor @ row_factor_t[:, start:start + 2])[:, [part.start - start]]
-    return col_factor @ row_factor_t[:, part]
+        return (col_factor @ last[:, start:start + 2])[:, [part.start - start]]
+    return col_factor @ last[:, part]
+
+
+def _tiles(starts, size: int) -> tuple[int, slice | np.ndarray]:
+    """(offset, index) with starts[i] = offset + index[i] * size; the index is
+    a slice where the starts step evenly.  The starts must be distinct tiles
+    of one grid of that size."""
+    offset = starts[0] % size
+    index = [(s - offset) // size for s in starts]
+    if any((s - offset) % size for s in starts) or len(set(index)) < len(index):
+        raise ValueError("a run's blocks must sit on distinct tiles of one grid")
+    step = index[1] - index[0] if len(index) > 1 else 1
+    if step > 0 and index == list(range(index[0], index[-1] + 1, step)):
+        return offset, slice(index[0], index[-1] + 1, step)
+    return offset, np.array(index)
+
+
+def _tile_view(a: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """The rows of a matrix from `offset` on, cut into whole tiles of `size`
+    rows: a (tiles, size, columns) view in which each tile keeps the matrix's
+    strides, as a row slice of it would."""
+    rows, cols = a.strides
+    count = (a.shape[0] - offset) // size
+    return np.lib.stride_tricks.as_strided(
+        a[offset:], (count, size, a.shape[1]), (size * rows, rows, cols)
+    )
+
+
+class _Run:
+    """Blocks of one shape on distinct tiles of that shape, stored as stacks.
+
+    Block i maps columns col_starts[i] + [0, width) to rows row_starts[i] +
+    [0, height) through factors[0][i] @ factors[1][i]: a low-rank run's
+    factors are its stacked col_factors and transposed row_factors, a dense
+    run's its one stack of matrices.  A run is applied with one batched
+    product per factor.  levels and tails are the low-rank blocks'
+    HodlrBlock fields; a dense run has none.
+    """
+
+    def __init__(self, row_starts, col_starts, factors, levels=None, tails=None):
+        self.row_starts, self.col_starts = tuple(row_starts), tuple(col_starts)
+        self.factors, self.levels, self.tails = tuple(factors), levels, tails
+        self.height, self.width = self.factors[0].shape[1], self.factors[-1].shape[2]
+        if any(f.ndim != 3 or f.shape[0] != len(self.row_starts) for f in self.factors):
+            raise ValueError("a run needs one stacked factor per block")
+        if self.height == 0 or self.width == 0:
+            raise ValueError("blocks must not be empty")
+        self._rows = _tiles(self.row_starts, self.height)
+        self._cols = _tiles(self.col_starts, self.width)
+
+    def add_product(self, x: np.ndarray, y: np.ndarray, transpose: bool) -> None:
+        """y += the run's blocks (or their transposes) applied to x.  Each
+        row of y gets at most one block's product, so runs taken in block
+        order add up in the order a per-block loop would."""
+        if transpose:
+            (src, src_index), (dst, dst_index) = self._rows, self._cols
+            sizes, chain = (self.height, self.width), [f.transpose(0, 2, 1) for f in self.factors]
+        else:
+            (src, src_index), (dst, dst_index) = self._cols, self._rows
+            sizes, chain = (self.width, self.height), reversed(self.factors)
+        t = _tile_view(x, src, sizes[0])[src_index]
+        for factor in chain:
+            t = factor @ t
+        _tile_view(y, dst, sizes[1])[dst_index] += t
+
+
+def _group(entries) -> list[_Run]:
+    """Maximal runs of consecutive (row_start, col_start, factors, meta)
+    entries whose factors share shapes and layouts and whose blocks sit on
+    distinct tiles of one grid; meta is a block's (level, tail), or None."""
+    groups = []
+    for entry in entries:
+        r0, c0, factors, _ = entry
+        key = (
+            tuple((f.shape, f.flags.c_contiguous, f.flags.f_contiguous) for f in factors),
+            r0 % max(factors[0].shape[0], 1), c0 % max(factors[-1].shape[1], 1),
+        )
+        group = groups[-1] if groups else None
+        if group and group[0] == key and r0 not in group[1] and c0 not in group[2]:
+            group[1].add(r0)
+            group[2].add(c0)
+            group[3].append(entry)
+        else:
+            groups.append((key, {r0}, {c0}, [entry]))
+    runs = []
+    for *_, members in groups:
+        rows, cols, factors, meta = zip(*members)
+        # np.stack keeps the entries' shared layout, which decides how a product rounds
+        stacks = [np.stack(mats) for mats in zip(*factors)]
+        levels, tails = zip(*meta) if meta[0] is not None else (None, None)
+        runs.append(_Run(rows, cols, stacks, levels, tails))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -272,57 +369,91 @@ class BlockLowRankOperator(StructuredOperator):
     This covers weak admissibility (HODLR: every off-diagonal sibling block
     is low-rank) and strong admissibility (only blocks at least one block
     apart are low-rank; near-diagonal blocks stay dense).
+
+    Storage is a list of runs: consecutive blocks of one shape and layout on
+    distinct tiles of one grid, each held as stacked factor arrays (a HODLR
+    level is one run, its leaves another).  apply and apply_transpose make
+    one batched product per run and factor, with the bits of a per-block
+    loop; blocks and dense_blocks are views into the stacks.
     """
 
     def __init__(self, n: int, blocks, dense_blocks=()):
-        self.n = n
-        self.blocks = tuple(blocks)
-        self.dense_blocks = tuple(
-            (operator.index(r0), operator.index(c0), np.array(m, dtype=float))
-            for r0, c0, m in dense_blocks
-        )
-        if any(m.ndim != 2 for _, _, m in self.dense_blocks):
+        dense = [(r0, c0, np.asarray(m, dtype=float)) for r0, c0, m in dense_blocks]
+        if any(m.ndim != 2 for _, _, m in dense):
             raise ValueError("dense blocks must be matrices")
-        # slices and row_factor.T are built once: predict applies small
-        # operators many times, and per-call slicing shows in its cost
-        self._low_rank = tuple(
-            (_span(b.row_start, b.size), _span(b.col_start, b.size), b.col_factor, b.row_factor.T)
-            for b in self.blocks
+        self._store(n, _group(
+            (b.row_start, b.col_start, (b.col_factor, b.row_factor.T), (b.level, b.tail))
+            for b in blocks
+        ) + _group((operator.index(r0), operator.index(c0), (m,), None) for r0, c0, m in dense))
+
+    @classmethod
+    def hodlr(cls, n: int, level_factors, leaves=None) -> "BlockLowRankOperator":
+        """The HODLR operator over hodlr_partition(n, len(level_factors)),
+        stored in the given arrays without a copy: level_factors[l - 1] is the
+        (col_factors, row_factors) pair of (2^l, n >> l, rank) stacks of level
+        l's blocks in partition order, and leaves, if given, the
+        (2^levels, leaf, leaf) stack of diagonal leaves."""
+        runs, partition = [], hodlr_partition(n, len(level_factors)) if level_factors else []
+        for level, (cols, rows) in enumerate(level_factors, 1):
+            blocks = partition[(1 << level) - 2:(2 << level) - 2]
+            if cols.shape[:2] != (1 << level, n >> level) or rows.shape != cols.shape:
+                raise ValueError(f"level {level} factors must be (2^level, n >> level, r) stacks")
+            runs.append(_Run(
+                [b[1] for b in blocks], [b[2] for b in blocks], (cols, rows.transpose(0, 2, 1)),
+                [level] * len(blocks), [0.0] * len(blocks),
+            ))
+        if leaves is not None:
+            starts = range(0, n, leaves.shape[1])
+            runs.append(_Run(starts, starts, (leaves,)))
+        op = cls.__new__(cls)
+        op._store(n, runs)
+        return op
+
+    def _store(self, n: int, runs) -> None:
+        self.n = n
+        self._runs = tuple(runs)
+        for run in self._runs:
+            for starts, size in ((run.row_starts, run.height), (run.col_starts, run.width)):
+                if min(starts) < 0 or max(starts) + size > n:
+                    raise ValueError(f"a block of size {size} does not fit in dimension {n}")
+
+    @cached_property
+    def blocks(self) -> tuple[HodlrBlock, ...]:
+        return tuple(
+            HodlrBlock(level, r0, c0, col_factor.shape[0], col_factor, row_factor_t.T, tail)
+            for run in self._runs if run.levels is not None
+            for level, r0, c0, col_factor, row_factor_t, tail
+            in zip(run.levels, run.row_starts, run.col_starts, *run.factors, run.tails)
         )
-        self._dense = tuple(
-            (_span(r0, m.shape[0]), _span(c0, m.shape[1]), m) for r0, c0, m in self.dense_blocks
+
+    @cached_property
+    def dense_blocks(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        return tuple(
+            (r0, c0, m)
+            for run in self._runs if run.levels is None
+            for r0, c0, m in zip(run.row_starts, run.col_starts, run.factors[0])
         )
-        for rows, cols, *_ in self._low_rank + self._dense:
-            if not (0 <= rows.start and rows.stop <= n and 0 <= cols.start and cols.stop <= n):
-                raise ValueError(f"block at ({rows.start}, {cols.start}) does not fit in dimension {n}")
 
     def _apply(self, x):
         y = np.zeros_like(x)
-        for rows, cols, col_factor, row_factor_t in self._low_rank:
-            y[rows] += col_factor @ (row_factor_t @ x[cols])
-        for rows, cols, m in self._dense:
-            y[rows] += m @ x[cols]
+        for run in self._runs:
+            run.add_product(x, y, transpose=False)
         return y
 
     def _apply_transpose(self, x):
         y = np.zeros_like(x)
-        for rows, cols, col_factor, row_factor_t in self._low_rank:
-            y[cols] += row_factor_t.T @ (col_factor.T @ x[rows])
-        for rows, cols, m in self._dense:
-            y[cols] += m.T @ x[rows]
+        for run in self._runs:
+            run.add_product(x, y, transpose=True)
         return y
 
     def _materialize(self, lo, hi):
         # only the blocks that meet columns [lo, hi), and only those columns of them
         a = np.zeros((self.n, hi - lo))
-        for rows, cols, col_factor, row_factor_t in self._low_rank:
-            if where := _overlap(cols, lo, hi):
-                inside, out = where
-                a[rows, out] = _block_columns(col_factor, row_factor_t, inside)
-        for rows, cols, m in self._dense:
-            if where := _overlap(cols, lo, hi):
-                inside, out = where
-                a[rows, out] = m[:, inside]
+        for run in self._runs:
+            for r0, c0, *factors in zip(run.row_starts, run.col_starts, *run.factors):
+                if where := _overlap(c0, run.width, lo, hi):
+                    inside, out = where
+                    a[r0:r0 + run.height, out] = _block_columns(factors, inside)
         return a
 
 
@@ -399,15 +530,14 @@ def random_structured(
     if kind == "hodlr":
         if rank is None or levels is None or rank < 1:
             raise ValueError("hodlr instance needs rank >= 1 and levels")
-        blocks = [
-            HodlrBlock(
-                level, row_start, col_start, size,
-                stream.standard_normal((size, min(rank, size))),
-                stream.standard_normal((size, min(rank, size))),
-            )
-            for level, row_start, col_start, size in hodlr_partition(n, levels)
+        hodlr_partition(n, levels)
+        # one draw per level, in the stream order of per-block draws: each
+        # block's col_factor, then its row_factor, in partition order
+        draws = [
+            stream.standard_normal((1 << level, 2, n >> level, min(rank, n >> level)))
+            for level in range(1, levels + 1)
         ]
         leaf = n >> levels
-        leaves = [(j, j, stream.standard_normal((leaf, leaf))) for j in range(0, n, leaf)]
-        return BlockLowRankOperator(n, blocks, leaves)
+        leaves = stream.standard_normal((1 << levels, leaf, leaf))
+        return BlockLowRankOperator.hodlr(n, [(d[:, 0], d[:, 1]) for d in draws], leaves)
     raise ValueError(f"unknown structured kind {kind!r}")

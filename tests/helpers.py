@@ -28,6 +28,33 @@ def hodlr_layout(op) -> tuple[list, list]:
     return blocks, [(r0, c0, m.shape) for r0, c0, m in op.dense_blocks]
 
 
+def per_block_apply(op, x, transpose: bool = False) -> np.ndarray:
+    """A block operator applied to x (or its transpose) one block at a time:
+    the per-block loop that stacked runs must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    mat = x[:, None] if x.ndim == 1 else x
+    low_rank = [
+        (slice(b.row_start, b.row_start + b.size), slice(b.col_start, b.col_start + b.size),
+         b.col_factor, b.row_factor.T)
+        for b in op.blocks
+    ]
+    dense = [
+        (slice(r0, r0 + m.shape[0]), slice(c0, c0 + m.shape[1]), m) for r0, c0, m in op.dense_blocks
+    ]
+    y = np.zeros_like(mat)
+    if transpose:
+        for rows, cols, col_factor, row_factor_t in low_rank:
+            y[cols] += row_factor_t.T @ (col_factor.T @ mat[rows])
+        for rows, cols, m in dense:
+            y[cols] += m.T @ mat[rows]
+    else:
+        for rows, cols, col_factor, row_factor_t in low_rank:
+            y[rows] += col_factor @ (row_factor_t @ mat[cols])
+        for rows, cols, m in dense:
+            y[rows] += m @ mat[cols]
+    return y[:, 0] if x.ndim == 1 else y
+
+
 def expected_hodlr_layout(n: int, levels: int) -> tuple[list, list]:
     """hodlr_layout of a HODLR matrix: the partition's blocks and the
     2^levels leaves on the diagonal."""

@@ -15,7 +15,6 @@ from operlab.grids import Grid1D, Grid2D
 from operlab.numerics import RngStream
 from operlab.opfit import (
     DenseKernelModel,
-    band_truncation_error,
     batch_loss,
     evaluate_super_resolution,
     fit_fourier_multiplier,
@@ -214,7 +213,7 @@ def test_criterion_10_band_truncation():
         errors = []
         for radius in radii:
             banded = truncate_band(model, radius)
-            oracle = band_truncation_error(fine_grid, fine_kernel, radius)
+            oracle = truncate_band(DenseKernelModel(fine_grid, fine_kernel), radius).truncation_error
             assert abs(banded.truncation_error - oracle) <= 0.01 * oracle
             errors.append(banded.truncation_error)
         assert all(a >= b for a, b in zip(errors, errors[1:]))

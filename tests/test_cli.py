@@ -824,6 +824,8 @@ class TestProcessInterface:
             "eval": {"command": "eval", "seed": 1, "model": str(tmp_path / "model.bin"),
                      "datasets": [{"resolution": 32, "path": str(tmp_path / "train.ds")}],
                      "output": "eval.csv"},
+            "recover": {"command": "recover", "seed": 1, "algorithm": "hodlr", "dimension": 256,
+                        "block_rank": 2, "levels": 4, "output": "recover.json"},
         }
         spans = {}
         for command, config in steps.items():
@@ -844,6 +846,9 @@ class TestProcessInterface:
         assert "pdelab.make_dataset" in spans["generate"]
         assert {"cli.cmd_fit", "dataio.load_dataset", "dataio.save_model"} <= spans["fit"]
         assert {"cli.cmd_eval", "dataio.load_dataset", "dataio.load_model"} <= spans["eval"]
+        # the spans behind the recover-structured per-layer metrics
+        assert {"recovery.recover_hodlr", "structured.random_structured",
+                "structured.oracle.apply"} <= spans["recover"]
 
     def test_poisson_generate_recover_fit_eval_never_import_scipy(self, tmp_path):
         """Only the Darcy solver and the Matern-Bessel covariance (smoothness

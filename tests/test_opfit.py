@@ -6,7 +6,6 @@ from operlab.numerics import RngStream
 from operlab.opfit import (
     LOSS_KINDS,
     DenseKernelModel,
-    band_truncation_error,
     batch_loss,
     compute_loss,
     evaluate_super_resolution,
@@ -222,7 +221,7 @@ class TestBandTruncation:
         fine_kernel = exact_green_matrix(fine_grid)
         radius = np.sqrt(2.0) / 10.0
         coarse = truncate_band(dense, radius).truncation_error
-        fine = band_truncation_error(fine_grid, fine_kernel, radius)
+        fine = truncate_band(DenseKernelModel(fine_grid, fine_kernel), radius).truncation_error
         assert abs(coarse - fine) <= 0.01 * fine
 
     def test_radius_validation(self):

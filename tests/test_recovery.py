@@ -19,7 +19,7 @@ from operlab.recovery import (
     recover_hodlr,
     relative_residual,
 )
-from operlab.structured import BlockLowRankOperator, MatvecOracle, random_structured
+from operlab.structured import BlockLowRankOperator, HodlrBlock, MatvecOracle, random_structured
 
 from helpers import expected_hodlr_layout, hodlr_layout
 
@@ -158,6 +158,30 @@ class TestHodlr:
         with pytest.raises(RankDeficitError) as info:
             recover_hodlr(MatvecOracle.from_dense(dense), 1, 1, 3, stream=RngStream(6))
         assert info.value.level == 1
+
+    @pytest.mark.parametrize("planted, named", [
+        ([("upper", 1)], "upper"),
+        ([("lower", 1)], "lower"),
+        ([("lower", 0), ("upper", 1)], "upper"),
+    ])
+    def test_rank_deficit_names_the_block(self, planted, named):
+        """A rank-3 block in an otherwise rank-2 operator is named by level,
+        pair and side; upper blocks are checked before lower ones."""
+        op = random_structured("hodlr", 64, RngStream(11), rank=2, levels=3)
+        size, stream = 16, RngStream(12)
+        corners = {(16 + 32 * pair, 32 * pair) if side == "lower" else (32 * pair, 16 + 32 * pair)
+                   for side, pair in planted}
+        blocks = [
+            HodlrBlock(b.level, b.row_start, b.col_start, size,
+                       stream.standard_normal((size, 3)), stream.standard_normal((size, 3)))
+            if b.level == 2 and (b.row_start, b.col_start) in corners else b
+            for b in op.blocks
+        ]
+        oracle = oracle_for(BlockLowRankOperator(64, blocks, op.dense_blocks))
+        with pytest.raises(RankDeficitError) as info:
+            recover_hodlr(oracle, 2, 3, 3, stream=RngStream(13))
+        pair = min(pair for side, pair in planted if side == named)
+        assert (info.value.level, info.value.pair, info.value.side) == (2, pair, named)
 
     def test_overestimated_rank_still_exact(self):
         op = random_structured("hodlr", 64, RngStream(9), rank=1, levels=3)
@@ -369,6 +393,23 @@ class TestSlabResidual:
             tracemalloc.stop()
         assert residual <= 1e-10
         assert peak < 48 * 2 ** 20
+
+
+def test_recovery_memory_is_the_result_storage():
+    """The recovered factors and leaves are filled in place: the traced peak
+    stays within 1.75x their bytes, and no second copy outlives the call."""
+    op = random_structured("hodlr", 8192, RngStream(13), rank=4, levels=7)
+    oracle = oracle_for(op)
+    tracemalloc.start()
+    try:
+        recovered = recover_hodlr(oracle, 4, 7, stream=RngStream(14))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(b.col_factor.nbytes + b.row_factor.nbytes for b in recovered.blocks)
+    own += sum(m.nbytes for _, _, m in recovered.dense_blocks)
+    assert peak <= 1.75 * own
+    assert kept <= 1.1 * own
 
 
 def test_readme_example_runs(capsys):

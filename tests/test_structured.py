@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operlab import dataio
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, hierarchical_decompose
@@ -19,7 +24,7 @@ from operlab.structured import (
     random_structured,
 )
 
-from helpers import expected_hodlr_layout, hodlr_layout
+from helpers import expected_hodlr_layout, hodlr_layout, per_block_apply
 
 
 def make_instance(kind, n, seed):
@@ -71,6 +76,98 @@ class TestBlockLowRankProperties:
         scale = max(np.linalg.norm(dense), 1.0) * np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(op.apply(x) @ y - x @ op.apply_transpose(y)) <= 1e-12 * scale
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale / np.linalg.norm(y)
+
+
+@st.composite
+def block_operator_cases(draw):
+    """A block operator from each producer: a random HODLR instance (ranks
+    may exceed the block size at deep levels), a recovered one, a
+    hierarchical fit (strong admissibility, depth-first block order) and
+    that fit reloaded from its container."""
+    kind = draw(st.sampled_from(["random", "recovered", "strong", "reloaded"]))
+    levels = draw(st.integers(1, 5))
+    n = 2 ** (levels + draw(st.integers(0, 2)))
+    rank = draw(st.integers(1, 6))
+    stream = RngStream(draw(st.integers(0, 2 ** 31)))
+    if kind == "random":
+        return random_structured("hodlr", n, stream, rank=rank, levels=levels)
+    if kind == "recovered":
+        n, levels = max(n, 16), min(levels, 3)
+        op = random_structured("hodlr", n, stream, rank=rank, levels=levels)
+        oversampling = min(3, n // 2 - rank)
+        oracle = MatvecOracle.from_operator(op)
+        return recover_hodlr(oracle, rank, levels, oversampling, stream=stream)
+    kernel = DenseKernelModel(Grid1D(n), stream.standard_normal((n, n)))
+    model = hierarchical_decompose(kernel, levels, rank)
+    if kind == "reloaded":
+        with tempfile.TemporaryDirectory() as tmp:
+            dataio.save_model(Path(tmp) / "model.bin", model)
+            model = dataio.load_model(Path(tmp) / "model.bin")
+    return model.operator
+
+
+class TestStackedRunsMatchPerBlockLoop:
+    """Stacked runs apply each block with the operands and layouts of a
+    per-block loop and add up in its order, so they reproduce its bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        op=block_operator_cases(),
+        width=st.sampled_from([None, 1, 2, 9, 64]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_apply_bits(self, op, width, fortran, seed):
+        shape = (op.n,) if width is None else (op.n, width)
+        x = RngStream(seed).standard_normal(shape)
+        if fortran:  # predict probes the operator with a transposed batch
+            x = np.asfortranarray(x)
+        assert np.array_equal(op.apply(x), per_block_apply(op, x))
+        assert np.array_equal(op.apply_transpose(x), per_block_apply(op, x, transpose=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orders=st.tuples(*[st.sampled_from("CF")] * 3),
+        width=st.sampled_from([None, 1, 2, 9]),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_stacking_keeps_each_factor_layout(self, orders, width, seed):
+        """Blocks given with C- or F-ordered factors apply with the bits of a
+        per-block loop over the arrays as given (at block size 1024, gemm and
+        gemv round differently for the two layouts)."""
+        stream = RngStream(seed)
+        given_op = random_structured("hodlr", 2048, stream, rank=1 + seed % 4, levels=2)
+        source = SimpleNamespace(
+            blocks=[
+                HodlrBlock(
+                    b.level, b.row_start, b.col_start, b.size,
+                    np.array(b.col_factor, order=orders[0]), np.array(b.row_factor, order=orders[1]),
+                )
+                for b in given_op.blocks
+            ],
+            dense_blocks=[
+                (r0, c0, np.array(m, order=orders[2])) for r0, c0, m in given_op.dense_blocks
+            ],
+        )
+        op = BlockLowRankOperator(2048, source.blocks, source.dense_blocks)
+        x = stream.standard_normal((2048,) if width is None else (2048, width))
+        assert np.array_equal(op.apply(x), per_block_apply(source, x))
+        assert np.array_equal(op.apply_transpose(x), per_block_apply(source, x, transpose=True))
+
+    @pytest.mark.parametrize("recovered", [False, True])
+    def test_stacks_are_the_only_copy(self, recovered):
+        """Each level's factors and the leaves are views into one array per
+        level and one for the leaves; no block owns a copy."""
+        op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
+        if recovered:
+            op = recover_hodlr(MatvecOracle.from_operator(op), 3, 3, 2, stream=RngStream(3))
+        arrays = [m for b in op.blocks for m in (b.col_factor, b.row_factor)]
+        arrays += [m for _, _, m in op.dense_blocks]
+        assert not any(m.flags.owndata for m in arrays)
+        bases = {id(m.base) for m in arrays}
+        assert len(bases) == 4
+        for level in (1, 2, 3):
+            assert len({id(b.col_factor.base) for b in op.blocks if b.level == level}) == 1
 
 
 class TestOperatorProperties:
