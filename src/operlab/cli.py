@@ -29,13 +29,68 @@ class CliError(RuntimeError):
         super().__init__(message)
 
 
-_COVARIANCE_SCHEMAS = {
-    "squared-exponential": {"required": {"family", "length_scale"}, "optional": set()},
-    "matern": {"required": {"family", "length_scale", "smoothness"}, "optional": set()},
-    "helmholtz-power": {
-        "required": {"family", "smoothness"},
-        "optional": {"amplitude", "shift"},
+def _int(low: int) -> tuple:
+    # no array dimension, count or seed stream of numpy goes beyond int64
+    return (True, low, False, 2 ** 63 - 1)
+
+
+def _number(low: float = -math.inf, strict: bool = False, high: float = math.inf) -> tuple:
+    return (False, low, strict, high)
+
+
+# Every config context by kind and name (a kind other than "dataset entry" is
+# the config field that selects the context): its required fields and its
+# optional ones, each with a value rule (integer?, lower bound, bound strict?,
+# upper bound).  Fields without a rule hold strings, lists or objects;
+# validate_config checks those it relies on.  The covariance ranges are
+# CovarianceSpec's.
+_FIELDS = {
+    "command": {
+        "generate": (
+            {"command": None, "seed": _int(0), "pde": None, "num_pairs": _int(0),
+             "resolution": _int(min(pdelab.MIN_RESOLUTION.values())), "covariance": None,
+             "output": None},
+            {"viscosity": _number(0, strict=True), "final_time": _number(0)},
+        ),
+        "recover": (
+            {"command": None, "seed": _int(0), "algorithm": None, "dimension": _int(1),
+             "output": None},
+            {},
+        ),
+        "fit": (
+            {"command": None, "seed": _int(0), "dataset": None, "variant": None,
+             "model_output": None, "metrics_output": None},
+            {"ridge": _number(0), "train_fraction": _number(0, strict=True, high=1),
+             "losses": None},
+        ),
+        "eval": (
+            {"command": None, "seed": _int(0), "model": None, "datasets": None, "output": None},
+            {"losses": None},
+        ),
     },
+    "algorithm": {
+        "low-rank": ({"rank": _int(1)}, {"oversampling": _int(0)}),
+        "circulant": ({}, {}),
+        "banded": ({"bandwidth": _int(0)}, {}),
+        "hodlr": ({"block_rank": _int(1), "levels": _int(1)}, {"oversampling": _int(0)}),
+    },
+    "variant": {
+        "dense-kernel": ({}, {}),
+        "low-rank": ({"rank": _int(1)}, {}),
+        "fourier-multiplier": ({"max_mode": _int(0)}, {}),
+        # a radius above the domain length depends on the dataset: opfit checks it
+        "banded": ({"radius": _number(0, strict=True)}, {}),
+        "hierarchical": ({"levels": _int(1), "rank": _int(1)}, {}),
+    },
+    "family": {
+        "squared-exponential": ({"family": None, "length_scale": _number()}, {}),
+        "matern": ({"family": None, "length_scale": _number(), "smoothness": _number()}, {}),
+        "helmholtz-power": (
+            {"family": None, "smoothness": _number()},
+            {"amplitude": _number(), "shift": _number()},
+        ),
+    },
+    "dataset entry": {"eval": ({"resolution": _int(2), "path": None}, {})},
 }
 
 _PDE_FAMILIES = {
@@ -44,80 +99,48 @@ _PDE_FAMILIES = {
     "darcy2d": {"helmholtz-power"},
 }
 
-_COMMAND_SCHEMAS = {
-    "generate": {
-        "required": {"command", "seed", "pde", "num_pairs", "resolution", "covariance", "output"},
-        "optional": {"viscosity", "final_time"},
-    },
-    "recover": {
-        "required": {"command", "seed", "algorithm", "dimension", "output"},
-        "optional": {"rank", "oversampling", "bandwidth", "block_rank", "levels"},
-    },
-    "fit": {
-        "required": {"command", "seed", "dataset", "variant", "model_output", "metrics_output"},
-        "optional": {"ridge", "train_fraction", "losses", "rank", "max_mode", "radius", "levels"},
-    },
-    "eval": {
-        "required": {"command", "seed", "model", "datasets", "output"},
-        "optional": {"losses"},
-    },
-}
 
-_ALGORITHM_PARAMS = {
-    "low-rank": {"required": {"rank"}, "optional": {"oversampling"}},
-    "circulant": {"required": set(), "optional": set()},
-    "banded": {"required": {"bandwidth"}, "optional": set()},
-    "hodlr": {"required": {"block_rank", "levels"}, "optional": {"oversampling"}},
-}
-
-_VARIANT_PARAMS = {
-    "dense-kernel": {"required": set(), "optional": {"ridge"}},
-    "low-rank": {"required": {"rank"}, "optional": {"ridge"}},
-    "fourier-multiplier": {"required": {"max_mode"}, "optional": {"ridge"}},
-    "banded": {"required": {"radius"}, "optional": {"ridge"}},
-    "hierarchical": {"required": {"levels", "rank"}, "optional": {"ridge"}},
-}
+def _lookup(table: dict, kind: str, name):
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise CliError("config", f"unknown {kind} {name!r}")
 
 
-def _check_keys(mapping: dict, required: set, optional: set, context: str):
-    keys = set(mapping)
-    unknown = keys - required - optional
-    if unknown:
-        raise CliError("config", f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise CliError("config", f"{context}: missing required keys {sorted(missing)}")
-
-
-# integer fields of recover and fit configs and their smallest allowed values
-_INT_FIELDS = {
-    "dimension": 1, "rank": 1, "oversampling": 0, "bandwidth": 0, "block_rank": 1, "levels": 1,
-    "max_mode": 0,
-}
-# no array dimension, count or seed stream of numpy goes beyond int64
-_INT_MAX = 2 ** 63 - 1
-
-
-def _check_int(config: dict, key: str, minimum: int):
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError("config", f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise CliError("config", f"{key} must be at least {minimum}, got {value}")
-    if value > _INT_MAX:
-        raise CliError("config", f"{key} must be below 2**63, got {value}")
-
-
-def _check_number(config: dict, key: str):
-    value = config[key]
+def _check_value(key: str, value, rule: tuple):
+    integer, low, strict, high = rule
     # json.load also accepts NaN and Infinity, which are not JSON numbers, and
     # math.isfinite rejects an integer too large for a float with OverflowError
     try:
-        finite = isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if isinstance(value, bool) or not finite:
-        raise CliError("config", f"{key} must be a finite number, got {value!r}")
+        valid = isinstance(value, int) if integer else math.isfinite(value)
+    except (TypeError, OverflowError):
+        valid = False
+    if isinstance(value, bool) or not valid:
+        kind = "an integer" if integer else "a finite number"
+        raise CliError("config", f"{key} must be {kind}, got {value!r}")
+    if value < low or (strict and value == low):
+        raise CliError(
+            "config", f"{key} must be {'above' if strict else 'at least'} {low}, got {value}"
+        )
+    if value > high:
+        raise CliError("config", f"{key} must be at most {high}, got {value}")
+
+
+def _check_fields(mapping, context: str, *entries):
+    """Checks mapping against the union of table entries: no unknown key, no
+    missing required key, and every present field within its rule."""
+    if not isinstance(mapping, dict):
+        raise CliError("config", f"{context} must be an object")
+    required = {key for fields, _ in entries for key in fields}
+    rules = {key: rule for entry in entries for fields in entry for key, rule in fields.items()}
+    unknown = set(mapping) - set(rules)
+    if unknown:
+        raise CliError("config", f"{context}: unknown keys {sorted(unknown)}")
+    missing = required - set(mapping)
+    if missing:
+        raise CliError("config", f"{context}: missing required keys {sorted(missing)}")
+    for key, value in mapping.items():
+        if rules[key] is not None:
+            _check_value(key, value, rules[key])
 
 
 def validate_config(config: dict) -> dict:
@@ -125,105 +148,47 @@ def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise CliError("config", "config must be a JSON object")
     command = config.get("command")
-    if command not in _COMMAND_SCHEMAS:
-        raise CliError("config", f"unknown or missing command {command!r}")
-    schema = _COMMAND_SCHEMAS[command]
-    _check_keys(config, schema["required"], schema["optional"], f"{command} config")
-    _check_int(config, "seed", 0)
+    entries = [_lookup(_FIELDS["command"], "command", command)]
+    if command in ("recover", "fit"):
+        field = "algorithm" if command == "recover" else "variant"
+        entries.append(_lookup(_FIELDS[field], field, config.get(field)))
+    _check_fields(config, f"{command} config", *entries)
 
     if command == "generate":
         pde = config["pde"]
-        if pde not in _PDE_FAMILIES:
-            raise CliError("config", f"unknown pde {pde!r}")
+        families = _lookup(_PDE_FAMILIES, "pde", pde)
         cov = config["covariance"]
         if not isinstance(cov, dict):
             raise CliError("config", "covariance must be an object")
         family = cov.get("family")
-        if family not in _COVARIANCE_SCHEMAS:
-            raise CliError("config", f"unknown covariance family {family!r}")
-        if family not in _PDE_FAMILIES[pde]:
+        entry = _lookup(_FIELDS["family"], "covariance family", family)
+        if family not in families:
             raise CliError(
                 "config", f"pde {pde!r} does not accept covariance family {family!r}"
             )
-        fam_schema = _COVARIANCE_SCHEMAS[family]
-        _check_keys(cov, fam_schema["required"], fam_schema["optional"], f"{family} covariance")
-        for key in cov:
-            if key != "family":
-                _check_number(cov, key)
+        _check_fields(cov, f"{family} covariance", entry)
         for key in ("viscosity", "final_time"):
-            if key in config:
-                if pde != "burgers1d":
-                    raise CliError("config", f"{key} only applies to burgers1d")
-                _check_number(config, key)
-        if config.get("viscosity", 1.0) <= 0:
-            raise CliError("config", f"viscosity must be positive, got {config['viscosity']}")
-        if config.get("final_time", 0.0) < 0:
-            raise CliError("config", f"final_time must be nonnegative, got {config['final_time']}")
-        _check_int(config, "num_pairs", 0)
-        _check_int(config, "resolution", pdelab.MIN_RESOLUTION[pde])
+            if key in config and pde != "burgers1d":
+                raise CliError("config", f"{key} only applies to burgers1d")
         resolution = config["resolution"]
+        _check_value("resolution", resolution, _int(pdelab.MIN_RESOLUTION[pde]))
         if pde == "burgers1d" and resolution & (resolution - 1):
             raise CliError(
                 "config", f"burgers1d resolution must be a power of two, got {resolution}"
             )
-    elif command == "recover":
-        algorithm = config["algorithm"]
-        if algorithm not in _ALGORITHM_PARAMS:
-            raise CliError("config", f"unknown recovery algorithm {algorithm!r}")
-        params = _ALGORITHM_PARAMS[algorithm]
-        given = set(config) - _COMMAND_SCHEMAS["recover"]["required"]
-        _check_keys(
-            {k: config[k] for k in given},
-            params["required"],
-            params["optional"],
-            f"{algorithm} recovery",
-        )
-    elif command == "fit":
-        variant = config["variant"]
-        if variant not in _VARIANT_PARAMS:
-            raise CliError("config", f"unknown model variant {variant!r}")
-        params = _VARIANT_PARAMS[variant]
-        given = set(config) - _COMMAND_SCHEMAS["fit"]["required"] - {"train_fraction", "losses"}
-        _check_keys(
-            {k: config[k] for k in given},
-            params["required"],
-            params["optional"],
-            f"{variant} fit",
-        )
-        for key in ("radius", "ridge", "train_fraction"):
-            if key in config:
-                _check_number(config, key)
-        if config.get("ridge", 0.0) < 0:
-            raise CliError("config", f"ridge must be nonnegative, got {config['ridge']}")
-        # a radius above the domain length depends on the dataset: opfit checks it
-        if config.get("radius", 1.0) <= 0:
-            raise CliError("config", f"radius must be positive, got {config['radius']}")
-        _check_losses(config.get("losses"))
     elif command == "eval":
         datasets = config["datasets"]
         if not isinstance(datasets, list) or not datasets:
             raise CliError("config", "datasets must be a nonempty list")
         for entry in datasets:
-            if not isinstance(entry, dict):
-                raise CliError("config", "each dataset entry must be an object")
-            _check_keys(entry, {"resolution", "path"}, set(), "eval dataset entry")
-            _check_int(entry, "resolution", 2)
-        _check_losses(config.get("losses"))
-    if command in ("recover", "fit"):
-        for key, minimum in _INT_FIELDS.items():
-            if key in config:
-                _check_int(config, key, minimum)
-    return config
-
-
-def _check_losses(losses):
-    if losses is None:
-        return
+            _check_fields(entry, "eval dataset entry", _FIELDS["dataset entry"]["eval"])
+    losses = config.get("losses", ["relative-l2"])
     if not isinstance(losses, list) or not losses:
         raise CliError("config", "losses must be a nonempty list")
     for kind in losses:
         if kind not in opfit.LOSS_KINDS:
             raise CliError("config", f"unknown loss kind {kind!r}")
+    return config
 
 
 def _covariance_from_config(cov: dict) -> CovarianceSpec:
@@ -308,8 +273,8 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     payload = {
         "algorithm": algorithm,
         "dimension": n,
-        "parameters": {k: config[k] for k in config
-                       if k in ("rank", "oversampling", "bandwidth", "block_rank", "levels")},
+        "parameters": {k: config[k] for fields in _FIELDS["algorithm"][algorithm]
+                       for k in fields if k in config},
         "seed": seed,
         "forward_queries": oracle.forward_queries,
         "transpose_queries": oracle.transpose_queries,
@@ -366,10 +331,7 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     ds = _load_checked(dataio.load_dataset, config["dataset"])
     variant = config["variant"]
     losses = config.get("losses", ["relative-l2"])
-    fraction = config.get("train_fraction", 1.0)
-    if not 0.0 < fraction <= 1.0:
-        raise CliError("config", "train_fraction must be in (0, 1]")
-    train, test = _split_dataset(ds, fraction)
+    train, test = _split_dataset(ds, config.get("train_fraction", 1.0))
     if len(train) == 0:
         raise CliError("config", "train split is empty")
     ridge = config.get("ridge")

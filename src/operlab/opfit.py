@@ -1,5 +1,5 @@
-"""Linear kernel models fitted from input/output pairs, plus losses and the
-zero-shot super-resolution evaluation.
+"""Linear kernel models fitted from input/output pairs, plus losses; `operlab
+eval` runs the zero-shot super-resolution protocol with them.
 
 Every model applies a quadrature-discretized integral kernel to the input
 function, so predictions are linear in the input by construction.  Variants
@@ -489,20 +489,3 @@ def compute_loss(kind: str, predictions, targets) -> float:
     pairs = OperatorDataset.from_samples(predictions, targets)
     return batch_loss(kind, pairs.grid, pairs.input_values, pairs.output_values)
 
-
-def evaluate_super_resolution(
-    model: FourierMultiplierModel, datasets
-) -> list[tuple[int, float]]:
-    """Relative L2 error of a multiplier model on test sets at resolutions at
-    least as fine as the training grid; the multiplier is zero-padded to the
-    finer mode range.  Grid-kernel models evaluate only on their training
-    grid; their predict_batch raises ValueError on any other."""
-    table = []
-    for ds in datasets:
-        if ds.grid.n < model.grid.n:
-            raise ValueError(
-                f"dataset resolution {ds.grid.n} is below the training resolution {model.grid.n}"
-            )
-        preds = model.predict_batch(ds.grid, ds.input_values)
-        table.append((ds.grid.n, batch_loss("relative-l2", ds.grid, preds, ds.output_values)))
-    return table

@@ -7,6 +7,7 @@ import numpy as np
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
+    batch_loss,
     fit_fourier_multiplier,
     fit_green_kernel,
     fit_low_rank,
@@ -110,6 +111,12 @@ def white_noise_dataset(
         inputs.append(FunctionSample(grid, f))
         outputs.append(FunctionSample(grid, kernel @ (w * f)))
     return OperatorDataset.from_samples(inputs, outputs, {"planted": True})
+
+
+def relative_l2_error(model, ds: OperatorDataset) -> float:
+    """A model's relative L2 loss on a dataset: one row of `operlab eval`."""
+    preds = model.predict_batch(ds.grid, ds.input_values)
+    return batch_loss("relative-l2", ds.grid, preds, ds.output_values)
 
 
 def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:

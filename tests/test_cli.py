@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
-from operlab.cli import main
+from operlab.cli import _FIELDS, main
 from operlab.dataio import (
     ChecksumMismatchError,
     DataFormatError,
@@ -28,9 +27,15 @@ from operlab.dataio import (
 )
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
-from operlab.opfit import evaluate_super_resolution, fit_fourier_multiplier, fit_green_kernel
+from operlab.opfit import fit_fourier_multiplier, fit_green_kernel
 
-from helpers import MODEL_VARIANTS, fitted_model, planted_multiplier_dataset, shifted_poisson_factor
+from helpers import (
+    MODEL_VARIANTS,
+    fitted_model,
+    planted_multiplier_dataset,
+    relative_l2_error,
+    shifted_poisson_factor,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -437,6 +442,16 @@ class TestIntegerFields:
         assert len(lines) == 1
         assert lines[0].startswith("ERROR:config:")
 
+    @pytest.mark.parametrize("fraction", [0, 1.5, -0.25], ids=repr)
+    def test_train_fraction_is_checked_before_any_file_is_read(self, tmp_path, capsys, fraction):
+        config = {"command": "fit", "seed": 1, "dataset": str(tmp_path / "missing.ds"),
+                  "variant": "dense-kernel", "train_fraction": fraction,
+                  "model_output": "model.bin", "metrics_output": "metrics.json"}
+        assert run("fit", write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR:config: train_fraction must be"), lines[0]
+
     def test_parameters_too_large_for_the_dimension(self, tmp_path, capsys):
         config = dict(RECOVER_HODLR, block_rank=30)  # block_rank + oversampling > n/2
         assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1
@@ -482,6 +497,9 @@ def valid_configs(tmp_path_factory):
 # every numeric field of every command: (valid config, path to the field)
 NUMERIC_FIELDS = [
     ("generate", ("seed",)),
+    ("recover-hodlr", ("seed",)),
+    ("fit", ("seed",)),
+    ("eval", ("seed",)),
     ("generate", ("num_pairs",)),
     ("generate", ("resolution",)),
     ("generate", ("covariance", "length_scale")),
@@ -497,6 +515,7 @@ NUMERIC_FIELDS = [
     ("recover-hodlr", ("levels",)),
     ("recover-hodlr", ("oversampling",)),
     ("recover-low-rank", ("rank",)),
+    ("recover-low-rank", ("oversampling",)),
     ("recover-banded", ("bandwidth",)),
     ("fit", ("ridge",)),
     ("fit", ("train_fraction",)),
@@ -507,6 +526,17 @@ NUMERIC_FIELDS = [
     ("fit-hierarchical", ("rank",)),
     ("eval", ("datasets", 0, "resolution")),
 ]
+
+
+def with_field(config: dict, path: tuple, value) -> dict:
+    """A deep copy of config with the field at path set to value."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
 
 BAD_NUMBERS = st.one_of(
     st.text(max_size=4),
@@ -534,11 +564,7 @@ class TestEveryFailureIsOneLine:
     @given(field=st.sampled_from(NUMERIC_FIELDS), value=BAD_NUMBERS)
     def test_bad_numeric_field(self, valid_configs, field, value):
         name, path = field
-        config = json.loads(json.dumps(valid_configs[name]))
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        config = with_field(valid_configs[name], path, value)
         with tempfile.TemporaryDirectory() as out_dir:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -546,8 +572,38 @@ class TestEveryFailureIsOneLine:
                            out_dir)
         lines = stderr.getvalue().splitlines()
         assert code == 1
-        assert len(lines) == 1 and re.match(r"^ERROR:[a-z]+: ", lines[0]), lines
-        assert not lines[0].startswith("ERROR:internal:"), lines[0]
+        assert len(lines) == 1 and lines[0].startswith("ERROR:config: "), lines
+
+    def test_property_covers_every_field_of_the_table(self, valid_configs):
+        """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS."""
+        def selected(config, kind):
+            if kind == "family":
+                return config.get("covariance", {}).get("family")
+            return config["command"] if kind == "dataset entry" else config.get(kind)
+
+        prefix = {"family": ("covariance",), "dataset entry": ("datasets", 0)}
+        for kind, entries in _FIELDS.items():
+            for name, (required, optional) in entries.items():
+                for field, rule in {**required, **optional}.items():
+                    path = prefix.get(kind, ()) + (field,)
+                    assert rule is None or any(
+                        p == path and selected(valid_configs[c], kind) == name
+                        for c, p in NUMERIC_FIELDS
+                    ), (kind, name, field)
+
+    @pytest.mark.parametrize("name, path", [
+        ("generate", ("command",)),
+        ("generate", ("pde",)),
+        ("generate", ("covariance", "family")),
+        ("recover-hodlr", ("algorithm",)),
+        ("fit", ("variant",)),
+    ])
+    @pytest.mark.parametrize("value", [["poisson1d"], {"hodlr": 1}], ids=["list", "object"])
+    def test_name_that_is_not_a_string(self, valid_configs, tmp_path, capsys, name, path, value):
+        config = with_field(valid_configs[name], path, value)
+        assert run(name.split("-")[0], write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:config: unknown"), lines
 
 
 class TestFitAndEval:
@@ -628,7 +684,7 @@ class TestFitAndEval:
         rows = (tmp_path / "eval.csv").read_text().strip().splitlines()
         assert rows[0] == "resolution,loss_kind,value,n_pairs"
         assert len(rows) == 4
-        expected = dict(evaluate_super_resolution(model, datasets))
+        expected = {ds.grid.n: relative_l2_error(model, ds) for ds in datasets}
         for line in rows[1:]:
             resolution, kind, value, count = line.split(",")
             assert kind == "relative-l2"

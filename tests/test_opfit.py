@@ -8,7 +8,6 @@ from operlab.opfit import (
     DenseKernelModel,
     batch_loss,
     compute_loss,
-    evaluate_super_resolution,
     fit_fourier_multiplier,
     fit_green_kernel,
     fit_low_rank,
@@ -25,6 +24,7 @@ from helpers import (
     SMOOTH_PERIODIC,
     kernel_l2_distance,
     planted_multiplier_dataset,
+    relative_l2_error,
     shifted_poisson_factor,
     white_noise_dataset,
 )
@@ -378,9 +378,8 @@ class TestSuperResolution:
             raw = planted_multiplier_dataset(n, project, 5, seed=31)
             datasets.append(OperatorDataset(raw.grid, raw.output_values, raw.output_values))
         model = fit_fourier_multiplier(datasets[0], 6)
-        table = evaluate_super_resolution(model, datasets)
-        for _, value in table:
-            assert value <= 1e-12
+        for ds in datasets:
+            assert relative_l2_error(model, ds) <= 1e-12
 
     def test_exact_model_resolution_independent(self):
         def fn(j):
@@ -388,16 +387,15 @@ class TestSuperResolution:
 
         datasets = [planted_multiplier_dataset(n, fn, 5, seed=32) for n in (64, 128, 256)]
         model = fit_fourier_multiplier(datasets[0], 8)
-        table = evaluate_super_resolution(model, datasets)
-        values = [v for _, v in table]
+        values = [relative_l2_error(model, ds) for ds in datasets]
         assert max(values) - min(values) <= 1e-8
 
     def test_coarser_than_training_rejected(self):
         fine = planted_multiplier_dataset(128, shifted_poisson_factor, 3, seed=33)
         coarse = planted_multiplier_dataset(64, shifted_poisson_factor, 3, seed=33)
         model = fit_fourier_multiplier(fine, 8)
-        with pytest.raises(ValueError):
-            evaluate_super_resolution(model, [coarse])
+        with pytest.raises(ValueError, match="below the training resolution"):
+            model.predict_batch(coarse.grid, coarse.input_values)
 
 
 def reference_loss(kind, predictions, targets):
