@@ -38,33 +38,37 @@ def _number(low: float = -math.inf, strict: bool = False, high: float = math.inf
     return (False, low, strict, high)
 
 
+_PATH = "path"  # the rule of a field that names a file: a nonempty string
+
+
 # Every config context by kind and name (a kind other than "dataset entry" is
 # the config field that selects the context): its required fields and its
-# optional ones, each with a value rule (integer?, lower bound, bound strict?,
-# upper bound).  Fields without a rule hold strings, lists or objects;
-# validate_config checks those it relies on.  The covariance ranges are
-# CovarianceSpec's.
+# optional ones, each with a value rule: _PATH, or (integer?, lower bound,
+# bound strict?, upper bound).  Fields without a rule hold names, lists or
+# objects; validate_config checks those it relies on.  The covariance
+# ranges are CovarianceSpec's.
 _FIELDS = {
     "command": {
         "generate": (
             {"command": None, "seed": _int(0), "pde": None, "num_pairs": _int(0),
              "resolution": _int(min(pdelab.MIN_RESOLUTION.values())), "covariance": None,
-             "output": None},
+             "output": _PATH},
             {"viscosity": _number(0, strict=True), "final_time": _number(0)},
         ),
         "recover": (
             {"command": None, "seed": _int(0), "algorithm": None, "dimension": _int(1),
-             "output": None},
+             "output": _PATH},
             {},
         ),
         "fit": (
-            {"command": None, "seed": _int(0), "dataset": None, "variant": None,
-             "model_output": None, "metrics_output": None},
+            {"command": None, "seed": _int(0), "dataset": _PATH, "variant": None,
+             "model_output": _PATH, "metrics_output": _PATH},
             {"ridge": _number(0), "train_fraction": _number(0, strict=True, high=1),
              "losses": None},
         ),
         "eval": (
-            {"command": None, "seed": _int(0), "model": None, "datasets": None, "output": None},
+            {"command": None, "seed": _int(0), "model": _PATH, "datasets": None,
+             "output": _PATH},
             {"losses": None},
         ),
     },
@@ -90,7 +94,7 @@ _FIELDS = {
             {"amplitude": _number(), "shift": _number()},
         ),
     },
-    "dataset entry": {"eval": ({"resolution": _int(2), "path": None}, {})},
+    "dataset entry": {"eval": ({"resolution": _int(2), "path": _PATH}, {})},
 }
 
 _PDE_FAMILIES = {
@@ -106,7 +110,11 @@ def _lookup(table: dict, kind: str, name):
     raise CliError("config", f"unknown {kind} {name!r}")
 
 
-def _check_value(key: str, value, rule: tuple):
+def _check_value(key: str, value, rule):
+    if rule == _PATH:
+        if not isinstance(value, str) or not value:
+            raise CliError("config", f"{key} must be a nonempty path string, got {value!r}")
+        return
     integer, low, strict, high = rule
     # json.load also accepts NaN and Infinity, which are not JSON numbers, and
     # math.isfinite rejects an integer too large for a float with OverflowError

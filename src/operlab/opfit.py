@@ -32,6 +32,7 @@ LOSS_KINDS = (
 )
 
 _BOUNDARY_TOL = 1e-12
+EXCITATION_RTOL = 1e-12
 
 
 class KernelModel:
@@ -334,13 +335,12 @@ def fit_fourier_multiplier(
     ds: OperatorDataset,
     max_mode: int,
     ridge: float = 0.0,
-    excitation_rtol: float = 1e-12,
 ) -> FourierMultiplierModel:
     """Per-mode least-squares fit of a Fourier multiplier on a periodic grid.
 
     For each retained mode the multiplier is the ridge-regularized ratio of
     cross- to auto-power summed over the dataset.  Modes whose excitation
-    falls below excitation_rtol (relative to the best-excited mode) get a
+    falls below EXCITATION_RTOL = 1e-12 (relative to the best-excited mode) get a
     zero multiplier and are flagged in the model's excited mask.  Conjugate
     symmetry is enforced so the fitted kernel is real.
     """
@@ -356,7 +356,7 @@ def fit_fourier_multiplier(
     u_hat = np.fft.fft(ds.output_values, axis=1)
     power = np.sum(np.abs(f_hat) ** 2, axis=0)
     cross = np.sum(np.conj(f_hat) * u_hat, axis=0)
-    floor = excitation_rtol * power.max()
+    floor = EXCITATION_RTOL * power.max()
     multiplier = np.zeros(2 * max_mode + 1, dtype=complex)
     excited = np.zeros(2 * max_mode + 1, dtype=bool)
     for mode in range(-max_mode, max_mode + 1):
@@ -429,11 +429,12 @@ def hierarchical_decompose(
             u, s, vt = np.linalg.svd(sub, full_matrices=False)
             r = min(rank, size)
             tail = float(np.linalg.norm(s[r:]))
-            # a view of vt's rows: block products keep vt's layout, hence their rounding
-            blocks.append(HodlrBlock(level, r0, c0, size, u[:, :r] * s[:r], vt[:r].T, tail))
+            # copies, as the operator keeps what it is given; vt[:r].copy().T keeps
+            # vt's layout, hence the block products' rounding
+            blocks.append(HodlrBlock(level, r0, c0, size, u[:, :r] * s[:r], vt[:r].copy().T, tail))
             return
         if level == levels:
-            leaves.append((r0, c0, kernel[r0:r0 + size, c0:c0 + size]))
+            leaves.append((r0, c0, kernel[r0:r0 + size, c0:c0 + size].copy()))
             return
         for dr in (0, 1):
             for dc in (0, 1):

@@ -18,6 +18,7 @@ BURGERS_VISCOSITY = 0.1
 BURGERS_FINAL_TIME = 1.0
 DARCY_HIGH = 12.0
 DARCY_LOW = 3.0
+DARCY_CG_RTOL = 1e-12
 # smallest resolution each model problem generates at: Poisson's solver needs
 # an interior node, a periodic KL basis needs 4 sensors to carry a nonconstant
 # mode, and the Darcy coefficient field needs s >= 8
@@ -123,16 +124,14 @@ def solve_darcy_2d(
     grid: Grid2D,
     a,
     f,
-    *,
-    rtol: float = 1e-12,
-    maxiter: int | None = None,
 ) -> np.ndarray:
     """Solve -div(a grad u) = f on the unit square with zero Dirichlet data,
     for coefficient a and source f shaped like the grid.
 
     Five-point conservative scheme with harmonic-mean face coefficients,
-    solved by diagonally preconditioned conjugate gradients to the requested
-    relative residual (contract: at most 1e-10).
+    solved by diagonally preconditioned conjugate gradients to relative
+    residual DARCY_CG_RTOL = 1e-12 in at most 40 (s - 2)^2 iterations
+    (contract: at most 1e-10).
     """
     # scipy is imported here, by the one solver that needs it, so that
     # commands that never solve a Darcy problem start without loading it.
@@ -181,13 +180,12 @@ def solve_darcy_2d(
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return u
-    if maxiter is None:
-        maxiter = 40 * interior * interior
     precond = csr_matrix(
         (1.0 / diag.ravel(), (idx.ravel(), idx.ravel())),
         shape=matrix.shape,
     )
-    solution, info = cg(matrix, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
+    maxiter = 40 * interior * interior
+    solution, info = cg(matrix, rhs, rtol=DARCY_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
     residual = np.linalg.norm(matrix @ solution - rhs) / rhs_norm
     if info != 0 or residual > 1e-10:
         raise SolverError(

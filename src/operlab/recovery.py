@@ -52,6 +52,8 @@ class RankDeficitError(RuntimeError):
 
 
 RESIDUAL_SLAB = 256
+PIVOT_RTOL = 1e-8
+RANK_RTOL = 1e-8
 
 
 def relative_residual(recovered: StructuredOperator, reference) -> float:
@@ -116,14 +118,13 @@ def recover_circulant(
     stream: RngStream | None = None,
     *,
     probe=None,
-    pivot_rtol: float = 1e-8,
 ) -> CirculantOperator:
     """Recover a circulant matrix from a single forward query.
 
     Applying the matrix to a probe g commutes: the response y equals the
     circulant built from g applied to the unknown first column, so the
     column is IFFT(FFT(y) / FFT(g)).  Raises ZeroFourierMode if any DFT
-    coefficient of g falls below pivot_rtol * ||g||.
+    coefficient of g falls below PIVOT_RTOL * ||g|| (PIVOT_RTOL = 1e-8).
     """
     n = oracle.n
     if probe is None:
@@ -134,7 +135,7 @@ def recover_circulant(
     if g.shape != (n,):
         raise ValueError(f"probe must have shape ({n},)")
     g_hat = np.fft.fft(g)
-    tol = pivot_rtol * np.linalg.norm(g)
+    tol = PIVOT_RTOL * np.linalg.norm(g)
     small = np.abs(g_hat) <= tol
     if np.any(small):
         mode = int(np.argmin(np.abs(g_hat)))
@@ -196,7 +197,6 @@ def recover_hodlr(
     oversampling: int = 5,
     *,
     stream: RngStream,
-    rank_rtol: float = 1e-8,
 ) -> BlockLowRankOperator:
     """Recover a HODLR matrix by top-down peeling, one level at a time.
 
@@ -216,7 +216,7 @@ def recover_hodlr(
     Query budget per level: 2*(block_rank + oversampling) forward plus
     2*min(block_rank, n/2^level) transpose, with n/2^levels extra forward
     queries for the leaves (see hodlr_query_budget).  A sketch whose
-    residual after the rank truncation exceeds rank_rtol raises
+    residual after the rank truncation exceeds RANK_RTOL = 1e-8 raises
     RankDeficitError naming the block; upper blocks are checked before
     lower ones, pairs in ascending order.
     """
@@ -229,12 +229,12 @@ def recover_hodlr(
     factors: list[tuple[np.ndarray, np.ndarray]] = []
     for level in range(1, levels + 1):
         known = BlockLowRankOperator.hodlr(n, factors)
-        factors.append(_peel_level(oracle, known, level, block_rank, width, stream, rank_rtol))
+        factors.append(_peel_level(oracle, known, level, block_rank, width, stream))
     leaves = _read_leaves(oracle, BlockLowRankOperator.hodlr(n, factors), levels, width)
     return BlockLowRankOperator.hodlr(n, factors, leaves)
 
 
-def _peel_level(oracle, known, level, block_rank, width, stream, rank_rtol):
+def _peel_level(oracle, known, level, block_rank, width, stream):
     """The (col_factors, row_factors) stacks of one level's blocks, in
     partition order, from one forward and one transpose oracle call; known
     holds the coarser levels."""
@@ -254,7 +254,7 @@ def _peel_level(oracle, known, level, block_rank, width, stream, rank_rtol):
     bases = []
     for side, family in (("upper", sketch[0::2, :, :width]), ("lower", sketch[1::2, :, width:])):
         basis, residuals = _rank_limited_bases(family, block_rank)
-        deficient = np.flatnonzero(residuals > rank_rtol)
+        deficient = np.flatnonzero(residuals > RANK_RTOL)
         if deficient.size:
             pair = int(deficient[0])
             raise RankDeficitError(level, pair, side, float(residuals[pair]))

@@ -6,9 +6,11 @@ materialization of any column range (capped, to keep tests from accidentally
 going O(N^2) in memory at large N).  hodlr_partition states the dyadic
 HODLR tiling once; random HODLR instances (and recovery.recover_hodlr) are
 BlockLowRankOperators over its blocks with dense diagonal leaves.  A block
-operator stores runs of same-shape blocks as stacked factor arrays (a HODLR
-level is one run, its leaves another) and applies each run with one batched
-product per factor; its blocks and dense_blocks are views into the stacks.
+operator stores runs of same-shape blocks whose starts step evenly forward
+(each given block is a run of one; a HODLR level is two strided lanes, its
+leaves one more run) and applies each run through views of the probe with
+one batched product per factor; its blocks and dense_blocks are views of the
+stored arrays.
 """
 from __future__ import annotations
 
@@ -221,95 +223,57 @@ def _block_columns(factors, part: slice) -> np.ndarray:
     return col_factor @ last[:, part]
 
 
-def _tiles(starts, size: int) -> tuple[int, slice | np.ndarray]:
-    """(offset, index) with starts[i] = offset + index[i] * size; the index is
-    a slice where the starts step evenly.  The starts must be distinct tiles
-    of one grid of that size."""
-    offset = starts[0] % size
-    index = [(s - offset) // size for s in starts]
-    if any((s - offset) % size for s in starts) or len(set(index)) < len(index):
-        raise ValueError("a run's blocks must sit on distinct tiles of one grid")
-    step = index[1] - index[0] if len(index) > 1 else 1
-    if step > 0 and index == list(range(index[0], index[-1] + 1, step)):
-        return offset, slice(index[0], index[-1] + 1, step)
-    return offset, np.array(index)
-
-
-def _tile_view(a: np.ndarray, offset: int, size: int) -> np.ndarray:
-    """The rows of a matrix from `offset` on, cut into whole tiles of `size`
-    rows: a (tiles, size, columns) view in which each tile keeps the matrix's
-    strides, as a row slice of it would."""
+def _lane(a: np.ndarray, starts: range, size: int) -> np.ndarray:
+    """Rows starts[i] + [0, size) of a matrix for every i: a (len(starts),
+    size, columns) view in which each tile keeps the matrix's strides, as a
+    row slice of it would."""
     rows, cols = a.strides
-    count = (a.shape[0] - offset) // size
     return np.lib.stride_tricks.as_strided(
-        a[offset:], (count, size, a.shape[1]), (size * rows, rows, cols)
+        a[starts.start:], (len(starts), size, a.shape[1]), (starts.step * rows, rows, cols)
     )
 
 
 class _Run:
-    """Blocks of one shape on distinct tiles of that shape, stored as stacks.
+    """Blocks of one shape whose starts step evenly forward: a lane.
 
     Block i maps columns col_starts[i] + [0, width) to rows row_starts[i] +
     [0, height) through factors[0][i] @ factors[1][i]: a low-rank run's
     factors are its stacked col_factors and transposed row_factors, a dense
-    run's its one stack of matrices.  A run is applied with one batched
-    product per factor.  levels and tails are the low-rank blocks'
-    HodlrBlock fields; a dense run has none.
+    run's its one stack of matrices.  The starts are ranges, so a run reads
+    x and writes y through strided views, never through a gathered copy, with
+    one batched product per factor.  A given block is a run of one; a HODLR
+    level is two lanes (its upper blocks, then its lower ones) and its leaves
+    one more.  levels and tails are the low-rank blocks' HodlrBlock fields;
+    a dense run has none.
     """
 
-    def __init__(self, row_starts, col_starts, factors, levels=None, tails=None):
-        self.row_starts, self.col_starts = tuple(row_starts), tuple(col_starts)
+    def __init__(self, row_starts: range, col_starts: range, factors, levels=None, tails=None):
+        self.row_starts, self.col_starts = row_starts, col_starts
         self.factors, self.levels, self.tails = tuple(factors), levels, tails
         self.height, self.width = self.factors[0].shape[1], self.factors[-1].shape[2]
-        if any(f.ndim != 3 or f.shape[0] != len(self.row_starts) for f in self.factors):
+        if any(f.ndim != 3 or len(f) != len(row_starts) for f in self.factors):
             raise ValueError("a run needs one stacked factor per block")
         if self.height == 0 or self.width == 0:
             raise ValueError("blocks must not be empty")
-        self._rows = _tiles(self.row_starts, self.height)
-        self._cols = _tiles(self.col_starts, self.width)
+        for starts, size in ((row_starts, self.height), (col_starts, self.width)):
+            if len(starts) > 1 and starts.step < size:
+                raise ValueError("a run's blocks must not overlap")
 
     def add_product(self, x: np.ndarray, y: np.ndarray, transpose: bool) -> None:
         """y += the run's blocks (or their transposes) applied to x.  Each
         row of y gets at most one block's product, so runs taken in block
         order add up in the order a per-block loop would."""
         if transpose:
-            (src, src_index), (dst, dst_index) = self._rows, self._cols
-            sizes, chain = (self.height, self.width), [f.transpose(0, 2, 1) for f in self.factors]
+            src, dst, sizes = self.row_starts, self.col_starts, (self.height, self.width)
+            chain = [f.transpose(0, 2, 1) for f in self.factors]
         else:
-            (src, src_index), (dst, dst_index) = self._cols, self._rows
-            sizes, chain = (self.width, self.height), reversed(self.factors)
-        t = _tile_view(x, src, sizes[0])[src_index]
+            src, dst, sizes = self.col_starts, self.row_starts, (self.width, self.height)
+            chain = reversed(self.factors)
+        t = _lane(x, src, sizes[0])
         for factor in chain:
             t = factor @ t
-        _tile_view(y, dst, sizes[1])[dst_index] += t
-
-
-def _group(entries) -> list[_Run]:
-    """Maximal runs of consecutive (row_start, col_start, factors, meta)
-    entries whose factors share shapes and layouts and whose blocks sit on
-    distinct tiles of one grid; meta is a block's (level, tail), or None."""
-    groups = []
-    for entry in entries:
-        r0, c0, factors, _ = entry
-        key = (
-            tuple((f.shape, f.flags.c_contiguous, f.flags.f_contiguous) for f in factors),
-            r0 % max(factors[0].shape[0], 1), c0 % max(factors[-1].shape[1], 1),
-        )
-        group = groups[-1] if groups else None
-        if group and group[0] == key and r0 not in group[1] and c0 not in group[2]:
-            group[1].add(r0)
-            group[2].add(c0)
-            group[3].append(entry)
-        else:
-            groups.append((key, {r0}, {c0}, [entry]))
-    runs = []
-    for *_, members in groups:
-        rows, cols, factors, meta = zip(*members)
-        # np.stack keeps the entries' shared layout, which decides how a product rounds
-        stacks = [np.stack(mats) for mats in zip(*factors)]
-        levels, tails = zip(*meta) if meta[0] is not None else (None, None)
-        runs.append(_Run(rows, cols, stacks, levels, tails))
-    return runs
+        out = _lane(y, dst, sizes[1])
+        out += t
 
 
 @dataclass(frozen=True)
@@ -370,21 +334,24 @@ class BlockLowRankOperator(StructuredOperator):
     is low-rank) and strong admissibility (only blocks at least one block
     apart are low-rank; near-diagonal blocks stay dense).
 
-    Storage is a list of runs: consecutive blocks of one shape and layout on
-    distinct tiles of one grid, each held as stacked factor arrays (a HODLR
-    level is one run, its leaves another).  apply and apply_transpose make
-    one batched product per run and factor, with the bits of a per-block
-    loop; blocks and dense_blocks are views into the stacks.
+    Storage is a list of runs (see _Run), each applied with one batched
+    product per factor with the bits of a per-block loop.  Each given block
+    is a run of one that keeps the arrays it was given, so its products
+    follow the caller's layouts.  hodlr stores each level as two strided
+    lanes and its leaves as one run; blocks lists a level's upper blocks,
+    then its lower ones.  blocks and dense_blocks are views of the stored
+    arrays.
     """
 
     def __init__(self, n: int, blocks, dense_blocks=()):
         dense = [(r0, c0, np.asarray(m, dtype=float)) for r0, c0, m in dense_blocks]
         if any(m.ndim != 2 for _, _, m in dense):
             raise ValueError("dense blocks must be matrices")
-        self._store(n, _group(
-            (b.row_start, b.col_start, (b.col_factor, b.row_factor.T), (b.level, b.tail))
+        self._store(n, [
+            _Run(range(b.row_start, b.row_start + 1), range(b.col_start, b.col_start + 1),
+                 (b.col_factor[None], b.row_factor.T[None]), (b.level,), (b.tail,))
             for b in blocks
-        ) + _group((operator.index(r0), operator.index(c0), (m,), None) for r0, c0, m in dense))
+        ] + [_Run(range(r0, r0 + 1), range(c0, c0 + 1), (m[None],)) for r0, c0, m in dense])
 
     @classmethod
     def hodlr(cls, n: int, level_factors, leaves=None) -> "BlockLowRankOperator":
@@ -393,15 +360,21 @@ class BlockLowRankOperator(StructuredOperator):
         (col_factors, row_factors) pair of (2^l, n >> l, rank) stacks of level
         l's blocks in partition order, and leaves, if given, the
         (2^levels, leaf, leaf) stack of diagonal leaves."""
-        runs, partition = [], hodlr_partition(n, len(level_factors)) if level_factors else []
+        if level_factors:
+            hodlr_partition(n, len(level_factors))
+        runs = []
         for level, (cols, rows) in enumerate(level_factors, 1):
-            blocks = partition[(1 << level) - 2:(2 << level) - 2]
-            if cols.shape[:2] != (1 << level, n >> level) or rows.shape != cols.shape:
+            size, pairs = n >> level, 1 << (level - 1)
+            if cols.shape[:2] != (2 * pairs, size) or rows.shape != cols.shape:
                 raise ValueError(f"level {level} factors must be (2^level, n >> level, r) stacks")
-            runs.append(_Run(
-                [b[1] for b in blocks], [b[2] for b in blocks], (cols, rows.transpose(0, 2, 1)),
-                [level] * len(blocks), [0.0] * len(blocks),
-            ))
+            # lane 0 holds the upper blocks (row tiles 0, 2, ..., column tiles
+            # 1, 3, ...), lane 1 the lower ones
+            even, odd = range(0, n, 2 * size), range(size, n, 2 * size)
+            for lane, (row_starts, col_starts) in enumerate([(even, odd), (odd, even)]):
+                runs.append(_Run(
+                    row_starts, col_starts, (cols[lane::2], rows[lane::2].transpose(0, 2, 1)),
+                    [level] * pairs, [0.0] * pairs,
+                ))
         if leaves is not None:
             starts = range(0, n, leaves.shape[1])
             runs.append(_Run(starts, starts, (leaves,)))
@@ -414,7 +387,7 @@ class BlockLowRankOperator(StructuredOperator):
         self._runs = tuple(runs)
         for run in self._runs:
             for starts, size in ((run.row_starts, run.height), (run.col_starts, run.width)):
-                if min(starts) < 0 or max(starts) + size > n:
+                if starts[0] < 0 or starts[-1] + size > n:
                     raise ValueError(f"a block of size {size} does not fit in dimension {n}")
 
     @cached_property
@@ -476,10 +449,6 @@ class MatvecOracle:
     @classmethod
     def from_operator(cls, op: StructuredOperator) -> "MatvecOracle":
         return cls(op.n, op.apply, op.apply_transpose)
-
-    @classmethod
-    def from_dense(cls, matrix) -> "MatvecOracle":
-        return cls.from_operator(DenseOperator(matrix))
 
     def apply(self, x) -> np.ndarray:
         mat, squeeze = _check_probe(x, self.n)

@@ -37,7 +37,7 @@ from operlab.recovery import (
     recover_hodlr,
     relative_residual,
 )
-from operlab.structured import MatvecOracle, random_structured
+from operlab.structured import DenseOperator, MatvecOracle, random_structured
 
 from helpers import planted_multiplier_dataset, relative_l2_error, shifted_poisson_factor
 
@@ -74,7 +74,7 @@ def test_criterion_02_near_best_bound():
         bound = (1.0 + 15.0 * np.sqrt(4 + 5)) * tail
         hits = 0
         for seed in range(1000):
-            oracle = MatvecOracle.from_dense(a)
+            oracle = MatvecOracle.from_operator(DenseOperator(a))
             recovered = randomized_svd(oracle, 4, 5, stream=RngStream(seed))
             if relative_residual(recovered, a) * norm_a <= bound:
                 hits += 1

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
-from operlab.cli import _FIELDS, main
+from operlab.cli import _FIELDS, _PATH, main
 from operlab.dataio import (
     ChecksumMismatchError,
     DataFormatError,
@@ -527,6 +527,18 @@ NUMERIC_FIELDS = [
     ("eval", ("datasets", 0, "resolution")),
 ]
 
+# every field that names a file: (valid config, path to the field)
+PATH_FIELDS = [
+    ("generate", ("output",)),
+    ("recover-hodlr", ("output",)),
+    ("fit", ("dataset",)),
+    ("fit", ("model_output",)),
+    ("fit", ("metrics_output",)),
+    ("eval", ("model",)),
+    ("eval", ("output",)),
+    ("eval", ("datasets", 0, "path")),
+]
+
 
 def with_field(config: dict, path: tuple, value) -> dict:
     """A deep copy of config with the field at path set to value."""
@@ -574,8 +586,21 @@ class TestEveryFailureIsOneLine:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("ERROR:config: "), lines
 
+    # 2**40, not a small integer: an integer that got past validation would
+    # be opened as a file descriptor
+    @pytest.mark.parametrize("value", [2 ** 40, "", None, []], ids=repr)
+    @pytest.mark.parametrize(
+        "name, path", PATH_FIELDS, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in PATH_FIELDS]
+    )
+    def test_bad_path_field(self, valid_configs, tmp_path, capsys, name, path, value):
+        config = with_field(valid_configs[name], path, value)
+        assert run(config["command"], write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:config: "), lines
+
     def test_property_covers_every_field_of_the_table(self, valid_configs):
-        """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS."""
+        """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS, a
+        path field PATH_FIELDS."""
         def selected(config, kind):
             if kind == "family":
                 return config.get("covariance", {}).get("family")
@@ -585,10 +610,12 @@ class TestEveryFailureIsOneLine:
         for kind, entries in _FIELDS.items():
             for name, (required, optional) in entries.items():
                 for field, rule in {**required, **optional}.items():
+                    if rule is None:
+                        continue
                     path = prefix.get(kind, ()) + (field,)
-                    assert rule is None or any(
+                    assert any(
                         p == path and selected(valid_configs[c], kind) == name
-                        for c, p in NUMERIC_FIELDS
+                        for c, p in (PATH_FIELDS if rule == _PATH else NUMERIC_FIELDS)
                     ), (kind, name, field)
 
     @pytest.mark.parametrize("name, path", [

@@ -268,6 +268,17 @@ class TestHierarchical:
         bound = model.total_truncation_error * np.linalg.norm(ds.grid.quad_weights() * f)
         assert gap <= bound + 1e-12
 
+    def test_model_keeps_only_its_own_blocks(self):
+        """The block operator keeps the arrays it is given, so the fit hands
+        it arrays of their own: a view of the dense kernel or of a whole SVD
+        factor would keep that alive with the model."""
+        kernel = RngStream(23).standard_normal((64, 64))
+        model = hierarchical_decompose(DenseKernelModel(Grid1D(64), kernel), 3, 2)
+        arrays = [m for b in model.blocks for m in (b.col_factor, b.row_factor)]
+        arrays += [m for _, _, m in model.operator.dense_blocks]
+        for a in arrays:
+            assert (a if a.base is None else a.base).nbytes == a.nbytes
+
     def test_divisibility_check(self):
         grid = Grid1D(30)
         with pytest.raises(ValueError):

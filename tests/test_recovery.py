@@ -19,7 +19,13 @@ from operlab.recovery import (
     recover_hodlr,
     relative_residual,
 )
-from operlab.structured import BlockLowRankOperator, HodlrBlock, MatvecOracle, random_structured
+from operlab.structured import (
+    BlockLowRankOperator,
+    DenseOperator,
+    HodlrBlock,
+    MatvecOracle,
+    random_structured,
+)
 
 from helpers import expected_hodlr_layout, hodlr_layout
 
@@ -30,7 +36,7 @@ def oracle_for(op):
 
 class TestRandomizedSvd:
     def test_zero_matrix(self):
-        oracle = MatvecOracle.from_dense(np.zeros((8, 8)))
+        oracle = oracle_for(DenseOperator(np.zeros((8, 8))))
         recovered = randomized_svd(oracle, 2, 5, stream=RngStream(0))
         assert relative_residual(recovered, np.zeros((8, 8))) <= 1e-12
         assert (oracle.forward_queries, oracle.transpose_queries) == (7, 7)
@@ -39,7 +45,7 @@ class TestRandomizedSvd:
         u = RngStream(1).standard_normal(32)
         v = RngStream(2).standard_normal(32)
         a = np.outer(u, v)
-        oracle = MatvecOracle.from_dense(a)
+        oracle = oracle_for(DenseOperator(a))
         recovered = randomized_svd(oracle, 1, 5, stream=RngStream(3))
         assert relative_residual(recovered, a) <= 1e-10
         assert (oracle.forward_queries, oracle.transpose_queries) == (6, 6)
@@ -48,11 +54,11 @@ class TestRandomizedSvd:
         a = np.diag(2.0 ** -np.arange(16.0))
         tail = np.linalg.norm(np.diag(a)[4:])  # best rank-4 error, from the exact SVD
         bound = (1.0 + 15.0 * np.sqrt(4 + 5)) * tail
-        recovered = randomized_svd(MatvecOracle.from_dense(a), 4, 5, stream=RngStream(4))
+        recovered = randomized_svd(oracle_for(DenseOperator(a)), 4, 5, stream=RngStream(4))
         assert relative_residual(recovered, a) * np.linalg.norm(a) <= bound
 
     def test_parameter_validation(self):
-        oracle = MatvecOracle.from_dense(np.eye(4))
+        oracle = oracle_for(DenseOperator(np.eye(4)))
         with pytest.raises(ValueError):
             randomized_svd(oracle, 3, 5, stream=RngStream(0))
         with pytest.raises(ValueError):
@@ -62,7 +68,7 @@ class TestRandomizedSvd:
 class TestCirculant:
     def test_identity_matrix(self):
         op = random_structured("circulant", 4, RngStream(0))
-        identity = MatvecOracle.from_dense(np.eye(4))
+        identity = oracle_for(DenseOperator(np.eye(4)))
         recovered = recover_circulant(identity, RngStream(1))
         assert relative_residual(recovered, np.eye(4)) <= 1e-12
 
@@ -134,7 +140,7 @@ class TestBanded:
 
 class TestHodlr:
     def test_zero_matrix(self):
-        oracle = MatvecOracle.from_dense(np.zeros((16, 16)))
+        oracle = oracle_for(DenseOperator(np.zeros((16, 16))))
         recovered = recover_hodlr(oracle, 1, 2, 3, stream=RngStream(0))
         assert relative_residual(recovered, np.zeros((16, 16))) <= 1e-12
         assert np.all(recovered.materialize() == 0.0)
@@ -156,7 +162,7 @@ class TestHodlr:
     def test_rank_deficit_detected(self):
         dense = RngStream(5).standard_normal((16, 16))
         with pytest.raises(RankDeficitError) as info:
-            recover_hodlr(MatvecOracle.from_dense(dense), 1, 1, 3, stream=RngStream(6))
+            recover_hodlr(oracle_for(DenseOperator(dense)), 1, 1, 3, stream=RngStream(6))
         assert info.value.level == 1
 
     @pytest.mark.parametrize("planted, named", [
@@ -217,7 +223,7 @@ class TestHodlr:
         assert all(b.col_factor.shape[1] <= block_rank for b in recovered.blocks)
 
     def test_parameter_validation(self):
-        oracle = MatvecOracle.from_dense(np.zeros((16, 16)))
+        oracle = oracle_for(DenseOperator(np.zeros((16, 16))))
         with pytest.raises(ValueError):
             recover_hodlr(oracle, 4, 2, 5, stream=RngStream(0))  # k + p > n/2
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -169,6 +170,49 @@ class TestStackedRunsMatchPerBlockLoop:
         for level in (1, 2, 3):
             assert len({id(b.col_factor.base) for b in op.blocks if b.level == level}) == 1
 
+    def test_given_blocks_are_kept_without_a_copy(self):
+        """The general constructor stores each given factor and dense block
+        as it is: every array the operator hands back shares its memory."""
+        source = random_structured("hodlr", 64, RngStream(8), rank=2, levels=3)
+        blocks = [
+            HodlrBlock(b.level, b.row_start, b.col_start, b.size, b.col_factor.copy(),
+                       np.asfortranarray(b.row_factor), b.tail)
+            for b in source.blocks
+        ]
+        dense = [(r0, c0, m.copy()) for r0, c0, m in source.dense_blocks]
+        op = BlockLowRankOperator(64, blocks, dense)
+        assert len(op.blocks) == len(blocks) and len(op.dense_blocks) == len(dense)
+        for b, kept in zip(blocks, op.blocks):
+            assert (kept.row_start, kept.col_start) == (b.row_start, b.col_start)
+            assert np.shares_memory(kept.col_factor, b.col_factor)
+            assert np.shares_memory(kept.row_factor, b.row_factor)
+        for (_, _, m), (_, _, kept) in zip(dense, op.dense_blocks):
+            assert np.shares_memory(kept, m)
+
+    def test_hodlr_blocks_list_upper_then_lower(self):
+        op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
+        by_level = [[b for b in hodlr_partition(64, 3) if b[0] == level] for level in (1, 2, 3)]
+        expected = [b for blocks in by_level for b in blocks[0::2] + blocks[1::2]]
+        assert [(b.level, b.row_start, b.col_start, b.size) for b in op.blocks] == expected
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
+    def test_levels_apply_through_views(self, transpose):
+        """A HODLR level applies as two strided lanes, with no gathered copy
+        of the probe: on recovery's known levels (n=8192, L=7, an 18-column
+        probe) the traced peak is the result plus one lane's product."""
+        n, levels, stream = 8192, 7, RngStream(9)
+        factors = [tuple(stream.standard_normal((2, 2 ** level, n >> level, 4)))
+                   for level in range(1, levels + 1)]
+        op = BlockLowRankOperator.hodlr(n, factors)
+        x = stream.standard_normal((n, 18))
+        tracemalloc.start()
+        try:
+            (op.apply_transpose if transpose else op.apply)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * x.nbytes
+
 
 class TestOperatorProperties:
     """The same two properties for each of the other operator types."""
@@ -247,7 +291,7 @@ class TestColumnRange:
 
 class TestOracle:
     def test_identity_counts_columns(self):
-        oracle = MatvecOracle.from_dense(np.eye(6))
+        oracle = MatvecOracle.from_operator(DenseOperator(np.eye(6)))
         x = RngStream(0).standard_normal((6, 4))
         out = oracle.apply(x)
         assert np.array_equal(out, x)
@@ -271,14 +315,14 @@ class TestOracle:
             assert np.linalg.norm(oracle.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
 
     def test_dimension_mismatch(self):
-        oracle = MatvecOracle.from_dense(np.eye(4))
+        oracle = MatvecOracle.from_operator(DenseOperator(np.eye(4)))
         with pytest.raises(ValueError):
             oracle.apply(np.ones(5))
 
     def test_counters_exact_under_concurrency(self):
         import threading
 
-        oracle = MatvecOracle.from_dense(np.eye(32))
+        oracle = MatvecOracle.from_operator(DenseOperator(np.eye(32)))
         probe = np.ones((32, 3))
 
         def worker():
@@ -382,8 +426,9 @@ class TestOperatorValidation:
     def test_hodlr_power_of_two(self):
         with pytest.raises(ValueError):
             random_structured("hodlr", 12, RngStream(0), rank=1, levels=1)
+        oracle = MatvecOracle.from_operator(DenseOperator(np.eye(12)))
         with pytest.raises(ValueError):
-            recover_hodlr(MatvecOracle.from_dense(np.eye(12)), 1, 1, 1, stream=RngStream(0))
+            recover_hodlr(oracle, 1, 1, 1, stream=RngStream(0))
 
 
 @st.composite
