@@ -21,6 +21,7 @@ from .structured import (
     HodlrBlock,
     LowRankOperator,
     StructuredOperator,
+    partition_lanes,
 )
 
 LOSS_KINDS = (
@@ -203,7 +204,9 @@ class BandedKernelModel(KernelModel):
 
 class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
-    leaf blocks at the finest level (strong admissibility)."""
+    leaf blocks at the finest level, over the strong lanes of partition_lanes.
+    A file loads only if its block_meta and leaf_meta list exactly the
+    partition's blocks and leaves, in any order."""
 
     variant = "hierarchical"
     header_params = {"levels": int, "rank": int, "block_meta": list, "leaf_meta": list}
@@ -245,19 +248,38 @@ class HierarchicalKernelModel(KernelModel):
 
     @classmethod
     def from_saved(cls, grid, params, arrays):
-        blocks = [
-            HodlrBlock(
-                meta["level"], meta["row"], meta["col"], meta["size"],
-                arrays[f"block{i}_col"], arrays[f"block{i}_row"].T, meta["tail"],
-            )
-            for i, meta in enumerate(params["block_meta"])
-        ]
-        leaves = [
-            (meta["row"], meta["col"], arrays[f"leaf{i}"])
-            for i, meta in enumerate(params["leaf_meta"])
-        ]
-        operator = BlockLowRankOperator(grid.n, blocks, leaves)
-        return cls(grid, params["levels"], params["rank"], operator)
+        levels, rank = params["levels"], params["rank"]
+        lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
+        block_meta = params["block_meta"]
+        block_ids = _lane_indices(lanes, block_meta)
+        leaf_ids = _lane_indices(leaf_lanes, params["leaf_meta"], levels)
+
+        def stack(name, ids):
+            return np.stack([arrays[name.format(i)] for i in ids])
+
+        factors = [(stack("block{}_col", ids), stack("block{}_row", ids).transpose(0, 2, 1))
+                   for ids in block_ids]
+        for (col_factors, _), (*_, size) in zip(factors, lanes):
+            if col_factors.shape[2:] != (min(rank, size),):
+                raise ValueError("each block's factors must have min(rank, size) columns")
+        tails = [[float(block_meta[i]["tail"]) for i in ids] for ids in block_ids]
+        leaves = [stack("leaf{}", ids) for ids in leaf_ids]
+        operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves, tails)
+        return cls(grid, levels, rank, operator)
+
+
+def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
+    """For each lane, the positions in metas of its blocks; the metas' level
+    (or the given one: leaves record none), row, col and size must be exactly
+    the lanes' blocks, in any order."""
+    keys = [(m["level"] if level is None else level, m["row"], m["col"], m["size"]) for m in metas]
+    expected = [(level, r0, c0, size) for level, rows, cols, size in lanes
+                for r0, c0 in zip(rows, cols)]
+    if sorted(keys) != sorted(expected):
+        raise ValueError("saved blocks are not those of the strong partition")
+    index = {key: i for i, key in enumerate(keys)}
+    return [[index[level, r0, c0, size] for r0, c0 in zip(rows, cols)]
+            for level, rows, cols, size in lanes]
 
 
 def _prepare_green_fit(ds: OperatorDataset):
@@ -405,43 +427,31 @@ def hierarchical_decompose(
 ) -> HierarchicalKernelModel:
     """Split the kernel into per-level low-rank blocks plus dense leaves.
 
-    Dyadic partition of the index square; a block is admissible (compressed
-    to the given rank) when its row and column index ranges are at least one
-    block apart at that level.  Near-diagonal blocks are subdivided and kept
-    dense at the finest level.  Each compressed block records the Frobenius
-    norm of its discarded singular values.
+    The blocks are the strong lanes of partition_lanes: a block is compressed
+    to the given rank at the first level where its row and column index
+    ranges are at least one block apart; near-diagonal blocks of the finest
+    level stay dense.  Each lane takes one stacked SVD, and each compressed
+    block records the Frobenius norm of its discarded singular values.
     """
-    grid = model.grid
-    m = grid.n
-    if levels < 1 or m % (1 << levels):
-        raise ValueError("sensor count must be divisible by 2^levels")
+    grid, kernel = model.grid, model.kernel
+    lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
     if rank < 1:
         raise ValueError("rank must be positive")
-    kernel = model.kernel
-    blocks: list[HodlrBlock] = []
-    leaves: list[tuple[int, int, np.ndarray]] = []
 
-    def descend(block_row: int, block_col: int, level: int):
-        size = m >> level
-        r0, c0 = block_row * size, block_col * size
-        if level > 0 and abs(block_row - block_col) >= 2:
-            sub = kernel[r0:r0 + size, c0:c0 + size]
-            u, s, vt = np.linalg.svd(sub, full_matrices=False)
-            r = min(rank, size)
-            tail = float(np.linalg.norm(s[r:]))
-            # copies, as the operator keeps what it is given; vt[:r].copy().T keeps
-            # vt's layout, hence the block products' rounding
-            blocks.append(HodlrBlock(level, r0, c0, size, u[:, :r] * s[:r], vt[:r].copy().T, tail))
-            return
-        if level == levels:
-            leaves.append((r0, c0, kernel[r0:r0 + size, c0:c0 + size].copy()))
-            return
-        for dr in (0, 1):
-            for dc in (0, 1):
-                descend(2 * block_row + dr, 2 * block_col + dc, level + 1)
+    def blocks(rows, cols, size):
+        return np.stack([kernel[r0:r0 + size, c0:c0 + size] for r0, c0 in zip(rows, cols)])
 
-    descend(0, 0, 0)
-    return HierarchicalKernelModel(grid, levels, rank, BlockLowRankOperator(m, blocks, leaves))
+    factors, tails = [], []
+    for _, rows, cols, size in lanes:
+        u, s, vt = np.linalg.svd(blocks(rows, cols, size), full_matrices=False)
+        r = min(rank, size)
+        # fresh arrays, as the operator keeps what it is given; vt[:, :r].copy()
+        # keeps vt's layout, hence the block products' rounding
+        factors.append((u[:, :, :r] * s[:, None, :r], vt[:, :r].copy().transpose(0, 2, 1)))
+        tails.append([float(np.linalg.norm(tail)) for tail in s[:, r:]])
+    leaves = [blocks(rows, cols, size) for _, rows, cols, size in leaf_lanes]
+    operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves, tails)
+    return HierarchicalKernelModel(grid, levels, rank, operator)
 
 
 def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:

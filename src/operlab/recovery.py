@@ -4,13 +4,14 @@ Four algorithms: randomized SVD for (numerically) low-rank matrices,
 single-query circulant recovery in Fourier space, coloring-based banded
 recovery, and level-by-level peeling for HODLR matrices.  Each takes a
 MatvecOracle and returns the recovered StructuredOperator (HODLR peeling
-returns a BlockLowRankOperator over the blocks of hodlr_partition, the type
-that hierarchical kernel fits hold); the oracle keeps the exact query
-counts.  HODLR peeling makes one forward and one transpose oracle call per
-level, with both sibling families side by side, and reads the diagonal
-leaves off in chunks of at most block_rank + oversampling columns straight
-into the stack the result stores.  relative_residual scores a recovered
-operator against a known instance without querying the oracle.
+returns a BlockLowRankOperator over the weak lanes of partition_lanes, the
+type that hierarchical kernel fits hold over the strong ones); the oracle
+keeps the exact query counts.  HODLR peeling makes one forward and one
+transpose oracle call per level, with both sibling families (the level's
+two lanes) side by side, and reads the diagonal leaves off in chunks of at
+most block_rank + oversampling columns straight into the stack the result
+stores.  relative_residual scores a recovered operator against a known
+instance without querying the oracle.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .structured import (
     LowRankOperator,
     MatvecOracle,
     StructuredOperator,
-    hodlr_partition,
+    partition_lanes,
 )
 
 
@@ -221,22 +222,22 @@ def recover_hodlr(
     lower ones, pairs in ascending order.
     """
     n = oracle.n
-    hodlr_partition(n, levels)
+    partition_lanes(n, levels, "weak")
     width = block_rank + oversampling
     if width > n // 2:
         raise ValueError("need block_rank + oversampling <= n/2")
 
-    factors: list[tuple[np.ndarray, np.ndarray]] = []
+    lanes: list[tuple[np.ndarray, np.ndarray]] = []
     for level in range(1, levels + 1):
-        known = BlockLowRankOperator.hodlr(n, factors)
-        factors.append(_peel_level(oracle, known, level, block_rank, width, stream))
-    leaves = _read_leaves(oracle, BlockLowRankOperator.hodlr(n, factors), levels, width)
-    return BlockLowRankOperator.hodlr(n, factors, leaves)
+        known = BlockLowRankOperator(n, levels, "weak", lanes)
+        lanes += _peel_level(oracle, known, level, block_rank, width, stream)
+    leaves = _read_leaves(oracle, BlockLowRankOperator(n, levels, "weak", lanes), levels, width)
+    return BlockLowRankOperator(n, levels, "weak", lanes, [leaves])
 
 
 def _peel_level(oracle, known, level, block_rank, width, stream):
-    """The (col_factors, row_factors) stacks of one level's blocks, in
-    partition order, from one forward and one transpose oracle call; known
+    """The (col_factors, row_factors) stacks of one level's upper lane, then
+    of its lower lane, from one forward and one transpose oracle call; known
     holds the coarser levels."""
     n = oracle.n
     size, pairs = n >> level, 1 << (level - 1)
@@ -265,11 +266,11 @@ def _peel_level(oracle, known, level, block_rank, width, stream):
     coeff = oracle.apply_transpose(projection)
     coeff -= known.apply_transpose(projection)
     coeff = coeff.reshape(2 * pairs, size, 2 * r)
-    # pair i's upper block, then its lower one
-    col_factors, row_factors = np.empty((2, 2 * pairs, size, r))
-    col_factors[0::2], col_factors[1::2] = bases
-    row_factors[0::2], row_factors[1::2] = coeff[1::2, :, :r], coeff[0::2, :, r:]
-    return col_factors, row_factors
+    # one array for the level: the upper lane's two stacks, then the lower lane's
+    stacks = np.empty((2, 2, pairs, size, r))
+    stacks[0, 0], stacks[1, 0] = bases
+    stacks[0, 1], stacks[1, 1] = coeff[1::2, :, :r], coeff[0::2, :, r:]
+    return [tuple(stacks[0]), tuple(stacks[1])]
 
 
 def _read_leaves(oracle, known, levels, width) -> np.ndarray:

@@ -3,18 +3,17 @@
 Operators are immutable after construction and expose apply / apply_transpose
 for vectors or column-stacked probe matrices, plus exact dense
 materialization of any column range (capped, to keep tests from accidentally
-going O(N^2) in memory at large N).  hodlr_partition states the dyadic
-HODLR tiling once; random HODLR instances (and recovery.recover_hodlr) are
-BlockLowRankOperators over its blocks with dense diagonal leaves.  A block
-operator stores runs of same-shape blocks whose starts step evenly forward
-(each given block is a run of one; a HODLR level is two strided lanes, its
-leaves one more run) and applies each run through views of the probe with
-one batched product per factor; its blocks and dense_blocks are views of the
-stored arrays.
+going O(N^2) in memory at large N).  partition_lanes states the dyadic
+block partition once, for weak (HODLR) and strong admissibility, as lanes:
+strided runs of equal-size blocks.  Every BlockLowRankOperator is built
+over those lanes through one constructor and stores each lane's factors or
+leaves as stacks, applied through strided views of the probe with one
+batched product per factor.  Random HODLR instances and
+recovery.recover_hodlr use the weak partition, hierarchical kernel fits the
+strong one; hodlr_partition lists the weak partition's blocks one by one.
 """
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,45 +233,37 @@ def _lane(a: np.ndarray, starts: range, size: int) -> np.ndarray:
 
 
 class _Run:
-    """Blocks of one shape whose starts step evenly forward: a lane.
+    """One lane of size x size blocks: block i maps columns col_starts[i] +
+    [0, size) to rows row_starts[i] + [0, size) through factors[0][i] @
+    factors[1][i], the stacked col_factors and transposed row_factors of a
+    low-rank lane (a leaf lane has one stack of dense blocks).  The starts
+    step at least one block forward, so a lane reads x and writes y through
+    strided views, with one batched product per factor.  level and tails are
+    the low-rank blocks' HodlrBlock fields; a leaf lane has none."""
 
-    Block i maps columns col_starts[i] + [0, width) to rows row_starts[i] +
-    [0, height) through factors[0][i] @ factors[1][i]: a low-rank run's
-    factors are its stacked col_factors and transposed row_factors, a dense
-    run's its one stack of matrices.  The starts are ranges, so a run reads
-    x and writes y through strided views, never through a gathered copy, with
-    one batched product per factor.  A given block is a run of one; a HODLR
-    level is two lanes (its upper blocks, then its lower ones) and its leaves
-    one more.  levels and tails are the low-rank blocks' HodlrBlock fields;
-    a dense run has none.
-    """
-
-    def __init__(self, row_starts: range, col_starts: range, factors, levels=None, tails=None):
-        self.row_starts, self.col_starts = row_starts, col_starts
-        self.factors, self.levels, self.tails = tuple(factors), levels, tails
-        self.height, self.width = self.factors[0].shape[1], self.factors[-1].shape[2]
-        if any(f.ndim != 3 or len(f) != len(row_starts) for f in self.factors):
-            raise ValueError("a run needs one stacked factor per block")
-        if self.height == 0 or self.width == 0:
-            raise ValueError("blocks must not be empty")
-        for starts, size in ((row_starts, self.height), (col_starts, self.width)):
-            if len(starts) > 1 and starts.step < size:
-                raise ValueError("a run's blocks must not overlap")
+    def __init__(self, row_starts: range, col_starts: range, size: int, factors,
+                 level=None, tails=None):
+        self.row_starts, self.col_starts, self.size = row_starts, col_starts, size
+        self.factors, self.level, self.tails = tuple(factors), level, tails
+        count, first, last = len(row_starts), self.factors[0].shape, self.factors[-1].shape
+        if not (len(first) == len(last) == 3 and first[:2] == (count, size)
+                and last == (count, first[2], size)):
+            raise ValueError(f"a lane needs factor stacks for {count} blocks of size {size}")
 
     def add_product(self, x: np.ndarray, y: np.ndarray, transpose: bool) -> None:
-        """y += the run's blocks (or their transposes) applied to x.  Each
-        row of y gets at most one block's product, so runs taken in block
+        """y += the lane's blocks (or their transposes) applied to x.  Each
+        row of y gets at most one block's product, so lanes taken in block
         order add up in the order a per-block loop would."""
         if transpose:
-            src, dst, sizes = self.row_starts, self.col_starts, (self.height, self.width)
+            src, dst = self.row_starts, self.col_starts
             chain = [f.transpose(0, 2, 1) for f in self.factors]
         else:
-            src, dst, sizes = self.col_starts, self.row_starts, (self.width, self.height)
+            src, dst = self.col_starts, self.row_starts
             chain = reversed(self.factors)
-        t = _lane(x, src, sizes[0])
+        t = _lane(x, src, self.size)
         for factor in chain:
             t = factor @ t
-        out = _lane(y, dst, sizes[1])
+        out = _lane(y, dst, self.size)
         out += t
 
 
@@ -290,68 +281,88 @@ class HodlrBlock:
     row_factor: np.ndarray
     tail: float = 0.0
 
-    def __post_init__(self):
-        for name in ("level", "row_start", "col_start", "size"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        c = np.asarray(self.col_factor, dtype=float)
-        r = np.asarray(self.row_factor, dtype=float)
-        if c.shape[0] != self.size or r.shape[0] != self.size or c.shape[1] != r.shape[1]:
-            raise ValueError("block factors must be (size, r) with matching rank")
-        object.__setattr__(self, "col_factor", c)
-        object.__setattr__(self, "row_factor", r)
-        object.__setattr__(self, "tail", float(self.tail))
+
+def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list]:
+    """The dyadic block partition of an n x n matrix as lanes: (level,
+    row_starts, col_starts, size) for each lane of low-rank blocks, then for
+    each lane of dense leaves.
+
+    Level l cuts [0, n) into 2^l tiles of size n >> l, and a lane is a
+    strided run of one level's blocks whose column tile lies a fixed offset
+    from its row tile.  Weak admissibility (HODLR, n a power of two): each
+    level is two lanes, the upper blocks at offset +1 from row tiles 0, 2,
+    ..., then the lower ones at -1 from row tiles 1, 3, ...; the leaves are
+    the last level's diagonal tiles.  Strong admissibility: a block is
+    low-rank at the first level where its tiles are two or more apart, so
+    each level from 2 on is four lanes, at offsets +2 (every row tile), +3
+    (even row tiles), -2 (row tiles from 2 on) and -3 (odd row tiles from 3
+    on), and the leaves are three lanes at offsets 0, +1 and -1.  2^levels
+    must divide n.
+    """
+    # each lane as (tile offset, first row tile, row tile step)
+    if admissibility == "weak":
+        if n & (n - 1):
+            raise ValueError("dimension must be a power of two")
+        first, level_lanes, leaf_lanes = 1, [(1, 0, 2), (-1, 1, 2)], [(0, 0, 1)]
+    elif admissibility == "strong":
+        first, level_lanes = 2, [(2, 0, 1), (3, 0, 2), (-2, 2, 1), (-3, 3, 2)]
+        leaf_lanes = [(0, 0, 1), (1, 0, 1), (-1, 1, 1)]
+    else:
+        raise ValueError(f"unknown admissibility {admissibility!r}")
+    if levels < 1 or n < 1 or n >> levels << levels != n:  # no 2^levels: levels may be huge
+        raise ValueError("2^levels must divide the dimension")
+
+    def lane(level, offset, first_tile, step):
+        # row tiles first_tile, first_tile + step, ... whose tile + offset is a tile
+        size = n >> level
+        rows = range(first_tile * size, n - max(offset, 0) * size, step * size)
+        shift = offset * size
+        return level, rows, range(rows.start + shift, rows.stop + shift, rows.step), size
+
+    lanes = [lane(level, *spec) for level in range(first, levels + 1) for spec in level_lanes]
+    return lanes, [lane(levels, *spec) for spec in leaf_lanes]
 
 
 def hodlr_partition(n: int, levels: int) -> list[tuple[int, int, int, int]]:
     """(level, row_start, col_start, size) of every off-diagonal block of the
-    weak-admissibility (HODLR) partition of an n x n matrix.
-
-    [0, n) is halved `levels` times; at each level every sibling pair gives
-    its upper block (rows of the first half, columns of the second), then its
-    lower one.  Blocks go level by level, and the 2^levels diagonal leaves of
-    size n / 2^levels cover the rest.  n must be a power of two divisible by
-    2^levels.
+    weak-admissibility (HODLR) partition of an n x n matrix: the blocks of
+    partition_lanes(n, levels, "weak"), level by level, each sibling pair's
+    upper block (rows of the first half, columns of the second), then its
+    lower one.  n must be a power of two divisible by 2^levels.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError("dimension must be a power of two")
-    if levels < 1 or n >> levels == 0:
-        raise ValueError("2^levels must divide the dimension")
-    blocks = []
-    for level in range(1, levels + 1):
-        size = n >> level
-        for base in range(0, n, 2 * size):
-            blocks += [(level, base, base + size, size), (level, base + size, base, size)]
-    return blocks
+    lanes, _ = partition_lanes(n, levels, "weak")
+    blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
+              for r0, c0 in zip(rows, cols)]
+    return sorted(blocks, key=lambda b: (b[0], min(b[1], b[2]), b[1] > b[2]))
 
 
 class BlockLowRankOperator(StructuredOperator):
-    """Sum of low-rank blocks and dense blocks placed anywhere in an n x n matrix.
+    """Low-rank blocks and dense leaves tiling an n x n matrix along
+    partition_lanes(n, levels, admissibility): weak (HODLR) or strong.
 
-    Low-rank blocks are HodlrBlocks; dense blocks are (row_start, col_start,
-    matrix) triples.  Blocks are meant to be disjoint: apply sums their
-    contributions, materialize writes them into a zero matrix in order.
-    This covers weak admissibility (HODLR: every off-diagonal sibling block
-    is low-rank) and strong admissibility (only blocks at least one block
-    apart are low-rank; near-diagonal blocks stay dense).
-
-    Storage is a list of runs (see _Run), each applied with one batched
-    product per factor with the bits of a per-block loop.  Each given block
-    is a run of one that keeps the arrays it was given, so its products
-    follow the caller's layouts.  hodlr stores each level as two strided
-    lanes and its leaves as one run; blocks lists a level's upper blocks,
-    then its lower ones.  blocks and dense_blocks are views of the stored
-    arrays.
+    factors holds a (col_factors, row_factors) pair of (blocks, size, rank)
+    stacks for each lane of the partition in order, or for its first lanes
+    only (the coarser levels, as recovery peels them); leaves, if given, one
+    (blocks, leaf, leaf) stack per leaf lane; tails, if given, each lane's
+    per-block HodlrBlock tails (zero otherwise).  The arrays are kept without
+    a copy.  Each lane applies with one batched product per factor, with the
+    bits of a per-block loop over blocks, then dense_blocks; both list their
+    blocks lane by lane, as views of the stored arrays.
     """
 
-    def __init__(self, n: int, blocks, dense_blocks=()):
-        dense = [(r0, c0, np.asarray(m, dtype=float)) for r0, c0, m in dense_blocks]
-        if any(m.ndim != 2 for _, _, m in dense):
-            raise ValueError("dense blocks must be matrices")
-        self._store(n, [
-            _Run(range(b.row_start, b.row_start + 1), range(b.col_start, b.col_start + 1),
-                 (b.col_factor[None], b.row_factor.T[None]), (b.level,), (b.tail,))
-            for b in blocks
-        ] + [_Run(range(r0, r0 + 1), range(c0, c0 + 1), (m[None],)) for r0, c0, m in dense])
+    def __init__(self, n: int, levels: int, admissibility: str, factors, leaves=(), tails=None):
+        lanes, leaf_lanes = partition_lanes(n, levels, admissibility)
+        if len(factors) > len(lanes) or (leaves and len(leaves) != len(leaf_lanes)):
+            raise ValueError("factors and leaves must follow the partition's lanes")
+        tails = tails or [[0.0] * len(rows) for _, rows, _, _ in lanes]
+        runs = [
+            _Run(rows, cols, size, (col_factors, row_factors.transpose(0, 2, 1)), level, lane_tails)
+            for (level, rows, cols, size), (col_factors, row_factors), lane_tails
+            in zip(lanes, factors, tails)
+        ]
+        runs += [_Run(rows, cols, size, (stack,))
+                 for (_, rows, cols, size), stack in zip(leaf_lanes, leaves)]
+        self.n, self._runs = n, tuple(runs)
 
     @classmethod
     def hodlr(cls, n: int, level_factors, leaves=None) -> "BlockLowRankOperator":
@@ -360,50 +371,24 @@ class BlockLowRankOperator(StructuredOperator):
         (col_factors, row_factors) pair of (2^l, n >> l, rank) stacks of level
         l's blocks in partition order, and leaves, if given, the
         (2^levels, leaf, leaf) stack of diagonal leaves."""
-        if level_factors:
-            hodlr_partition(n, len(level_factors))
-        runs = []
-        for level, (cols, rows) in enumerate(level_factors, 1):
-            size, pairs = n >> level, 1 << (level - 1)
-            if cols.shape[:2] != (2 * pairs, size) or rows.shape != cols.shape:
-                raise ValueError(f"level {level} factors must be (2^level, n >> level, r) stacks")
-            # lane 0 holds the upper blocks (row tiles 0, 2, ..., column tiles
-            # 1, 3, ...), lane 1 the lower ones
-            even, odd = range(0, n, 2 * size), range(size, n, 2 * size)
-            for lane, (row_starts, col_starts) in enumerate([(even, odd), (odd, even)]):
-                runs.append(_Run(
-                    row_starts, col_starts, (cols[lane::2], rows[lane::2].transpose(0, 2, 1)),
-                    [level] * pairs, [0.0] * pairs,
-                ))
-        if leaves is not None:
-            starts = range(0, n, leaves.shape[1])
-            runs.append(_Run(starts, starts, (leaves,)))
-        op = cls.__new__(cls)
-        op._store(n, runs)
-        return op
-
-    def _store(self, n: int, runs) -> None:
-        self.n = n
-        self._runs = tuple(runs)
-        for run in self._runs:
-            for starts, size in ((run.row_starts, run.height), (run.col_starts, run.width)):
-                if starts[0] < 0 or starts[-1] + size > n:
-                    raise ValueError(f"a block of size {size} does not fit in dimension {n}")
+        # a level's even blocks are its upper lane, its odd ones the lower lane
+        factors = [(c[lane::2], r[lane::2]) for c, r in level_factors for lane in (0, 1)]
+        return cls(n, len(level_factors), "weak", factors, () if leaves is None else [leaves])
 
     @cached_property
     def blocks(self) -> tuple[HodlrBlock, ...]:
         return tuple(
-            HodlrBlock(level, r0, c0, col_factor.shape[0], col_factor, row_factor_t.T, tail)
-            for run in self._runs if run.levels is not None
-            for level, r0, c0, col_factor, row_factor_t, tail
-            in zip(run.levels, run.row_starts, run.col_starts, *run.factors, run.tails)
+            HodlrBlock(run.level, r0, c0, run.size, col_factor, row_factor_t.T, tail)
+            for run in self._runs if run.level is not None
+            for r0, c0, col_factor, row_factor_t, tail
+            in zip(run.row_starts, run.col_starts, *run.factors, run.tails)
         )
 
     @cached_property
     def dense_blocks(self) -> tuple[tuple[int, int, np.ndarray], ...]:
         return tuple(
             (r0, c0, m)
-            for run in self._runs if run.levels is None
+            for run in self._runs if run.level is None
             for r0, c0, m in zip(run.row_starts, run.col_starts, run.factors[0])
         )
 
@@ -424,9 +409,9 @@ class BlockLowRankOperator(StructuredOperator):
         a = np.zeros((self.n, hi - lo))
         for run in self._runs:
             for r0, c0, *factors in zip(run.row_starts, run.col_starts, *run.factors):
-                if where := _overlap(c0, run.width, lo, hi):
+                if where := _overlap(c0, run.size, lo, hi):
                     inside, out = where
-                    a[r0:r0 + run.height, out] = _block_columns(factors, inside)
+                    a[r0:r0 + run.size, out] = _block_columns(factors, inside)
         return a
 
 

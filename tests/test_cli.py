@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -38,6 +39,17 @@ from helpers import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """The minimal environment of a subprocess test: the checkout's src on
+    PYTHONPATH, plus the caller's bytecode-cache settings, so that a run with
+    PYTHONDONTWRITEBYTECODE set writes no cache into the checkout."""
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+    for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
+        if name in os.environ:
+            env[name] = os.environ[name]
+    return env
 
 
 def write_config(path: Path, config: dict) -> str:
@@ -182,13 +194,24 @@ class TestDatasetIo:
          ("dense-kernel", "ridge", "small"), ("dense-kernel", "variant", "nonsense"),
          ("fourier-multiplier", "max_mode", 2.5), ("fourier-multiplier", "max_mode", 3),
          ("hierarchical", "block_meta", [{"level": 2}]),
-         ("hierarchical", "leaf_meta", [{"row": "top", "col": 0, "size": 4}])],
+         ("hierarchical", "leaf_meta", [{"row": "top", "col": 0, "size": 4}]),
+         # checksum-valid files that a position-blind loader read as another kernel
+         ("hierarchical", "block_meta",
+          lambda model: [dict(meta, col=meta["row"]) if i == 0 else meta
+                         for i, meta in enumerate(model.block_meta)]),
+         ("hierarchical", "leaf_meta",
+          lambda model: [model.leaf_meta[0] if i == 1 else meta
+                         for i, meta in enumerate(model.leaf_meta)]),
+         ("hierarchical", "levels", 2), ("hierarchical", "rank", 3)],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
+        """A malformed header, or a hierarchical model whose blocks, leaves,
+        levels or rank do not match the strong partition it claims: a block
+        moved onto the diagonal, a leaf listed twice (in place of another)."""
         model, _ = fitted_model(variant)
         path = tmp_path / "model.bin"
         dataio.save_model(path, model)
-        rewrite_container(path, {key: value})
+        rewrite_container(path, {key: value(model) if callable(value) else value})
         with pytest.raises(DataFormatError):
             load_model(path)
 
@@ -837,7 +860,7 @@ class TestProcessInterface:
             capture_output=True,
             text=True,
             cwd=ROOT,
-            env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            env=child_env(),
         )
         assert proc.returncode == 1
         lines = [l for l in proc.stderr.strip().splitlines() if l]
@@ -855,7 +878,7 @@ class TestProcessInterface:
             tmp_path / "r.json",
             dict(RECOVER, algorithm="hodlr", dimension=4096, block_rank=4, levels=7),
         )
-        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        env = child_env()
         launcher = (
             "import json, os, subprocess, sys\n"
             "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
@@ -898,7 +921,7 @@ class TestProcessInterface:
         """perfbench/tracing.py wraps operlab functions by name, so a renamed
         function breaks every traced benchmark run; a tiny traced chain must
         succeed and record its spans."""
-        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        env = child_env()
         steps = {
             "generate": dict(POISSON_GENERATE, num_pairs=6, resolution=32),
             "fit": {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),
@@ -938,7 +961,7 @@ class TestProcessInterface:
         other than 0.5, 1.5 or 2.5) use scipy, and they import it themselves;
         generate for poisson1d and every other command must run in a process
         that never loads it, which saves most of its start-up."""
-        env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        env = child_env()
         generate = dict(POISSON_GENERATE, num_pairs=8, resolution=32)
         recover = {"command": "recover", "seed": 5}
         fit = {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),

@@ -271,18 +271,25 @@ class TestHierarchical:
     def test_model_keeps_only_its_own_blocks(self):
         """The block operator keeps the arrays it is given, so the fit hands
         it arrays of their own: a view of the dense kernel or of a whole SVD
-        factor would keep that alive with the model."""
+        factor would keep that alive with the model.  The distinct arrays
+        behind the blocks and leaves hold exactly their bytes."""
         kernel = RngStream(23).standard_normal((64, 64))
         model = hierarchical_decompose(DenseKernelModel(Grid1D(64), kernel), 3, 2)
         arrays = [m for b in model.blocks for m in (b.col_factor, b.row_factor)]
         arrays += [m for _, _, m in model.operator.dense_blocks]
-        for a in arrays:
-            assert (a if a.base is None else a.base).nbytes == a.nbytes
+        bases = {id(base): base for base in (a if a.base is None else a.base for a in arrays)}
+        assert sum(base.nbytes for base in bases.values()) == sum(a.nbytes for a in arrays)
 
     def test_divisibility_check(self):
         grid = Grid1D(30)
         with pytest.raises(ValueError):
             hierarchical_decompose(DenseKernelModel(grid, np.zeros((30, 30))), 2, 1)
+
+    def test_levels_far_beyond_the_grid_are_a_value_error(self):
+        """The partition never forms 2^levels, so a huge levels (any integer
+        a config may hold) is the divisibility error, not a MemoryError."""
+        with pytest.raises(ValueError, match="2\\^levels must divide"):
+            hierarchical_decompose(DenseKernelModel(Grid1D(32), np.zeros((32, 32))), 2 ** 62, 1)
 
 
 class TestLosses:

@@ -22,7 +22,6 @@ from operlab.recovery import (
 from operlab.structured import (
     BlockLowRankOperator,
     DenseOperator,
-    HodlrBlock,
     MatvecOracle,
     random_structured,
 )
@@ -173,17 +172,16 @@ class TestHodlr:
     def test_rank_deficit_names_the_block(self, planted, named):
         """A rank-3 block in an otherwise rank-2 operator is named by level,
         pair and side; upper blocks are checked before lower ones."""
-        op = random_structured("hodlr", 64, RngStream(11), rank=2, levels=3)
-        size, stream = 16, RngStream(12)
-        corners = {(16 + 32 * pair, 32 * pair) if side == "lower" else (32 * pair, 16 + 32 * pair)
-                   for side, pair in planted}
-        blocks = [
-            HodlrBlock(b.level, b.row_start, b.col_start, size,
-                       stream.standard_normal((size, 3)), stream.standard_normal((size, 3)))
-            if b.level == 2 and (b.row_start, b.col_start) in corners else b
-            for b in op.blocks
-        ]
-        oracle = oracle_for(BlockLowRankOperator(64, blocks, op.dense_blocks))
+        stream = RngStream(11)
+        factors = [stream.standard_normal((2, 1 << level, 64 >> level, 3)) for level in (1, 2, 3)]
+        # blocks in partition order: pair i's upper block is 2i, its lower one 2i + 1
+        planted_blocks = [2 * pair + (side == "lower") for side, pair in planted]
+        unplanted = np.setdiff1d(np.arange(4), planted_blocks)
+        for level, stacks in enumerate(factors, 1):
+            blocks = unplanted if level == 2 else slice(None)
+            stacks[:, blocks, :, 2] = 0.0  # rank 2 but for the planted blocks
+        leaves = stream.standard_normal((8, 8, 8))
+        oracle = oracle_for(BlockLowRankOperator.hodlr(64, [tuple(f) for f in factors], leaves))
         with pytest.raises(RankDeficitError) as info:
             recover_hodlr(oracle, 2, 3, 3, stream=RngStream(13))
         pair = min(pair for side, pair in planted if side == named)

@@ -1,11 +1,10 @@
 import tempfile
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
@@ -18,10 +17,10 @@ from operlab.structured import (
     BlockLowRankOperator,
     CirculantOperator,
     DenseOperator,
-    HodlrBlock,
     LowRankOperator,
     MatvecOracle,
     hodlr_partition,
+    partition_lanes,
     random_structured,
 )
 
@@ -126,35 +125,6 @@ class TestStackedRunsMatchPerBlockLoop:
         assert np.array_equal(op.apply(x), per_block_apply(op, x))
         assert np.array_equal(op.apply_transpose(x), per_block_apply(op, x, transpose=True))
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        orders=st.tuples(*[st.sampled_from("CF")] * 3),
-        width=st.sampled_from([None, 1, 2, 9]),
-        seed=st.integers(0, 2 ** 31),
-    )
-    def test_stacking_keeps_each_factor_layout(self, orders, width, seed):
-        """Blocks given with C- or F-ordered factors apply with the bits of a
-        per-block loop over the arrays as given (at block size 1024, gemm and
-        gemv round differently for the two layouts)."""
-        stream = RngStream(seed)
-        given_op = random_structured("hodlr", 2048, stream, rank=1 + seed % 4, levels=2)
-        source = SimpleNamespace(
-            blocks=[
-                HodlrBlock(
-                    b.level, b.row_start, b.col_start, b.size,
-                    np.array(b.col_factor, order=orders[0]), np.array(b.row_factor, order=orders[1]),
-                )
-                for b in given_op.blocks
-            ],
-            dense_blocks=[
-                (r0, c0, np.array(m, order=orders[2])) for r0, c0, m in given_op.dense_blocks
-            ],
-        )
-        op = BlockLowRankOperator(2048, source.blocks, source.dense_blocks)
-        x = stream.standard_normal((2048,) if width is None else (2048, width))
-        assert np.array_equal(op.apply(x), per_block_apply(source, x))
-        assert np.array_equal(op.apply_transpose(x), per_block_apply(source, x, transpose=True))
-
     @pytest.mark.parametrize("recovered", [False, True])
     def test_stacks_are_the_only_copy(self, recovered):
         """Each level's factors and the leaves are views into one array per
@@ -169,25 +139,6 @@ class TestStackedRunsMatchPerBlockLoop:
         assert len(bases) == 4
         for level in (1, 2, 3):
             assert len({id(b.col_factor.base) for b in op.blocks if b.level == level}) == 1
-
-    def test_given_blocks_are_kept_without_a_copy(self):
-        """The general constructor stores each given factor and dense block
-        as it is: every array the operator hands back shares its memory."""
-        source = random_structured("hodlr", 64, RngStream(8), rank=2, levels=3)
-        blocks = [
-            HodlrBlock(b.level, b.row_start, b.col_start, b.size, b.col_factor.copy(),
-                       np.asfortranarray(b.row_factor), b.tail)
-            for b in source.blocks
-        ]
-        dense = [(r0, c0, m.copy()) for r0, c0, m in source.dense_blocks]
-        op = BlockLowRankOperator(64, blocks, dense)
-        assert len(op.blocks) == len(blocks) and len(op.dense_blocks) == len(dense)
-        for b, kept in zip(blocks, op.blocks):
-            assert (kept.row_start, kept.col_start) == (b.row_start, b.col_start)
-            assert np.shares_memory(kept.col_factor, b.col_factor)
-            assert np.shares_memory(kept.row_factor, b.row_factor)
-        for (_, _, m), (_, _, kept) in zip(dense, op.dense_blocks):
-            assert np.shares_memory(kept, m)
 
     def test_hodlr_blocks_list_upper_then_lower(self):
         op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
@@ -353,11 +304,9 @@ class TestMaterialize:
         u1, v1 = stream.standard_normal((4, 1)), stream.standard_normal((4, 1))
         u2, v2 = stream.standard_normal((4, 1)), stream.standard_normal((4, 1))
         leaves = [stream.standard_normal((4, 4)) for _ in range(2)]
-        blocks = [
-            HodlrBlock(1, 0, 4, 4, u1, v1),
-            HodlrBlock(1, 4, 0, 4, u2, v2),
-        ]
-        op = BlockLowRankOperator(8, blocks, [(0, 0, leaves[0]), (4, 4, leaves[1])])
+        # one level: the upper lane's one block, then the lower lane's
+        factors = [(u1[None], v1[None]), (u2[None], v2[None])]
+        op = BlockLowRankOperator(8, 1, "weak", factors, [np.stack(leaves)])
         manual = np.zeros((8, 8))
         manual[:4, 4:] = u1 @ v1.T
         manual[4:, :4] = u2 @ v2.T
@@ -475,3 +424,84 @@ class TestHodlrPartition:
     def test_random_instance_needs_positive_rank(self):
         with pytest.raises(ValueError):
             random_structured("hodlr", 16, RngStream(0), rank=0, levels=2)
+
+
+def strong_descent(m: int, levels: int) -> tuple[list, list]:
+    """The strong-admissibility partition by recursive descent, the reference
+    for its lanes: the (level, row, col, size) of every low-rank block and
+    the (row, col, size) of every leaf.  A block is low-rank once its tiles
+    are at least two apart; near-diagonal blocks split until the last level."""
+    blocks, leaves = [], []
+
+    def descend(block_row, block_col, level):
+        size = m >> level
+        r0, c0 = block_row * size, block_col * size
+        if level > 0 and abs(block_row - block_col) >= 2:
+            blocks.append((level, r0, c0, size))
+        elif level == levels:
+            leaves.append((r0, c0, size))
+        else:
+            for dr in (0, 1):
+                for dc in (0, 1):
+                    descend(2 * block_row + dr, 2 * block_col + dc, level + 1)
+
+    descend(0, 0, 0)
+    return blocks, leaves
+
+
+@st.composite
+def strong_cases(draw):
+    """(m, levels) with m any multiple of 2^levels, most not powers of two."""
+    levels = draw(st.integers(1, 5))
+    return (1 << levels) * draw(st.integers(1, 25)), levels
+
+
+class TestStrongPartition:
+    @settings(max_examples=80, deadline=None)
+    @given(case=strong_cases())
+    @example(case=(96, 5))
+    @example(case=(100, 2))
+    def test_lanes_are_the_recursive_descent(self, case):
+        """Lanes and leaf lanes cover every entry once and hold exactly the
+        blocks and leaves of the recursive descent."""
+        m, levels = case
+        lanes, leaf_lanes = partition_lanes(m, levels, "strong")
+        cover = np.zeros((m, m), dtype=int)
+        for _, rows, cols, size in lanes + leaf_lanes:
+            for r0, c0 in zip(rows, cols):
+                cover[r0:r0 + size, c0:c0 + size] += 1
+        assert np.all(cover == 1)
+        blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
+                  for r0, c0 in zip(rows, cols)]
+        leaves = [(r0, c0, size) for _, rows, cols, size in leaf_lanes for r0, c0 in zip(rows, cols)]
+        reference_blocks, reference_leaves = strong_descent(m, levels)
+        assert sorted(blocks) == sorted(reference_blocks)
+        assert sorted(leaves) == sorted(reference_leaves)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=strong_cases(),
+        rank=st.integers(1, 6),
+        width=st.sampled_from([None, 1, 2, 9]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2 ** 31),
+    )
+    @example(case=(100, 2), rank=2, width=9, fortran=True, seed=0)
+    def test_fit_applies_with_the_per_block_bits(self, case, rank, width, fortran, seed):
+        m, levels = case
+        stream = RngStream(seed)
+        kernel = DenseKernelModel(Grid1D(m), stream.standard_normal((m, m)))
+        op = hierarchical_decompose(kernel, levels, rank).operator
+        x = stream.standard_normal((m,) if width is None else (m, width))
+        if fortran:
+            x = np.asfortranarray(x)
+        assert np.array_equal(op.apply(x), per_block_apply(op, x))
+        assert np.array_equal(op.apply_transpose(x), per_block_apply(op, x, transpose=True))
+
+    @pytest.mark.parametrize("m, levels, admissibility", [
+        (30, 2, "strong"), (8, 4, "strong"), (8, 0, "strong"), (0, 1, "strong"),
+        (12, 1, "weak"), (16, 2, "diagonal"),
+    ])
+    def test_rejects_a_partition_that_does_not_exist(self, m, levels, admissibility):
+        with pytest.raises(ValueError):
+            partition_lanes(m, levels, admissibility)
