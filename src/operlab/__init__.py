@@ -25,7 +25,6 @@ from .structured import (
     DenseOperator,
     LowRankOperator,
     MatvecOracle,
-    hodlr_partition,
     random_structured,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "OperatorDataset",
     "RngStream",
     "banded_coloring",
-    "hodlr_partition",
     "kernel_eval",
     "kl_decompose",
     "randomized_svd",

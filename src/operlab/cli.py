@@ -331,8 +331,12 @@ def _split_dataset(ds: OperatorDataset, fraction: float):
 
 
 def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
-    preds = model.predict_batch(ds.grid, ds.input_values)
-    return {kind: opfit.batch_loss(kind, ds.grid, preds, ds.output_values) for kind in losses}
+    """Each loss kind's value for the model's predictions on ds."""
+    try:
+        preds = model.predict_batch(ds.grid, ds.input_values)
+        return {kind: opfit.batch_loss(kind, ds.grid, preds, ds.output_values) for kind in losses}
+    except ValueError as exc:  # another grid, or a zero-norm target of a relative loss
+        raise CliError("incompatible", str(exc)) from exc
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
@@ -409,13 +413,8 @@ def cmd_eval(config: dict, out_dir: str) -> int:
                 f"{entry['path']}: resolution {ds.grid.n} does not match "
                 f"declared {entry['resolution']}",
             )
-        try:
-            preds = model.predict_batch(ds.grid, ds.input_values)
-        except ValueError as exc:
-            raise CliError("incompatible", str(exc)) from exc
-        for kind in losses:
-            value = opfit.batch_loss(kind, ds.grid, preds, ds.output_values)
-            rows.append((entry["resolution"], kind, value, len(ds)))
+        metrics = _metrics_for(model, ds, losses)
+        rows += [(entry["resolution"], kind, metrics[kind], len(ds)) for kind in losses]
     path = _out_path(out_dir, config["output"])
     with open(path, "w") as fh:
         fh.write("resolution,loss_kind,value,n_pairs\n")
@@ -473,6 +472,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config, args.out)
     except CliError as exc:
         print(f"ERROR:{exc.code}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size this machine cannot hold
+        print(f"ERROR:incompatible: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except Exception as exc:  # keep failures single-line and machine-parseable
         print(f"ERROR:internal: {exc}", file=sys.stderr)

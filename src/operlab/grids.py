@@ -7,6 +7,12 @@ from typing import Union
 import numpy as np
 
 
+def _check_endpoints(left: float, right: float) -> None:
+    # a file header may say Infinity: json.loads accepts it
+    if not (np.isfinite(left) and np.isfinite(right)):
+        raise ValueError(f"grid endpoints must be finite, got [{left}, {right}]")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform one-dimensional grid on [left, right].
@@ -24,6 +30,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points, got n={self.n}")
+        _check_endpoints(self.left, self.right)
         if not self.right > self.left:
             raise ValueError("grid interval must have positive length")
 
@@ -67,6 +74,7 @@ class Grid2D:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points per side, got n={self.n}")
+        _check_endpoints(self.left, self.right)
         if not self.right > self.left:
             raise ValueError("grid square must have positive side length")
 

@@ -205,16 +205,22 @@ class BandedKernelModel(KernelModel):
 class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
     leaf blocks at the finest level, over the strong lanes of partition_lanes.
-    A file loads only if its block_meta and leaf_meta list exactly the
-    partition's blocks and leaves, in any order."""
+    tails holds, for each entry of operator.blocks in order, the Frobenius
+    norm of what truncating it to the model's rank discarded.  A file loads
+    only if its block_meta and leaf_meta list exactly the partition's blocks
+    and leaves, in any order."""
 
     variant = "hierarchical"
     header_params = {"levels": int, "rank": int, "block_meta": list, "leaf_meta": list}
 
-    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator):
+    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator,
+                 tails):
         super().__init__(grid, operator)
         self.levels = int(levels)
         self.rank = int(rank)
+        self.tails = tuple(float(t) for t in tails)
+        if len(self.tails) != len(operator.blocks):
+            raise ValueError("a hierarchical model needs one tail per low-rank block")
 
     @property
     def blocks(self) -> tuple[HodlrBlock, ...]:
@@ -222,14 +228,14 @@ class HierarchicalKernelModel(KernelModel):
 
     @property
     def total_truncation_error(self) -> float:
-        return float(np.sqrt(sum(b.tail ** 2 for b in self.blocks)))
+        return float(np.sqrt(sum(t ** 2 for t in self.tails)))
 
     @property
     def block_meta(self) -> list[dict]:
         return [
             {"level": b.level, "row": b.row_start, "col": b.col_start,
-             "size": b.size, "tail": b.tail}
-            for b in self.blocks
+             "size": b.size, "tail": tail}
+            for b, tail in zip(self.blocks, self.tails)
         ]
 
     @property
@@ -262,10 +268,10 @@ class HierarchicalKernelModel(KernelModel):
         for (col_factors, _), (*_, size) in zip(factors, lanes):
             if col_factors.shape[2:] != (min(rank, size),):
                 raise ValueError("each block's factors must have min(rank, size) columns")
-        tails = [[float(block_meta[i]["tail"]) for i in ids] for ids in block_ids]
+        tails = [block_meta[i]["tail"] for ids in block_ids for i in ids]
         leaves = [stack("leaf{}", ids) for ids in leaf_ids]
-        operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves, tails)
-        return cls(grid, levels, rank, operator)
+        operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
+        return cls(grid, levels, rank, operator, tails)
 
 
 def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
@@ -448,10 +454,10 @@ def hierarchical_decompose(
         # fresh arrays, as the operator keeps what it is given; vt[:, :r].copy()
         # keeps vt's layout, hence the block products' rounding
         factors.append((u[:, :, :r] * s[:, None, :r], vt[:, :r].copy().transpose(0, 2, 1)))
-        tails.append([float(np.linalg.norm(tail)) for tail in s[:, r:]])
+        tails += [np.linalg.norm(tail) for tail in s[:, r:]]
     leaves = [blocks(rows, cols, size) for _, rows, cols, size in leaf_lanes]
-    operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves, tails)
-    return HierarchicalKernelModel(grid, levels, rank, operator)
+    operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
+    return HierarchicalKernelModel(grid, levels, rank, operator, tails)
 
 
 def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -310,20 +310,25 @@ def make_dataset(
     if not num_pairs:
         return OperatorDataset(None, np.empty(0), np.empty(0), provenance)
 
+    # both arrays exist before the first draw, so a size that cannot be held
+    # fails here, at once
+    shape = (num_pairs, s, s) if pde == "darcy2d" else (num_pairs, s)
+    try:
+        inputs, outputs = np.empty(shape), np.empty(shape)
+    except ValueError as exc:  # numpy's "array is too big": more bytes than an intp counts
+        raise MemoryError(str(exc)) from exc
     if pde == "darcy2d":
         grid = Grid2D(s)
-        inputs = np.empty((num_pairs, s, s))
     else:
         basis = kl_decompose(spec, s)
         grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
-        inputs = sample_gp(basis, (stream.derive(i) for i in range(num_pairs)))
+        inputs[:] = sample_gp(basis, (stream.derive(i) for i in range(num_pairs)))
     if pde == "poisson1d":
         try:
-            outputs = solve_poisson_1d(grid, inputs)
+            outputs[:] = solve_poisson_1d(grid, inputs)
         except Exception as exc:
             raise SolverError(f"pairs 0-{num_pairs - 1}: {exc}") from exc
     else:
-        outputs = np.empty_like(inputs)
         for i in range(num_pairs):
             try:
                 if pde == "burgers1d":

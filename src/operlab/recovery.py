@@ -201,7 +201,7 @@ def recover_hodlr(
 ) -> BlockLowRankOperator:
     """Recover a HODLR matrix by top-down peeling, one level at a time.
 
-    The off-diagonal blocks are those of hodlr_partition(n, levels).  At
+    The off-diagonal blocks are those of partition_lanes(n, levels, "weak").  At
     each level the upper and lower sibling block families occupy disjoint
     column (and row) ranges, so each family is sketched with a Gaussian
     probe block of width block_rank + oversampling supported on its column

@@ -10,7 +10,7 @@ over those lanes through one constructor and stores each lane's factors or
 leaves as stacks, applied through strided views of the probe with one
 batched product per factor.  Random HODLR instances and
 recovery.recover_hodlr use the weak partition, hierarchical kernel fits the
-strong one; hodlr_partition lists the weak partition's blocks one by one.
+strong one.
 """
 from __future__ import annotations
 
@@ -238,13 +238,12 @@ class _Run:
     factors[1][i], the stacked col_factors and transposed row_factors of a
     low-rank lane (a leaf lane has one stack of dense blocks).  The starts
     step at least one block forward, so a lane reads x and writes y through
-    strided views, with one batched product per factor.  level and tails are
-    the low-rank blocks' HodlrBlock fields; a leaf lane has none."""
+    strided views, with one batched product per factor.  level is the
+    low-rank blocks' HodlrBlock level; a leaf lane has none."""
 
-    def __init__(self, row_starts: range, col_starts: range, size: int, factors,
-                 level=None, tails=None):
+    def __init__(self, row_starts: range, col_starts: range, size: int, factors, level=None):
         self.row_starts, self.col_starts, self.size = row_starts, col_starts, size
-        self.factors, self.level, self.tails = tuple(factors), level, tails
+        self.factors, self.level = tuple(factors), level
         count, first, last = len(row_starts), self.factors[0].shape, self.factors[-1].shape
         if not (len(first) == len(last) == 3 and first[:2] == (count, size)
                 and last == (count, first[2], size)):
@@ -270,8 +269,7 @@ class _Run:
 @dataclass(frozen=True)
 class HodlrBlock:
     """One square low-rank block: row_start/col_start give its top-left corner,
-    and the block equals col_factor @ row_factor.T.  tail records the Frobenius norm of
-    whatever a truncation to this rank discarded (zero for exact blocks)."""
+    and the block equals col_factor @ row_factor.T."""
 
     level: int
     row_start: int
@@ -279,7 +277,6 @@ class HodlrBlock:
     size: int
     col_factor: np.ndarray
     row_factor: np.ndarray
-    tail: float = 0.0
 
 
 def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list]:
@@ -323,19 +320,6 @@ def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list
     return lanes, [lane(levels, *spec) for spec in leaf_lanes]
 
 
-def hodlr_partition(n: int, levels: int) -> list[tuple[int, int, int, int]]:
-    """(level, row_start, col_start, size) of every off-diagonal block of the
-    weak-admissibility (HODLR) partition of an n x n matrix: the blocks of
-    partition_lanes(n, levels, "weak"), level by level, each sibling pair's
-    upper block (rows of the first half, columns of the second), then its
-    lower one.  n must be a power of two divisible by 2^levels.
-    """
-    lanes, _ = partition_lanes(n, levels, "weak")
-    blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
-              for r0, c0 in zip(rows, cols)]
-    return sorted(blocks, key=lambda b: (b[0], min(b[1], b[2]), b[1] > b[2]))
-
-
 class BlockLowRankOperator(StructuredOperator):
     """Low-rank blocks and dense leaves tiling an n x n matrix along
     partition_lanes(n, levels, admissibility): weak (HODLR) or strong.
@@ -343,45 +327,30 @@ class BlockLowRankOperator(StructuredOperator):
     factors holds a (col_factors, row_factors) pair of (blocks, size, rank)
     stacks for each lane of the partition in order, or for its first lanes
     only (the coarser levels, as recovery peels them); leaves, if given, one
-    (blocks, leaf, leaf) stack per leaf lane; tails, if given, each lane's
-    per-block HodlrBlock tails (zero otherwise).  The arrays are kept without
+    (blocks, leaf, leaf) stack per leaf lane.  The arrays are kept without
     a copy.  Each lane applies with one batched product per factor, with the
     bits of a per-block loop over blocks, then dense_blocks; both list their
     blocks lane by lane, as views of the stored arrays.
     """
 
-    def __init__(self, n: int, levels: int, admissibility: str, factors, leaves=(), tails=None):
+    def __init__(self, n: int, levels: int, admissibility: str, factors, leaves=()):
         lanes, leaf_lanes = partition_lanes(n, levels, admissibility)
         if len(factors) > len(lanes) or (leaves and len(leaves) != len(leaf_lanes)):
             raise ValueError("factors and leaves must follow the partition's lanes")
-        tails = tails or [[0.0] * len(rows) for _, rows, _, _ in lanes]
         runs = [
-            _Run(rows, cols, size, (col_factors, row_factors.transpose(0, 2, 1)), level, lane_tails)
-            for (level, rows, cols, size), (col_factors, row_factors), lane_tails
-            in zip(lanes, factors, tails)
+            _Run(rows, cols, size, (col_factors, row_factors.transpose(0, 2, 1)), level)
+            for (level, rows, cols, size), (col_factors, row_factors) in zip(lanes, factors)
         ]
         runs += [_Run(rows, cols, size, (stack,))
                  for (_, rows, cols, size), stack in zip(leaf_lanes, leaves)]
         self.n, self._runs = n, tuple(runs)
 
-    @classmethod
-    def hodlr(cls, n: int, level_factors, leaves=None) -> "BlockLowRankOperator":
-        """The HODLR operator over hodlr_partition(n, len(level_factors)),
-        stored in the given arrays without a copy: level_factors[l - 1] is the
-        (col_factors, row_factors) pair of (2^l, n >> l, rank) stacks of level
-        l's blocks in partition order, and leaves, if given, the
-        (2^levels, leaf, leaf) stack of diagonal leaves."""
-        # a level's even blocks are its upper lane, its odd ones the lower lane
-        factors = [(c[lane::2], r[lane::2]) for c, r in level_factors for lane in (0, 1)]
-        return cls(n, len(level_factors), "weak", factors, () if leaves is None else [leaves])
-
     @cached_property
     def blocks(self) -> tuple[HodlrBlock, ...]:
         return tuple(
-            HodlrBlock(run.level, r0, c0, run.size, col_factor, row_factor_t.T, tail)
+            HodlrBlock(run.level, r0, c0, run.size, col_factor, row_factor_t.T)
             for run in self._runs if run.level is not None
-            for r0, c0, col_factor, row_factor_t, tail
-            in zip(run.row_starts, run.col_starts, *run.factors, run.tails)
+            for r0, c0, col_factor, row_factor_t in zip(run.row_starts, run.col_starts, *run.factors)
         )
 
     @cached_property
@@ -484,14 +453,17 @@ def random_structured(
     if kind == "hodlr":
         if rank is None or levels is None or rank < 1:
             raise ValueError("hodlr instance needs rank >= 1 and levels")
-        hodlr_partition(n, levels)
+        partition_lanes(n, levels, "weak")
         # one draw per level, in the stream order of per-block draws: each
-        # block's col_factor, then its row_factor, in partition order
+        # sibling pair's upper block, then its lower one, each block's
+        # col_factor, then its row_factor.  The even blocks of a level's draw
+        # are its upper lane, the odd ones its lower lane.
         draws = [
             stream.standard_normal((1 << level, 2, n >> level, min(rank, n >> level)))
             for level in range(1, levels + 1)
         ]
         leaf = n >> levels
         leaves = stream.standard_normal((1 << levels, leaf, leaf))
-        return BlockLowRankOperator.hodlr(n, [(d[:, 0], d[:, 1]) for d in draws], leaves)
+        factors = [(d[lane::2, 0], d[lane::2, 1]) for d in draws for lane in (0, 1)]
+        return BlockLowRankOperator(n, levels, "weak", factors, [leaves])
     raise ValueError(f"unknown structured kind {kind!r}")

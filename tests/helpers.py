@@ -15,7 +15,6 @@ from operlab.opfit import (
     truncate_band,
 )
 from operlab.probes import CovarianceSpec, kl_decompose, sample_from_coefficients
-from operlab.structured import hodlr_partition
 
 SMOOTH_PERIODIC = CovarianceSpec(
     "helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0, periodic=True
@@ -56,11 +55,36 @@ def per_block_apply(op, x, transpose: bool = False) -> np.ndarray:
     return y[:, 0] if x.ndim == 1 else y
 
 
+def dyadic_descent(m: int, levels: int, admissibility: str) -> tuple[list, list]:
+    """The dyadic block partition of an m x m matrix by recursive descent,
+    the reference for partition_lanes: the (level, row, col, size) of every
+    low-rank block and the (row, col, size) of every leaf.  A block is
+    low-rank once its tiles are at least one ("weak") or two ("strong")
+    apart; the others split until the last level."""
+    gap = {"weak": 1, "strong": 2}[admissibility]
+    blocks, leaves = [], []
+
+    def descend(block_row, block_col, level):
+        size = m >> level
+        r0, c0 = block_row * size, block_col * size
+        if level > 0 and abs(block_row - block_col) >= gap:
+            blocks.append((level, r0, c0, size))
+        elif level == levels:
+            leaves.append((r0, c0, size))
+        else:
+            for dr in (0, 1):
+                for dc in (0, 1):
+                    descend(2 * block_row + dr, 2 * block_col + dc, level + 1)
+
+    descend(0, 0, 0)
+    return blocks, leaves
+
+
 def expected_hodlr_layout(n: int, levels: int) -> tuple[list, list]:
-    """hodlr_layout of a HODLR matrix: the partition's blocks and the
+    """hodlr_layout of a HODLR matrix: the weak partition's blocks and the
     2^levels leaves on the diagonal."""
-    leaf = n >> levels
-    return sorted(hodlr_partition(n, levels)), [(j, j, (leaf, leaf)) for j in range(0, n, leaf)]
+    blocks, leaves = dyadic_descent(n, levels, "weak")
+    return sorted(blocks), sorted((r0, c0, (size, size)) for r0, c0, size in leaves)
 
 
 def apply_mode_multiplier(values: np.ndarray, multiplier_fn) -> np.ndarray:

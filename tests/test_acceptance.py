@@ -225,8 +225,8 @@ def test_criterion_11_hierarchical_decomposition():
         kernel = green_poisson_1d(x[:, None], x[None, :])
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 3, 1)
         assert model.blocks
-        for block in model.blocks:
-            assert block.tail <= 1e-10
+        for tail in model.tails:
+            assert tail <= 1e-10
         reconstruction_error = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(reconstruction_error - model.total_truncation_error) <= 1e-10
 

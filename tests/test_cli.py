@@ -167,8 +167,8 @@ class TestDatasetIo:
         for attr in ("ridge", "radius", "truncation_error", "max_mode", "levels", "rank"):
             assert getattr(loaded, attr, None) == getattr(model, attr, None)
         if variant == "hierarchical":
-            assert [b.tail for b in loaded.blocks] == [b.tail for b in model.blocks]
-            assert any(b.tail > 0.0 for b in model.blocks)
+            assert loaded.tails == model.tails
+            assert any(tail > 0.0 for tail in model.tails)
         again = tmp_path / "again.bin"
         dataio.save_model(again, loaded)
         assert again.read_bytes() == path.read_bytes()
@@ -176,7 +176,9 @@ class TestDatasetIo:
     @pytest.mark.parametrize(
         "key, value",
         [("arrays", None), ("grid", None), ("num_pairs", None), ("num_pairs", "1"),
-         ("grid", {"kind": "uniform-1d", "n": 1, "left": 0.0, "right": 1.0})],
+         ("grid", {"kind": "uniform-1d", "n": 1, "left": 0.0, "right": 1.0}),
+         # json.loads reads the header's Infinity as a float
+         ("grid", {"kind": "uniform-1d", "n": 8, "left": 0.0, "right": float("inf")})],
     )
     def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
         grid = Grid1D(8)
@@ -202,7 +204,9 @@ class TestDatasetIo:
          ("hierarchical", "leaf_meta",
           lambda model: [model.leaf_meta[0] if i == 1 else meta
                          for i, meta in enumerate(model.leaf_meta)]),
-         ("hierarchical", "levels", 2), ("hierarchical", "rank", 3)],
+         ("hierarchical", "levels", 2), ("hierarchical", "rank", 3),
+         ("dense-kernel", "grid", {"kind": "uniform-1d", "n": 32, "left": float("-inf"),
+                                   "right": 1.0})],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
         """A malformed header, or a hierarchical model whose blocks, leaves,
@@ -621,6 +625,19 @@ class TestEveryFailureIsOneLine:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:config: "), lines
 
+    # each run asks for an array beyond 2^47 bytes, the user address space of
+    # x86-64, so the allocation fails at once under any overcommit policy
+    @pytest.mark.parametrize("config", [
+        dict(RECOVER_LOW_RANK, dimension=2 ** 50),
+        dict(RECOVER_HODLR, dimension=2 ** 50, levels=1),
+        dict(POISSON_GENERATE, num_pairs=10 ** 12, resolution=32),
+        dict(POISSON_GENERATE, num_pairs=2 ** 60, resolution=1024),  # 2^73 bytes
+    ], ids=["recover-low-rank", "recover-hodlr", "generate", "generate-beyond-int64"])
+    def test_size_beyond_memory(self, tmp_path, capsys, config):
+        assert run(config["command"], write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:incompatible: "), lines
+
     def test_property_covers_every_field_of_the_table(self, valid_configs):
         """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS, a
         path field PATH_FIELDS."""
@@ -790,6 +807,28 @@ class TestFitAndEval:
                 "output": "eval.csv",
             },
         )
+
+    @pytest.mark.filterwarnings("ignore:pair 3 has zero output norm")
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_zero_norm_target_is_incompatible(self, tmp_path, capsys, command):
+        """The fit leaves an all-zero pair out, but a relative loss on it is
+        undefined, so scoring a dataset that holds one fails."""
+        inputs, outputs = RngStream(60).standard_normal((2, 8, 32))
+        inputs[3] = outputs[3] = 0.0
+        dataset = tmp_path / "zero.ds"
+        save_dataset(dataset, OperatorDataset(Grid1D(32), inputs, outputs, {}))
+        if command == "fit":
+            config = {"command": "fit", "seed": 1, "dataset": str(dataset),
+                      "variant": "dense-kernel", "model_output": "model.bin",
+                      "metrics_output": "metrics.json"}
+        else:
+            dataio.save_model(tmp_path / "model.bin", fit_green_kernel(load_dataset(dataset)))
+            config = {"command": "eval", "seed": 1, "model": str(tmp_path / "model.bin"),
+                      "datasets": [{"resolution": 32, "path": str(dataset)}],
+                      "output": "eval.csv"}
+        assert run(command, write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:incompatible: "), lines
 
     def test_dataset_without_arrays_is_format_error(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)

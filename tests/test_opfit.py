@@ -6,6 +6,7 @@ from operlab.numerics import RngStream
 from operlab.opfit import (
     LOSS_KINDS,
     DenseKernelModel,
+    HierarchicalKernelModel,
     batch_loss,
     compute_loss,
     fit_fourier_multiplier,
@@ -245,8 +246,8 @@ class TestHierarchical:
         kernel = exact_green_matrix(grid)
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 3, 1)
         assert model.blocks  # admissible blocks exist from level 2 on
-        for block in model.blocks:
-            assert block.tail <= 1e-10
+        for tail in model.tails:
+            assert tail <= 1e-10
         err = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(err - model.total_truncation_error) <= 1e-10
 
@@ -256,8 +257,15 @@ class TestHierarchical:
         tails = []
         for rank in (1, 2, 4):
             model = hierarchical_decompose(DenseKernelModel(grid, kernel), 2, rank)
-            tails.append(max(b.tail for b in model.blocks))
+            tails.append(max(model.tails))
         assert tails[0] > tails[1] > tails[2]
+
+    def test_model_needs_one_tail_per_block(self):
+        grid = Grid1D(64)
+        model = hierarchical_decompose(DenseKernelModel(grid, exact_green_matrix(grid)), 2, 1)
+        assert len(model.tails) == len(model.blocks)
+        with pytest.raises(ValueError):
+            HierarchicalKernelModel(model.grid, 2, 1, model.operator, model.tails[1:])
 
     def test_predict_matches_dense_within_tail(self):
         ds = poisson_dataset(30, 64, seed=22)

@@ -174,14 +174,16 @@ class TestHodlr:
         pair and side; upper blocks are checked before lower ones."""
         stream = RngStream(11)
         factors = [stream.standard_normal((2, 1 << level, 64 >> level, 3)) for level in (1, 2, 3)]
-        # blocks in partition order: pair i's upper block is 2i, its lower one 2i + 1
+        # a level's block 2i is pair i's upper block, block 2i + 1 its lower one
         planted_blocks = [2 * pair + (side == "lower") for side, pair in planted]
         unplanted = np.setdiff1d(np.arange(4), planted_blocks)
         for level, stacks in enumerate(factors, 1):
             blocks = unplanted if level == 2 else slice(None)
             stacks[:, blocks, :, 2] = 0.0  # rank 2 but for the planted blocks
         leaves = stream.standard_normal((8, 8, 8))
-        oracle = oracle_for(BlockLowRankOperator.hodlr(64, [tuple(f) for f in factors], leaves))
+        # so the even blocks are the level's upper lane, the odd ones its lower lane
+        lanes = [(c[lane::2], r[lane::2]) for c, r in factors for lane in (0, 1)]
+        oracle = oracle_for(BlockLowRankOperator(64, 3, "weak", lanes, [leaves]))
         with pytest.raises(RankDeficitError) as info:
             recover_hodlr(oracle, 2, 3, 3, stream=RngStream(13))
         pair = min(pair for side, pair in planted if side == named)

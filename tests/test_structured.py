@@ -19,12 +19,11 @@ from operlab.structured import (
     DenseOperator,
     LowRankOperator,
     MatvecOracle,
-    hodlr_partition,
     partition_lanes,
     random_structured,
 )
 
-from helpers import expected_hodlr_layout, hodlr_layout, per_block_apply
+from helpers import dyadic_descent, expected_hodlr_layout, hodlr_layout, per_block_apply
 
 
 def make_instance(kind, n, seed):
@@ -142,8 +141,9 @@ class TestStackedRunsMatchPerBlockLoop:
 
     def test_hodlr_blocks_list_upper_then_lower(self):
         op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
-        by_level = [[b for b in hodlr_partition(64, 3) if b[0] == level] for level in (1, 2, 3)]
-        expected = [b for blocks in by_level for b in blocks[0::2] + blocks[1::2]]
+        blocks, _ = dyadic_descent(64, 3, "weak")
+        # level by level, the upper lane (row tile above column tile), then the lower one
+        expected = sorted(blocks, key=lambda b: (b[0], b[1] > b[2], b[1]))
         assert [(b.level, b.row_start, b.col_start, b.size) for b in op.blocks] == expected
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
@@ -152,9 +152,10 @@ class TestStackedRunsMatchPerBlockLoop:
         of the probe: on recovery's known levels (n=8192, L=7, an 18-column
         probe) the traced peak is the result plus one lane's product."""
         n, levels, stream = 8192, 7, RngStream(9)
-        factors = [tuple(stream.standard_normal((2, 2 ** level, n >> level, 4)))
-                   for level in range(1, levels + 1)]
-        op = BlockLowRankOperator.hodlr(n, factors)
+        draws = [stream.standard_normal((2, 2 ** level, n >> level, 4))
+                 for level in range(1, levels + 1)]
+        factors = [(c[lane::2], r[lane::2]) for c, r in draws for lane in (0, 1)]
+        op = BlockLowRankOperator(n, levels, "weak", factors)
         x = stream.standard_normal((n, 18))
         tracemalloc.start()
         try:
@@ -380,6 +381,24 @@ class TestOperatorValidation:
             recover_hodlr(oracle, 1, 1, 1, stream=RngStream(0))
 
 
+def lanes_cover_once(m: int, lanes) -> bool:
+    """Whether the blocks of the lanes tile an m x m matrix, each entry once."""
+    cover = np.zeros((m, m), dtype=int)
+    for _, rows, cols, size in lanes:
+        for r0, c0 in zip(rows, cols):
+            cover[r0:r0 + size, c0:c0 + size] += 1
+    return bool(np.all(cover == 1))
+
+
+def lane_blocks(lanes, leaf_lanes) -> tuple[list, list]:
+    """The sorted (level, row, col, size) of the lanes' blocks and (row, col,
+    size) of the leaf lanes' leaves, as dyadic_descent lists them."""
+    blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
+              for r0, c0 in zip(rows, cols)]
+    leaves = [(r0, c0, size) for _, rows, cols, size in leaf_lanes for r0, c0 in zip(rows, cols)]
+    return sorted(blocks), sorted(leaves)
+
+
 @st.composite
 def partition_cases(draw):
     """(n, levels) with n = 2^k and 1 <= levels <= k."""
@@ -391,29 +410,17 @@ class TestHodlrPartition:
     @settings(max_examples=80, deadline=None)
     @given(case=partition_cases())
     def test_blocks_and_leaves_cover_every_entry_once(self, case):
+        """The weak lanes and leaf lane cover every entry once and hold
+        exactly the blocks and leaves of the recursive descent."""
         n, levels = case
-        cover = np.zeros((n, n), dtype=int)
-        for _, r0, c0, size in hodlr_partition(n, levels):
-            cover[r0:r0 + size, c0:c0 + size] += 1
-        for r0, c0, (rows, cols) in expected_hodlr_layout(n, levels)[1]:
-            cover[r0:r0 + rows, c0:c0 + cols] += 1
-        assert np.all(cover == 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=partition_cases())
-    def test_order_is_level_by_level_upper_first(self, case):
-        n, levels = case
-        blocks = hodlr_partition(n, levels)
-        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
-        for upper, lower in zip(blocks[::2], blocks[1::2]):
-            level, r0, c0, size = upper
-            assert size == n >> level and r0 < c0 and r0 % (2 * size) == 0
-            assert lower == (level, c0, r0, size)
+        lanes, leaf_lanes = partition_lanes(n, levels, "weak")
+        assert lanes_cover_once(n, lanes + leaf_lanes)
+        assert lane_blocks(lanes, leaf_lanes) == tuple(map(sorted, dyadic_descent(n, levels, "weak")))
 
     @pytest.mark.parametrize("n, levels", [(12, 1), (1, 1), (0, 1), (8, 0), (8, 4), (16, 5)])
     def test_rejects_non_dyadic_sizes(self, n, levels):
         with pytest.raises(ValueError):
-            hodlr_partition(n, levels)
+            partition_lanes(n, levels, "weak")
 
     @pytest.mark.parametrize("n, rank, levels", [(8, 1, 1), (64, 2, 3), (256, 4, 6), (32, 40, 5)])
     def test_random_instance_follows_the_partition(self, n, rank, levels):
@@ -424,29 +431,6 @@ class TestHodlrPartition:
     def test_random_instance_needs_positive_rank(self):
         with pytest.raises(ValueError):
             random_structured("hodlr", 16, RngStream(0), rank=0, levels=2)
-
-
-def strong_descent(m: int, levels: int) -> tuple[list, list]:
-    """The strong-admissibility partition by recursive descent, the reference
-    for its lanes: the (level, row, col, size) of every low-rank block and
-    the (row, col, size) of every leaf.  A block is low-rank once its tiles
-    are at least two apart; near-diagonal blocks split until the last level."""
-    blocks, leaves = [], []
-
-    def descend(block_row, block_col, level):
-        size = m >> level
-        r0, c0 = block_row * size, block_col * size
-        if level > 0 and abs(block_row - block_col) >= 2:
-            blocks.append((level, r0, c0, size))
-        elif level == levels:
-            leaves.append((r0, c0, size))
-        else:
-            for dr in (0, 1):
-                for dc in (0, 1):
-                    descend(2 * block_row + dr, 2 * block_col + dc, level + 1)
-
-    descend(0, 0, 0)
-    return blocks, leaves
 
 
 @st.composite
@@ -466,17 +450,8 @@ class TestStrongPartition:
         blocks and leaves of the recursive descent."""
         m, levels = case
         lanes, leaf_lanes = partition_lanes(m, levels, "strong")
-        cover = np.zeros((m, m), dtype=int)
-        for _, rows, cols, size in lanes + leaf_lanes:
-            for r0, c0 in zip(rows, cols):
-                cover[r0:r0 + size, c0:c0 + size] += 1
-        assert np.all(cover == 1)
-        blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
-                  for r0, c0 in zip(rows, cols)]
-        leaves = [(r0, c0, size) for _, rows, cols, size in leaf_lanes for r0, c0 in zip(rows, cols)]
-        reference_blocks, reference_leaves = strong_descent(m, levels)
-        assert sorted(blocks) == sorted(reference_blocks)
-        assert sorted(leaves) == sorted(reference_leaves)
+        assert lanes_cover_once(m, lanes + leaf_lanes)
+        assert lane_blocks(lanes, leaf_lanes) == tuple(map(sorted, dyadic_descent(m, levels, "strong")))
 
     @settings(max_examples=40, deadline=None)
     @given(
