@@ -97,6 +97,21 @@ _FIELDS = {
     "dataset entry": {"eval": ({"resolution": _int(2), "path": _PATH}, {})},
 }
 
+# Each _FIELDS["algorithm"] entry's recovery: the random_structured keywords of
+# its instance (keyword -> config field), and its call.  The calls look up
+# recovery's functions when they run, so hooks that replace them still see them.
+_RECOVER = {
+    "low-rank": ({"rank": "rank"}, lambda oracle, config, stream: recovery.randomized_svd(
+        oracle, config["rank"], config.get("oversampling", 5), stream=stream)),
+    "circulant": ({}, lambda oracle, config, stream: recovery.recover_circulant(oracle, stream)),
+    "banded": ({"bandwidth": "bandwidth"},
+               lambda oracle, config, stream: recovery.recover_banded(oracle, config["bandwidth"])),
+    "hodlr": ({"rank": "block_rank", "levels": "levels"},
+              lambda oracle, config, stream: recovery.recover_hodlr(
+                  oracle, config["block_rank"], config["levels"], config.get("oversampling", 5),
+                  stream=stream)),
+}
+
 _PDE_FAMILIES = {
     "poisson1d": {"squared-exponential", "matern"},
     "burgers1d": {"helmholtz-power"},
@@ -245,33 +260,17 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     seed = config["seed"]
     instance_stream = RngStream(seed).derive(0)
     probe_stream = RngStream(seed).derive(1)
-    params = {}
-    if algorithm == "low-rank":
-        params = {"rank": config["rank"]}
-    elif algorithm == "banded":
-        params = {"bandwidth": config["bandwidth"]}
-    elif algorithm == "hodlr":
-        params = {"rank": config["block_rank"], "levels": config["levels"]}
+    keywords, recover = _RECOVER[algorithm]
     try:
-        instance = random_structured(algorithm, n, instance_stream, **params)
+        instance = random_structured(
+            algorithm, n, instance_stream, **{key: config[field] for key, field in keywords.items()}
+        )
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
     oracle = MatvecOracle.from_operator(instance)
     started = time.perf_counter()
     try:
-        if algorithm == "low-rank":
-            recovered = recovery.randomized_svd(
-                oracle, config["rank"], config.get("oversampling", 5), stream=probe_stream
-            )
-        elif algorithm == "circulant":
-            recovered = recovery.recover_circulant(oracle, probe_stream)
-        elif algorithm == "banded":
-            recovered = recovery.recover_banded(oracle, config["bandwidth"])
-        else:
-            recovered = recovery.recover_hodlr(
-                oracle, config["block_rank"], config["levels"],
-                config.get("oversampling", 5), stream=probe_stream,
-            )
+        recovered = recover(oracle, config, probe_stream)
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
     except ValueError as exc:  # parameters that do not fit the dimension
@@ -364,8 +363,6 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     except ValueError as exc:
         raise CliError("incompatible", str(exc)) from exc
     elapsed = time.perf_counter() - started
-    model_path = _out_path(out_dir, config["model_output"])
-    dataio.save_model(model_path, model)
     metrics: dict = {
         "variant": variant,
         "train_pairs": len(train),
@@ -388,6 +385,9 @@ def cmd_fit(config: dict, out_dir: str) -> int:
         metrics["truncation_error"] = model.truncation_error
     if variant == "hierarchical":
         metrics["truncation_error"] = model.total_truncation_error
+    # both splits are scored, so a failed fit has written no file
+    model_path = _out_path(out_dir, config["model_output"])
+    dataio.save_model(model_path, model)
     metrics_path = _out_path(out_dir, config["metrics_output"])
     with open(metrics_path, "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)

@@ -9,6 +9,7 @@ hierarchy of low-rank blocks with dense near-diagonal leaves.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from .structured import (
     BlockLowRankOperator,
     CirculantOperator,
     DenseOperator,
-    HodlrBlock,
     LowRankOperator,
     StructuredOperator,
     partition_lanes,
@@ -205,52 +205,45 @@ class BandedKernelModel(KernelModel):
 class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
     leaf blocks at the finest level, over the strong lanes of partition_lanes.
-    tails holds, for each entry of operator.blocks in order, the Frobenius
-    norm of what truncating it to the model's rank discarded.  A file loads
-    only if its block_meta and leaf_meta list exactly the partition's blocks
-    and leaves, in any order."""
+    tails holds one array per lane of operator.lanes: the Frobenius norm of
+    what truncating each block to the model's rank discarded.  A file lists
+    the blocks lane by lane, and loads only if its block_meta and leaf_meta
+    list exactly the partition's blocks and leaves, in any order, at integer
+    positions with finite nonnegative tails."""
 
     variant = "hierarchical"
     header_params = {"levels": int, "rank": int, "block_meta": list, "leaf_meta": list}
 
-    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator,
-                 tails):
+    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator, tails):
         super().__init__(grid, operator)
         self.levels = int(levels)
         self.rank = int(rank)
-        self.tails = tuple(float(t) for t in tails)
-        if len(self.tails) != len(operator.blocks):
+        self.tails = tuple(np.asarray(t, dtype=float) for t in tails)
+        if [t.shape for t in self.tails] != [(len(lane.row_starts),) for lane in operator.lanes]:
             raise ValueError("a hierarchical model needs one tail per low-rank block")
 
     @property
-    def blocks(self) -> tuple[HodlrBlock, ...]:
-        return self.operator.blocks
-
-    @property
     def total_truncation_error(self) -> float:
-        return float(np.sqrt(sum(t ** 2 for t in self.tails)))
+        # block by block in lane order, as Python floats: the order fixes the sum's bits
+        return float(np.sqrt(sum(t ** 2 for tails in self.tails for t in tails.tolist())))
 
     @property
     def block_meta(self) -> list[dict]:
-        return [
-            {"level": b.level, "row": b.row_start, "col": b.col_start,
-             "size": b.size, "tail": tail}
-            for b, tail in zip(self.blocks, self.tails)
-        ]
+        return [{"level": lane.level, "row": r0, "col": c0, "size": lane.size, "tail": tail}
+                for lane, tails in zip(self.operator.lanes, self.tails)
+                for r0, c0, tail in zip(lane.row_starts, lane.col_starts, tails.tolist())]
 
     @property
     def leaf_meta(self) -> list[dict]:
-        return [
-            {"row": r0, "col": c0, "size": block.shape[0]}
-            for r0, c0, block in self.operator.dense_blocks
-        ]
+        return [{"row": r0, "col": c0, "size": lane.size} for lane in self.operator.leaf_lanes
+                for r0, c0 in zip(lane.row_starts, lane.col_starts)]
 
     def saved_arrays(self):
-        arrays = []
-        for i, b in enumerate(self.blocks):
-            arrays += [(f"block{i}_col", b.col_factor), (f"block{i}_row", b.row_factor.T)]
-        arrays += [(f"leaf{i}", block) for i, (_, _, block) in enumerate(self.operator.dense_blocks)]
-        return arrays
+        blocks = [pair for lane in self.operator.lanes for pair in zip(*lane.factors)]
+        leaves = [leaf for lane in self.operator.leaf_lanes for leaf in lane.factors[0]]
+        arrays = [(f"block{i}_{side}", factor) for i, pair in enumerate(blocks)
+                  for side, factor in zip(("col", "row"), pair)]
+        return arrays + [(f"leaf{i}", leaf) for i, leaf in enumerate(leaves)]
 
     @classmethod
     def from_saved(cls, grid, params, arrays):
@@ -268,7 +261,11 @@ class HierarchicalKernelModel(KernelModel):
         for (col_factors, _), (*_, size) in zip(factors, lanes):
             if col_factors.shape[2:] != (min(rank, size),):
                 raise ValueError("each block's factors must have min(rank, size) columns")
-        tails = [block_meta[i]["tail"] for ids in block_ids for i in ids]
+        tails = [[block_meta[i]["tail"] for i in ids] for ids in block_ids]
+        # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
+        if not all(type(t) in (int, float) and 0 <= t <= sys.float_info.max
+                   for t in sum(tails, [])):
+            raise ValueError("each block's tail must be a finite nonnegative number")
         leaves = [stack("leaf{}", ids) for ids in leaf_ids]
         operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
         return cls(grid, levels, rank, operator, tails)
@@ -277,8 +274,10 @@ class HierarchicalKernelModel(KernelModel):
 def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
     """For each lane, the positions in metas of its blocks; the metas' level
     (or the given one: leaves record none), row, col and size must be exactly
-    the lanes' blocks, in any order."""
+    the lanes' blocks, in any order, as ints, since 0.0 == 0 == False."""
     keys = [(m["level"] if level is None else level, m["row"], m["col"], m["size"]) for m in metas]
+    if any(type(value) is not int for key in keys for value in key):
+        raise ValueError("saved block positions must be integers")
     expected = [(level, r0, c0, size) for level, rows, cols, size in lanes
                 for r0, c0 in zip(rows, cols)]
     if sorted(keys) != sorted(expected):
@@ -454,7 +453,8 @@ def hierarchical_decompose(
         # fresh arrays, as the operator keeps what it is given; vt[:, :r].copy()
         # keeps vt's layout, hence the block products' rounding
         factors.append((u[:, :, :r] * s[:, None, :r], vt[:, :r].copy().transpose(0, 2, 1)))
-        tails += [np.linalg.norm(tail) for tail in s[:, r:]]
+        # each block's own 1-D norm: a row-wise norm over the stack rounds differently
+        tails.append([np.linalg.norm(tail) for tail in s[:, r:]])
     leaves = [blocks(rows, cols, size) for _, rows, cols, size in leaf_lanes]
     operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
     return HierarchicalKernelModel(grid, levels, rank, operator, tails)

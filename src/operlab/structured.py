@@ -6,17 +6,16 @@ materialization of any column range (capped, to keep tests from accidentally
 going O(N^2) in memory at large N).  partition_lanes states the dyadic
 block partition once, for weak (HODLR) and strong admissibility, as lanes:
 strided runs of equal-size blocks.  Every BlockLowRankOperator is built
-over those lanes through one constructor and stores each lane's factors or
-leaves as stacks, applied through strided views of the probe with one
-batched product per factor.  Random HODLR instances and
-recovery.recover_hodlr use the weak partition, hierarchical kernel fits the
-strong one.
+over those lanes through one constructor and holds them as Lane objects,
+its one view of its blocks: each lane's factors or leaves are stacks,
+applied through strided views of the probe with one batched product per
+factor.  Random HODLR instances and recovery.recover_hodlr use the weak
+partition, hierarchical kernel fits the strong one.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -194,16 +193,6 @@ class BandedOperator(StructuredOperator):
         return a
 
 
-def _overlap(start: int, width: int, lo: int, hi: int) -> tuple[slice, slice] | None:
-    """Where a block's columns [start, start + width) meet [lo, hi): the shared
-    columns counted from the block's first column and from lo, or None if
-    they do not meet."""
-    first, last = max(start, lo), min(start + width, hi)
-    if first >= last:
-        return None
-    return slice(first - start, last - start), slice(first - lo, last - lo)
-
-
 def _block_columns(factors, part: slice) -> np.ndarray:
     """Columns `part` of a block (its one dense matrix, or col_factor @
     row_factor.T) with the bits of the whole block's product.
@@ -232,18 +221,18 @@ def _lane(a: np.ndarray, starts: range, size: int) -> np.ndarray:
     )
 
 
-class _Run:
-    """One lane of size x size blocks: block i maps columns col_starts[i] +
-    [0, size) to rows row_starts[i] + [0, size) through factors[0][i] @
-    factors[1][i], the stacked col_factors and transposed row_factors of a
-    low-rank lane (a leaf lane has one stack of dense blocks).  The starts
-    step at least one block forward, so a lane reads x and writes y through
-    strided views, with one batched product per factor.  level is the
-    low-rank blocks' HodlrBlock level; a leaf lane has none."""
+class Lane:
+    """One lane of size x size blocks of one level (a leaf lane's is the
+    finest): block i maps columns col_starts[i] + [0, size) to rows
+    row_starts[i] + [0, size) through factors[0][i] @ factors[1][i], the
+    stacked col_factors and transposed row_factors of a low-rank lane (a leaf
+    lane has one stack of dense blocks).  The starts step at least one block
+    forward, so a lane reads x and writes y through strided views, with one
+    batched product per factor."""
 
-    def __init__(self, row_starts: range, col_starts: range, size: int, factors, level=None):
-        self.row_starts, self.col_starts, self.size = row_starts, col_starts, size
-        self.factors, self.level = tuple(factors), level
+    def __init__(self, level: int, row_starts: range, col_starts: range, size: int, factors):
+        self.level, self.size, self.factors = level, size, tuple(factors)
+        self.row_starts, self.col_starts = row_starts, col_starts
         count, first, last = len(row_starts), self.factors[0].shape, self.factors[-1].shape
         if not (len(first) == len(last) == 3 and first[:2] == (count, size)
                 and last == (count, first[2], size)):
@@ -264,19 +253,6 @@ class _Run:
             t = factor @ t
         out = _lane(y, dst, self.size)
         out += t
-
-
-@dataclass(frozen=True)
-class HodlrBlock:
-    """One square low-rank block: row_start/col_start give its top-left corner,
-    and the block equals col_factor @ row_factor.T."""
-
-    level: int
-    row_start: int
-    col_start: int
-    size: int
-    col_factor: np.ndarray
-    row_factor: np.ndarray
 
 
 def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list]:
@@ -328,59 +304,43 @@ class BlockLowRankOperator(StructuredOperator):
     stacks for each lane of the partition in order, or for its first lanes
     only (the coarser levels, as recovery peels them); leaves, if given, one
     (blocks, leaf, leaf) stack per leaf lane.  The arrays are kept without
-    a copy.  Each lane applies with one batched product per factor, with the
-    bits of a per-block loop over blocks, then dense_blocks; both list their
-    blocks lane by lane, as views of the stored arrays.
+    a copy.  lanes and leaf_lanes hold them as Lane objects, the operator's
+    one view of its blocks.  Each lane applies with one batched product per
+    factor, with the bits of a per-block loop over lanes, then leaf_lanes.
     """
 
     def __init__(self, n: int, levels: int, admissibility: str, factors, leaves=()):
         lanes, leaf_lanes = partition_lanes(n, levels, admissibility)
         if len(factors) > len(lanes) or (leaves and len(leaves) != len(leaf_lanes)):
             raise ValueError("factors and leaves must follow the partition's lanes")
-        runs = [
-            _Run(rows, cols, size, (col_factors, row_factors.transpose(0, 2, 1)), level)
-            for (level, rows, cols, size), (col_factors, row_factors) in zip(lanes, factors)
-        ]
-        runs += [_Run(rows, cols, size, (stack,))
-                 for (_, rows, cols, size), stack in zip(leaf_lanes, leaves)]
-        self.n, self._runs = n, tuple(runs)
-
-    @cached_property
-    def blocks(self) -> tuple[HodlrBlock, ...]:
-        return tuple(
-            HodlrBlock(run.level, r0, c0, run.size, col_factor, row_factor_t.T)
-            for run in self._runs if run.level is not None
-            for r0, c0, col_factor, row_factor_t in zip(run.row_starts, run.col_starts, *run.factors)
-        )
-
-    @cached_property
-    def dense_blocks(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        return tuple(
-            (r0, c0, m)
-            for run in self._runs if run.level is None
-            for r0, c0, m in zip(run.row_starts, run.col_starts, run.factors[0])
-        )
+        self.n = n
+        self.lanes = tuple(Lane(*spec, (col_factors, row_factors.transpose(0, 2, 1)))
+                           for spec, (col_factors, row_factors) in zip(lanes, factors))
+        self.leaf_lanes = tuple(Lane(*spec, (stack,)) for spec, stack in zip(leaf_lanes, leaves))
 
     def _apply(self, x):
         y = np.zeros_like(x)
-        for run in self._runs:
-            run.add_product(x, y, transpose=False)
+        for lane in self.lanes + self.leaf_lanes:
+            lane.add_product(x, y, transpose=False)
         return y
 
     def _apply_transpose(self, x):
         y = np.zeros_like(x)
-        for run in self._runs:
-            run.add_product(x, y, transpose=True)
+        for lane in self.lanes + self.leaf_lanes:
+            lane.add_product(x, y, transpose=True)
         return y
 
     def _materialize(self, lo, hi):
-        # only the blocks that meet columns [lo, hi), and only those columns of them
         a = np.zeros((self.n, hi - lo))
-        for run in self._runs:
-            for r0, c0, *factors in zip(run.row_starts, run.col_starts, *run.factors):
-                if where := _overlap(c0, run.size, lo, hi):
-                    inside, out = where
-                    a[r0:r0 + run.size, out] = _block_columns(factors, inside)
+        for lane in self.lanes + self.leaf_lanes:
+            # the lane's blocks that meet columns [lo, hi), and only those columns of them
+            cols, size = lane.col_starts, lane.size
+            meet = slice(bisect_right(cols, lo - size), bisect_left(cols, hi))
+            for r0, c0, *factors in zip(lane.row_starts[meet], cols[meet],
+                                        *(f[meet] for f in lane.factors)):
+                first, last = max(c0, lo), min(c0 + size, hi)
+                a[r0:r0 + size, first - lo:last - lo] = _block_columns(
+                    factors, slice(first - c0, last - c0))
         return a
 
 

@@ -23,35 +23,37 @@ SMOOTH_PERIODIC = CovarianceSpec(
 
 def hodlr_layout(op) -> tuple[list, list]:
     """The sorted (level, row_start, col_start, size) of a block operator's
-    low-rank blocks and the (row_start, col_start, shape) of its dense ones."""
-    blocks = sorted((b.level, b.row_start, b.col_start, b.size) for b in op.blocks)
-    return blocks, [(r0, c0, m.shape) for r0, c0, m in op.dense_blocks]
+    low-rank blocks and the (row_start, col_start, shape) of its dense ones,
+    read block by block off its lanes."""
+    blocks = sorted((lane.level, r0, c0, lane.size) for lane in op.lanes
+                    for r0, c0 in zip(lane.row_starts, lane.col_starts))
+    leaves = [(r0, c0, leaf.shape) for lane in op.leaf_lanes
+              for r0, c0, leaf in zip(lane.row_starts, lane.col_starts, lane.factors[0])]
+    return blocks, leaves
 
 
 def per_block_apply(op, x, transpose: bool = False) -> np.ndarray:
-    """A block operator applied to x (or its transpose) one block at a time:
-    the per-block loop that stacked runs must match bit for bit."""
+    """A block operator applied to x (or its transpose) one block at a time,
+    over its lanes' low-rank blocks, then its leaves: the per-block loop
+    that stacked lanes must match bit for bit.  Block i of a lane is the
+    product of its factors' entries i (col_factor @ row_factor.T, or one
+    dense leaf)."""
     x = np.asarray(x, dtype=float)
     mat = x[:, None] if x.ndim == 1 else x
-    low_rank = [
-        (slice(b.row_start, b.row_start + b.size), slice(b.col_start, b.col_start + b.size),
-         b.col_factor, b.row_factor.T)
-        for b in op.blocks
-    ]
-    dense = [
-        (slice(r0, r0 + m.shape[0]), slice(c0, c0 + m.shape[1]), m) for r0, c0, m in op.dense_blocks
-    ]
     y = np.zeros_like(mat)
-    if transpose:
-        for rows, cols, col_factor, row_factor_t in low_rank:
-            y[cols] += row_factor_t.T @ (col_factor.T @ mat[rows])
-        for rows, cols, m in dense:
-            y[cols] += m.T @ mat[rows]
-    else:
-        for rows, cols, col_factor, row_factor_t in low_rank:
-            y[rows] += col_factor @ (row_factor_t @ mat[cols])
-        for rows, cols, m in dense:
-            y[rows] += m @ mat[cols]
+    for lane in op.lanes + op.leaf_lanes:
+        for r0, c0, *factors in zip(lane.row_starts, lane.col_starts, *lane.factors):
+            rows, cols = slice(r0, r0 + lane.size), slice(c0, c0 + lane.size)
+            if transpose:
+                t = mat[rows]
+                for factor in factors:
+                    t = factor.T @ t
+                y[cols] += t
+            else:
+                t = mat[cols]
+                for factor in reversed(factors):
+                    t = factor @ t
+                y[rows] += t
     return y[:, 0] if x.ndim == 1 else y
 
 

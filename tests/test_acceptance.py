@@ -224,8 +224,8 @@ def test_criterion_11_hierarchical_decomposition():
         x = grid.points()
         kernel = green_poisson_1d(x[:, None], x[None, :])
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 3, 1)
-        assert model.blocks
-        for tail in model.tails:
+        assert model.operator.lanes
+        for tail in np.concatenate(model.tails):
             assert tail <= 1e-10
         reconstruction_error = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(reconstruction_error - model.total_truncation_error) <= 1e-10

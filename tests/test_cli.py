@@ -84,6 +84,11 @@ POISSON_GENERATE = {
 }
 
 
+def first_meta(metas: list, **changes) -> list:
+    """A model's block_meta or leaf_meta with the first entry's fields changed."""
+    return [dict(metas[0], **changes), *metas[1:]]
+
+
 class TestDatasetIo:
     def roundtrip(self, tmp_path, ds):
         path = tmp_path / "data.ds"
@@ -167,8 +172,8 @@ class TestDatasetIo:
         for attr in ("ridge", "radius", "truncation_error", "max_mode", "levels", "rank"):
             assert getattr(loaded, attr, None) == getattr(model, attr, None)
         if variant == "hierarchical":
-            assert loaded.tails == model.tails
-            assert any(tail > 0.0 for tail in model.tails)
+            assert [t.tolist() for t in loaded.tails] == [t.tolist() for t in model.tails]
+            assert any(tail > 0.0 for tails in model.tails for tail in tails)
         again = tmp_path / "again.bin"
         dataio.save_model(again, loaded)
         assert again.read_bytes() == path.read_bytes()
@@ -206,12 +211,29 @@ class TestDatasetIo:
                          for i, meta in enumerate(model.leaf_meta)]),
          ("hierarchical", "levels", 2), ("hierarchical", "rank", 3),
          ("dense-kernel", "grid", {"kind": "uniform-1d", "n": 32, "left": float("-inf"),
-                                   "right": 1.0})],
+                                   "right": 1.0}),
+         # positions that only compare equal to the right integers, and tails
+         # that are not finite nonnegative numbers
+         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, row=0.0)),
+         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, level=2.0)),
+         ("hierarchical", "leaf_meta", lambda model: first_meta(model.leaf_meta, row=False)),
+         ("hierarchical", "leaf_meta", lambda model: first_meta(model.leaf_meta, size=4.0)),
+         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail="nan")),
+         ("hierarchical", "block_meta",
+          lambda model: first_meta(model.block_meta, tail=float("nan"))),
+         ("hierarchical", "block_meta",
+          lambda model: first_meta(model.block_meta, tail=float("inf"))),
+         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail=-1.0)),
+         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail=True)),
+         ("hierarchical", "block_meta",
+          lambda model: first_meta(model.block_meta, tail=10 ** 400))],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
         """A malformed header, or a hierarchical model whose blocks, leaves,
         levels or rank do not match the strong partition it claims: a block
-        moved onto the diagonal, a leaf listed twice (in place of another)."""
+        moved onto the diagonal, a leaf listed twice (in place of another), a
+        position that is not a JSON integer, a tail that is not a finite
+        nonnegative JSON number."""
         model, _ = fitted_model(variant)
         path = tmp_path / "model.bin"
         dataio.save_model(path, model)
@@ -826,9 +848,13 @@ class TestFitAndEval:
             config = {"command": "eval", "seed": 1, "model": str(tmp_path / "model.bin"),
                       "datasets": [{"resolution": 32, "path": str(dataset)}],
                       "output": "eval.csv"}
-        assert run(command, write_config(tmp_path / "c.json", config), tmp_path) == 1
+        config_path = write_config(tmp_path / "c.json", config)
+        # a failed command writes no file (fit scores both splits before saving)
+        before = sorted(tmp_path.iterdir())
+        assert run(command, config_path, tmp_path) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:incompatible: "), lines
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_dataset_without_arrays_is_format_error(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)

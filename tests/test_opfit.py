@@ -245,8 +245,8 @@ class TestHierarchical:
         grid = Grid1D(128)
         kernel = exact_green_matrix(grid)
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 3, 1)
-        assert model.blocks  # admissible blocks exist from level 2 on
-        for tail in model.tails:
+        assert model.operator.lanes  # admissible blocks exist from level 2 on
+        for tail in np.concatenate(model.tails):
             assert tail <= 1e-10
         err = np.linalg.norm(model.operator.materialize() - kernel)
         assert abs(err - model.total_truncation_error) <= 1e-10
@@ -257,15 +257,17 @@ class TestHierarchical:
         tails = []
         for rank in (1, 2, 4):
             model = hierarchical_decompose(DenseKernelModel(grid, kernel), 2, rank)
-            tails.append(max(model.tails))
+            tails.append(max(np.concatenate(model.tails)))
         assert tails[0] > tails[1] > tails[2]
 
     def test_model_needs_one_tail_per_block(self):
         grid = Grid1D(64)
         model = hierarchical_decompose(DenseKernelModel(grid, exact_green_matrix(grid)), 2, 1)
-        assert len(model.tails) == len(model.blocks)
-        with pytest.raises(ValueError):
-            HierarchicalKernelModel(model.grid, 2, 1, model.operator, model.tails[1:])
+        lanes = model.operator.lanes
+        assert [tails.shape for tails in model.tails] == [(len(lane.row_starts),) for lane in lanes]
+        for tails in (model.tails[1:], (model.tails[0][1:], *model.tails[1:])):
+            with pytest.raises(ValueError):
+                HierarchicalKernelModel(model.grid, 2, 1, model.operator, tails)
 
     def test_predict_matches_dense_within_tail(self):
         ds = poisson_dataset(30, 64, seed=22)
@@ -283,8 +285,8 @@ class TestHierarchical:
         behind the blocks and leaves hold exactly their bytes."""
         kernel = RngStream(23).standard_normal((64, 64))
         model = hierarchical_decompose(DenseKernelModel(Grid1D(64), kernel), 3, 2)
-        arrays = [m for b in model.blocks for m in (b.col_factor, b.row_factor)]
-        arrays += [m for _, _, m in model.operator.dense_blocks]
+        op = model.operator
+        arrays = [m for lane in op.lanes + op.leaf_lanes for stack in lane.factors for m in stack]
         bases = {id(base): base for base in (a if a.base is None else a.base for a in arrays)}
         assert sum(base.nbytes for base in bases.values()) == sum(a.nbytes for a in arrays)
 

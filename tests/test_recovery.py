@@ -200,11 +200,12 @@ class TestHodlr:
         recovered = recover_hodlr(oracle_for(op), 2, 3, 5, stream=RngStream(8))
         remainder = dense.copy()
         for level in range(1, 4):
-            for b in recovered.blocks:
-                if b.level == level:
-                    remainder[
-                        b.row_start:b.row_start + b.size, b.col_start:b.col_start + b.size
-                    ] -= b.col_factor @ b.row_factor.T
+            level_lanes = [lane for lane in recovered.lanes if lane.level == level]
+            for lane in level_lanes:
+                for r0, c0, col_factor, row_factor_t in zip(
+                    lane.row_starts, lane.col_starts, *lane.factors
+                ):
+                    remainder[r0:r0 + lane.size, c0:c0 + lane.size] -= col_factor @ row_factor_t
             # after subtracting levels 1..level, only block-diagonal content remains
             size = 64 >> level
             off = remainder.copy()
@@ -220,7 +221,8 @@ class TestHodlr:
         recovered = recover_hodlr(oracle_for(op), block_rank, levels, 3, stream=RngStream(1))
         assert isinstance(recovered, BlockLowRankOperator)
         assert hodlr_layout(recovered) == expected_hodlr_layout(n, levels)
-        assert all(b.col_factor.shape[1] <= block_rank for b in recovered.blocks)
+        # each lane's col_factors stack is (blocks, size, rank)
+        assert all(lane.factors[0].shape[2] <= block_rank for lane in recovered.lanes)
 
     def test_parameter_validation(self):
         oracle = oracle_for(DenseOperator(np.zeros((16, 16))))
@@ -412,8 +414,8 @@ def test_recovery_memory_is_the_result_storage():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    own = sum(b.col_factor.nbytes + b.row_factor.nbytes for b in recovered.blocks)
-    own += sum(m.nbytes for _, _, m in recovered.dense_blocks)
+    own = sum(stack.nbytes for lane in recovered.lanes + recovered.leaf_lanes
+              for stack in lane.factors)
     assert peak <= 1.75 * own
     assert kept <= 1.1 * own
 
