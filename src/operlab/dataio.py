@@ -143,21 +143,27 @@ def read_container(path) -> tuple[dict, bytes]:
 
 
 def _unpack_arrays(path, manifest: list, payload: bytes) -> dict[str, np.ndarray]:
-    """Read-only array views of the payload, by manifest name."""
+    """Read-only array views of the payload, by manifest name.
+
+    The payload has been verified against the header, so a manifest that
+    does not cover it exactly is a header fault: a DataFormatError.
+    """
     out = {}
     offset = 0
     try:
         for entry in manifest:
             shape = tuple(entry["shape"])
+            if any(dim < 0 for dim in shape):
+                raise ValueError(f"array {entry['name']} has a negative dimension")
             nbytes = 8 * int(np.prod(shape)) if shape else 8
             if offset + nbytes > len(payload):
-                raise TruncatedPayloadError(f"{path}: array {entry['name']} is truncated")
+                raise DataFormatError(f"{path}: array {entry['name']} runs past the payload")
             out[entry["name"]] = np.frombuffer(payload, "<f8", nbytes // 8, offset).reshape(shape)
             offset += nbytes
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: malformed array manifest: {exc!r}") from exc
     if offset != len(payload):
-        raise TruncatedPayloadError(f"{path}: payload longer than the arrays it declares")
+        raise DataFormatError(f"{path}: payload longer than the arrays it declares")
     return out
 
 

@@ -140,16 +140,10 @@ def kernel_eval(spec: CovarianceSpec, x, y):
         if closed is not None:
             return closed
         return matern_bessel(d, spec.length_scale, spec.smoothness)
-    # helmholtz-power: sum the cosine series until the terms stop mattering
+    # helmholtz-power: the cosine series over the modes the KL basis keeps
     result = np.full(np.broadcast_shapes(xa.shape, ya.shape), helmholtz_eigenvalue(spec, 0))
-    top = max(helmholtz_eigenvalue(spec, 0), helmholtz_eigenvalue(spec, 1))
-    mode = 1
-    while True:
-        lam = helmholtz_eigenvalue(spec, mode)
-        if lam < MACHINE_EPS * top or mode > 100_000:
-            break
-        result = result + 2.0 * lam * np.cos(2.0 * np.pi * mode * d)
-        mode += 1
+    for mode in range(1, _helmholtz_mode_cap(spec) + 1):
+        result = result + 2.0 * helmholtz_eigenvalue(spec, mode) * np.cos(2.0 * np.pi * mode * d)
     return result
 
 

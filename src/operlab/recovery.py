@@ -114,27 +114,16 @@ def randomized_svd(
     return LowRankOperator(q, row_action.T)
 
 
-def recover_circulant(
-    oracle: MatvecOracle,
-    stream: RngStream | None = None,
-    *,
-    probe=None,
-) -> CirculantOperator:
+def recover_circulant(oracle: MatvecOracle, stream: RngStream) -> CirculantOperator:
     """Recover a circulant matrix from a single forward query.
 
-    Applying the matrix to a probe g commutes: the response y equals the
-    circulant built from g applied to the unknown first column, so the
-    column is IFFT(FFT(y) / FFT(g)).  Raises ZeroFourierMode if any DFT
-    coefficient of g falls below PIVOT_RTOL * ||g|| (PIVOT_RTOL = 1e-8).
+    Applying the matrix to a Gaussian probe g, drawn from stream, commutes:
+    the response y equals the circulant built from g applied to the unknown
+    first column, so the column is IFFT(FFT(y) / FFT(g)).  Raises
+    ZeroFourierMode, before any query, if any DFT coefficient of g falls
+    below PIVOT_RTOL * ||g|| (PIVOT_RTOL = 1e-8).
     """
-    n = oracle.n
-    if probe is None:
-        if stream is None:
-            raise ValueError("need a stream (or an explicit probe)")
-        probe = stream.standard_normal(n)
-    g = np.asarray(probe, dtype=float)
-    if g.shape != (n,):
-        raise ValueError(f"probe must have shape ({n},)")
+    g = stream.standard_normal(oracle.n)
     g_hat = np.fft.fft(g)
     tol = PIVOT_RTOL * np.linalg.norm(g)
     small = np.abs(g_hat) <= tol

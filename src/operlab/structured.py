@@ -3,7 +3,10 @@
 Operators are immutable after construction and expose apply / apply_transpose
 for vectors or column-stacked probe matrices, plus exact dense
 materialization of any column range (capped, to keep tests from accidentally
-going O(N^2) in memory at large N).  partition_lanes states the dyadic
+going O(N^2) in memory at large N).  Each operator type states its action
+once, as _apply(x, transpose) on an n-row matrix (A x, or A^T x), and its
+dense columns as _materialize(lo, hi); one probe check, _apply_to_probe,
+serves every operator and the MatvecOracle.  partition_lanes states the dyadic
 block partition once, for weak (HODLR) and strong admissibility, as lanes:
 strided runs of equal-size blocks.  Every BlockLowRankOperator is built
 over those lanes through one constructor and holds them as Lane objects,
@@ -24,39 +27,38 @@ from .numerics import RngStream
 DENSE_CAP = 4096
 
 
-def _check_probe(x, n: int) -> tuple[np.ndarray, bool]:
+def _apply_to_probe(target, x, transpose: bool) -> np.ndarray:
+    """target._apply(probe, transpose) for a vector or matrix probe x of
+    target.n rows, in x's shape.  The probe is passed as an n-row matrix: a
+    view of x, never a copy, when x is already a float array."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.size != n:
-            raise ValueError(f"probe length {arr.size} does not match dimension {n}")
-        return arr[:, None], True
+    if arr.ndim not in (1, 2):
+        raise ValueError("probe must be a vector or a matrix")
+    if arr.shape[0] != target.n:
+        raise ValueError(f"probe has {arr.shape[0]} rows, expected {target.n}")
     if arr.ndim == 2:
-        if arr.shape[0] != n:
-            raise ValueError(f"probe has {arr.shape[0]} rows, expected {n}")
-        return arr, False
-    raise ValueError("probe must be a vector or a matrix")
+        return target._apply(arr, transpose)
+    return target._apply(arr[:, None], transpose)[:, 0]
 
 
 class StructuredOperator:
-    """Base class: a square operator with matvec, transpose matvec, and dense form."""
+    """Base class: a square operator with matvec, transpose matvec, and dense form.
+
+    A subclass sets n and defines _apply(x, transpose), which returns A @ x,
+    or A.T @ x when transpose is true, for an n-row matrix x, and
+    _materialize(lo, hi), which returns columns [lo, hi) of A.
+    """
 
     n: int
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _apply_transpose(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         raise NotImplementedError
 
     def apply(self, x) -> np.ndarray:
-        mat, squeeze = _check_probe(x, self.n)
-        out = self._apply(mat)
-        return out[:, 0] if squeeze else out
+        return _apply_to_probe(self, x, False)
 
     def apply_transpose(self, x) -> np.ndarray:
-        mat, squeeze = _check_probe(x, self.n)
-        out = self._apply_transpose(mat)
-        return out[:, 0] if squeeze else out
+        return _apply_to_probe(self, x, True)
 
     def materialize(
         self, start: int = 0, stop: int | None = None, *, cap: int = DENSE_CAP
@@ -86,11 +88,8 @@ class DenseOperator(StructuredOperator):
         self.matrix = a
         self.n = a.shape[0]
 
-    def _apply(self, x):
-        return self.matrix @ x
-
-    def _apply_transpose(self, x):
-        return self.matrix.T @ x
+    def _apply(self, x, transpose):
+        return (self.matrix.T if transpose else self.matrix) @ x
 
     def _materialize(self, lo, hi):
         return self.matrix[:, lo:hi].copy()
@@ -108,11 +107,10 @@ class LowRankOperator(StructuredOperator):
         self.row_factor = r
         self.n = c.shape[0]
 
-    def _apply(self, x):
+    def _apply(self, x, transpose):
+        if transpose:
+            return self.row_factor.T @ (self.col_factor.T @ x)
         return self.col_factor @ (self.row_factor @ x)
-
-    def _apply_transpose(self, x):
-        return self.row_factor.T @ (self.col_factor.T @ x)
 
     def _materialize(self, lo, hi):
         return self.col_factor @ self.row_factor[:, lo:hi]
@@ -128,18 +126,12 @@ class CirculantOperator(StructuredOperator):
         self.first_column = c
         self.n = c.size
 
-    def _symbol(self) -> np.ndarray:
-        return np.fft.fft(self.first_column)
-
-    def _apply(self, x):
+    def _apply(self, x, transpose):
         xhat = np.fft.fft(x, axis=0)
-        return np.fft.ifft(self._symbol()[:, None] * xhat, axis=0).real
-
-    def _apply_transpose(self, x):
-        # A^T is circulant with first column c[(n - i) mod n]
-        xhat = np.fft.fft(x, axis=0)
-        sym = np.conj(self._symbol())
-        return np.fft.ifft(sym[:, None] * xhat, axis=0).real
+        symbol = np.fft.fft(self.first_column)
+        if transpose:  # A^T is circulant with first column c[(n - i) mod n]
+            symbol = np.conj(symbol)
+        return np.fft.ifft(symbol[:, None] * xhat, axis=0).real
 
     def _materialize(self, lo, hi):
         # column j is the first column rolled down by j: A[i, j] = c[(i - j) mod n]
@@ -163,24 +155,15 @@ class BandedOperator(StructuredOperator):
         self.bandwidth = bandwidth
         self.diagonals = d
 
-    def _apply(self, x):
+    def _apply(self, x, transpose):
         y = np.zeros_like(x)
         w = self.bandwidth
         for offset in range(-w, w + 1):
             lo = max(0, -offset)
             hi = self.n - max(0, offset)
-            band = self.diagonals[w + offset, lo:hi]
-            y[lo:hi] += band[:, None] * x[lo + offset:hi + offset]
-        return y
-
-    def _apply_transpose(self, x):
-        y = np.zeros_like(x)
-        w = self.bandwidth
-        for offset in range(-w, w + 1):
-            lo = max(0, -offset)
-            hi = self.n - max(0, offset)
-            band = self.diagonals[w + offset, lo:hi]
-            y[lo + offset:hi + offset] += band[:, None] * x[lo:hi]
+            rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
+            src, dst = (rows, cols) if transpose else (cols, rows)
+            y[dst] += self.diagonals[w + offset, lo:hi, None] * x[src]
         return y
 
     def _materialize(self, lo, hi):
@@ -318,16 +301,10 @@ class BlockLowRankOperator(StructuredOperator):
                            for spec, (col_factors, row_factors) in zip(lanes, factors))
         self.leaf_lanes = tuple(Lane(*spec, (stack,)) for spec, stack in zip(leaf_lanes, leaves))
 
-    def _apply(self, x):
+    def _apply(self, x, transpose):
         y = np.zeros_like(x)
         for lane in self.lanes + self.leaf_lanes:
-            lane.add_product(x, y, transpose=False)
-        return y
-
-    def _apply_transpose(self, x):
-        y = np.zeros_like(x)
-        for lane in self.lanes + self.leaf_lanes:
-            lane.add_product(x, y, transpose=True)
+            lane.add_product(x, y, transpose)
         return y
 
     def _materialize(self, lo, hi):
@@ -365,18 +342,19 @@ class MatvecOracle:
         return cls(op.n, op.apply, op.apply_transpose)
 
     def apply(self, x) -> np.ndarray:
-        mat, squeeze = _check_probe(x, self.n)
-        with self._lock:
-            self.forward_queries += mat.shape[1]
-        out = np.asarray(self._forward(mat))
-        return out[:, 0] if squeeze else out
+        return _apply_to_probe(self, x, False)
 
     def apply_transpose(self, x) -> np.ndarray:
-        mat, squeeze = _check_probe(x, self.n)
+        return _apply_to_probe(self, x, True)
+
+    def _apply(self, x, transpose):
+        # called on a checked probe: count it, then run the action
         with self._lock:
-            self.transpose_queries += mat.shape[1]
-        out = np.asarray(self._transpose(mat))
-        return out[:, 0] if squeeze else out
+            if transpose:
+                self.transpose_queries += x.shape[1]
+            else:
+                self.forward_queries += x.shape[1]
+        return np.asarray((self._transpose if transpose else self._forward)(x))
 
 
 def random_structured(

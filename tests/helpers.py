@@ -21,6 +21,14 @@ SMOOTH_PERIODIC = CovarianceSpec(
 )
 
 
+class ConstantStream:
+    """A stream stub whose "normal" draws are all ones: a constant probe,
+    whose DFT vanishes at every nonzero frequency."""
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return np.ones(shape)
+
+
 def hodlr_layout(op) -> tuple[list, list]:
     """The sorted (level, row_start, col_start, size) of a block operator's
     low-rank blocks and the (row_start, col_start, shape) of its dense ones,

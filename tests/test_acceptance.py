@@ -39,7 +39,12 @@ from operlab.recovery import (
 )
 from operlab.structured import DenseOperator, MatvecOracle, random_structured
 
-from helpers import planted_multiplier_dataset, relative_l2_error, shifted_poisson_factor
+from helpers import (
+    ConstantStream,
+    planted_multiplier_dataset,
+    relative_l2_error,
+    shifted_poisson_factor,
+)
 
 SE_01 = CovarianceSpec("squared-exponential", length_scale=0.1)
 SE_005 = CovarianceSpec("squared-exponential", length_scale=0.05)
@@ -94,7 +99,7 @@ def test_criterion_03_circulant():
             assert (oracle.forward_queries, oracle.transpose_queries) == (1, 0)
         constant_target = random_structured("circulant", 64, RngStream(2))
         with pytest.raises(ZeroFourierMode):
-            recover_circulant(MatvecOracle.from_operator(constant_target), probe=np.ones(64))
+            recover_circulant(MatvecOracle.from_operator(constant_target), ConstantStream())
 
 
 def test_criterion_04_banded():

@@ -28,7 +28,7 @@ from operlab.dataio import (
 )
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
-from operlab.opfit import fit_fourier_multiplier, fit_green_kernel
+from operlab.opfit import DenseKernelModel, fit_fourier_multiplier, fit_green_kernel
 
 from helpers import (
     MODEL_VARIANTS,
@@ -881,6 +881,18 @@ class TestFitAndEval:
         assert run("eval", self.eval_config(tmp_path, tmp_path / "model.bin", dataset), tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:format:")
 
+    @pytest.mark.parametrize("shape", [[3], [17], [-1]], ids=["short", "long", "negative"])
+    def test_manifest_disagreeing_with_payload_is_format_error(self, tmp_path, capsys, shape):
+        """The payload has passed its length and checksum, so a manifest that
+        does not cover it exactly is a header fault, not a truncation."""
+        dataset = self.generate_poisson(tmp_path)
+        model_path = tmp_path / "model.bin"
+        dataio.save_model(model_path, DenseKernelModel(Grid1D(4), np.eye(4)))  # 16 values
+        rewrite_container(model_path, {"arrays": [{"name": "kernel", "shape": shape}]})
+        assert run("eval", self.eval_config(tmp_path, model_path, dataset), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:format: "), lines
+
     def test_corrupt_model_checksum_code(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)
         model_path = tmp_path / "model.bin"
@@ -914,6 +926,29 @@ class TestFitAndEval:
         )
         assert run("fit", config, tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:format:")
+
+
+class TestDeterminism:
+    """The same config and seed write byte-identical files, at a given BLAS
+    thread count."""
+
+    @pytest.mark.parametrize(
+        "name", ["fit", "fit-low-rank", "fit-fourier", "fit-banded", "fit-hierarchical"])
+    def test_fit_and_eval_outputs_are_byte_identical(self, tmp_path, valid_configs, name):
+        fit = dict(valid_configs[name], losses=["relative-l2", "mse"])
+        dataset = fit["dataset"]
+        outputs = []
+        for side in ("first", "second"):
+            out = tmp_path / side
+            assert run("fit", write_config(tmp_path / f"{side}-fit.json", fit), out) == 0
+            evaluate = {"command": "eval", "seed": 1, "model": str(out / "model.bin"),
+                        "datasets": [{"resolution": load_dataset(dataset).grid.n,
+                                      "path": dataset}],
+                        "losses": ["relative-l2", "mse"], "output": "eval.csv"}
+            assert run("eval", write_config(tmp_path / f"{side}-eval.json", evaluate), out) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["eval.csv", "metrics.json", "model.bin"]
+        assert outputs[0] == outputs[1]
 
 
 class TestProcessInterface:

@@ -196,3 +196,15 @@ def test_helmholtz_zero_shift_excludes_constant():
     basis = kl_decompose(spec, 32)
     assert np.all(np.diff(basis.eigenvalues) <= 1e-18)
     assert np.allclose(basis.functions[:, 0], np.sqrt(2) * np.cos(2 * np.pi * basis.grid.points()))
+
+
+def test_helmholtz_kernel_sums_the_modes_the_basis_keeps():
+    # at smoothness 1.5 the KL basis keeps 165140 modes; the reference
+    # covariance must sum exactly those, in order, and no others
+    spec = CovarianceSpec("helmholtz-power", smoothness=1.5, shift=0.0, periodic=True)
+    cap = (kl_decompose(spec, 8).draw_count - 1) // 2
+    assert cap == 165140
+    total = helmholtz_eigenvalue(spec, 0)
+    for mode in range(1, cap + 1):
+        total = total + 2.0 * helmholtz_eigenvalue(spec, mode)
+    assert kernel_eval(spec, 0.0, 0.0) == total

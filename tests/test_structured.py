@@ -273,10 +273,21 @@ class TestOracle:
             x = RngStream(seed).standard_normal((16, 5))
             assert np.linalg.norm(oracle.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
 
-    def test_dimension_mismatch(self):
-        oracle = MatvecOracle.from_operator(DenseOperator(np.eye(4)))
+    @pytest.mark.parametrize("direction", ["apply", "apply_transpose"])
+    @pytest.mark.parametrize("kind", ["dense", "low-rank", "circulant", "banded", "hodlr", "oracle"])
+    @pytest.mark.parametrize("shape", [(15,), (17, 2), (), (16, 2, 1)],
+                             ids=["vector-rows", "matrix-rows", "0-d", "3-d"])
+    def test_dimension_mismatch(self, kind, direction, shape):
+        """Every operator and the oracle share one probe check: a probe of
+        16 rows, as a vector or a matrix, or a ValueError."""
+        if kind == "oracle":
+            target = MatvecOracle.from_operator(make_instance("dense", 16, 3))
+        else:
+            target = make_instance(kind, 16, 3)
         with pytest.raises(ValueError):
-            oracle.apply(np.ones(5))
+            getattr(target, direction)(np.ones(shape))
+        if kind == "oracle":
+            assert (target.forward_queries, target.transpose_queries) == (0, 0)
 
     def test_counters_exact_under_concurrency(self):
         import threading
