@@ -11,7 +11,9 @@ transpose oracle call per level, with both sibling families (the level's
 two lanes) side by side, and reads the diagonal leaves off in chunks of at
 most block_rank + oversampling columns straight into the stack the result
 stores.  relative_residual scores a recovered operator against a known
-instance without querying the oracle.
+instance without querying the oracle: from the two operators' parameters
+when they are of one type over one structure (the case for every
+recovery, at about the cost of one apply), else over dense column slabs.
 """
 from __future__ import annotations
 
@@ -59,16 +61,28 @@ RANK_RTOL = 1e-8
 
 def relative_residual(recovered: StructuredOperator, reference) -> float:
     """||R - A||_F / ||A||_F (or ||R||_F when A is zero) for the recovered R and
-    a reference A, given as an operator or a dense matrix.
+    a reference A, given as an operator or a dense matrix.  No oracle query
+    is made.
 
-    Both are materialized RESIDUAL_SLAB columns at a time, so memory stays
-    O(RESIDUAL_SLAB * n); the per-slab norms combine into the Frobenius norms.
-    No oracle query is made.
+    A same-type pair is scored from its parameters (see _structural_norms),
+    in about the work of one apply.  Any other pair (mixed types, a dense
+    reference, block operators over different lanes) is materialized
+    RESIDUAL_SLAB columns at a time, so memory stays O(RESIDUAL_SLAB * n);
+    the per-slab norms combine into the Frobenius norms.
     """
     if not isinstance(reference, StructuredOperator):
         reference = DenseOperator(reference)
     if reference.n != recovered.n:
         raise ValueError(f"reference dimension {reference.n} does not match {recovered.n}")
+    norms = _structural_norms(recovered, reference)
+    error_norm, denom = _slab_norms(recovered, reference) if norms is None else norms
+    if denom == 0.0:
+        return float(error_norm)
+    return float(error_norm / denom)
+
+
+def _slab_norms(recovered, reference) -> tuple[float, float]:
+    """(||R - A||_F, ||A||_F) from RESIDUAL_SLAB columns of both at a time."""
     n = recovered.n
     error_norms, reference_norms = [], []
     for lo in range(0, n, RESIDUAL_SLAB):
@@ -78,11 +92,65 @@ def relative_residual(recovered: StructuredOperator, reference) -> float:
         error -= ref  # in place: one slab, not two
         error_norms.append(np.linalg.norm(error))
         reference_norms.append(np.linalg.norm(ref))
-    error_norm = np.linalg.norm(error_norms)
-    denom = np.linalg.norm(reference_norms)
-    if denom == 0.0:
-        return float(error_norm)
-    return float(error_norm / denom)
+    return np.linalg.norm(error_norms), np.linalg.norm(reference_norms)
+
+
+def _product_norm(u: np.ndarray, v: np.ndarray) -> float:
+    """||u @ v^T||_F, summed in quadrature over a stack of (m, k) factor
+    pairs: the norm of R_u @ R_v^T from the R factors of their QRs.  Gram
+    traces would cancel to about sqrt(eps) when u @ v^T is a residual near
+    zero; the R factors keep it at eps."""
+    r_u = np.linalg.qr(u, mode="r")
+    r_v = np.linalg.qr(v, mode="r")
+    return float(np.linalg.norm(r_u @ r_v.swapaxes(-1, -2)))
+
+
+def _lane_specs(op: BlockLowRankOperator) -> list:
+    return [[(lane.level, lane.row_starts, lane.col_starts, lane.size) for lane in lanes]
+            for lanes in (op.lanes, op.leaf_lanes)]
+
+
+def _structural_norms(recovered, reference) -> tuple[float, float] | None:
+    """(||R - A||_F, ||A||_F) from the parameters of a same-type pair, or None
+    for a pair that must be materialized.
+
+    Low-rank C1 R1 - C2 R2 is [C1, -C2] [R1; R2], scored by _product_norm;
+    circulant, sqrt(n) ||c1 - c2||; banded, the norm of the difference of
+    the diagonals (padded to the wider band; out-of-range slots are zero).
+    Block operators over equal lanes sum these in quadrature: the low-rank
+    rule per block, as one batched QR per lane, and the leaf differences.
+    """
+    if type(recovered) is not type(reference):
+        return None
+    if isinstance(reference, LowRankOperator):
+        return (_product_norm(np.hstack([recovered.col_factor, -reference.col_factor]),
+                              np.vstack([recovered.row_factor, reference.row_factor]).T),
+                _product_norm(reference.col_factor, reference.row_factor.T))
+    if isinstance(reference, CirculantOperator):
+        scale = np.sqrt(reference.n)
+        return (scale * np.linalg.norm(recovered.first_column - reference.first_column),
+                scale * np.linalg.norm(reference.first_column))
+    if isinstance(reference, BandedOperator):
+        w = max(recovered.bandwidth, reference.bandwidth)
+        difference = np.zeros((2 * w + 1, reference.n))
+        for op, sign in ((recovered, 1.0), (reference, -1.0)):
+            rows = slice(w - op.bandwidth, w + op.bandwidth + 1)
+            difference[rows] += sign * op.diagonals
+        return np.linalg.norm(difference), np.linalg.norm(reference.diagonals)
+    if isinstance(reference, BlockLowRankOperator):
+        if _lane_specs(recovered) != _lane_specs(reference):
+            return None
+        errors, norms = [], []
+        for a, b in zip(recovered.lanes, reference.lanes):
+            (col_a, row_a), (col_b, row_b) = a.factors, b.factors
+            errors.append(_product_norm(np.concatenate([col_a, -col_b], axis=2),
+                                        np.concatenate([row_a, row_b], axis=1).swapaxes(1, 2)))
+            norms.append(_product_norm(col_b, row_b.swapaxes(1, 2)))
+        for a, b in zip(recovered.leaf_lanes, reference.leaf_lanes):
+            errors.append(np.linalg.norm(a.factors[0] - b.factors[0]))
+            norms.append(np.linalg.norm(b.factors[0]))
+        return np.linalg.norm(errors), np.linalg.norm(norms)
+    return None
 
 
 def randomized_svd(
@@ -152,19 +220,22 @@ def recover_banded(oracle: MatvecOracle, bandwidth: int) -> BandedOperator:
 
     Columns sharing a color are probed together with one indicator-sum
     vector; their responses occupy disjoint row ranges, so entries can be
-    read off directly.
+    read off directly: each diagonal is one gather through flat indices into
+    the C-ordered response, written into a slice of its row.
     """
     n = oracle.n
     w = bandwidth
     color_of = banded_coloring(n, w)
-    probe = np.zeros((n, min(2 * w + 1, n)))
+    width = min(2 * w + 1, n)
+    probe = np.zeros((n, width))
     probe[np.arange(n), color_of] = 1.0
-    response = oracle.apply(probe)
+    response = np.ascontiguousarray(oracle.apply(probe)).ravel()
+    row_starts = np.arange(n) * width
     diagonals = np.zeros((2 * w + 1, n))
     for offset in range(-w, w + 1):
         # entry (row, row + offset) for every row whose column is in range
-        rows = np.arange(max(0, -offset), n - max(0, offset))
-        diagonals[w + offset, rows] = response[rows, color_of[rows + offset]]
+        lo, hi = max(0, -offset), n - max(0, offset)
+        diagonals[w + offset, lo:hi] = response[row_starts[lo:hi] + color_of[lo + offset:hi + offset]]
     return BandedOperator(n, w, diagonals)
 
 

@@ -6,7 +6,8 @@ materialization of any column range (capped, to keep tests from accidentally
 going O(N^2) in memory at large N).  Each operator type states its action
 once, as _apply(x, transpose) on an n-row matrix (A x, or A^T x), and its
 dense columns as _materialize(lo, hi); one probe check, _apply_to_probe,
-serves every operator and the MatvecOracle.  partition_lanes states the dyadic
+serves every operator and the MatvecOracle.  A banded apply walks the
+destination rows in cache-sized blocks.  partition_lanes states the dyadic
 block partition once, for weak (HODLR) and strong admissibility, as lanes:
 strided runs of equal-size blocks.  Every BlockLowRankOperator is built
 over those lanes through one constructor and holds them as Lane objects,
@@ -138,11 +139,21 @@ class CirculantOperator(StructuredOperator):
         return self.first_column[(np.arange(self.n)[:, None] - np.arange(lo, hi)) % self.n]
 
 
+BAND_BLOCK_ENTRIES = 1 << 15
+
+
 class BandedOperator(StructuredOperator):
     """Banded matrix with A[i, j] = 0 whenever |i - j| > bandwidth.
 
     Stored as 2w+1 diagonals indexed by row: diagonals[w + o, i] = A[i, i + o]
-    for offsets o in [-w, w]; out-of-range slots are zero.
+    for offsets o in [-w, w].  Out-of-range slots (i + o outside [0, n)) are
+    zero: the constructor rejects any other value, so the diagonals' norm is
+    the matrix's Frobenius norm.  An apply walks the destination rows in
+    blocks of about BAND_BLOCK_ENTRIES probe entries (992 rows of a
+    33-column probe) and runs every offset within a block, so a block of the
+    result and the probe rows it reads stay in cache.  Each output entry gets
+    its adds in offset order, with the bits of one full-height pass per
+    offset.
     """
 
     def __init__(self, n: int, bandwidth: int, diagonals):
@@ -151,19 +162,31 @@ class BandedOperator(StructuredOperator):
             raise ValueError("need 0 <= bandwidth < n")
         if d.shape != (2 * bandwidth + 1, n):
             raise ValueError(f"diagonals must have shape {(2 * bandwidth + 1, n)}")
+        for offset in range(-bandwidth, bandwidth + 1):
+            row = d[bandwidth + offset]
+            if np.any(row[:max(0, -offset)]) or np.any(row[n - max(0, offset):]):
+                raise ValueError(f"diagonal {offset} has a nonzero out-of-range slot")
         self.n = n
         self.bandwidth = bandwidth
         self.diagonals = d
 
     def _apply(self, x, transpose):
         y = np.zeros_like(x)
-        w = self.bandwidth
-        for offset in range(-w, w + 1):
-            lo = max(0, -offset)
-            hi = self.n - max(0, offset)
-            rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
-            src, dst = (rows, cols) if transpose else (cols, rows)
-            y[dst] += self.diagonals[w + offset, lo:hi, None] * x[src]
+        n, w = self.n, self.bandwidth
+        block = max(1, BAND_BLOCK_ENTRIES // max(1, x.shape[1]))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            for offset in range(-w, w + 1):
+                # rows i of entries (i, i + offset) whose destination (row i,
+                # or column i + offset) lies in [start, stop)
+                shift = offset if transpose else 0
+                lo = max(0, -offset, start - shift)
+                hi = min(n - max(0, offset), stop - shift)
+                if lo >= hi:
+                    continue
+                rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
+                src, dst = (rows, cols) if transpose else (cols, rows)
+                y[dst] += self.diagonals[w + offset, lo:hi, None] * x[src]
         return y
 
     def _materialize(self, lo, hi):

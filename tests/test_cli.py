@@ -968,7 +968,7 @@ class TestProcessInterface:
         assert lines[0].startswith("ERROR:config:")
 
     def test_recover_hodlr_4096_is_repeatable_and_small(self, tmp_path):
-        """The residual reference is the instance itself, walked in column slabs:
+        """The residual reference is the instance itself, scored from its factors:
         two runs agree apart from the wall time, and neither child's peak RSS
         reaches the 256 MB that two dense 4096 x 4096 arrays would take.
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from operlab.grids import Grid1D
 from operlab.numerics import RngStream
+from operlab.opfit import DenseKernelModel, hierarchical_decompose
 from operlab.recovery import (
     RankDeficitError,
     ZeroFourierMode,
@@ -20,9 +22,13 @@ from operlab.recovery import (
     relative_residual,
 )
 from operlab.structured import (
+    BandedOperator,
     BlockLowRankOperator,
+    CirculantOperator,
     DenseOperator,
+    LowRankOperator,
     MatvecOracle,
+    StructuredOperator,
     random_structured,
 )
 
@@ -364,7 +370,8 @@ class TestRecoveryProperties:
 
 
 class TestSlabResidual:
-    """The residual is accumulated over column slabs of both operators."""
+    """The residual matches the dense Frobenius computation, and the slab
+    path keeps its memory O(256 n)."""
 
     @pytest.mark.parametrize("n, levels", [(512, 4), (1024, 5)])
     def test_hodlr_matches_dense_norm(self, n, levels):
@@ -384,13 +391,21 @@ class TestSlabResidual:
         assert relative_residual(recovered, dense) == pytest.approx(expected, rel=1e-12)
 
     def test_operator_and_matrix_references_agree(self):
+        """An operator reference is scored from its factors, a matrix one over
+        slabs: both are at most 1e-12 at exact recovery, and with a
+        perturbation planted in one leaf they agree to 1e-8 relative."""
         op = random_structured("hodlr", 512, RngStream(3), rank=2, levels=4)
         recovered = recover_hodlr(oracle_for(op), 2, 4, stream=RngStream(4))
-        assert relative_residual(recovered, op) == relative_residual(recovered, op.materialize())
+        assert relative_residual(recovered, op) <= 1e-12
+        assert relative_residual(recovered, op.materialize()) <= 1e-12
+        recovered.leaf_lanes[0].factors[0][5, 1, 2] += 1e-3
+        structural = relative_residual(recovered, op)
+        assert structural == pytest.approx(relative_residual(recovered, op.materialize()),
+                                           rel=1e-8, abs=0.0)
 
     def test_hodlr_4096_peak_memory(self):
-        """Two dense 4096 x 4096 arrays would be 256 MB; slabs keep the whole
-        recovery, residual included, under 48 MB of traced allocations."""
+        """Two dense 4096 x 4096 arrays would be 256 MB; the whole recovery,
+        residual included, stays under 48 MB of traced allocations."""
         op = random_structured("hodlr", 4096, RngStream(11), rank=4, levels=7)
         tracemalloc.start()
         try:
@@ -401,6 +416,153 @@ class TestSlabResidual:
             tracemalloc.stop()
         assert residual <= 1e-10
         assert peak < 48 * 2 ** 20
+
+
+def weak_copy(op, levels):
+    """A weak block operator with copies of op's factor and leaf stacks."""
+    factors = [(lane.factors[0].copy(), lane.factors[1].transpose(0, 2, 1).copy())
+               for lane in op.lanes]
+    return BlockLowRankOperator(op.n, levels, "weak", factors,
+                                [op.leaf_lanes[0].factors[0].copy()])
+
+
+@st.composite
+def planted_cases(draw):
+    """A random instance of one of the four recoverable kinds, its recovery
+    through an oracle, and a copy of it with a perturbation planted in one
+    factor entry, first-column entry, diagonal slot, block factor entry or
+    leaf entry, with the perturbation's Frobenius norm."""
+    kind = draw(st.sampled_from(["low-rank", "circulant", "banded", "hodlr"]))
+    seed = draw(st.integers(0, 2 ** 31))
+    delta = draw(st.sampled_from([1e-4, 1e-2, 1.0, -0.5]))
+    stream, probes = RngStream(seed), RngStream(seed + 1)
+    if kind == "low-rank":
+        n, rank = draw(low_rank_cases())
+        op = random_structured(kind, n, stream, rank=rank)
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, rank - 1))
+        col_factor = op.col_factor.copy()
+        col_factor[i, k] += delta
+        planted = LowRankOperator(col_factor, op.row_factor.copy())
+        norm = abs(delta) * np.linalg.norm(op.row_factor[k])
+        recovered = randomized_svd(oracle_for(op), rank, 5, stream=probes)
+    elif kind == "circulant":
+        n = draw(st.integers(1, 128))
+        op = random_structured(kind, n, stream)
+        column = op.first_column.copy()
+        column[draw(st.integers(0, n - 1))] += delta
+        planted, norm = CirculantOperator(column), abs(delta) * np.sqrt(n)
+        recovered = recover_circulant(oracle_for(op), probes)
+    elif kind == "banded":
+        n, w = draw(band_cases())
+        op = random_structured(kind, n, stream, bandwidth=w)
+        offset = draw(st.integers(-w, w))
+        diagonals = op.diagonals.copy()
+        diagonals[w + offset, draw(st.integers(max(0, -offset), n - 1 - max(0, offset)))] += delta
+        planted, norm = BandedOperator(n, w, diagonals), abs(delta)
+        recovered = recover_banded(oracle_for(op), w)
+    else:
+        n, rank, levels = draw(hodlr_cases())
+        op = random_structured(kind, n, stream, rank=rank, levels=levels)
+        planted = weak_copy(op, levels)
+        if draw(st.booleans()):
+            leaves = planted.leaf_lanes[0].factors[0]
+            leaves[tuple(draw(st.integers(0, size - 1)) for size in leaves.shape)] += delta
+            norm = abs(delta)
+        else:
+            lane = planted.lanes[draw(st.integers(0, len(planted.lanes) - 1))]
+            col_factors, row_factors = lane.factors  # block b is col_factors[b] @ row_factors[b]
+            b, i, k = (draw(st.integers(0, size - 1)) for size in col_factors.shape)
+            col_factors[b, i, k] += delta
+            norm = abs(delta) * np.linalg.norm(row_factors[b, k])
+        recovered = recover_hodlr(oracle_for(op), rank, levels, stream=probes)
+    return op, recovered, planted, norm
+
+
+class TestStructuralResidual:
+    """Same-type pairs are scored from their parameters, everything else over
+    dense slabs, and the two agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=planted_cases())
+    def test_structural_and_slab_values_agree(self, case):
+        op, recovered, planted, norm = case
+        dense = op.materialize()
+        assert relative_residual(recovered, op) <= 1e-12
+        assert relative_residual(recovered, dense) <= 1e-12
+        structural, slab = relative_residual(planted, op), relative_residual(planted, dense)
+        assert structural == pytest.approx(slab, rel=1e-8, abs=0.0)
+        assert structural == pytest.approx(norm / np.linalg.norm(dense), rel=1e-8, abs=0.0)
+
+    @staticmethod
+    def materialized(monkeypatch):
+        """The operators whose dense columns relative_residual asks for."""
+        seen = []
+        materialize = StructuredOperator.materialize
+
+        def spy(self, *args, **kwargs):
+            seen.append(self)
+            return materialize(self, *args, **kwargs)
+
+        monkeypatch.setattr(StructuredOperator, "materialize", spy)
+        return seen
+
+    def test_same_type_pairs_build_no_dense_columns(self, monkeypatch):
+        """Including zero references, whose residual is ||R||_F itself."""
+        stream = RngStream(5)
+        hodlr = random_structured("hodlr", 64, stream, rank=2, levels=3)
+        zero_hodlr = weak_copy(hodlr, 3)
+        for lane in zero_hodlr.lanes + zero_hodlr.leaf_lanes:
+            lane.factors[0][...] = 0.0
+        pairs = [(random_structured("low-rank", 40, stream, rank=3),
+                  random_structured("low-rank", 40, stream, rank=5)),
+                 (random_structured("low-rank", 40, stream, rank=3),
+                  LowRankOperator(np.zeros((40, 2)), np.zeros((2, 40)))),
+                 (random_structured("circulant", 40, stream),
+                  random_structured("circulant", 40, stream)),
+                 (random_structured("circulant", 40, stream), CirculantOperator(np.zeros(40))),
+                 (random_structured("banded", 40, stream, bandwidth=2),
+                  random_structured("banded", 40, stream, bandwidth=6)),
+                 (random_structured("banded", 40, stream, bandwidth=6),
+                  BandedOperator(40, 1, np.zeros((3, 40)))),
+                 (hodlr, random_structured("hodlr", 64, stream, rank=3, levels=3)),
+                 (hodlr, zero_hodlr)]
+        expected = []
+        for a, b in pairs:
+            error, norm = np.linalg.norm(a.materialize() - b.materialize()), np.linalg.norm(b.materialize())
+            expected.append(error / norm if norm else error)
+        seen = self.materialized(monkeypatch)
+        for (a, b), value in zip(pairs, expected):
+            assert relative_residual(a, b) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert seen == []
+
+    def test_other_pairs_take_the_slab_path(self, monkeypatch):
+        stream = RngStream(6)
+        hodlr = random_structured("hodlr", 64, stream, rank=2, levels=3)
+        model = DenseKernelModel(Grid1D(64), stream.standard_normal((64, 64)))
+        pairs = [
+            (random_structured("low-rank", 40, stream, rank=3),
+             random_structured("dense", 40, stream)),
+            (random_structured("circulant", 40, stream),
+             random_structured("banded", 40, stream, bandwidth=3)),
+            (random_structured("hodlr", 64, stream, rank=2, levels=2), hodlr),
+            (hierarchical_decompose(model, 3, 2).operator, hodlr),
+            # as many low-rank lanes as a weak L=4 partition, over other blocks
+            (hierarchical_decompose(model, 3, 2).operator,
+             random_structured("hodlr", 64, stream, rank=2, levels=4)),
+            # the coarser levels only, as peeling holds them before the leaves
+            (BlockLowRankOperator(64, 3, "weak", [(lane.factors[0], lane.factors[1].transpose(0, 2, 1))
+                                                  for lane in hodlr.lanes[:4]]), hodlr),
+            (hodlr, DenseOperator(hodlr.materialize() + np.eye(64))),
+        ]
+        expected = [np.linalg.norm(a.materialize() - b.materialize()) / np.linalg.norm(b.materialize())
+                    for a, b in pairs]
+        pairs.append((hodlr, hodlr.materialize() + np.eye(64)))
+        expected.append(expected[-1])
+        seen = self.materialized(monkeypatch)
+        for (a, b), value in zip(pairs, expected):
+            seen.clear()
+            assert relative_residual(a, b) == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert any(op is a for op in seen)
 
 
 def test_recovery_memory_is_the_result_storage():

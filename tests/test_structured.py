@@ -11,7 +11,7 @@ from operlab import dataio
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, hierarchical_decompose
-from operlab.recovery import recover_hodlr
+from operlab.recovery import banded_coloring, recover_hodlr
 from operlab.structured import (
     BandedOperator,
     BlockLowRankOperator,
@@ -196,6 +196,46 @@ class TestOperatorProperties:
         scale = max(np.linalg.norm(dense), 1.0) * np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(np.sum(op.apply(x) * y) - np.sum(x * op.apply_transpose(y))) <= 1e-12 * scale
         assert np.linalg.norm(op.apply(x) - dense @ x) <= 1e-12 * scale / np.linalg.norm(y)
+
+
+def per_offset_banded_apply(op, x, transpose):
+    """A banded operator applied as one full-height pass per offset, in
+    offset order: the loop whose bits the row-blocked apply keeps."""
+    y = np.zeros_like(x)
+    w = op.bandwidth
+    for offset in range(-w, w + 1):
+        lo, hi = max(0, -offset), op.n - max(0, offset)
+        rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)
+        src, dst = (rows, cols) if transpose else (cols, rows)
+        y[dst] += op.diagonals[w + offset, lo:hi, None] * x[src]
+    return y
+
+
+BANDED_BLOCK_CASES = [(n, w, cols) for n, w in [(1, 0), (100, 0), (100, 99), (300, 299),
+                                                 (1000, 5), (2500, 0), (2500, 17)]
+                      for cols in (None, 3, 40)] + [(40000, 2, None)]
+
+
+class TestBandedRowBlocks:
+    """The row-blocked apply has the bits of one pass per offset.  A block
+    is BAND_BLOCK_ENTRIES // width rows (32768 for a vector, 819 at 40
+    columns, 109 for the 300-column indicator probe at w = 299), so the
+    cases fall below one block and end in a partial block, at bandwidths 0
+    and n - 1, for vector and matrix probes, both directions, and indicator
+    and Gaussian probes."""
+
+    @pytest.mark.parametrize("n, w, cols", BANDED_BLOCK_CASES)
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bits_match_per_offset_passes(self, n, w, cols, transpose):
+        op = random_structured("banded", n, RngStream(n + w), bandwidth=w)
+        gaussian = RngStream(7).standard_normal((n, cols or 1))
+        indicator = np.zeros((n, min(2 * w + 1, n)))
+        indicator[np.arange(n), banded_coloring(n, w)] = 1.0
+        for x in (gaussian, np.asfortranarray(gaussian), indicator):
+            probe = x[:, 0] if cols is None else x
+            got = op.apply_transpose(probe) if transpose else op.apply(probe)
+            expected = per_offset_banded_apply(op, probe.reshape(n, -1), transpose)
+            assert np.array_equal(got, expected.reshape(got.shape))
 
 
 @st.composite
@@ -387,6 +427,19 @@ class TestOperatorValidation:
     def test_banded_shape_check(self):
         with pytest.raises(ValueError):
             BandedOperator(4, 1, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (3, 4), (4, 3), (4, 4)])
+    @pytest.mark.parametrize("value", [1e-300, -2.0, np.nan])
+    def test_banded_out_of_range_slots_must_be_zero(self, slot, value):
+        """Row w + o, column i is out of range when i + o leaves [0, n)."""
+        d = np.zeros((5, 5))
+        d[slot] = value
+        with pytest.raises(ValueError, match="out-of-range"):
+            BandedOperator(5, 2, d)
+        in_range = np.ones((5, 5))
+        for offset in range(-2, 3):
+            in_range[2 + offset, max(0, -offset):5 - max(0, offset)] = 0.0
+        assert in_range[slot] == 1.0
 
     def test_dense_finite_check(self):
         with pytest.raises(ValueError):
