@@ -289,7 +289,7 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         "wall_time_seconds": elapsed,
     }
     path = _out_path(out_dir, config["output"])
-    with open(path, "w") as fh:
+    with dataio.output_file(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -389,7 +389,7 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     model_path = _out_path(out_dir, config["model_output"])
     dataio.save_model(model_path, model)
     metrics_path = _out_path(out_dir, config["metrics_output"])
-    with open(metrics_path, "w") as fh:
+    with dataio.output_file(metrics_path) as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -416,7 +416,7 @@ def cmd_eval(config: dict, out_dir: str) -> int:
         metrics = _metrics_for(model, ds, losses)
         rows += [(entry["resolution"], kind, metrics[kind], len(ds)) for kind in losses]
     path = _out_path(out_dir, config["output"])
-    with open(path, "w") as fh:
+    with dataio.output_file(path) as fh:
         fh.write("resolution,loss_kind,value,n_pairs\n")
         for resolution, kind, value, count in rows:
             fh.write(f"{resolution},{kind},{value!r},{count}\n")

@@ -13,8 +13,10 @@ still loads.  Model payloads are the same in both versions.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -93,11 +95,30 @@ def grid_from_dict(d: dict):
     raise DataFormatError(f"unknown grid kind {kind!r}")
 
 
+@contextlib.contextmanager
+def output_file(path, mode: str = "w"):
+    """A file to write path's contents into: a temporary next to path that
+    replaces path only once the block completes.  A failed command removes
+    the temporary and a killed one leaves it under a hidden name, so no
+    output name ever holds a partial file."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode) as fh:
+            yield fh
+        os.replace(temporary, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+
+
 def write_container(path, header: dict, *payload):
     """Write the container line for header["version"], the header, then each
-    payload buffer in order (the payload is their concatenation)."""
+    payload buffer in order (the payload is their concatenation), through
+    output_file."""
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(f"{MAGIC} {header['version']} {len(header_bytes)}\n".encode())
         fh.write(header_bytes)
         for chunk in payload:

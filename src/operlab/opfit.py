@@ -256,18 +256,17 @@ class HierarchicalKernelModel(KernelModel):
         def stack(name, ids):
             return np.stack([arrays[name.format(i)] for i in ids])
 
-        factors = [(stack("block{}_col", ids), stack("block{}_row", ids).transpose(0, 2, 1))
-                   for ids in block_ids]
-        for (col_factors, _), (*_, size) in zip(factors, lanes):
-            if col_factors.shape[2:] != (min(rank, size),):
-                raise ValueError("each block's factors must have min(rank, size) columns")
+        shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
+        for lane, ids in zip(shell.lanes, block_ids):
+            lane.fill(stack("block{}_col", ids), stack("block{}_row", ids).transpose(0, 2, 1))
         tails = [[block_meta[i]["tail"] for i in ids] for ids in block_ids]
         # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
         if not all(type(t) in (int, float) and 0 <= t <= sys.float_info.max
                    for t in sum(tails, [])):
             raise ValueError("each block's tail must be a finite nonnegative number")
         leaves = [stack("leaf{}", ids) for ids in leaf_ids]
-        operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
+        operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
+                                        shell.row_factors, leaves)
         return cls(grid, levels, rank, operator, tails)
 
 
@@ -278,13 +277,13 @@ def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
     keys = [(m["level"] if level is None else level, m["row"], m["col"], m["size"]) for m in metas]
     if any(type(value) is not int for key in keys for value in key):
         raise ValueError("saved block positions must be integers")
-    expected = [(level, r0, c0, size) for level, rows, cols, size in lanes
+    expected = [(level, r0, c0, size) for level, rows, cols, size, _ in lanes
                 for r0, c0 in zip(rows, cols)]
     if sorted(keys) != sorted(expected):
         raise ValueError("saved blocks are not those of the strong partition")
     index = {key: i for i, key in enumerate(keys)}
     return [[index[level, r0, c0, size] for r0, c0 in zip(rows, cols)]
-            for level, rows, cols, size in lanes]
+            for level, rows, cols, size, _ in lanes]
 
 
 def _prepare_green_fit(ds: OperatorDataset):
@@ -439,24 +438,23 @@ def hierarchical_decompose(
     block records the Frobenius norm of its discarded singular values.
     """
     grid, kernel = model.grid, model.kernel
-    lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
 
     def blocks(rows, cols, size):
         return np.stack([kernel[r0:r0 + size, c0:c0 + size] for r0, c0 in zip(rows, cols)])
 
-    factors, tails = [], []
-    for _, rows, cols, size in lanes:
-        u, s, vt = np.linalg.svd(blocks(rows, cols, size), full_matrices=False)
-        r = min(rank, size)
-        # fresh arrays, as the operator keeps what it is given; vt[:, :r].copy()
-        # keeps vt's layout, hence the block products' rounding
-        factors.append((u[:, :, :r] * s[:, None, :r], vt[:, :r].copy().transpose(0, 2, 1)))
+    tails = []
+    for lane in shell.lanes:
+        u, s, vt = np.linalg.svd(blocks(lane.row_starts, lane.col_starts, lane.size),
+                                 full_matrices=False)
+        r = min(rank, lane.size)
+        lane.fill(u[:, :, :r] * s[:, None, :r], vt[:, :r].transpose(0, 2, 1))
         # each block's own 1-D norm: a row-wise norm over the stack rounds differently
         tails.append([np.linalg.norm(tail) for tail in s[:, r:]])
-    leaves = [blocks(rows, cols, size) for _, rows, cols, size in leaf_lanes]
-    operator = BlockLowRankOperator(grid.n, levels, "strong", factors, leaves)
+    _, leaf_lanes = partition_lanes(grid.n, levels, "strong")
+    leaves = [blocks(rows, cols, size) for _, rows, cols, size, _ in leaf_lanes]
+    operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
+                                    shell.row_factors, leaves)
     return HierarchicalKernelModel(grid, levels, rank, operator, tails)
 
 

@@ -8,9 +8,10 @@ returns a BlockLowRankOperator over the weak lanes of partition_lanes, the
 type that hierarchical kernel fits hold over the strong ones); the oracle
 keeps the exact query counts.  HODLR peeling makes one forward and one
 transpose oracle call per level, with both sibling families (the level's
-two lanes) side by side, and reads the diagonal leaves off in chunks of at
-most block_rank + oversampling columns straight into the stack the result
-stores.  relative_residual scores a recovered operator against a known
+two lanes) side by side, writes each level straight into the two factor
+arrays the result stores, and reads the diagonal leaves off in chunks of
+at most block_rank + oversampling columns straight into its leaf stack.
+relative_residual scores a recovered operator against a known
 instance without querying the oracle: from the two operators' parameters
 when they are of one type over one structure (the case for every
 recovery, at about the cost of one apply), else over dense column slabs.
@@ -28,7 +29,6 @@ from .structured import (
     LowRankOperator,
     MatvecOracle,
     StructuredOperator,
-    partition_lanes,
 )
 
 
@@ -271,8 +271,11 @@ def recover_hodlr(
     family), and one transpose call carrying both families' bases completes
     the blocks.  The dense diagonal leaf blocks are read off last with
     n/2^levels block-identity probes, in chunks of at most block_rank +
-    oversampling columns, straight into the leaf stack.  The result is a
-    BlockLowRankOperator stored in the arrays filled here.
+    oversampling columns, straight into the leaf stack.  The result's two
+    factor arrays are allocated once, before the first level; each level's
+    bases and coefficients are written into them through its lanes' views,
+    and the coarser levels are subtracted through an operator over the
+    columns filled so far.
 
     Query budget per level: 2*(block_rank + oversampling) forward plus
     2*min(block_rank, n/2^level) transpose, with n/2^levels extra forward
@@ -282,25 +285,27 @@ def recover_hodlr(
     lower ones, pairs in ascending order.
     """
     n = oracle.n
-    partition_lanes(n, levels, "weak")
+    full = BlockLowRankOperator.zeros(n, levels, "weak", block_rank)
     width = block_rank + oversampling
     if width > n // 2:
         raise ValueError("need block_rank + oversampling <= n/2")
 
-    lanes: list[tuple[np.ndarray, np.ndarray]] = []
+    arrays = full.col_factors, full.row_factors
     for level in range(1, levels + 1):
-        known = BlockLowRankOperator(n, levels, "weak", lanes)
-        lanes += _peel_level(oracle, known, level, block_rank, width, stream)
-    leaves = _read_leaves(oracle, BlockLowRankOperator(n, levels, "weak", lanes), levels, width)
-    return BlockLowRankOperator(n, levels, "weak", lanes, [leaves])
+        upper, lower = full.lanes[2 * level - 2:2 * level]
+        # the coarser levels: the arrays' columns before this level's
+        known = BlockLowRankOperator(n, levels, "weak", block_rank,
+                                     *(a[:, :upper.columns.start] for a in arrays))
+        _peel_level(oracle, known, upper, lower, block_rank, width, stream)
+    leaves = _read_leaves(oracle, full, levels, width)
+    return BlockLowRankOperator(n, levels, "weak", block_rank, *arrays, [leaves])
 
 
-def _peel_level(oracle, known, level, block_rank, width, stream):
-    """The (col_factors, row_factors) stacks of one level's upper lane, then
-    of its lower lane, from one forward and one transpose oracle call; known
-    holds the coarser levels."""
-    n = oracle.n
-    size, pairs = n >> level, 1 << (level - 1)
+def _peel_level(oracle, known, upper, lower, block_rank, width, stream):
+    """Fill one level's upper and lower lanes from one forward and one
+    transpose oracle call; known holds the coarser levels."""
+    n, level, size = oracle.n, upper.level, upper.size
+    pairs = 1 << (level - 1)
     r = min(block_rank, size)
     # tile 2i holds pair i's upper-block rows and lower-block columns, tile
     # 2i + 1 the other way round; the upper family is probed in the first
@@ -326,11 +331,8 @@ def _peel_level(oracle, known, level, block_rank, width, stream):
     coeff = oracle.apply_transpose(projection)
     coeff -= known.apply_transpose(projection)
     coeff = coeff.reshape(2 * pairs, size, 2 * r)
-    # one array for the level: the upper lane's two stacks, then the lower lane's
-    stacks = np.empty((2, 2, pairs, size, r))
-    stacks[0, 0], stacks[1, 0] = bases
-    stacks[0, 1], stacks[1, 1] = coeff[1::2, :, :r], coeff[0::2, :, r:]
-    return [tuple(stacks[0]), tuple(stacks[1])]
+    upper.fill(bases[0], coeff[1::2, :, :r])
+    lower.fill(bases[1], coeff[0::2, :, r:])
 
 
 def _read_leaves(oracle, known, levels, width) -> np.ndarray:

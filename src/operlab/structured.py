@@ -9,12 +9,14 @@ dense columns as _materialize(lo, hi); one probe check, _apply_to_probe,
 serves every operator and the MatvecOracle.  A banded apply walks the
 destination rows in cache-sized blocks.  partition_lanes states the dyadic
 block partition once, for weak (HODLR) and strong admissibility, as lanes:
-strided runs of equal-size blocks.  Every BlockLowRankOperator is built
-over those lanes through one constructor and holds them as Lane objects,
-its one view of its blocks: each lane's factors or leaves are stacks,
-applied through strided views of the probe with one batched product per
-factor.  Random HODLR instances and recovery.recover_hodlr use the weak
-partition, hierarchical kernel fits the strong one.
+strided runs of equal-size blocks, grouped into slots that can share
+storage.  Every BlockLowRankOperator stores its low-rank blocks tile-major
+in two (n, K) factor arrays, one column range per level and slot, and its
+leaves as one stack per leaf lane; its Lane objects view its blocks in
+place.  One apply path, three batched products over the probe's finest
+tiles whatever the number of levels, serves both admissibilities.  Random
+HODLR instances and recovery.recover_hodlr use the weak partition,
+hierarchical kernel fits the strong one.
 """
 from __future__ import annotations
 
@@ -217,54 +219,39 @@ def _block_columns(factors, part: slice) -> np.ndarray:
     return col_factor @ last[:, part]
 
 
-def _lane(a: np.ndarray, starts: range, size: int) -> np.ndarray:
-    """Rows starts[i] + [0, size) of a matrix for every i: a (len(starts),
-    size, columns) view in which each tile keeps the matrix's strides, as a
-    row slice of it would."""
-    rows, cols = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a[starts.start:], (len(starts), size, a.shape[1]), (starts.step * rows, rows, cols)
-    )
+def _tiles(starts: range, size: int) -> slice:
+    """The size-`size` tiles at which blocks starting at `starts` begin."""
+    return slice(starts.start // size, starts.stop // size, starts.step // size)
 
 
 class Lane:
     """One lane of size x size blocks of one level (a leaf lane's is the
     finest): block i maps columns col_starts[i] + [0, size) to rows
-    row_starts[i] + [0, size) through factors[0][i] @ factors[1][i], the
-    stacked col_factors and transposed row_factors of a low-rank lane (a leaf
-    lane has one stack of dense blocks).  The starts step at least one block
-    forward, so a lane reads x and writes y through strided views, with one
-    batched product per factor."""
+    row_starts[i] + [0, size) through factors[0][i] @ factors[1][i].  A
+    low-rank lane's factors are strided views of its operator's factor
+    arrays over the lane's `columns`: the stacked col_factors, then the
+    stacked row_factors transposed.  A leaf lane's are one stack of dense
+    blocks."""
 
-    def __init__(self, level: int, row_starts: range, col_starts: range, size: int, factors):
+    def __init__(self, level: int, row_starts: range, col_starts: range, size: int, factors,
+                 columns: slice | None = None):
         self.level, self.size, self.factors = level, size, tuple(factors)
-        self.row_starts, self.col_starts = row_starts, col_starts
-        count, first, last = len(row_starts), self.factors[0].shape, self.factors[-1].shape
-        if not (len(first) == len(last) == 3 and first[:2] == (count, size)
-                and last == (count, first[2], size)):
-            raise ValueError(f"a lane needs factor stacks for {count} blocks of size {size}")
+        self.row_starts, self.col_starts, self.columns = row_starts, col_starts, columns
 
-    def add_product(self, x: np.ndarray, y: np.ndarray, transpose: bool) -> None:
-        """y += the lane's blocks (or their transposes) applied to x.  Each
-        row of y gets at most one block's product, so lanes taken in block
-        order add up in the order a per-block loop would."""
-        if transpose:
-            src, dst = self.row_starts, self.col_starts
-            chain = [f.transpose(0, 2, 1) for f in self.factors]
-        else:
-            src, dst = self.col_starts, self.row_starts
-            chain = reversed(self.factors)
-        t = _lane(x, src, self.size)
-        for factor in chain:
-            t = factor @ t
-        out = _lane(y, dst, self.size)
-        out += t
+    def fill(self, col_factors, row_factors) -> None:
+        """Write the lane's blocks through its views: (blocks, size, rank)
+        stacks of col_factors and row_factors."""
+        col, row_t = self.factors
+        if np.shape(col_factors) != col.shape or np.shape(row_factors) != col.shape:
+            raise ValueError(f"a lane needs two factor stacks of shape {col.shape}")
+        col[...] = col_factors
+        row_t[...] = np.swapaxes(row_factors, 1, 2)
 
 
 def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list]:
     """The dyadic block partition of an n x n matrix as lanes: (level,
-    row_starts, col_starts, size) for each lane of low-rank blocks, then for
-    each lane of dense leaves.
+    row_starts, col_starts, size, slot) for each lane of low-rank blocks,
+    then for each lane of dense leaves.
 
     Level l cuts [0, n) into 2^l tiles of size n >> l, and a lane is a
     strided run of one level's blocks whose column tile lies a fixed offset
@@ -277,58 +264,178 @@ def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list
     (even row tiles), -2 (row tiles from 2 on) and -3 (odd row tiles from 3
     on), and the leaves are three lanes at offsets 0, +1 and -1.  2^levels
     must divide n.
+
+    The lanes of one level that share a slot have disjoint row tiles and
+    disjoint column tiles, so they share one column range of a
+    BlockLowRankOperator's factor arrays: weak, the upper and the lower lane;
+    strong, {+2}, {+3, -3} and {-2}.  A leaf lane's slot is its position.
     """
-    # each lane as (tile offset, first row tile, row tile step)
+    # each lane as (tile offset, first row tile, row tile step, slot)
     if admissibility == "weak":
         if n & (n - 1):
             raise ValueError("dimension must be a power of two")
-        first, level_lanes, leaf_lanes = 1, [(1, 0, 2), (-1, 1, 2)], [(0, 0, 1)]
+        first, level_lanes, leaf_lanes = 1, [(1, 0, 2, 0), (-1, 1, 2, 0)], [(0, 0, 1, 0)]
     elif admissibility == "strong":
-        first, level_lanes = 2, [(2, 0, 1), (3, 0, 2), (-2, 2, 1), (-3, 3, 2)]
-        leaf_lanes = [(0, 0, 1), (1, 0, 1), (-1, 1, 1)]
+        first, level_lanes = 2, [(2, 0, 1, 0), (3, 0, 2, 1), (-2, 2, 1, 2), (-3, 3, 2, 1)]
+        leaf_lanes = [(0, 0, 1, 0), (1, 0, 1, 1), (-1, 1, 1, 2)]
     else:
         raise ValueError(f"unknown admissibility {admissibility!r}")
     if levels < 1 or n < 1 or n >> levels << levels != n:  # no 2^levels: levels may be huge
         raise ValueError("2^levels must divide the dimension")
 
-    def lane(level, offset, first_tile, step):
+    def lane(level, offset, first_tile, step, slot):
         # row tiles first_tile, first_tile + step, ... whose tile + offset is a tile
         size = n >> level
         rows = range(first_tile * size, n - max(offset, 0) * size, step * size)
         shift = offset * size
-        return level, rows, range(rows.start + shift, rows.stop + shift, rows.step), size
+        return level, rows, range(rows.start + shift, rows.stop + shift, rows.step), size, slot
 
     lanes = [lane(level, *spec) for level in range(first, levels + 1) for spec in level_lanes]
     return lanes, [lane(levels, *spec) for spec in leaf_lanes]
+
+
+TILE_BLOCK_ENTRIES = 1 << 18
+
+
+def _lane_columns(lanes, n: int, rank: int) -> tuple[list, list]:
+    """Each low-rank lane's column range in the factor arrays of a
+    BlockLowRankOperator of this rank, and where each level's columns end
+    (after 0): level by level, min(rank, size) columns per slot."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    columns, ends = [], [0]
+    for level in sorted({lane[0] for lane in lanes}):
+        r = min(rank, n >> level)
+        slots = [lane[4] for lane in lanes if lane[0] == level]
+        columns += [slice(ends[-1] + slot * r, ends[-1] + (slot + 1) * r) for slot in slots]
+        ends.append(ends[-1] + (max(slots) + 1) * r)
+    return columns, ends
 
 
 class BlockLowRankOperator(StructuredOperator):
     """Low-rank blocks and dense leaves tiling an n x n matrix along
     partition_lanes(n, levels, admissibility): weak (HODLR) or strong.
 
-    factors holds a (col_factors, row_factors) pair of (blocks, size, rank)
-    stacks for each lane of the partition in order, or for its first lanes
-    only (the coarser levels, as recovery peels them); leaves, if given, one
-    (blocks, leaf, leaf) stack per leaf lane.  The arrays are kept without
-    a copy.  lanes and leaf_lanes hold them as Lane objects, the operator's
-    one view of its blocks.  Each lane applies with one batched product per
-    factor, with the bits of a per-block loop over lanes, then leaf_lanes.
+    The low-rank blocks live tile-major in two (n, K) arrays, kept without a
+    copy.  Row i of col_factors holds the column-factor rows of every block
+    whose row range contains i; row i of row_factors, the row-factor rows of
+    every block whose column range contains i.  The columns run level by
+    level and, within a level, slot by slot: the lanes of one slot share
+    min(rank, size) columns, zero in the rows that none of their blocks
+    covers.  The arrays may hold a prefix of whole levels only (the coarser
+    levels, as recovery peels them).  leaves, if given, holds one (blocks,
+    leaf, leaf) stack per leaf lane, also kept without a copy.  lanes and
+    leaf_lanes hold the blocks as Lane objects, whose factors are views
+    into these arrays.
+
+    An apply views the probe as its 2^levels finest tiles and makes three
+    batched products whatever the number of levels: the row_factors tiles
+    (transposed) times the probe tiles; then, once each level's
+    coefficients are summed over its tiles and moved from each block's
+    column tile to its row tile, the col_factors tiles times them; then the
+    leaf stacks times the probe tiles.  The transpose swaps the two arrays
+    and the direction of the moves.  A C-ordered probe whose coefficients
+    (2^levels K a column) do not outnumber its entries goes in one pass.
+    Any other goes in chunks of columns whose coefficients, and probe
+    entries, fill at most TILE_BLOCK_ENTRIES entries, each chunk copied to
+    C order; the result has the probe's layout.
     """
 
-    def __init__(self, n: int, levels: int, admissibility: str, factors, leaves=()):
+    def __init__(self, n: int, levels: int, admissibility: str, rank: int,
+                 col_factors, row_factors, leaves=()):
         lanes, leaf_lanes = partition_lanes(n, levels, admissibility)
-        if len(factors) > len(lanes) or (leaves and len(leaves) != len(leaf_lanes)):
-            raise ValueError("factors and leaves must follow the partition's lanes")
-        self.n = n
-        self.lanes = tuple(Lane(*spec, (col_factors, row_factors.transpose(0, 2, 1)))
-                           for spec, (col_factors, row_factors) in zip(lanes, factors))
-        self.leaf_lanes = tuple(Lane(*spec, (stack,)) for spec, stack in zip(leaf_lanes, leaves))
+        columns, ends = _lane_columns(lanes, n, rank)
+        col_factors = np.asarray(col_factors, dtype=float)
+        row_factors = np.asarray(row_factors, dtype=float)
+        width = col_factors.shape[-1]
+        if col_factors.shape != (n, width) or row_factors.shape != (n, width) or width not in ends:
+            raise ValueError("factor arrays must have n rows and the columns of whole levels")
+        leaves = [np.asarray(stack, dtype=float) for stack in leaves]
+        if leaves and [stack.shape for stack in leaves] != [
+                (len(rows), size, size) for _, rows, _, size, _ in leaf_lanes]:
+            raise ValueError("leaves must be one stack of dense blocks per leaf lane")
+        self.n, self.levels, self.rank = n, levels, rank
+        self.col_factors, self.row_factors = col_factors, row_factors
+
+        def view(array, span, starts, size):
+            # the blocks' factor rows, (blocks, size, rank), out of columns span
+            return array[:, span].reshape(-1, size, span.stop - span.start)[_tiles(starts, size)]
+
+        self.lanes = tuple(
+            Lane(level, rows, cols, size, (view(col_factors, span, rows, size),
+                                           view(row_factors, span, cols, size).transpose(0, 2, 1)),
+                 span)
+            for (level, rows, cols, size, _), span in zip(lanes, columns) if span.stop <= width)
+        self.leaf_lanes = tuple(Lane(level, rows, cols, size, (stack,))
+                                for (level, rows, cols, size, _), stack in zip(leaf_lanes, leaves))
+        # each level held: its tile count, its columns and its lanes
+        held = sorted({lane.level for lane in self.lanes})
+        self._level_spans = [
+            (1 << level, slice(lo, hi), [lane for lane in self.lanes if lane.level == level])
+            for level, lo, hi in zip(held, ends, ends[1:])]
+
+    @classmethod
+    def zeros(cls, n: int, levels: int, admissibility: str, rank: int) -> "BlockLowRankOperator":
+        """The operator of every level with zero factors and no leaves, over
+        fresh arrays: its lanes' factors are the views to fill."""
+        lanes, _ = partition_lanes(n, levels, admissibility)
+        width = _lane_columns(lanes, n, rank)[1][-1]
+        return cls(n, levels, admissibility, rank, np.zeros((n, width)), np.zeros((n, width)))
 
     def _apply(self, x, transpose):
-        y = np.zeros_like(x)
-        for lane in self.lanes + self.leaf_lanes:
-            lane.add_product(x, y, transpose)
+        per_column = max(self.n, self.col_factors.shape[1] << self.levels)
+        chunk = max(1, TILE_BLOCK_ENTRIES // per_column)
+        if x.flags.c_contiguous and (per_column == self.n or x.shape[1] <= chunk):
+            return self._apply_tiles(x, transpose)
+        y = np.empty_like(x)
+        for start in range(0, x.shape[1], chunk):
+            part = slice(start, start + chunk)
+            y[:, part] = self._apply_tiles(np.ascontiguousarray(x[:, part]), transpose)
         return y
+
+    def _apply_tiles(self, x, transpose):
+        """The apply to a C-ordered probe, through its finest tiles."""
+        count, leaf = 1 << self.levels, self.n >> self.levels
+        tiles = x.reshape(count, leaf, x.shape[1])
+        second = self.row_factors if transpose else self.col_factors
+        y = second.reshape(count, leaf, second.shape[1]) @ self._coefficients(tiles, transpose)
+        for lane in self.leaf_lanes:
+            src, dst = _tiles(lane.col_starts, lane.size), _tiles(lane.row_starts, lane.size)
+            (stack,) = lane.factors
+            if transpose:
+                src, dst, stack = dst, src, stack.transpose(0, 2, 1)
+            y[dst] += stack @ tiles[src]
+        return y.reshape(x.shape)
+
+    def _coefficients(self, tiles, transpose):
+        """(tiles, K, columns): for each finest tile, the coefficients that
+        the result's factor array multiplies in its rows.  The products of
+        the other factor array with the probe tiles are summed over each
+        level's tiles first; then the same buffer takes the coefficients,
+        moved to each block's destination tile."""
+        count, leaf, width = tiles.shape
+        first = self.col_factors if transpose else self.row_factors
+        coeff = first.reshape(count, leaf, first.shape[1]).transpose(0, 2, 1) @ tiles
+
+        def level_view(span, level_tiles):
+            # (level tiles, finest tiles in each, span's columns, width)
+            columns = span.stop - span.start
+            return coeff[:, span].reshape(level_tiles, count // level_tiles, columns, width)
+
+        sums = [level_view(span, level_tiles).sum(axis=1)
+                for level_tiles, span, _ in self._level_spans]
+        # a tile that no lane of a slot reaches keeps zero coefficients: its
+        # factor rows are zero as well, but 0 * inf would be nan
+        coeff[...] = 0.0
+        for (level_tiles, span, lanes), summed in zip(self._level_spans, sums):
+            moved = level_view(span, level_tiles)
+            for lane in lanes:
+                src, dst = _tiles(lane.col_starts, lane.size), _tiles(lane.row_starts, lane.size)
+                if transpose:
+                    src, dst = dst, src
+                part = slice(lane.columns.start - span.start, lane.columns.stop - span.start)
+                moved[dst, :, part] = summed[src, None, part]
+        return coeff
 
     def _materialize(self, lo, hi):
         a = np.zeros((self.n, hi - lo))
@@ -414,17 +521,17 @@ def random_structured(
     if kind == "hodlr":
         if rank is None or levels is None or rank < 1:
             raise ValueError("hodlr instance needs rank >= 1 and levels")
-        partition_lanes(n, levels, "weak")
+        shell = BlockLowRankOperator.zeros(n, levels, "weak", rank)
         # one draw per level, in the stream order of per-block draws: each
         # sibling pair's upper block, then its lower one, each block's
         # col_factor, then its row_factor.  The even blocks of a level's draw
         # are its upper lane, the odd ones its lower lane.
-        draws = [
-            stream.standard_normal((1 << level, 2, n >> level, min(rank, n >> level)))
-            for level in range(1, levels + 1)
-        ]
+        for level in range(1, levels + 1):
+            draw = stream.standard_normal((1 << level, 2, n >> level, min(rank, n >> level)))
+            for lane, parity in zip(shell.lanes[2 * level - 2:2 * level], (0, 1)):
+                lane.fill(draw[parity::2, 0], draw[parity::2, 1])
         leaf = n >> levels
         leaves = stream.standard_normal((1 << levels, leaf, leaf))
-        factors = [(d[lane::2, 0], d[lane::2, 1]) for d in draws for lane in (0, 1)]
-        return BlockLowRankOperator(n, levels, "weak", factors, [leaves])
+        return BlockLowRankOperator(n, levels, "weak", rank, shell.col_factors, shell.row_factors,
+                                    [leaves])
     raise ValueError(f"unknown structured kind {kind!r}")

@@ -15,6 +15,7 @@ from operlab.opfit import (
     truncate_band,
 )
 from operlab.probes import CovarianceSpec, kl_decompose, sample_from_coefficients
+from operlab.structured import BlockLowRankOperator
 
 SMOOTH_PERIODIC = CovarianceSpec(
     "helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0, periodic=True
@@ -40,12 +41,24 @@ def hodlr_layout(op) -> tuple[list, list]:
     return blocks, leaves
 
 
+def block_operator(n, levels, admissibility, rank, factors, leaves=()):
+    """A BlockLowRankOperator from per-lane (col_factors, row_factors)
+    stacks, each (blocks, size, min(rank, size)), for the first lanes of the
+    partition (whole levels), packed into fresh factor arrays."""
+    shell = BlockLowRankOperator.zeros(n, levels, admissibility, rank)
+    for lane, (col_factors, row_factors) in zip(shell.lanes, factors):
+        lane.fill(col_factors, row_factors)
+    width = shell.lanes[len(factors) - 1].columns.stop if factors else 0
+    return BlockLowRankOperator(n, levels, admissibility, rank, shell.col_factors[:, :width],
+                                shell.row_factors[:, :width], leaves)
+
+
 def per_block_apply(op, x, transpose: bool = False) -> np.ndarray:
     """A block operator applied to x (or its transpose) one block at a time,
     over its lanes' low-rank blocks, then its leaves: the per-block loop
-    that stacked lanes must match bit for bit.  Block i of a lane is the
-    product of its factors' entries i (col_factor @ row_factor.T, or one
-    dense leaf)."""
+    that the tile-major apply must match to roundoff.  Block i of a lane is
+    the product of its factors' entries i (col_factor @ row_factor.T, or
+    one dense leaf)."""
     x = np.asarray(x, dtype=float)
     mat = x[:, None] if x.ndim == 1 else x
     y = np.zeros_like(mat)

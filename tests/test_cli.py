@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -408,6 +409,7 @@ RECOVER = {"command": "recover", "seed": 5, "output": "report.json"}
 RECOVER_HODLR = dict(RECOVER, algorithm="hodlr", dimension=64, block_rank=2, levels=3)
 RECOVER_LOW_RANK = dict(RECOVER, algorithm="low-rank", dimension=64, rank=3)
 RECOVER_BANDED = dict(RECOVER, algorithm="banded", dimension=12, bandwidth=2)
+RECOVER_CIRCULANT = dict(RECOVER, algorithm="circulant", dimension=64)
 
 
 class TestIntegerFields:
@@ -531,6 +533,7 @@ def valid_configs(tmp_path_factory):
         "recover-hodlr": dict(RECOVER_HODLR, oversampling=3),
         "recover-low-rank": RECOVER_LOW_RANK,
         "recover-banded": RECOVER_BANDED,
+        "recover-circulant": RECOVER_CIRCULANT,
         "fit": fit,
         "fit-low-rank": dict(fit, variant="low-rank", rank=2),
         "fit-fourier": dict(fit, dataset=str(root / "burgers.ds"), variant="fourier-multiplier",
@@ -930,7 +933,24 @@ class TestFitAndEval:
 
 class TestDeterminism:
     """The same config and seed write byte-identical files, at a given BLAS
-    thread count."""
+    thread count; a recover report differs only in its wall time."""
+
+    @pytest.mark.parametrize("name", ["generate", "generate-burgers", "recover-hodlr",
+                                      "recover-low-rank", "recover-banded", "recover-circulant"])
+    def test_generate_and_recover_outputs_repeat(self, tmp_path, valid_configs, name):
+        config = valid_configs[name]
+        outputs = []
+        for side in ("first", "second"):
+            out = tmp_path / side
+            assert run(config["command"], write_config(tmp_path / f"{side}.json", config), out) == 0
+            (path,) = out.iterdir()
+            if config["command"] == "recover":
+                report = json.loads(path.read_text())
+                del report["wall_time_seconds"]
+                outputs.append(report)
+            else:
+                outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "name", ["fit", "fit-low-rank", "fit-fourier", "fit-banded", "fit-hierarchical"])
@@ -949,6 +969,50 @@ class TestDeterminism:
             outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
         assert sorted(outputs[0]) == ["eval.csv", "metrics.json", "model.bin"]
         assert outputs[0] == outputs[1]
+
+
+class FailingSecondWrite:
+    """A file opened for writing whose second write raises, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+class TestNoPartialOutputs:
+    """Every output is written under a temporary name and renamed into
+    place, so a command whose write fails partway leaves its output
+    directory as it was: no file under the output name, no temporary."""
+
+    @pytest.mark.parametrize("name", ["generate", "recover-hodlr", "fit", "eval"])
+    def test_failed_write_leaves_the_directory_as_it_was(
+        self, tmp_path, valid_configs, name, monkeypatch, capsys
+    ):
+        config = valid_configs[name]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FailingSecondWrite(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+        assert run(config["command"], write_config(tmp_path / "c.json", config), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:") and "[Errno 28]" in err
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
 class TestProcessInterface:

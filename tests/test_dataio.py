@@ -229,3 +229,25 @@ class TestModelFileProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.bin"
             check_flip_and_truncation(path, saved_models[variant], data, load_model)
+
+
+class TestNoPartialFile:
+    """A container is written under a temporary name and renamed into place,
+    so a write that fails partway leaves the directory as it was."""
+
+    def test_failed_payload_write_leaves_the_directory_as_it_was(self, tmp_path):
+        (tmp_path / "other.txt").write_text("unrelated")
+        header = {"version": dataio.VERSION, "container": "dataset"}
+        with pytest.raises(TypeError):  # the second payload chunk is no buffer
+            dataio.write_container(tmp_path / "out.ds", header, b"\0" * 64, object())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt"]
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        ds = white_noise_dataset(Grid1D(8), np.eye(8), 3, seed=1)
+        path = tmp_path / "train.ds"
+        save_dataset(path, ds)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            dataio.write_container(path, {"version": dataio.VERSION}, b"\0" * 64, object())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.ds"]
+        assert path.read_bytes() == before

@@ -281,14 +281,19 @@ class TestHierarchical:
     def test_model_keeps_only_its_own_blocks(self):
         """The block operator keeps the arrays it is given, so the fit hands
         it arrays of their own: a view of the dense kernel or of a whole SVD
-        factor would keep that alive with the model.  The distinct arrays
-        behind the blocks and leaves hold exactly their bytes."""
+        factor would keep that alive with the model.  The arrays behind the
+        blocks and leaves are the two factor arrays, of one column range per
+        level and slot, and the three leaf stacks."""
         kernel = RngStream(23).standard_normal((64, 64))
         model = hierarchical_decompose(DenseKernelModel(Grid1D(64), kernel), 3, 2)
         op = model.operator
         arrays = [m for lane in op.lanes + op.leaf_lanes for stack in lane.factors for m in stack]
         bases = {id(base): base for base in (a if a.base is None else a.base for a in arrays)}
-        assert sum(base.nbytes for base in bases.values()) == sum(a.nbytes for a in arrays)
+        leaves = [lane.factors[0] for lane in op.leaf_lanes]
+        assert sorted(bases) == sorted(map(id, [op.col_factors, op.row_factors, *leaves]))
+        assert all(base.flags.owndata for base in bases.values())
+        # levels 2 and 3, three slots each of min(2, size) = 2 columns
+        assert op.col_factors.shape == op.row_factors.shape == (64, 12)
 
     def test_divisibility_check(self):
         grid = Grid1D(30)

@@ -32,7 +32,7 @@ from operlab.structured import (
     random_structured,
 )
 
-from helpers import ConstantStream, expected_hodlr_layout, hodlr_layout
+from helpers import ConstantStream, block_operator, expected_hodlr_layout, hodlr_layout
 
 
 def oracle_for(op):
@@ -189,7 +189,7 @@ class TestHodlr:
         leaves = stream.standard_normal((8, 8, 8))
         # so the even blocks are the level's upper lane, the odd ones its lower lane
         lanes = [(c[lane::2], r[lane::2]) for c, r in factors for lane in (0, 1)]
-        oracle = oracle_for(BlockLowRankOperator(64, 3, "weak", lanes, [leaves]))
+        oracle = oracle_for(block_operator(64, 3, "weak", 3, lanes, [leaves]))
         with pytest.raises(RankDeficitError) as info:
             recover_hodlr(oracle, 2, 3, 3, stream=RngStream(13))
         pair = min(pair for side, pair in planted if side == named)
@@ -419,11 +419,9 @@ class TestSlabResidual:
 
 
 def weak_copy(op, levels):
-    """A weak block operator with copies of op's factor and leaf stacks."""
-    factors = [(lane.factors[0].copy(), lane.factors[1].transpose(0, 2, 1).copy())
-               for lane in op.lanes]
-    return BlockLowRankOperator(op.n, levels, "weak", factors,
-                                [op.leaf_lanes[0].factors[0].copy()])
+    """A weak block operator with copies of op's factor arrays and leaf stack."""
+    return BlockLowRankOperator(op.n, levels, "weak", op.rank, op.col_factors.copy(),
+                                op.row_factors.copy(), [op.leaf_lanes[0].factors[0].copy()])
 
 
 @st.composite
@@ -550,8 +548,8 @@ class TestStructuralResidual:
             (hierarchical_decompose(model, 3, 2).operator,
              random_structured("hodlr", 64, stream, rank=2, levels=4)),
             # the coarser levels only, as peeling holds them before the leaves
-            (BlockLowRankOperator(64, 3, "weak", [(lane.factors[0], lane.factors[1].transpose(0, 2, 1))
-                                                  for lane in hodlr.lanes[:4]]), hodlr),
+            (BlockLowRankOperator(64, 3, "weak", 2, hodlr.col_factors[:, :4],
+                                  hodlr.row_factors[:, :4]), hodlr),
             (hodlr, DenseOperator(hodlr.materialize() + np.eye(64))),
         ]
         expected = [np.linalg.norm(a.materialize() - b.materialize()) / np.linalg.norm(b.materialize())

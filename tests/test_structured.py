@@ -1,13 +1,14 @@
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from operlab import dataio
+from operlab import dataio, structured
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, hierarchical_decompose
@@ -23,7 +24,13 @@ from operlab.structured import (
     random_structured,
 )
 
-from helpers import dyadic_descent, expected_hodlr_layout, hodlr_layout, per_block_apply
+from helpers import (
+    block_operator,
+    dyadic_descent,
+    expected_hodlr_layout,
+    hodlr_layout,
+    per_block_apply,
+)
 
 
 def make_instance(kind, n, seed):
@@ -80,22 +87,30 @@ class TestBlockLowRankProperties:
 @st.composite
 def block_operator_cases(draw):
     """A block operator from each producer: a random HODLR instance (ranks
-    may exceed the block size at deep levels), a recovered one, a
-    hierarchical fit (strong admissibility) and that fit reloaded from its
-    container."""
-    kind = draw(st.sampled_from(["random", "recovered", "strong", "reloaded"]))
+    may exceed the block size at deep levels), one holding only its coarser
+    levels (as peeling holds them), a recovered one, a hierarchical fit
+    (strong admissibility, most sizes not powers of two) and that fit
+    reloaded from its container."""
+    kind = draw(st.sampled_from(["random", "prefix", "recovered", "strong", "reloaded"]))
     levels = draw(st.integers(1, 5))
     n = 2 ** (levels + draw(st.integers(0, 2)))
     rank = draw(st.integers(1, 6))
     stream = RngStream(draw(st.integers(0, 2 ** 31)))
-    if kind == "random":
-        return random_structured("hodlr", n, stream, rank=rank, levels=levels)
+    if kind in ("random", "prefix"):
+        op = random_structured("hodlr", n, stream, rank=rank, levels=levels)
+        if kind == "random":
+            return op
+        held = draw(st.integers(0, levels - 1))  # whole levels, fewer than all
+        width = op.lanes[2 * held - 1].columns.stop if held else 0
+        return BlockLowRankOperator(n, levels, "weak", rank, op.col_factors[:, :width],
+                                    op.row_factors[:, :width])
     if kind == "recovered":
         n, levels = max(n, 16), min(levels, 3)
         op = random_structured("hodlr", n, stream, rank=rank, levels=levels)
         oversampling = min(3, n // 2 - rank)
         oracle = MatvecOracle.from_operator(op)
         return recover_hodlr(oracle, rank, levels, oversampling, stream=stream)
+    n = (1 << levels) * draw(st.integers(1, 12))
     kernel = DenseKernelModel(Grid1D(n), stream.standard_normal((n, n)))
     model = hierarchical_decompose(kernel, levels, rank)
     if kind == "reloaded":
@@ -105,43 +120,67 @@ def block_operator_cases(draw):
     return model.operator
 
 
+def assert_matches_per_block(op, x):
+    """Both directions of op on x agree with the per-block loop to within
+    1e-13 ||A||_F ||x||_F per column block: roundoff, as each row's terms
+    are summed in one product rather than block by block."""
+    scale = 1e-13 * np.linalg.norm(op.materialize(cap=op.n)) * max(np.linalg.norm(x), 1.0)
+    assert np.linalg.norm(op.apply(x) - per_block_apply(op, x)) <= scale
+    assert np.linalg.norm(op.apply_transpose(x) - per_block_apply(op, x, transpose=True)) <= scale
+
+
+def same_memory(a, b) -> bool:
+    """Whether two arrays view the same elements in the same layout."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+
+
 class TestStackedRunsMatchPerBlockLoop:
-    """Stacked runs apply each block with the operands and layouts of a
-    per-block loop and add up in its order, so they reproduce its bits."""
+    """The tile-major apply (three batched products whatever the number of
+    levels) agrees with a per-block loop to roundoff, in both directions,
+    for every producer of block operators and every probe layout, in one
+    pass or in column chunks."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         op=block_operator_cases(),
         width=st.sampled_from([None, 1, 2, 9, 64]),
         fortran=st.booleans(),
+        block_entries=st.sampled_from([structured.TILE_BLOCK_ENTRIES, 1, 300]),
         seed=st.integers(0, 2 ** 31),
     )
-    def test_apply_bits(self, op, width, fortran, seed):
+    def test_apply_bits(self, op, width, fortran, block_entries, seed):
         shape = (op.n,) if width is None else (op.n, width)
         x = RngStream(seed).standard_normal(shape)
         if fortran:  # predict probes the operator with a transposed batch
             x = np.asfortranarray(x)
-        assert np.array_equal(op.apply(x), per_block_apply(op, x))
-        assert np.array_equal(op.apply_transpose(x), per_block_apply(op, x, transpose=True))
+        with mock.patch.object(structured, "TILE_BLOCK_ENTRIES", block_entries):
+            assert_matches_per_block(op, x)
 
     @pytest.mark.parametrize("recovered", [False, True])
     def test_stacks_are_the_only_copy(self, recovered):
-        """Each level's factors and the leaves are views into one array per
-        level and one for the leaves; no block owns a copy."""
+        """Every block's factors are views into the operator's two (n, K)
+        factor arrays, at the block's rows (col_factors) or columns
+        (row_factors) and its lane's columns; a level's upper and lower
+        lanes share its columns, and the leaves are one stack.  No block
+        owns a copy."""
         op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
         if recovered:
             op = recover_hodlr(MatvecOracle.from_operator(op), 3, 3, 2, stream=RngStream(3))
-
-        def block_factors(lanes):
-            return [m for lane in lanes for stack in lane.factors for m in stack]
-
-        arrays = block_factors(op.lanes + op.leaf_lanes)
-        assert not any(m.flags.owndata for m in arrays)
-        bases = {id(m.base) for m in arrays}
-        assert len(bases) == 4
+        assert op.col_factors.shape == op.row_factors.shape == (64, 9)
+        assert op.col_factors.flags.owndata and op.row_factors.flags.owndata
         for level in (1, 2, 3):
-            level_lanes = [lane for lane in op.lanes if lane.level == level]
-            assert len({id(m.base) for m in block_factors(level_lanes)}) == 1
+            upper, lower = (lane for lane in op.lanes if lane.level == level)
+            assert upper.columns == lower.columns == slice(3 * level - 3, 3 * level)
+        for lane in op.lanes:
+            col_factors, row_factors_t = lane.factors
+            assert col_factors.base is op.col_factors and row_factors_t.base is op.row_factors
+            for r0, c0, col_factor, row_factor_t in zip(lane.row_starts, lane.col_starts,
+                                                        col_factors, row_factors_t):
+                assert same_memory(col_factor, op.col_factors[r0:r0 + lane.size, lane.columns])
+                assert same_memory(row_factor_t.T, op.row_factors[c0:c0 + lane.size, lane.columns])
+        (leaf_lane,) = op.leaf_lanes
+        assert leaf_lane.factors[0].shape == (8, 8, 8) and leaf_lane.factors[0].flags.owndata
 
     def test_hodlr_blocks_list_upper_then_lower(self):
         op = random_structured("hodlr", 64, RngStream(2), rank=3, levels=3)
@@ -153,14 +192,14 @@ class TestStackedRunsMatchPerBlockLoop:
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
     def test_levels_apply_through_views(self, transpose):
-        """A HODLR level applies as two strided lanes, with no gathered copy
-        of the probe: on recovery's known levels (n=8192, L=7, an 18-column
-        probe) the traced peak is the result plus one lane's product."""
+        """The levels apply through a tile view of the probe, with no copy of
+        it: on recovery's known levels (n=8192, L=7, an 18-column probe)
+        the traced peak is the result plus the tiles' coefficients."""
         n, levels, stream = 8192, 7, RngStream(9)
         draws = [stream.standard_normal((2, 2 ** level, n >> level, 4))
                  for level in range(1, levels + 1)]
         factors = [(c[lane::2], r[lane::2]) for c, r in draws for lane in (0, 1)]
-        op = BlockLowRankOperator(n, levels, "weak", factors)
+        op = block_operator(n, levels, "weak", 4, factors)
         x = stream.standard_normal((n, 18))
         tracemalloc.start()
         try:
@@ -169,6 +208,31 @@ class TestStackedRunsMatchPerBlockLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * x.nbytes
+
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
+    def test_wide_fortran_probe_applies_in_chunks(self, transpose):
+        """The batched predict of a hierarchical fit (strong, n=256, L=4,
+        rank 4) probes it with 2700 Fortran-ordered columns.  Its
+        coefficients (16 tiles x 36 per column) outnumber the probe's
+        entries, so the apply goes in chunks of columns copied to C order.
+        The traced peak is 9 783 760 B (1.77x the probe's bytes), below the
+        11 579 840 B (2.09x) of the lane-by-lane apply it replaced, which
+        added every lane's product into a Fortran-ordered result."""
+        stream = RngStream(4)
+        kernel = DenseKernelModel(Grid1D(256), stream.standard_normal((256, 256)))
+        op = hierarchical_decompose(kernel, 4, 4).operator
+        x = np.asfortranarray(stream.standard_normal((256, 2700)))
+        tracemalloc.start()
+        try:
+            y = (op.apply_transpose if transpose else op.apply)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11_579_840
+        assert y.flags.f_contiguous  # so predict's transpose back is C-ordered, with no copy
+        scale = 1e-13 * np.linalg.norm(op.materialize()) * np.linalg.norm(x)
+        assert np.linalg.norm(y - per_block_apply(op, x, transpose)) <= scale
 
 
 class TestOperatorProperties:
@@ -365,7 +429,7 @@ class TestMaterialize:
         leaves = [stream.standard_normal((4, 4)) for _ in range(2)]
         # one level: the upper lane's one block, then the lower lane's
         factors = [(u1[None], v1[None]), (u2[None], v2[None])]
-        op = BlockLowRankOperator(8, 1, "weak", factors, [np.stack(leaves)])
+        op = block_operator(8, 1, "weak", 1, factors, [np.stack(leaves)])
         manual = np.zeros((8, 8))
         manual[:4, 4:] = u1 @ v1.T
         manual[4:, :4] = u2 @ v2.T
@@ -420,6 +484,28 @@ class TestRandomStructured:
 
 
 class TestOperatorValidation:
+    @pytest.mark.parametrize("width, leaves", [
+        (3, ()),  # level 1 and part of level 2
+        (12, ()),  # more columns than the three levels hold
+        (4, [np.zeros((4, 4, 4))]),  # 8 leaves of size 2 expected
+        (4, [np.zeros((8, 2, 2))] * 2),  # one stack per leaf lane
+    ])
+    def test_block_operator_shape_checks(self, width, leaves):
+        with pytest.raises(ValueError):
+            BlockLowRankOperator(16, 3, "weak", 2, np.zeros((16, width)), np.zeros((16, width)),
+                                 leaves)
+
+    def test_block_operator_needs_equal_factor_arrays(self):
+        with pytest.raises(ValueError):
+            BlockLowRankOperator(16, 3, "weak", 2, np.zeros((16, 4)), np.zeros((16, 2)))
+        with pytest.raises(ValueError):
+            BlockLowRankOperator.zeros(16, 3, "weak", 0)
+
+    def test_lane_fill_checks_stack_shapes(self):
+        (upper, *_) = BlockLowRankOperator.zeros(16, 3, "weak", 2).lanes
+        with pytest.raises(ValueError):
+            upper.fill(np.zeros((1, 8, 2)), np.zeros((1, 8, 1)))  # would broadcast
+
     def test_low_rank_shape_check(self):
         with pytest.raises(ValueError):
             LowRankOperator(np.ones((4, 2)), np.ones((3, 4)))
@@ -456,7 +542,7 @@ class TestOperatorValidation:
 def lanes_cover_once(m: int, lanes) -> bool:
     """Whether the blocks of the lanes tile an m x m matrix, each entry once."""
     cover = np.zeros((m, m), dtype=int)
-    for _, rows, cols, size in lanes:
+    for _, rows, cols, size, _ in lanes:
         for r0, c0 in zip(rows, cols):
             cover[r0:r0 + size, c0:c0 + size] += 1
     return bool(np.all(cover == 1))
@@ -465,9 +551,9 @@ def lanes_cover_once(m: int, lanes) -> bool:
 def lane_blocks(lanes, leaf_lanes) -> tuple[list, list]:
     """The sorted (level, row, col, size) of the lanes' blocks and (row, col,
     size) of the leaf lanes' leaves, as dyadic_descent lists them."""
-    blocks = [(level, r0, c0, size) for level, rows, cols, size in lanes
+    blocks = [(level, r0, c0, size) for level, rows, cols, size, _ in lanes
               for r0, c0 in zip(rows, cols)]
-    leaves = [(r0, c0, size) for _, rows, cols, size in leaf_lanes for r0, c0 in zip(rows, cols)]
+    leaves = [(r0, c0, size) for _, rows, cols, size, _ in leaf_lanes for r0, c0 in zip(rows, cols)]
     return sorted(blocks), sorted(leaves)
 
 
@@ -542,8 +628,7 @@ class TestStrongPartition:
         x = stream.standard_normal((m,) if width is None else (m, width))
         if fortran:
             x = np.asfortranarray(x)
-        assert np.array_equal(op.apply(x), per_block_apply(op, x))
-        assert np.array_equal(op.apply_transpose(x), per_block_apply(op, x, transpose=True))
+        assert_matches_per_block(op, x)
 
     @pytest.mark.parametrize("m, levels, admissibility", [
         (30, 2, "strong"), (8, 4, "strong"), (8, 0, "strong"), (0, 1, "strong"),
