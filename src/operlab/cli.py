@@ -13,14 +13,15 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dataio, opfit, pdelab, recovery
-from .grids import OperatorDataset
-from .numerics import RngStream
-from .probes import CovarianceSpec
-from .structured import DENSE_CAP, MatvecOracle, random_structured
+# Each command imports the operlab modules it runs, inside the functions that
+# use them, so a process loads only its own command's modules.
+if TYPE_CHECKING:
+    from .grids import OperatorDataset
+    from .probes import CovarianceSpec
 
 
 class CliError(RuntimeError):
@@ -45,14 +46,13 @@ _PATH = "path"  # the rule of a field that names a file: a nonempty string
 # the config field that selects the context): its required fields and its
 # optional ones, each with a value rule: _PATH, or (integer?, lower bound,
 # bound strict?, upper bound).  Fields without a rule hold names, lists or
-# objects; validate_config checks those it relies on.  The covariance
-# ranges are CovarianceSpec's.
+# objects; validate_config checks those it relies on, and adds generate's
+# resolution rule from pdelab.  The covariance ranges are CovarianceSpec's.
 _FIELDS = {
     "command": {
         "generate": (
             {"command": None, "seed": _int(0), "pde": None, "num_pairs": _int(0),
-             "resolution": _int(min(pdelab.MIN_RESOLUTION.values())), "covariance": None,
-             "output": _PATH},
+             "resolution": None, "covariance": None, "output": _PATH},
             {"viscosity": _number(0, strict=True), "final_time": _number(0)},
         ),
         "recover": (
@@ -98,18 +98,20 @@ _FIELDS = {
 }
 
 # Each _FIELDS["algorithm"] entry's recovery: the random_structured keywords of
-# its instance (keyword -> config field), and its call.  The calls look up
-# recovery's functions when they run, so hooks that replace them still see them.
+# its instance (keyword -> config field), and its call given the recovery
+# module.  The calls look up recovery's functions when they run, so hooks that
+# replace them still see them.
 _RECOVER = {
-    "low-rank": ({"rank": "rank"}, lambda oracle, config, stream: recovery.randomized_svd(
-        oracle, config["rank"], config.get("oversampling", 5), stream=stream)),
-    "circulant": ({}, lambda oracle, config, stream: recovery.recover_circulant(oracle, stream)),
-    "banded": ({"bandwidth": "bandwidth"},
-               lambda oracle, config, stream: recovery.recover_banded(oracle, config["bandwidth"])),
-    "hodlr": ({"rank": "block_rank", "levels": "levels"},
-              lambda oracle, config, stream: recovery.recover_hodlr(
-                  oracle, config["block_rank"], config["levels"], config.get("oversampling", 5),
-                  stream=stream)),
+    "low-rank": ({"rank": "rank"}, lambda recovery, oracle, config, stream:
+                 recovery.randomized_svd(oracle, config["rank"], config.get("oversampling", 5),
+                                         stream=stream)),
+    "circulant": ({}, lambda recovery, oracle, config, stream:
+                  recovery.recover_circulant(oracle, stream)),
+    "banded": ({"bandwidth": "bandwidth"}, lambda recovery, oracle, config, stream:
+               recovery.recover_banded(oracle, config["bandwidth"])),
+    "hodlr": ({"rank": "block_rank", "levels": "levels"}, lambda recovery, oracle, config, stream:
+              recovery.recover_hodlr(oracle, config["block_rank"], config["levels"],
+                                     config.get("oversampling", 5), stream=stream)),
 }
 
 _PDE_FAMILIES = {
@@ -172,6 +174,10 @@ def validate_config(config: dict) -> dict:
         raise CliError("config", "config must be a JSON object")
     command = config.get("command")
     entries = [_lookup(_FIELDS["command"], "command", command)]
+    if command == "generate":
+        from . import pdelab
+
+        entries.append(({"resolution": _int(min(pdelab.MIN_RESOLUTION.values()))}, {}))
     if command in ("recover", "fit"):
         field = "algorithm" if command == "recover" else "variant"
         entries.append(_lookup(_FIELDS[field], field, config.get(field)))
@@ -199,22 +205,31 @@ def validate_config(config: dict) -> dict:
             raise CliError(
                 "config", f"burgers1d resolution must be a power of two, got {resolution}"
             )
+    elif command == "fit":
+        # one file cannot hold both: the metrics would be renamed over the model
+        if os.path.normpath(config["model_output"]) == os.path.normpath(config["metrics_output"]):
+            raise CliError("config", "model_output and metrics_output must name different files")
     elif command == "eval":
         datasets = config["datasets"]
         if not isinstance(datasets, list) or not datasets:
             raise CliError("config", "datasets must be a nonempty list")
         for entry in datasets:
             _check_fields(entry, "eval dataset entry", _FIELDS["dataset entry"]["eval"])
-    losses = config.get("losses", ["relative-l2"])
-    if not isinstance(losses, list) or not losses:
-        raise CliError("config", "losses must be a nonempty list")
-    for kind in losses:
-        if kind not in opfit.LOSS_KINDS:
-            raise CliError("config", f"unknown loss kind {kind!r}")
+    if command in ("fit", "eval"):
+        from . import opfit
+
+        losses = config.get("losses", ["relative-l2"])
+        if not isinstance(losses, list) or not losses:
+            raise CliError("config", "losses must be a nonempty list")
+        for kind in losses:
+            if kind not in opfit.LOSS_KINDS:
+                raise CliError("config", f"unknown loss kind {kind!r}")
     return config
 
 
 def _covariance_from_config(cov: dict) -> CovarianceSpec:
+    from .probes import CovarianceSpec
+
     try:
         return CovarianceSpec(**cov, periodic=cov["family"] == "helmholtz-power")
     except ValueError as exc:  # a hyperparameter out of its family's range
@@ -230,6 +245,9 @@ def _out_path(out_dir: str, path: str) -> str:
 
 
 def cmd_generate(config: dict, out_dir: str) -> int:
+    from . import dataio, pdelab
+    from .numerics import RngStream
+
     spec = _covariance_from_config(config["covariance"])
     stream = RngStream(config["seed"])
     kwargs = {}
@@ -255,6 +273,10 @@ def cmd_generate(config: dict, out_dir: str) -> int:
 
 
 def cmd_recover(config: dict, out_dir: str) -> int:
+    from . import dataio, recovery
+    from .numerics import RngStream
+    from .structured import DENSE_CAP, MatvecOracle, random_structured
+
     algorithm = config["algorithm"]
     n = config["dimension"]
     seed = config["seed"]
@@ -270,7 +292,7 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     oracle = MatvecOracle.from_operator(instance)
     started = time.perf_counter()
     try:
-        recovered = recover(oracle, config, probe_stream)
+        recovered = recover(recovery, oracle, config, probe_stream)
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
     except ValueError as exc:  # parameters that do not fit the dimension
@@ -303,6 +325,8 @@ def cmd_recover(config: dict, out_dir: str) -> int:
 
 def _load_checked(load, path: str):
     """load(path), with each container fault mapped to its own error code."""
+    from . import dataio
+
     try:
         return load(path)
     except dataio.ChecksumMismatchError as exc:
@@ -318,6 +342,8 @@ def _load_checked(load, path: str):
 
 
 def _split_dataset(ds: OperatorDataset, fraction: float):
+    from .grids import OperatorDataset
+
     count = len(ds)
     train_count = int(np.floor(fraction * count))
     train = OperatorDataset(
@@ -331,6 +357,8 @@ def _split_dataset(ds: OperatorDataset, fraction: float):
 
 def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
     """Each loss kind's value for the model's predictions on ds."""
+    from . import opfit
+
     try:
         preds = model.predict_batch(ds.grid, ds.input_values)
         return {kind: opfit.batch_loss(kind, ds.grid, preds, ds.output_values) for kind in losses}
@@ -339,6 +367,8 @@ def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
+    from . import dataio, opfit
+
     ds = _load_checked(dataio.load_dataset, config["dataset"])
     variant = config["variant"]
     losses = config.get("losses", ["relative-l2"])
@@ -385,13 +415,16 @@ def cmd_fit(config: dict, out_dir: str) -> int:
         metrics["truncation_error"] = model.truncation_error
     if variant == "hierarchical":
         metrics["truncation_error"] = model.total_truncation_error
-    # both splits are scored, so a failed fit has written no file
+    # both splits are scored, so a failed fit has written no file; the metrics
+    # temporary is complete before the model is written, and is renamed only
+    # once the model file is in place, so a failed write leaves neither output
     model_path = _out_path(out_dir, config["model_output"])
-    dataio.save_model(model_path, model)
     metrics_path = _out_path(out_dir, config["metrics_output"])
     with dataio.output_file(metrics_path) as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
+        fh.flush()
+        dataio.save_model(model_path, model)
     print(
         f"fit variant={variant} train_pairs={len(train)} test_pairs={len(test)} "
         f"wall_time={elapsed:.2f}s model={model_path} metrics={metrics_path}"
@@ -400,6 +433,8 @@ def cmd_fit(config: dict, out_dir: str) -> int:
 
 
 def cmd_eval(config: dict, out_dir: str) -> int:
+    from . import dataio
+
     model = _load_checked(dataio.load_model, config["model"])
     losses = config.get("losses", ["relative-l2"])
     rows = []
@@ -475,6 +510,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # a size this machine cannot hold
         print(f"ERROR:incompatible: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that could not be written
+        print(f"ERROR:io: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # keep failures single-line and machine-parseable
         print(f"ERROR:internal: {exc}", file=sys.stderr)

@@ -17,33 +17,18 @@ import contextlib
 import hashlib
 import json
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grids import Grid1D, Grid2D, OperatorDataset, stacked_shape
-from .opfit import (
-    BandedKernelModel,
-    DenseKernelModel,
-    FourierMultiplierModel,
-    HierarchicalKernelModel,
-    KernelModel,
-    LowRankKernelModel,
-)
+
+if TYPE_CHECKING:
+    from .opfit import KernelModel
 
 MAGIC = "operlab-binary"
 VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
-
-MODEL_TYPES = {
-    cls.variant: cls
-    for cls in (
-        DenseKernelModel,
-        LowRankKernelModel,
-        FourierMultiplierModel,
-        BandedKernelModel,
-        HierarchicalKernelModel,
-    )
-}
 
 # what constructors and lookups raise on checksum-valid but malformed headers
 _MALFORMED = (KeyError, TypeError, ValueError)
@@ -255,9 +240,26 @@ def load_dataset(path) -> OperatorDataset:
         raise DataFormatError(f"{path}: invalid dataset: {exc!r}") from exc
 
 
+def model_types() -> dict:
+    """Each persistable model class by variant.  opfit is imported here, so
+    a process that only saves or loads datasets does not load the models."""
+    from . import opfit
+
+    return {
+        cls.variant: cls
+        for cls in (
+            opfit.DenseKernelModel,
+            opfit.LowRankKernelModel,
+            opfit.FourierMultiplierModel,
+            opfit.BandedKernelModel,
+            opfit.HierarchicalKernelModel,
+        )
+    }
+
+
 def save_model(path, model: KernelModel):
     """Write a fitted kernel model in the same container format."""
-    if MODEL_TYPES.get(model.variant) is not type(model):
+    if model_types().get(model.variant) is not type(model):
         raise ValueError(f"cannot persist model variant {model.variant!r}")
     header = {
         "container": "model",
@@ -272,7 +274,7 @@ def load_model(path) -> KernelModel:
     header, payload = _read(path, "model")
     arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
     variant = _field(header, "variant", str)
-    cls = MODEL_TYPES.get(variant)
+    cls = model_types().get(variant)
     if cls is None:
         raise DataFormatError(f"{path}: unknown model variant {variant!r}")
     params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}

@@ -16,7 +16,9 @@ leaves as one stack per leaf lane; its Lane objects view its blocks in
 place.  One apply path, three batched products over the probe's finest
 tiles whatever the number of levels, serves both admissibilities.  Random
 HODLR instances and recovery.recover_hodlr use the weak partition,
-hierarchical kernel fits the strong one.
+hierarchical kernel fits the strong one.  BandedOperator and
+BlockLowRankOperator keep float64 arrays passed to them without a copy, so
+callers must not mutate an array after passing it to an operator.
 """
 from __future__ import annotations
 
@@ -148,9 +150,10 @@ class BandedOperator(StructuredOperator):
     """Banded matrix with A[i, j] = 0 whenever |i - j| > bandwidth.
 
     Stored as 2w+1 diagonals indexed by row: diagonals[w + o, i] = A[i, i + o]
-    for offsets o in [-w, w].  Out-of-range slots (i + o outside [0, n)) are
-    zero: the constructor rejects any other value, so the diagonals' norm is
-    the matrix's Frobenius norm.  An apply walks the destination rows in
+    for offsets o in [-w, w], kept without a copy when given as a float
+    array.  Out-of-range slots (i + o outside [0, n)) are zero: the
+    constructor rejects any other value, so the diagonals' norm is the
+    matrix's Frobenius norm.  An apply walks the destination rows in
     blocks of about BAND_BLOCK_ENTRIES probe entries (992 rows of a
     33-column probe) and runs every offset within a block, so a block of the
     result and the probe rows it reads stay in cache.  Each output entry gets
@@ -159,7 +162,7 @@ class BandedOperator(StructuredOperator):
     """
 
     def __init__(self, n: int, bandwidth: int, diagonals):
-        d = np.array(diagonals, dtype=float)
+        d = np.asarray(diagonals, dtype=float)
         if bandwidth < 0 or bandwidth >= n:
             raise ValueError("need 0 <= bandwidth < n")
         if d.shape != (2 * bandwidth + 1, n):

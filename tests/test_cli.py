@@ -469,6 +469,7 @@ class TestIntegerFields:
             ("fit", {"ridge": -1}),
             ("fit", {"variant": "banded", "radius": -0.5}),
             ("fit", {"variant": "banded", "radius": 0}),
+            ("fit", {"metrics_output": "./model.bin"}),
             ("eval", {"resolution": "32"}),
         ],
         ids=repr,
@@ -983,6 +984,9 @@ class FailingSecondWrite:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self.fh.write(data)
 
+    def flush(self):
+        self.fh.flush()
+
     def __enter__(self):
         return self
 
@@ -1011,8 +1015,27 @@ class TestNoPartialOutputs:
         monkeypatch.setattr(dataio, "open", failing_open, raising=False)
         assert run(config["command"], write_config(tmp_path / "c.json", config), out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ERROR:") and "[Errno 28]" in err
+        assert err.startswith("ERROR:io: ") and "[Errno 28]" in err
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+
+    def test_fit_whose_metrics_write_fails_leaves_no_model(
+        self, tmp_path, valid_configs, monkeypatch, capsys
+    ):
+        """fit writes both outputs or neither: its metrics temporary is
+        complete before the model file is written."""
+        config = valid_configs["fit"]
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            metrics = config["metrics_output"] in os.path.basename(file)
+            return FailingSecondWrite(fh) if metrics and "w" in mode else fh
+
+        monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+        assert run("fit", write_config(tmp_path / "c.json", config), out) == 1
+        assert sorted(p.name for p in out.iterdir()) == []
+        assert capsys.readouterr().err.startswith("ERROR:io: ")
 
 
 class TestProcessInterface:
@@ -1119,6 +1142,71 @@ class TestProcessInterface:
         # the spans behind the recover-structured per-layer metrics
         assert {"recovery.recover_hodlr", "structured.random_structured",
                 "structured.oracle.apply"} <= spans["recover"]
+
+    def test_each_command_loads_only_its_own_modules(self, tmp_path):
+        """The package loads a module the first time one of its exports is
+        used, and the CLI imports each module inside the commands that run
+        it, so a process compiles and runs only its own command's modules."""
+        env = child_env()
+        steps = {
+            "generate": dict(POISSON_GENERATE, num_pairs=8, resolution=32),
+            "recover": {"command": "recover", "seed": 5, "algorithm": "hodlr", "dimension": 64,
+                        "block_rank": 2, "levels": 3, "output": "h.json"},
+            "fit": {"command": "fit", "seed": 1, "dataset": str(tmp_path / "train.ds"),
+                    "variant": "hierarchical", "levels": 2, "rank": 2, "train_fraction": 0.5,
+                    "model_output": "hier.bin", "metrics_output": "metrics.json"},
+            "eval": {"command": "eval", "seed": 1, "model": str(tmp_path / "hier.bin"),
+                     "datasets": [{"resolution": 32, "path": str(tmp_path / "train.ds")}],
+                     "output": "eval.csv"},
+        }
+        fit_eval = {"cli", "numerics", "grids", "structured", "opfit", "dataio"}
+        expected = {
+            "generate": {"cli", "numerics", "grids", "probes", "pdelab", "dataio"},
+            "recover": {"cli", "numerics", "grids", "structured", "recovery", "dataio"},
+            "fit": fit_eval,
+            "eval": fit_eval,
+        }
+        loaded = (
+            "print(json.dumps(sorted(m[len('operlab.'):] for m in sys.modules\n"
+            "                        if m.startswith('operlab.'))))\n"
+        )
+        child = ("import json, sys\nimport operlab.cli\ncode = operlab.cli.main(sys.argv[1:])\n"
+                 + loaded + "sys.exit(code)\n")
+        for command, config in steps.items():
+            argv = [command, "--config", write_config(tmp_path / f"{command}.json", config),
+                    "--out", str(tmp_path)]
+            proc = subprocess.run([sys.executable, "-c", child, *argv],
+                                  capture_output=True, text=True, cwd=ROOT, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert set(json.loads(proc.stdout.splitlines()[-1])) == expected[command], command
+
+        for statement, modules in (("import operlab", []), ("import operlab.cli", ["cli"])):
+            script = f"import json, sys\n{statement}\n{loaded}"
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, cwd=ROOT, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == modules, statement
+
+        exports = (
+            "import json, sys\n"
+            "import operlab\n"
+            "names = {}\n"
+            "exec('from operlab import *', names)\n"
+            "names.pop('__builtins__')\n"
+            "homes = {name: obj.__module__ for name, obj in names.items()}\n"
+            "same = [name for name, obj in names.items()\n"
+            "        if getattr(sys.modules[homes[name]], name) is obj]\n"
+            "print(json.dumps({'all': operlab.__all__, 'bound': sorted(names),\n"
+            "                  'same': sorted(same), 'homes': sorted(set(homes.values())),\n"
+            "                  'dir': dir(operlab)}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", exports],
+                              capture_output=True, text=True, cwd=ROOT, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["bound"] == result["same"] == sorted(result["all"])
+        assert all(home.startswith("operlab.") for home in result["homes"])
+        assert set(result["all"]) <= set(result["dir"])
 
     def test_poisson_generate_recover_fit_eval_never_import_scipy(self, tmp_path):
         """Only the Darcy solver and the Matern-Bessel covariance (smoothness

@@ -514,6 +514,12 @@ class TestOperatorValidation:
         with pytest.raises(ValueError):
             BandedOperator(4, 1, np.ones((2, 4)))
 
+    def test_banded_keeps_a_float_array_without_a_copy(self):
+        d = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 0.0]])
+        assert BandedOperator(3, 1, d).diagonals is d
+        listed = BandedOperator(3, 1, d.tolist()).diagonals
+        assert listed.dtype == np.float64 and np.array_equal(listed, d)
+
     @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (3, 4), (4, 3), (4, 4)])
     @pytest.mark.parametrize("value", [1e-300, -2.0, np.nan])
     def test_banded_out_of_range_slots_must_be_zero(self, slot, value):
