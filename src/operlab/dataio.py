@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from typing import TYPE_CHECKING
 
@@ -99,10 +100,11 @@ def output_file(path, mode: str = "w"):
 
 
 def write_container(path, header: dict, *payload):
-    """Write the container line for header["version"], the header, then each
-    payload buffer in order (the payload is their concatenation), through
-    output_file."""
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    """Write the container line for header["version"], the header (numpy
+    arrays in it as JSON lists), then each payload buffer in order (the
+    payload is their concatenation), through output_file."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              default=np.ndarray.tolist).encode()
     with output_file(path, "wb") as fh:
         fh.write(f"{MAGIC} {header['version']} {len(header_bytes)}\n".encode())
         fh.write(header_bytes)
@@ -158,10 +160,11 @@ def _unpack_arrays(path, manifest: list, payload: bytes) -> dict[str, np.ndarray
     offset = 0
     try:
         for entry in manifest:
-            shape = tuple(entry["shape"])
-            if any(dim < 0 for dim in shape):
-                raise ValueError(f"array {entry['name']} has a negative dimension")
-            nbytes = 8 * int(np.prod(shape)) if shape else 8
+            shape = entry["shape"]
+            # json reads 16.0, NaN and Infinity as floats, and a bool is an int
+            if type(shape) is not list or any(type(dim) is not int or dim < 0 for dim in shape):
+                raise ValueError(f"array {entry['name']} needs nonnegative integer dimensions")
+            nbytes = 8 * math.prod(shape)
             if offset + nbytes > len(payload):
                 raise DataFormatError(f"{path}: array {entry['name']} runs past the payload")
             out[entry["name"]] = np.frombuffer(payload, "<f8", nbytes // 8, offset).reshape(shape)
@@ -241,20 +244,12 @@ def load_dataset(path) -> OperatorDataset:
 
 
 def model_types() -> dict:
-    """Each persistable model class by variant.  opfit is imported here, so
-    a process that only saves or loads datasets does not load the models."""
+    """Each persistable model class (each KernelModel subclass) by variant.
+    opfit is imported here, so a process that only saves or loads datasets
+    does not load the models."""
     from . import opfit
 
-    return {
-        cls.variant: cls
-        for cls in (
-            opfit.DenseKernelModel,
-            opfit.LowRankKernelModel,
-            opfit.FourierMultiplierModel,
-            opfit.BandedKernelModel,
-            opfit.HierarchicalKernelModel,
-        )
-    }
+    return {cls.variant: cls for cls in opfit.KernelModel.__subclasses__()}
 
 
 def save_model(path, model: KernelModel):
@@ -277,8 +272,10 @@ def load_model(path) -> KernelModel:
     cls = model_types().get(variant)
     if cls is None:
         raise DataFormatError(f"{path}: unknown model variant {variant!r}")
-    params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
     try:
-        return cls.from_saved(grid_from_dict(_field(header, "grid", dict)), params, arrays)
+        grid = grid_from_dict(_field(header, "grid", dict))
+        header, arrays = cls.current_layout(grid, header, arrays)
+        params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
+        return cls.from_saved(grid, params, arrays)
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: invalid {variant} model: {exc!r}") from exc

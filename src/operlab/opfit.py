@@ -43,8 +43,8 @@ class KernelModel:
     Each variant states what it persists next to its fields: the header
     params it writes (name -> JSON type, read back from attributes of the
     same name), saved_arrays() in payload order, and from_saved() to rebuild
-    the model from both.
-    """
+    the model from both, once current_layout() has translated a deprecated
+    layout."""
 
     variant: str
     header_params: dict[str, type] = {}
@@ -64,6 +64,10 @@ class KernelModel:
 
     def saved_arrays(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
+
+    @classmethod
+    def current_layout(cls, grid, header: dict, arrays: dict) -> tuple[dict, dict]:
+        return header, arrays
 
     @classmethod
     def from_saved(cls, grid, params: dict, arrays: dict) -> "KernelModel":
@@ -136,12 +140,8 @@ class FourierMultiplierModel(KernelModel):
         return self.multiplier[mode + self.max_mode]
 
     def predict_batch(self, grid, values: np.ndarray) -> np.ndarray:
-        if (
-            not isinstance(grid, Grid1D)
-            or not grid.periodic
-            or grid.left != self.grid.left
-            or grid.right != self.grid.right
-        ):
+        if not (isinstance(grid, Grid1D) and grid.periodic and grid.left == self.grid.left
+                and grid.right == self.grid.right):
             raise ValueError("sample must live on a periodic grid over the training domain")
         if grid.n < self.grid.n:
             raise ValueError(
@@ -206,13 +206,13 @@ class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
     leaf blocks at the finest level, over the strong lanes of partition_lanes.
     tails holds one array per lane of operator.lanes: the Frobenius norm of
-    what truncating each block to the model's rank discarded.  A file lists
-    the blocks lane by lane, and loads only if its block_meta and leaf_meta
-    list exactly the partition's blocks and leaves, in any order, at integer
-    positions with finite nonnegative tails."""
+    what truncating each block to the model's rank discarded.  A file holds
+    levels, rank and tails (one list per lane) in its header, and per lane i
+    the (blocks, size, r) stacks lane<i>_col and lane<i>_row that Lane.fill
+    takes, then per leaf lane i the (blocks, leaf, leaf) stack leaves<i>."""
 
     variant = "hierarchical"
-    header_params = {"levels": int, "rank": int, "block_meta": list, "leaf_meta": list}
+    header_params = {"levels": int, "rank": int, "tails": list}
 
     def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator, tails):
         super().__init__(grid, operator)
@@ -227,44 +227,48 @@ class HierarchicalKernelModel(KernelModel):
         # block by block in lane order, as Python floats: the order fixes the sum's bits
         return float(np.sqrt(sum(t ** 2 for tails in self.tails for t in tails.tolist())))
 
-    @property
-    def block_meta(self) -> list[dict]:
-        return [{"level": lane.level, "row": r0, "col": c0, "size": lane.size, "tail": tail}
-                for lane, tails in zip(self.operator.lanes, self.tails)
-                for r0, c0, tail in zip(lane.row_starts, lane.col_starts, tails.tolist())]
-
-    @property
-    def leaf_meta(self) -> list[dict]:
-        return [{"row": r0, "col": c0, "size": lane.size} for lane in self.operator.leaf_lanes
-                for r0, c0 in zip(lane.row_starts, lane.col_starts)]
-
     def saved_arrays(self):
-        blocks = [pair for lane in self.operator.lanes for pair in zip(*lane.factors)]
-        leaves = [leaf for lane in self.operator.leaf_lanes for leaf in lane.factors[0]]
-        arrays = [(f"block{i}_{side}", factor) for i, pair in enumerate(blocks)
-                  for side, factor in zip(("col", "row"), pair)]
-        return arrays + [(f"leaf{i}", leaf) for i, leaf in enumerate(leaves)]
+        arrays = []
+        for i, (col, row_t) in enumerate(lane.factors for lane in self.operator.lanes):
+            arrays += [(f"lane{i}_col", col), (f"lane{i}_row", row_t.transpose(0, 2, 1))]
+        return arrays + [(f"leaves{i}", lane.factors[0])
+                         for i, lane in enumerate(self.operator.leaf_lanes)]
 
     @classmethod
-    def from_saved(cls, grid, params, arrays):
-        levels, rank = params["levels"], params["rank"]
+    def current_layout(cls, grid, header, arrays):
+        """A file of the deprecated per-block layout as lanes: one block_meta
+        entry (level, row, col, size, tail) and arrays block<i>_col and
+        block<i>_row (transposed) per low-rank block, then one leaf_meta entry
+        (row, col, size) and array leaf<i> per leaf, in any order."""
+        if "block_meta" not in header:
+            return header, arrays
+        levels, block_meta = header["levels"], header["block_meta"]
         lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
-        block_meta = params["block_meta"]
         block_ids = _lane_indices(lanes, block_meta)
-        leaf_ids = _lane_indices(leaf_lanes, params["leaf_meta"], levels)
+        leaf_ids = _lane_indices(leaf_lanes, header["leaf_meta"], levels)
 
         def stack(name, ids):
             return np.stack([arrays[name.format(i)] for i in ids])
 
-        shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
-        for lane, ids in zip(shell.lanes, block_ids):
-            lane.fill(stack("block{}_col", ids), stack("block{}_row", ids).transpose(0, 2, 1))
+        lane_arrays = {f"leaves{i}": stack("leaf{}", ids) for i, ids in enumerate(leaf_ids)}
+        for i, ids in enumerate(block_ids):
+            lane_arrays[f"lane{i}_col"] = stack("block{}_col", ids)
+            lane_arrays[f"lane{i}_row"] = stack("block{}_row", ids).transpose(0, 2, 1)
         tails = [[block_meta[i]["tail"] for i in ids] for ids in block_ids]
+        return dict(header, tails=tails), lane_arrays
+
+    @classmethod
+    def from_saved(cls, grid, params, arrays):
+        levels, rank, tails = params["levels"], params["rank"], params["tails"]
         # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
         if not all(type(t) in (int, float) and 0 <= t <= sys.float_info.max
-                   for t in sum(tails, [])):
+                   for lane in tails for t in lane):
             raise ValueError("each block's tail must be a finite nonnegative number")
-        leaves = [stack("leaf{}", ids) for ids in leaf_ids]
+        shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
+        for i, lane in enumerate(shell.lanes):
+            lane.fill(arrays[f"lane{i}_col"], arrays[f"lane{i}_row"])
+        _, leaf_lanes = partition_lanes(grid.n, levels, "strong")
+        leaves = [arrays[f"leaves{i}"] for i in range(len(leaf_lanes))]
         operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
                                         shell.row_factors, leaves)
         return cls(grid, levels, rank, operator, tails)
@@ -383,27 +387,26 @@ def fit_fourier_multiplier(
     power = np.sum(np.abs(f_hat) ** 2, axis=0)
     cross = np.sum(np.conj(f_hat) * u_hat, axis=0)
     floor = EXCITATION_RTOL * power.max()
+    modes = np.arange(-max_mode, max_mode + 1) % n
+    excited = ~(power[modes] <= floor)
     multiplier = np.zeros(2 * max_mode + 1, dtype=complex)
-    excited = np.zeros(2 * max_mode + 1, dtype=bool)
-    for mode in range(-max_mode, max_mode + 1):
-        idx = mode % n
-        if power[idx] <= floor:
-            continue
-        multiplier[mode + max_mode] = cross[idx] / (power[idx] + ridge)
-        excited[mode + max_mode] = True
-    center = max_mode
-    multiplier[center] = multiplier[center].real
-    for mode in range(1, max_mode + 1):
-        avg = 0.5 * (multiplier[center + mode] + np.conj(multiplier[center - mode]))
-        if excited[center + mode] and excited[center - mode]:
-            multiplier[center + mode] = avg
-            multiplier[center - mode] = np.conj(avg)
+    np.divide(cross[modes], power[modes] + ridge, out=multiplier, where=excited)
+    multiplier[max_mode] = multiplier[max_mode].real
+    # modes j and -j, both excited, share the mean of one and the other's conjugate
+    pairs = np.arange(1, max_mode + 1)
+    pairs = pairs[excited[max_mode + pairs] & excited[max_mode - pairs]]
+    avg = 0.5 * (multiplier[max_mode + pairs] + np.conj(multiplier[max_mode - pairs]))
+    multiplier[max_mode + pairs], multiplier[max_mode - pairs] = avg, np.conj(avg)
     return FourierMultiplierModel(grid, max_mode, multiplier, excited)
 
 
-def _band_mask_and_error(grid: Grid1D, kernel: np.ndarray, radius: float):
-    x = grid.points()
-    w = grid.quad_weights()
+def truncate_band(model: DenseKernelModel, radius: float) -> BandedKernelModel:
+    """Zero the kernel outside |x - y| <= radius and report the L2 norm of
+    what was removed (quadrature with half weights on the cut itself)."""
+    grid, kernel = model.grid, model.kernel
+    if not (0.0 < radius <= grid.length):
+        raise ValueError("radius must lie in (0, domain length]")
+    x, w = grid.points(), grid.quad_weights()
     dist = np.abs(x[:, None] - x[None, :])
     on_cut = np.abs(dist - radius) <= _BOUNDARY_TOL
     outside = dist > radius + _BOUNDARY_TOL
@@ -411,19 +414,9 @@ def _band_mask_and_error(grid: Grid1D, kernel: np.ndarray, radius: float):
     ww = np.outer(w, w)
     err_sq = np.sum(ww[outside] * kernel[outside] ** 2)
     err_sq += 0.5 * np.sum(ww[on_cut] * kernel[on_cut] ** 2)
-    return outside, float(np.sqrt(err_sq))
-
-
-def truncate_band(model: DenseKernelModel, radius: float) -> BandedKernelModel:
-    """Zero the kernel outside |x - y| <= radius and report the L2 norm of
-    what was removed (quadrature with half weights on the cut itself)."""
-    grid = model.grid
-    if not (0.0 < radius <= grid.length):
-        raise ValueError("radius must lie in (0, domain length]")
-    outside, error = _band_mask_and_error(grid, model.kernel, radius)
-    banded = model.kernel.copy()
+    banded = kernel.copy()
     banded[outside] = 0.0
-    return BandedKernelModel(grid, banded, radius, error)
+    return BandedKernelModel(grid, banded, radius, float(np.sqrt(err_sq)))
 
 
 def hierarchical_decompose(

@@ -22,6 +22,8 @@ log = logging.getLogger(__name__)
 
 FAMILIES = ("squared-exponential", "matern", "helmholtz-power")
 MACHINE_EPS = float(np.finfo(float).eps)
+# most helmholtz-power modes kept; a sample draws 1 + 2 * cap deviates, so it fixes bits
+HELMHOLTZ_MODE_LIMIT = 999_999
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,19 @@ def kernel_eval(spec: CovarianceSpec, x, y):
 
 
 def _helmholtz_mode_cap(spec: CovarianceSpec) -> int:
-    """Largest mode whose eigenvalue still clears machine precision."""
-    top = max(helmholtz_eigenvalue(spec, 0), helmholtz_eigenvalue(spec, 1))
-    mode = 1
-    while helmholtz_eigenvalue(spec, mode) >= MACHINE_EPS * top and mode < 1_000_000:
+    """Largest mode up to HELMHOLTZ_MODE_LIMIT whose eigenvalue clears machine
+    precision relative to the largest (0 if none does): the eigenvalues fall
+    with the mode, so this is the root of A((2 pi j)^2 + c)^(-nu) = floor,
+    rounded down and moved past any neighbour the comparison places apart."""
+    floor = MACHINE_EPS * max(helmholtz_eigenvalue(spec, 0), helmholtz_eigenvalue(spec, 1))
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite root: every mode clears
+        base = np.float64(floor / spec.amplitude) ** (-1.0 / spec.smoothness)
+    mode = int(min(np.sqrt(max(base - spec.shift, 0.0)) / (2.0 * np.pi), HELMHOLTZ_MODE_LIMIT))
+    while mode < HELMHOLTZ_MODE_LIMIT and helmholtz_eigenvalue(spec, mode + 1) >= floor:
         mode += 1
-    return mode - 1
+    while mode > 0 and helmholtz_eigenvalue(spec, mode) < floor:
+        mode -= 1
+    return mode
 
 
 def kl_decompose(spec: CovarianceSpec, m: int) -> KLBasis:

@@ -2,8 +2,11 @@
 small fitted models."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
+from operlab.dataio import grid_to_dict, write_container
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
@@ -194,3 +197,43 @@ def fitted_model(variant):
     if variant == "hierarchical":
         return hierarchical_decompose(dense, 3, 2), ds.input_values[:1]
     return dense, ds.input_values[:1]
+
+
+def write_per_block(path, model, depth_first: bool = False) -> None:
+    """Write a hierarchical model in the deprecated per-block layout with
+    write_container: one block_meta entry (level, row, col, size, tail) and
+    arrays block<i>_col and block<i>_row (the transposed row factor) per
+    low-rank block, then one leaf_meta entry (row, col, size) and array
+    leaf<i> per dense leaf; lane by lane, as the last per-block writer did,
+    or in the depth-first order of the files before it."""
+    op = model.operator
+    blocks = {(lane.level, r0, c0, lane.size): (tail, col, row_t)
+              for lane, tails in zip(op.lanes, model.tails)
+              for r0, c0, tail, col, row_t in zip(lane.row_starts, lane.col_starts,
+                                                  tails.tolist(), *lane.factors)}
+    leaves = {(r0, c0, lane.size): leaf for lane in op.leaf_lanes
+              for r0, c0, leaf in zip(lane.row_starts, lane.col_starts, lane.factors[0])}
+    block_keys, leaf_keys = list(blocks), list(leaves)
+    if depth_first:
+        block_keys, leaf_keys = dyadic_descent(model.grid.n, model.levels, "strong")
+    arrays = [(f"block{i}_{side}", factor) for i, key in enumerate(block_keys)
+              for side, factor in zip(("col", "row"), blocks[key][1:])]
+    arrays += [(f"leaf{i}", leaves[key]) for i, key in enumerate(leaf_keys)]
+    arrays = [(name, np.ascontiguousarray(a, dtype="<f8")) for name, a in arrays]
+    payload = b"".join(a.tobytes() for _, a in arrays)
+    header = {
+        "container": "model",
+        "version": 2,
+        "variant": "hierarchical",
+        "grid": grid_to_dict(model.grid),
+        "levels": model.levels,
+        "rank": model.rank,
+        "block_meta": [{"level": level, "row": r0, "col": c0, "size": size,
+                        "tail": blocks[level, r0, c0, size][0]}
+                       for level, r0, c0, size in block_keys],
+        "leaf_meta": [{"row": r0, "col": c0, "size": size} for r0, c0, size in leaf_keys],
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    write_container(path, header, payload)

@@ -37,6 +37,7 @@ from helpers import (
     planted_multiplier_dataset,
     relative_l2_error,
     shifted_poisson_factor,
+    write_per_block,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,9 +86,34 @@ POISSON_GENERATE = {
 }
 
 
+def rewrite_arrays(path, edit):
+    """Rewrite a container with its arrays edited: edit maps the list of
+    (name, array) pairs to another.  The manifest, length and checksum are
+    recomputed, so only the edit itself can make a load fail."""
+    header, payload = read_container(path)
+    arrays, offset = [], 0
+    for entry in header["arrays"]:
+        count = int(np.prod(entry["shape"]))
+        arrays.append((entry["name"],
+                       np.frombuffer(payload, "<f8", count, offset).reshape(entry["shape"])))
+        offset += 8 * count
+    arrays = edit(arrays)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    header["arrays"] = [{"name": name, "shape": list(a.shape)} for name, a in arrays]
+    header["payload_bytes"] = len(payload)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    write_container(path, header, payload)
+
+
 def first_meta(metas: list, **changes) -> list:
-    """A model's block_meta or leaf_meta with the first entry's fields changed."""
+    """A per-block file's block_meta or leaf_meta with the first entry's
+    fields changed."""
     return [dict(metas[0], **changes), *metas[1:]]
+
+
+def first_tail(tails: list, value) -> list:
+    """A hierarchical file's tails with the first block's tail replaced."""
+    return [[value, *tails[0][1:]], *tails[1:]]
 
 
 class TestDatasetIo:
@@ -201,44 +227,89 @@ class TestDatasetIo:
         [("dense-kernel", "variant", None), ("dense-kernel", "ridge", None),
          ("dense-kernel", "ridge", "small"), ("dense-kernel", "variant", "nonsense"),
          ("fourier-multiplier", "max_mode", 2.5), ("fourier-multiplier", "max_mode", 3),
-         ("hierarchical", "block_meta", [{"level": 2}]),
-         ("hierarchical", "leaf_meta", [{"row": "top", "col": 0, "size": 4}]),
-         # checksum-valid files that a position-blind loader read as another kernel
-         ("hierarchical", "block_meta",
-          lambda model: [dict(meta, col=meta["row"]) if i == 0 else meta
-                         for i, meta in enumerate(model.block_meta)]),
-         ("hierarchical", "leaf_meta",
-          lambda model: [model.leaf_meta[0] if i == 1 else meta
-                         for i, meta in enumerate(model.leaf_meta)]),
-         ("hierarchical", "levels", 2), ("hierarchical", "rank", 3),
+         ("hierarchical", "levels", 2), ("hierarchical", "levels", 4),
+         ("hierarchical", "rank", 3), ("hierarchical", "tails", None),
          ("dense-kernel", "grid", {"kind": "uniform-1d", "n": 32, "left": float("-inf"),
                                    "right": 1.0}),
-         # positions that only compare equal to the right integers, and tails
-         # that are not finite nonnegative numbers
-         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, row=0.0)),
-         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, level=2.0)),
-         ("hierarchical", "leaf_meta", lambda model: first_meta(model.leaf_meta, row=False)),
-         ("hierarchical", "leaf_meta", lambda model: first_meta(model.leaf_meta, size=4.0)),
-         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail="nan")),
-         ("hierarchical", "block_meta",
-          lambda model: first_meta(model.block_meta, tail=float("nan"))),
-         ("hierarchical", "block_meta",
-          lambda model: first_meta(model.block_meta, tail=float("inf"))),
-         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail=-1.0)),
-         ("hierarchical", "block_meta", lambda model: first_meta(model.block_meta, tail=True)),
-         ("hierarchical", "block_meta",
-          lambda model: first_meta(model.block_meta, tail=10 ** 400))],
+         # tails that are not finite nonnegative numbers, and a lane one tail short
+         ("hierarchical", "tails", lambda tails: first_tail(tails, "nan")),
+         ("hierarchical", "tails", lambda tails: first_tail(tails, float("nan"))),
+         ("hierarchical", "tails", lambda tails: first_tail(tails, float("inf"))),
+         ("hierarchical", "tails", lambda tails: first_tail(tails, -1.0)),
+         ("hierarchical", "tails", lambda tails: first_tail(tails, True)),
+         ("hierarchical", "tails", lambda tails: first_tail(tails, 10 ** 400)),
+         ("hierarchical", "tails", lambda tails: [tails[0][1:], *tails[1:]]),
+         ("hierarchical", "tails", lambda tails: tails[1:])],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
-        """A malformed header, or a hierarchical model whose blocks, leaves,
+        """A malformed header, or a hierarchical model whose levels, rank or
+        tails do not match the lanes of its arrays: a tail that is not a
+        finite nonnegative JSON number, a lane with one tail too few, a
+        missing lane of tails.  A callable value edits the saved field."""
+        model, _ = fitted_model(variant)
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        header, _ = read_container(path)
+        rewrite_container(path, {key: value(header[key]) if callable(value) else value})
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda arrays: [(name, a) for name, a in arrays if name != "lane1_row"],
+         lambda arrays: [(name, a) for name, a in arrays if name != "leaves2"],
+         lambda arrays: [(name, a[1:] if name == "lane0_col" else a) for name, a in arrays],
+         lambda arrays: [(name, a[..., :1] if name == "lane4_row" else a) for name, a in arrays],
+         lambda arrays: [(name, a[:, 1:, 1:] if name == "leaves0" else a)
+                         for name, a in arrays]],
+        ids=["lane-missing", "leaves-missing", "lane-one-block-short", "lane-rank-short",
+             "leaves-too-small"],
+    )
+    def test_lane_arrays_off_the_partition_are_format_error(self, tmp_path, edit):
+        """A hierarchical file whose lane stacks are missing or shaped off the
+        strong partition its header claims."""
+        model, _ = fitted_model("hierarchical")
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        rewrite_arrays(path, edit)
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("depth_first", [False, True], ids=["lane-order", "depth-first"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("block_meta", [{"level": 2}]),
+         ("leaf_meta", [{"row": "top", "col": 0, "size": 4}]),
+         # checksum-valid files that a position-blind loader read as another kernel
+         ("block_meta", lambda metas: [dict(meta, col=meta["row"]) if i == 0 else meta
+                                       for i, meta in enumerate(metas)]),
+         ("leaf_meta", lambda metas: [metas[0] if i == 1 else meta
+                                      for i, meta in enumerate(metas)]),
+         ("levels", 2), ("rank", 3),
+         # positions that only compare equal to the right integers, and tails
+         # that are not finite nonnegative numbers
+         ("block_meta", lambda metas: first_meta(metas, row=0.0)),
+         ("block_meta", lambda metas: first_meta(metas, level=2.0)),
+         ("leaf_meta", lambda metas: first_meta(metas, row=False)),
+         ("leaf_meta", lambda metas: first_meta(metas, size=4.0)),
+         ("block_meta", lambda metas: first_meta(metas, tail="nan")),
+         ("block_meta", lambda metas: first_meta(metas, tail=float("nan"))),
+         ("block_meta", lambda metas: first_meta(metas, tail=float("inf"))),
+         ("block_meta", lambda metas: first_meta(metas, tail=-1.0)),
+         ("block_meta", lambda metas: first_meta(metas, tail=True)),
+         ("block_meta", lambda metas: first_meta(metas, tail=10 ** 400))],
+    )
+    def test_per_block_header_schema_is_format_error(self, tmp_path, depth_first, key, value):
+        """A file of the deprecated per-block layout whose blocks, leaves,
         levels or rank do not match the strong partition it claims: a block
         moved onto the diagonal, a leaf listed twice (in place of another), a
         position that is not a JSON integer, a tail that is not a finite
         nonnegative JSON number."""
-        model, _ = fitted_model(variant)
+        model, _ = fitted_model("hierarchical")
         path = tmp_path / "model.bin"
-        dataio.save_model(path, model)
-        rewrite_container(path, {key: value(model) if callable(value) else value})
+        write_per_block(path, model, depth_first)
+        header, _ = read_container(path)
+        rewrite_container(path, {key: value(header[key]) if callable(value) else value})
         with pytest.raises(DataFormatError):
             load_model(path)
 
@@ -885,7 +956,8 @@ class TestFitAndEval:
         assert run("eval", self.eval_config(tmp_path, tmp_path / "model.bin", dataset), tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:format:")
 
-    @pytest.mark.parametrize("shape", [[3], [17], [-1]], ids=["short", "long", "negative"])
+    @pytest.mark.parametrize("shape", [[3], [17], [-1], [float("inf")], [16.0]],
+                             ids=["short", "long", "negative", "infinite", "float"])
     def test_manifest_disagreeing_with_payload_is_format_error(self, tmp_path, capsys, shape):
         """The payload has passed its length and checksum, so a manifest that
         does not cover it exactly is a header fault, not a truncation."""

@@ -1,12 +1,13 @@
 """Dataset and model containers: the pair-count rule, version-1 files, and
 properties of save/load under corruption."""
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
@@ -21,9 +22,10 @@ from operlab.dataio import (
 )
 from operlab.grids import Grid1D, Grid2D, OperatorDataset, stacked_shape
 from operlab.numerics import RngStream
-from operlab.opfit import fit_green_kernel
+from operlab.opfit import DenseKernelModel, fit_green_kernel, hierarchical_decompose
+from operlab.structured import partition_lanes
 
-from helpers import MODEL_VARIANTS, fitted_model, white_noise_dataset
+from helpers import MODEL_VARIANTS, fitted_model, white_noise_dataset, write_per_block
 
 
 def random_dataset(grid, count: int, seed: int) -> OperatorDataset:
@@ -161,6 +163,45 @@ class TestVersionOne:
             load_dataset(path)
 
 
+class TestHierarchicalLayout:
+    """A hierarchical model file holds one stack per lane and factor, plus
+    one per leaf lane; files of the deprecated per-block layout still load."""
+
+    @pytest.mark.parametrize("levels, arrays", [(4, 27), (6, 43)])
+    def test_one_array_per_lane_and_factor(self, tmp_path, levels, arrays):
+        kernel = RngStream(7).standard_normal((256, 256))
+        model = hierarchical_decompose(DenseKernelModel(Grid1D(256), kernel), levels, 4)
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        header, payload = read_container(path)
+        lanes, leaf_lanes = partition_lanes(256, levels, "strong")
+        assert len(header["arrays"]) == 2 * len(lanes) + len(leaf_lanes) == arrays
+        assert "block_meta" not in header and "leaf_meta" not in header
+        assert [len(tails) for tails in header["tails"]] == [len(lane[1]) for lane in lanes]
+        if levels == 4:
+            assert path.stat().st_size - len(payload) <= 3 * 1024
+
+    @pytest.mark.parametrize("depth_first", [False, True], ids=["lane-order", "depth-first"])
+    def test_per_block_file_loads_and_saves_as_lanes(self, tmp_path, depth_first):
+        model, f = fitted_model("hierarchical")
+        old, new, again = tmp_path / "old.bin", tmp_path / "new.bin", tmp_path / "again.bin"
+        write_per_block(old, model, depth_first)
+        metas = read_container(old)[0]["block_meta"]
+        in_lane_order = [(m["level"], m["row"], m["col"]) for m in metas] == [
+            (lane.level, r0, c0) for lane in model.operator.lanes
+            for r0, c0 in zip(lane.row_starts, lane.col_starts)]
+        assert in_lane_order is not depth_first
+        loaded = load_model(old)
+        assert np.array_equal(loaded.predict_batch(model.grid, f), model.predict_batch(model.grid, f))
+        assert [t.tolist() for t in loaded.tails] == [t.tolist() for t in model.tails]
+        dataio.save_model(new, loaded)
+        dataio.save_model(again, load_model(new))
+        assert "block_meta" not in read_container(new)[0]
+        assert again.read_bytes() == new.read_bytes()
+        dataio.save_model(again, model)
+        assert again.read_bytes() == new.read_bytes()
+
+
 def check_flip_and_truncation(path, raw: bytes, data, load):
     """A random single-byte flip of `raw` either loads or raises a
     DataFormatError subclass; truncating it at the same position always
@@ -220,6 +261,37 @@ def saved_models(tmp_path_factory):
     return saved
 
 
+@pytest.fixture(scope="module")
+def saved_files(saved_models, tmp_path_factory):
+    """The bytes and loader of a saved model of every variant, a per-block
+    hierarchical model file and a dataset."""
+    folder = tmp_path_factory.mktemp("files")
+    write_per_block(folder / "per-block.bin", fitted_model("hierarchical")[0])
+    save_dataset(folder / "data.ds", random_dataset(Grid1D(8), 2, seed=3))
+    files = {variant: (raw, load_model) for variant, raw in saved_models.items()}
+    files["per-block"] = ((folder / "per-block.bin").read_bytes(), load_model)
+    files["dataset"] = ((folder / "data.ds").read_bytes(), load_dataset)
+    return files
+
+
+def header_paths(node, path=()) -> list[tuple]:
+    """The path (dict keys and list indices) to every value below a JSON
+    node, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [(*path, key), *header_paths(child, (*path, key))]]
+
+
+# the values a header field is replaced with: every JSON type, and numbers
+# that json.loads reads but no field admits
+HEADER_VALUES = (None, True, False, 0, -1, 2 ** 70, 0.5, float("nan"), float("inf"),
+                 float("-inf"), "x", [], {})
+
+
 class TestModelFileProperties:
     @settings(max_examples=150, deadline=None)
     @given(variant=st.sampled_from(MODEL_VARIANTS), data=st.data())
@@ -229,6 +301,46 @@ class TestModelFileProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.bin"
             check_flip_and_truncation(path, saved_models[variant], data, load_model)
+
+    @settings(max_examples=400, deadline=None)
+    # arrays[0].shape[0] of the dense model (keys are sorted): json reads
+    # Infinity as a float, which once escaped as an OverflowError
+    @example(name="dense-kernel", field=4, delete=False, value=float("inf"))
+    @given(name=st.sampled_from(("dense-kernel", "low-rank", "fourier-multiplier", "banded",
+                                 "hierarchical", "per-block", "dataset")),
+           field=st.integers(0, 10 ** 4), delete=st.booleans(),
+           value=st.sampled_from(HEADER_VALUES))
+    def test_edited_header_field_loads_or_raises_a_format_error(
+        self, saved_files, name, field, delete, value
+    ):
+        """Replace one header field, at any depth (arrays[i].shape[j]
+        included), with null, true, false, 0, -1, 2**70, 0.5, NaN, Infinity,
+        -Infinity, "x", [] or {}, or delete it, and keep the checksum valid
+        (an edited payload_sha256 is a checksum error): the file then loads,
+        or raises a DataFormatError.  field picks the edited path, modulo
+        the number of paths in the header."""
+        raw, load = saved_files[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.bin"
+            path.write_bytes(raw)
+            header, payload = read_container(path)
+            paths = header_paths(header)
+            *route, key = paths[field % len(paths)]
+            node = header
+            for step in route:
+                node = node[step]
+            if delete:
+                del node[key]
+            else:
+                node[key] = value
+            # the container line keeps the version the file was written with
+            text = json.dumps(header).encode()
+            path.write_bytes(f"{dataio.MAGIC} {dataio.VERSION} {len(text)}\n".encode()
+                             + text + payload)
+            try:
+                load(path)
+            except DataFormatError:
+                pass
 
 
 class TestNoPartialFile:

@@ -4,6 +4,7 @@ import pytest
 from operlab.grids import FunctionSample, Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
+    EXCITATION_RTOL,
     LOSS_KINDS,
     DenseKernelModel,
     HierarchicalKernelModel,
@@ -183,6 +184,37 @@ class TestFourierFit:
             assert not model.excited[mode + 4]
             assert model.mode_value(mode) == 0.0
         assert abs(model.mode_value(1) - 2.0) <= 1e-10
+
+    @pytest.mark.parametrize("max_mode, ridge", [(0, 0.0), (5, 0.0), (15, 1e-6), (15, 3.0)])
+    def test_multiplier_matches_the_mode_loop(self, max_mode, ridge):
+        """The array fit equals, bit for bit, the loop over modes that fits
+        each excited mode and then averages each pair of excited mirror
+        modes, with inputs whose odd modes carry no power."""
+        grid = Grid1D(32, 0.0, 2 * np.pi, periodic=True)
+        stream = RngStream(20)
+        spectrum = np.fft.fft(stream.standard_normal((6, 32)), axis=1)
+        spectrum[:, 1::2] = 0.0
+        inputs = np.fft.ifft(spectrum, axis=1).real
+        ds = OperatorDataset(grid, inputs, stream.standard_normal((6, 32)), {})
+        f_hat, u_hat = np.fft.fft(ds.input_values, axis=1), np.fft.fft(ds.output_values, axis=1)
+        power = np.sum(np.abs(f_hat) ** 2, axis=0)
+        cross = np.sum(np.conj(f_hat) * u_hat, axis=0)
+        multiplier = np.zeros(2 * max_mode + 1, dtype=complex)
+        excited = np.zeros(2 * max_mode + 1, dtype=bool)
+        for mode in range(-max_mode, max_mode + 1):
+            if power[mode % 32] > EXCITATION_RTOL * power.max():
+                multiplier[mode + max_mode] = cross[mode % 32] / (power[mode % 32] + ridge)
+                excited[mode + max_mode] = True
+        multiplier[max_mode] = multiplier[max_mode].real
+        for mode in range(1, max_mode + 1):
+            up, down = max_mode + mode, max_mode - mode
+            if excited[up] and excited[down]:
+                avg = 0.5 * (multiplier[up] + np.conj(multiplier[down]))
+                multiplier[up], multiplier[down] = avg, np.conj(avg)
+        model = fit_fourier_multiplier(ds, max_mode, ridge)
+        assert model.multiplier.tobytes() == multiplier.tobytes()
+        assert np.array_equal(model.excited, excited)
+        assert not excited[max_mode + 1::2].any()  # the odd modes
 
     def test_requires_periodic(self):
         ds = poisson_dataset(3, 32, seed=17)

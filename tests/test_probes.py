@@ -6,6 +6,8 @@ import pytest
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.probes import (
+    HELMHOLTZ_MODE_LIMIT,
+    MACHINE_EPS,
     CovarianceSpec,
     KLBasis,
     helmholtz_eigenvalue,
@@ -14,6 +16,7 @@ from operlab.probes import (
     matern_bessel,
     sample_from_coefficients,
     sample_gp,
+    _helmholtz_mode_cap,
 )
 
 SE01 = CovarianceSpec("squared-exponential", length_scale=0.1)
@@ -208,3 +211,35 @@ def test_helmholtz_kernel_sums_the_modes_the_basis_keeps():
     for mode in range(1, cap + 1):
         total = total + 2.0 * helmholtz_eigenvalue(spec, mode)
     assert kernel_eval(spec, 0.0, 0.0) == total
+
+
+def walked_mode_cap(spec: CovarianceSpec) -> int:
+    """The mode cap found by walking the modes one by one from 1 until an
+    eigenvalue falls below machine precision relative to the largest, or
+    the mode limit is passed: the reference for the closed form."""
+    top = max(helmholtz_eigenvalue(spec, 0), helmholtz_eigenvalue(spec, 1))
+    mode = 1
+    while helmholtz_eigenvalue(spec, mode) >= MACHINE_EPS * top and mode < 1_000_000:
+        mode += 1
+    return mode - 1
+
+
+@pytest.mark.parametrize("smoothness", [1.6, 2.0, 3.0, 4.5, 7.3])
+@pytest.mark.parametrize("shift", [0.0, 1.0, 9.0, 1e4])
+def test_helmholtz_mode_cap_matches_the_walk(smoothness, shift):
+    """The closed-form mode cap equals the walk for amplitudes far apart,
+    including specs whose cap is the mode limit (smoothness 1.6, shift 1e4)."""
+    for amplitude in (1e-3, 1.0, 400.0):
+        spec = CovarianceSpec("helmholtz-power", smoothness=smoothness, amplitude=amplitude,
+                              shift=shift, periodic=True)
+        assert _helmholtz_mode_cap(spec) == walked_mode_cap(spec)
+
+
+def test_helmholtz_mode_cap_of_the_burgers_and_darcy_specs():
+    burgers = CovarianceSpec("helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0,
+                             periodic=True)
+    darcy = CovarianceSpec("helmholtz-power", smoothness=2.0, shift=9.0, periodic=True)
+    assert _helmholtz_mode_cap(burgers) == walked_mode_cap(burgers) == 194
+    assert _helmholtz_mode_cap(darcy) == walked_mode_cap(darcy)
+    limit = CovarianceSpec("helmholtz-power", smoothness=1e-3, periodic=True)
+    assert _helmholtz_mode_cap(limit) == HELMHOLTZ_MODE_LIMIT
