@@ -261,6 +261,8 @@ def cmd_generate(config: dict, out_dir: str) -> int:
         )
     except pdelab.SolverError as exc:
         raise CliError("solver", str(exc)) from exc
+    except ValueError as exc:  # a covariance that cannot be decomposed on the grid
+        raise CliError("config", str(exc)) from exc
     path = _out_path(out_dir, config["output"])
     dataio.save_dataset(path, ds)
     elapsed = time.perf_counter() - started
@@ -344,15 +346,9 @@ def _load_checked(load, path: str):
 def _split_dataset(ds: OperatorDataset, fraction: float):
     from .grids import OperatorDataset
 
-    count = len(ds)
-    train_count = int(np.floor(fraction * count))
-    train = OperatorDataset(
-        ds.grid, ds.input_values[:train_count], ds.output_values[:train_count], ds.provenance
-    )
-    test = OperatorDataset(
-        ds.grid, ds.input_values[train_count:], ds.output_values[train_count:], ds.provenance
-    )
-    return train, test
+    cut = int(np.floor(fraction * len(ds)))
+    return [OperatorDataset(ds.grid, ds.input_values[part], ds.output_values[part], ds.provenance)
+            for part in (slice(None, cut), slice(cut, None))]
 
 
 def _metrics_for(model, ds: OperatorDataset, losses) -> dict:

@@ -128,6 +128,7 @@ class FourierMultiplierModel(KernelModel):
     def __init__(self, grid: Grid1D, max_mode: int, multiplier: np.ndarray, excited: np.ndarray):
         if not grid.periodic:
             raise ValueError("multiplier models need a periodic training grid")
+        _check_max_mode(grid.n, max_mode)
         multiplier = np.asarray(multiplier, dtype=complex)
         if multiplier.shape != (2 * max_mode + 1,):
             raise ValueError("multiplier must cover modes -max_mode..max_mode")
@@ -177,6 +178,11 @@ class FourierMultiplierModel(KernelModel):
     def from_saved(cls, grid, params, arrays):
         multiplier = arrays["multiplier_real"] + 1j * arrays["multiplier_imag"]
         return cls(grid, params["max_mode"], multiplier, arrays["excited"] > 0.5)
+
+
+def _check_max_mode(n: int, max_mode: int) -> None:
+    if not 0 <= max_mode <= (n - 1) // 2:  # modes -max_mode..max_mode in distinct FFT slots
+        raise ValueError(f"max_mode must be in [0, {(n - 1) // 2}] for resolution {n}")
 
 
 class BandedKernelModel(KernelModel):
@@ -264,10 +270,17 @@ class HierarchicalKernelModel(KernelModel):
         if not all(type(t) in (int, float) and 0 <= t <= sys.float_info.max
                    for lane in tails for t in lane):
             raise ValueError("each block's tail must be a finite nonnegative number")
+        # every stack must fit the partition before the factor arrays (n rows each) are allocated
+        lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
+        shapes = [(f"lane{i}_{side}", (len(rows), size, min(rank, size)))
+                  for i, (_, rows, _, size, _) in enumerate(lanes) for side in ("col", "row")]
+        shapes += [(f"leaves{i}", (len(rows), size, size))
+                   for i, (_, rows, _, size, _) in enumerate(leaf_lanes)]
+        if any(np.shape(arrays[name]) != shape for name, shape in shapes):
+            raise ValueError("saved lane stacks do not fit the strong partition of the grid")
         shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
         for i, lane in enumerate(shell.lanes):
             lane.fill(arrays[f"lane{i}_col"], arrays[f"lane{i}_row"])
-        _, leaf_lanes = partition_lanes(grid.n, levels, "strong")
         leaves = [arrays[f"leaves{i}"] for i in range(len(leaf_lanes))]
         operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
                                         shell.row_factors, leaves)
@@ -380,8 +393,7 @@ def fit_fourier_multiplier(
     if not isinstance(grid, Grid1D) or not grid.periodic:
         raise ValueError("multiplier fits need a periodic 1D dataset")
     n = grid.n
-    if max_mode < 0 or max_mode > (n - 1) // 2:
-        raise ValueError(f"max_mode must be in [0, {(n - 1) // 2}] for resolution {n}")
+    _check_max_mode(n, max_mode)
     f_hat = np.fft.fft(ds.input_values, axis=1)
     u_hat = np.fft.fft(ds.output_values, axis=1)
     power = np.sum(np.abs(f_hat) ** 2, axis=0)

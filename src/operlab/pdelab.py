@@ -16,6 +16,8 @@ from .probes import CovarianceSpec, kl_decompose, sample_gp
 
 BURGERS_VISCOSITY = 0.1
 BURGERS_FINAL_TIME = 1.0
+# most RK4 steps of one Burgers solve: a run that needs more is refused before its first step
+BURGERS_MAX_STEPS = 10 ** 7
 DARCY_HIGH = 12.0
 DARCY_LOW = 3.0
 DARCY_CG_RTOL = 1e-12
@@ -210,9 +212,10 @@ def solve_burgers_1d(
 
     Pseudo-spectral in space with 2/3-rule dealiasing of the quadratic flux;
     classical RK4 in time with step min(0.2 h^2/nu, 0.2 h/max|u0|) unless an
-    explicit dt is given.  The conservative flux form keeps the mean exact.
-    Setting nonlinear=False drops the flux term (pure heat equation), which
-    tests use to check the diffusive decay rate in isolation.
+    explicit dt is given, in at most BURGERS_MAX_STEPS steps (else SolverError).
+    The conservative flux form keeps the mean exact.  Setting nonlinear=False
+    drops the flux term (pure heat equation), which tests use to check the
+    diffusive decay rate in isolation.
     """
     if not isinstance(grid, Grid1D) or not grid.periodic:
         raise ValueError("needs a periodic 1D grid")
@@ -238,6 +241,8 @@ def solve_burgers_1d(
             speed = max(np.max(np.abs(u0)), 1e-12)
             dt = min(dt, 0.2 * h / speed)
     steps = max(1, int(np.ceil(final_time / dt)))
+    if steps > BURGERS_MAX_STEPS:
+        raise SolverError(f"{steps} RK4 steps to time {final_time}, over {BURGERS_MAX_STEPS}")
     dt = final_time / steps
     blowup = 1e6 * (1.0 + np.max(np.abs(u0)))
 

@@ -22,7 +22,7 @@ log = logging.getLogger(__name__)
 
 FAMILIES = ("squared-exponential", "matern", "helmholtz-power")
 MACHINE_EPS = float(np.finfo(float).eps)
-# most helmholtz-power modes kept; a sample draws 1 + 2 * cap deviates, so it fixes bits
+# most helmholtz-power modes: caps both kernel_eval's series and the KL truncation
 HELMHOLTZ_MODE_LIMIT = 999_999
 
 
@@ -49,12 +49,10 @@ class CovarianceSpec:
         if self.family in ("squared-exponential", "matern"):
             if self.length_scale is None or self.length_scale <= 0:
                 raise ValueError(f"{self.family} needs length_scale > 0")
-        if self.family == "matern":
+        if self.family in ("matern", "helmholtz-power"):
             if self.smoothness is None or self.smoothness <= 0:
-                raise ValueError("matern needs smoothness > 0")
+                raise ValueError(f"{self.family} needs smoothness > 0")
         if self.family == "helmholtz-power":
-            if self.smoothness is None or self.smoothness <= 0:
-                raise ValueError("helmholtz-power needs a decay exponent > 0")
             if self.amplitude <= 0:
                 raise ValueError("helmholtz-power needs amplitude > 0")
             if self.shift < 0:
@@ -65,22 +63,21 @@ class CovarianceSpec:
 
 @dataclass(frozen=True)
 class KLBasis:
-    """Discrete eigenpairs of a covariance kernel on a sensor grid.
-
+    """Discrete eigenpairs of a covariance kernel on a sensor grid: those
+    whose eigenvalue is at or above machine precision relative to the
+    largest (helmholtz-power: whose mode the grid also represents).
     Eigenvalues are nonincreasing; eigenfunctions are orthonormal under the
-    grid quadrature weights.  truncation counts the eigenvalues at or above
-    machine precision relative to the largest; draw_count is the number of
-    normal deviates one sample consumes (kept grid-independent for the
-    analytic family so that samples at different resolutions can share
-    coefficients).
-    """
+    grid quadrature weights.  truncation counts the pairs, which is the
+    number of normal deviates one sample consumes."""
 
     spec: CovarianceSpec
     grid: Grid1D
     eigenvalues: np.ndarray
     functions: np.ndarray  # shape (m, truncation)
-    truncation: int
-    draw_count: int
+
+    @property
+    def truncation(self) -> int:
+        return self.functions.shape[1]
 
 
 def _matern_closed_form(scaled: np.ndarray, smoothness: float) -> np.ndarray | None:
@@ -94,22 +91,25 @@ def _matern_closed_form(scaled: np.ndarray, smoothness: float) -> np.ndarray | N
 
 
 def matern_bessel(distance, length_scale: float, smoothness: float) -> np.ndarray:
-    """Matern covariance through the modified-Bessel formula (any smoothness)."""
+    """Matern covariance through the modified-Bessel formula (any smoothness);
+    NaN or infinite where the formula overflows, as at a huge smoothness."""
     # Imported here so that loading operlab does not load scipy.
     from scipy.special import gamma as gamma_fn
     from scipy.special import kv as bessel_kv
 
+    smoothness = float(smoothness)  # scipy's ufuncs take no integer beyond int64
     d = np.asarray(distance, dtype=float)
     scaled = np.sqrt(2.0 * smoothness) * d / length_scale
     out = np.ones_like(scaled)
     nz = scaled > 0
     s = scaled[nz]
-    out[nz] = (
-        2.0 ** (1.0 - smoothness)
-        / gamma_fn(smoothness)
-        * s ** smoothness
-        * bessel_kv(smoothness, s)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[nz] = (
+            2.0 ** (1.0 - smoothness)
+            / gamma_fn(smoothness)
+            * s ** smoothness
+            * bessel_kv(smoothness, s)
+        )
     return out
 
 
@@ -193,6 +193,8 @@ def kl_decompose(spec: CovarianceSpec, m: int) -> KLBasis:
     sqrt_w = np.sqrt(w)
     sym = sqrt_w[:, None] * gram * sqrt_w[None, :]
     sym = 0.5 * (sym + sym.T)
+    if not np.all(np.isfinite(sym)):
+        raise ValueError(f"{spec.family} covariance is not finite on the grid")
     eigenvalues, vectors = np.linalg.eigh(sym)
     if eigenvalues[0] < -1e-10 * max(eigenvalues[-1], 0.0):
         raise ValueError(
@@ -213,62 +215,45 @@ def kl_decompose(spec: CovarianceSpec, m: int) -> KLBasis:
     functions = vectors[:, :truncation] / sqrt_w[:, None]
     # sign convention: first big lobe (scanning from the left) positive, so
     # eigenfunctions at different resolutions line up
-    for j in range(truncation):
-        column = functions[:, j]
-        lobe = np.flatnonzero(np.abs(column) >= 0.5 * np.abs(column).max())[0]
-        if column[lobe] < 0:
-            functions[:, j] = -column
-    return KLBasis(spec, grid, eigenvalues[:truncation], functions, truncation, truncation)
+    lobes = np.argmax(np.abs(functions) >= 0.5 * np.abs(functions).max(axis=0), axis=0)
+    functions[:, functions[lobes, np.arange(truncation)] < 0] *= -1.0
+    return KLBasis(spec, grid, eigenvalues[:truncation], functions)
 
 
 def _kl_periodic_analytic(spec: CovarianceSpec, m: int) -> KLBasis:
     grid = Grid1D(m, 0.0, 1.0, periodic=True)
-    x = grid.points()
-    mode_cap = _helmholtz_mode_cap(spec)
-    grid_cap = (m - 1) // 2  # modes representable without aliasing
-    draw_count = 1 + 2 * mode_cap
-    top = min(mode_cap, grid_cap)
-    columns = []
-    eigenvalues = []
+    top = min(_helmholtz_mode_cap(spec), (m - 1) // 2)  # modes representable without aliasing
+    phase = grid.points()[:, None] * (2.0 * np.pi * np.arange(1, top + 1))
+    # columns cos 1, sin 1, cos 2, sin 2, ...; the eigenvalues stay scalar powers,
+    # which round differently from numpy's array power
+    functions = np.sqrt(2.0) * np.stack([np.cos(phase), np.sin(phase)], axis=-1).reshape(m, 2 * top)
+    eigenvalues = np.repeat([helmholtz_eigenvalue(spec, mode) for mode in range(1, top + 1)], 2)
     if helmholtz_eigenvalue(spec, 0) > 0.0:
-        columns.append(np.ones(m))
-        eigenvalues.append(helmholtz_eigenvalue(spec, 0))
-    for mode in range(1, top + 1):
-        lam = helmholtz_eigenvalue(spec, mode)
-        phase = 2.0 * np.pi * mode * x
-        columns.append(np.sqrt(2.0) * np.cos(phase))
-        eigenvalues.append(lam)
-        columns.append(np.sqrt(2.0) * np.sin(phase))
-        eigenvalues.append(lam)
-    if not columns:
+        functions = np.column_stack([np.ones(m), functions])
+        eigenvalues = np.concatenate([[helmholtz_eigenvalue(spec, 0)], eigenvalues])
+    if functions.shape[1] == 0:
         raise ValueError(f"grid with {m} sensors cannot carry any basis function")
-    functions = np.column_stack(columns)
-    eigenvalues = np.asarray(eigenvalues)
-    truncation = functions.shape[1]
-    return KLBasis(spec, grid, eigenvalues, functions, truncation, draw_count)
+    return KLBasis(spec, grid, eigenvalues, functions)
 
 
 def sample_gp(basis: KLBasis, streams: Iterable[RngStream]) -> np.ndarray:
     """Zero-mean Gaussian process samples from the KL expansion, one row per
-    stream; each stream draws basis.draw_count normal deviates."""
-    coeffs = [stream.standard_normal(basis.draw_count) for stream in streams]
-    return sample_from_coefficients(basis, np.reshape(coeffs, (len(coeffs), basis.draw_count)))
+    stream.  Each stream is asked for basis.truncation normal deviates, the
+    row's coefficients; numpy's draws are prefix-consistent, so one stream
+    gives the same leading coefficients at every resolution.  One stream
+    passed for several rows is consumed basis.truncation deviates per row."""
+    coeffs = [stream.standard_normal(basis.truncation) for stream in streams]
+    return sample_from_coefficients(basis, np.reshape(coeffs, (len(coeffs), basis.truncation)))
 
 
 def sample_from_coefficients(basis: KLBasis, coeffs) -> np.ndarray:
     """Deterministic KL expansion for given coefficients, over any leading
-    batch axes: coefficients shaped (..., k) give values shaped (..., m).
-
-    Coefficients beyond the stored basis are ignored and missing trailing
-    coefficients count as zero; both conventions are what let samples at
-    different resolutions share one coefficient vector.
-    """
+    batch axes: coefficients shaped (..., truncation) give values shaped
+    (..., m)."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim == 0 or c.shape[-1] == 0:
-        raise ValueError("coefficients must have a nonempty last axis")
-    used = min(basis.truncation, c.shape[-1])
-    scaled = np.sqrt(basis.eigenvalues[:used]) * c[..., :used]
+    if c.ndim == 0 or c.shape[-1] != basis.truncation:
+        raise ValueError(f"coefficients must have a last axis of {basis.truncation}")
     # One matrix-vector product per row, stacked: a single matrix-matrix
     # product rounds differently, and would make a row's bits depend on how
     # many rows are drawn together.
-    return np.matmul(basis.functions[:, :used], scaled[..., None])[..., 0]
+    return np.matmul(basis.functions, (np.sqrt(basis.eigenvalues) * c)[..., None])[..., 0]

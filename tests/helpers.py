@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from operlab.dataio import grid_to_dict, write_container
-from operlab.grids import FunctionSample, Grid1D, OperatorDataset
+from operlab.grids import Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
     batch_loss,
@@ -17,7 +17,7 @@ from operlab.opfit import (
     hierarchical_decompose,
     truncate_band,
 )
-from operlab.probes import CovarianceSpec, kl_decompose, sample_from_coefficients
+from operlab.probes import CovarianceSpec, kl_decompose, sample_gp
 from operlab.structured import BlockLowRankOperator
 
 SMOOTH_PERIODIC = CovarianceSpec(
@@ -140,13 +140,9 @@ def planted_multiplier_dataset(
     i only, so datasets at different resolutions share realizations."""
     basis = kl_decompose(spec, resolution)
     grid = Grid1D(resolution, 0.0, length, periodic=True)
-    inputs, outputs = [], []
-    for i in range(num_pairs):
-        coeffs = RngStream(seed).derive(i).standard_normal(basis.draw_count)
-        values = sample_from_coefficients(basis, coeffs)
-        inputs.append(FunctionSample(grid, values))
-        outputs.append(FunctionSample(grid, apply_mode_multiplier(values, multiplier_fn)))
-    return OperatorDataset.from_samples(inputs, outputs, {"planted": True, "seed": seed})
+    inputs = sample_gp(basis, (RngStream(seed).derive(i) for i in range(num_pairs)))
+    outputs = np.stack([apply_mode_multiplier(values, multiplier_fn) for values in inputs])
+    return OperatorDataset(grid, inputs, outputs, {"planted": True, "seed": seed})
 
 
 def white_noise_dataset(
@@ -155,12 +151,41 @@ def white_noise_dataset(
     """Pairs (f, K W f) with i.i.d. Gaussian nodal inputs: full-rank probes of
     a known grid kernel."""
     w = grid.quad_weights()
-    inputs, outputs = [], []
-    for i in range(num_pairs):
-        f = RngStream(seed).derive(i).standard_normal(grid.n)
-        inputs.append(FunctionSample(grid, f))
-        outputs.append(FunctionSample(grid, kernel @ (w * f)))
-    return OperatorDataset.from_samples(inputs, outputs, {"planted": True})
+    inputs = np.stack([RngStream(seed).derive(i).standard_normal(grid.n) for i in range(num_pairs)])
+    outputs = np.stack([kernel @ (w * f) for f in inputs])
+    return OperatorDataset(grid, inputs, outputs, {"planted": True})
+
+
+def json_paths(node, path=()) -> list[tuple]:
+    """The path (dict keys and list indices) to every value below a JSON
+    node, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [(*path, key), *json_paths(child, (*path, key))]]
+
+
+def edit_json_field(document, field: int, delete: bool, value) -> None:
+    """Delete, or replace with value, the value at path number field (modulo
+    the number of paths, in json_paths order) of a JSON document, in place."""
+    paths = json_paths(document)
+    *route, key = paths[field % len(paths)]
+    node = document
+    for step in route:
+        node = node[step]
+    if delete:
+        del node[key]
+    else:
+        node[key] = value
+
+
+# values that replace a field of a JSON file: every JSON type but strings,
+# and numbers that json.loads reads but no field admits
+JSON_VALUES = (None, True, False, 0, -1, 2 ** 70, 0.5, float("nan"), float("inf"), float("-inf"),
+               [], {})
 
 
 def relative_l2_error(model, ds: OperatorDataset) -> float:

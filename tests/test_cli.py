@@ -4,14 +4,16 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
@@ -27,12 +29,14 @@ from operlab.dataio import (
     save_dataset,
     write_container,
 )
-from operlab.grids import FunctionSample, Grid1D, OperatorDataset
+from operlab.grids import Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, fit_fourier_multiplier, fit_green_kernel
 
 from helpers import (
+    JSON_VALUES,
     MODEL_VARIANTS,
+    edit_json_field,
     fitted_model,
     planted_multiplier_dataset,
     relative_l2_error,
@@ -124,11 +128,8 @@ class TestDatasetIo:
 
     def test_bitwise_roundtrip(self, tmp_path):
         grid = Grid1D(32)
-        ds = OperatorDataset.from_samples(
-            [FunctionSample(grid, RngStream(0).standard_normal(32))],
-            [FunctionSample(grid, RngStream(1).standard_normal(32))],
-            {"pde": "poisson1d", "seed": 0},
-        )
+        ds = OperatorDataset(grid, RngStream(0).standard_normal((1, 32)),
+                             RngStream(1).standard_normal((1, 32)), {"pde": "poisson1d", "seed": 0})
         path, loaded = self.roundtrip(tmp_path, ds)
         assert np.array_equal(loaded.input_values, ds.input_values)
         assert np.array_equal(loaded.output_values, ds.output_values)
@@ -138,15 +139,14 @@ class TestDatasetIo:
         assert again.read_bytes() == path.read_bytes()
 
     def test_empty_dataset(self, tmp_path):
-        _, loaded = self.roundtrip(tmp_path, OperatorDataset.from_samples([], [], {"pde": "poisson1d"}))
+        empty = OperatorDataset(None, np.empty(0), np.empty(0), {"pde": "poisson1d"})
+        _, loaded = self.roundtrip(tmp_path, empty)
         assert len(loaded) == 0
         assert loaded.provenance["pde"] == "poisson1d"
 
     def test_checksum_error_on_flipped_byte(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset.from_samples(
-            [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
-        )
+        ds = OperatorDataset(grid, np.arange(8.0)[None], np.ones((1, 8)), {})
         path, _ = self.roundtrip(tmp_path, ds)
         raw = bytearray(path.read_bytes())
         raw[-3] ^= 0xFF
@@ -156,9 +156,7 @@ class TestDatasetIo:
 
     def test_truncation_error(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset.from_samples(
-            [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
-        )
+        ds = OperatorDataset(grid, np.arange(8.0)[None], np.ones((1, 8)), {})
         path, _ = self.roundtrip(tmp_path, ds)
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
@@ -167,9 +165,7 @@ class TestDatasetIo:
 
     def test_version_rejected(self, tmp_path):
         grid = Grid1D(8)
-        ds = OperatorDataset.from_samples(
-            [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
-        )
+        ds = OperatorDataset(grid, np.arange(8.0)[None], np.ones((1, 8)), {})
         path, _ = self.roundtrip(tmp_path, ds)
         raw = path.read_bytes()
         head, rest = raw.split(b"\n", 1)
@@ -214,9 +210,7 @@ class TestDatasetIo:
     )
     def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
         grid = Grid1D(8)
-        ds = OperatorDataset.from_samples(
-            [FunctionSample(grid, np.arange(8.0))], [FunctionSample(grid, np.ones(8))], {}
-        )
+        ds = OperatorDataset(grid, np.arange(8.0)[None], np.ones((1, 8)), {})
         path, _ = self.roundtrip(tmp_path, ds)
         rewrite_container(path, {key: value})
         with pytest.raises(DataFormatError):
@@ -770,6 +764,65 @@ class TestEveryFailureIsOneLine:
         assert len(lines) == 1 and lines[0].startswith("ERROR:config: unknown"), lines
 
 
+# the codes the README lists for `ERROR:<code>:` lines, between "Codes:" and
+# the end of that paragraph
+ERROR_CODES = set(re.findall(r"`(\w+)`", re.search(
+    r"Codes: (.*?)\n\n", (ROOT / "README.md").read_text(), re.S).group(1)))
+
+# names that replace a config field: none holds a path separator, so every
+# output stays in the run's directory
+CONFIG_NAMES = ("", "x", "generate", "poisson1d", "burgers1d", "matern", "hodlr", "hierarchical",
+                "relative-l2", "train.ds", "model.bin")
+
+
+class TestEditedConfigs:
+    @pytest.mark.parametrize("name, path, code", [
+        ("generate-burgers", ("final_time",), "solver"),
+        ("generate-burgers", ("viscosity",), "solver"),
+        ("generate-burgers", ("covariance", "amplitude"), "solver"),
+        ("generate-matern", ("covariance", "smoothness"), "config"),
+    ])
+    def test_huge_generate_parameter_fails_on_one_line(self, valid_configs, tmp_path, capsys,
+                                                       name, path, code):
+        """2**70 there once ran a Burgers solve of 10^9 steps and more, or
+        raised an internal error out of scipy's gamma function."""
+        config = with_field(valid_configs[name], path, 2 ** 70)
+        assert run("generate", write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"ERROR:{code}: "), lines
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), field=st.integers(0, 10 ** 4), delete=st.booleans(),
+           value=st.sampled_from(JSON_VALUES + CONFIG_NAMES))
+    def test_edited_config_runs_or_fails_on_one_line(self, valid_configs, tmp_path, data, field,
+                                                     delete, value):
+        """Replace one field of a valid config, at any depth, with null,
+        true, false, 0, -1, 2**70, 0.5, NaN, Infinity, -Infinity, [], {} or
+        one of CONFIG_NAMES, or delete it, and run the command in process:
+        it exits 0 with nothing on stderr, or exits 1 with no warning and
+        exactly one `ERROR:<code>:` line whose code the README lists and is
+        not `internal`.  field picks the edited path, modulo the number of
+        paths in the config."""
+        name = data.draw(st.sampled_from(sorted(valid_configs)), label="config")
+        config = json.loads(json.dumps(valid_configs[name]))
+        edit_json_field(config, field, delete, value)
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        stderr = io.StringIO()
+        # a warning would be one more stderr line of a command run as a process
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(valid_configs[name]["command"],
+                       write_config(out_dir / "config.json", config), out_dir)
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert lines == [], lines
+        else:
+            assert code == 1 and len(lines) == 1 and not caught, (code, lines, caught)
+            error = re.match(r"ERROR:(\w+): ", lines[0])
+            assert error and error.group(1) in ERROR_CODES - {"internal"}, lines
+
+
 class TestFitAndEval:
     def generate_poisson(self, tmp_path):
         config = write_config(tmp_path / "gen.json", POISSON_GENERATE)
@@ -969,6 +1022,22 @@ class TestFitAndEval:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:format: "), lines
 
+    @pytest.mark.parametrize("variant, n", [("hierarchical", 2 ** 40), ("fourier-multiplier", 4)],
+                             ids=["hierarchical-beyond-memory", "multiplier-modes-alias"])
+    def test_model_grid_off_its_arrays_is_format_error(self, tmp_path, capsys, variant, n):
+        """A checksum-valid model whose header grid does not fit its arrays:
+        a hierarchical model on 2^40 points, whose factor arrays must not be
+        allocated before its stacks are checked, and a multiplier whose 17
+        modes a 4-point grid cannot hold apart."""
+        dataset = self.generate_poisson(tmp_path)
+        model_path = tmp_path / "model.bin"
+        dataio.save_model(model_path, fitted_model(variant)[0])
+        header, _ = read_container(model_path)
+        rewrite_container(model_path, {"grid": dict(header["grid"], n=n)})
+        assert run("eval", self.eval_config(tmp_path, model_path, dataset), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:format: "), lines
+
     def test_corrupt_model_checksum_code(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)
         model_path = tmp_path / "model.bin"
@@ -1110,6 +1179,26 @@ class TestNoPartialOutputs:
         assert capsys.readouterr().err.startswith("ERROR:io: ")
 
 
+def run_with_peak_rss(command, config_path, out_dir) -> tuple[int, int, str]:
+    """Run an operlab command in a child process: its exit code, peak RSS
+    (KiB) and stderr.  A child's ru_maxrss includes the RSS of the process
+    it was forked from, so the child is started by a fresh interpreter, not
+    by this one."""
+    launcher = (
+        "import json, os, subprocess, sys\n"
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "operlab", command,
+         "--config", str(config_path), "--out", str(out_dir)],
+        capture_output=True, text=True, cwd=ROOT, env=child_env(),
+    )
+    code, max_rss_kib = json.loads(proc.stdout)
+    return code, max_rss_kib, proc.stderr
+
+
 class TestProcessInterface:
     def test_subprocess_error_is_single_line(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -1129,37 +1218,34 @@ class TestProcessInterface:
     def test_recover_hodlr_4096_is_repeatable_and_small(self, tmp_path):
         """The residual reference is the instance itself, scored from its factors:
         two runs agree apart from the wall time, and neither child's peak RSS
-        reaches the 256 MB that two dense 4096 x 4096 arrays would take.
-
-        A child's ru_maxrss includes the RSS of the process it was forked from,
-        so each run is started by a fresh interpreter, not by this one."""
+        reaches the 256 MB that two dense 4096 x 4096 arrays would take."""
         config = write_config(
             tmp_path / "r.json",
             dict(RECOVER, algorithm="hodlr", dimension=4096, block_rank=4, levels=7),
         )
-        env = child_env()
-        launcher = (
-            "import json, os, subprocess, sys\n"
-            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(child.pid, 0)\n"
-            "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))\n"
-        )
         reports = []
         for run_dir in (tmp_path / "a", tmp_path / "b"):
             run_dir.mkdir()
-            proc = subprocess.run(
-                [sys.executable, "-c", launcher, sys.executable, "-m", "operlab", "recover",
-                 "--config", config, "--out", str(run_dir)],
-                capture_output=True, text=True, cwd=ROOT, env=env,
-            )
-            code, max_rss_kib = json.loads(proc.stdout)
-            assert code == 0, proc.stderr
+            code, max_rss_kib, stderr = run_with_peak_rss("recover", config, run_dir)
+            assert code == 0, stderr
             assert max_rss_kib < 160 * 1024
             report = json.loads((run_dir / "report.json").read_text())
             del report["wall_time_seconds"]
             reports.append(report)
         assert reports[0] == reports[1]
         assert reports[0]["residual_frobenius_relative"] <= 1e-10
+
+    def test_rough_burgers_generate_is_small(self, tmp_path):
+        """At smoothness 1 the helmholtz mode cap is its limit, 999 999
+        modes, but a 64-point grid keeps 63 coefficients: 64 pairs draw 63
+        deviates each, not the 1 GB of 1 999 999 each."""
+        cov = {"family": "helmholtz-power", "smoothness": 1.0, "shift": 9.0}
+        config = write_config(tmp_path / "g.json", dict(
+            POISSON_GENERATE, seed=3, pde="burgers1d", num_pairs=64, resolution=64,
+            covariance=cov))
+        code, max_rss_kib, stderr = run_with_peak_rss("generate", config, tmp_path)
+        assert code == 0, stderr
+        assert max_rss_kib < 200 * 1024
 
     def test_mismatched_command_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", POISSON_GENERATE)

@@ -25,7 +25,14 @@ from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, fit_green_kernel, hierarchical_decompose
 from operlab.structured import partition_lanes
 
-from helpers import MODEL_VARIANTS, fitted_model, white_noise_dataset, write_per_block
+from helpers import (
+    JSON_VALUES,
+    MODEL_VARIANTS,
+    edit_json_field,
+    fitted_model,
+    white_noise_dataset,
+    write_per_block,
+)
 
 
 def random_dataset(grid, count: int, seed: int) -> OperatorDataset:
@@ -274,22 +281,9 @@ def saved_files(saved_models, tmp_path_factory):
     return files
 
 
-def header_paths(node, path=()) -> list[tuple]:
-    """The path (dict keys and list indices) to every value below a JSON
-    node, at any depth."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return []
-    return [p for key, child in items for p in [(*path, key), *header_paths(child, (*path, key))]]
-
-
 # the values a header field is replaced with: every JSON type, and numbers
 # that json.loads reads but no field admits
-HEADER_VALUES = (None, True, False, 0, -1, 2 ** 70, 0.5, float("nan"), float("inf"),
-                 float("-inf"), "x", [], {})
+HEADER_VALUES = (*JSON_VALUES, "x")
 
 
 class TestModelFileProperties:
@@ -306,6 +300,11 @@ class TestModelFileProperties:
     # arrays[0].shape[0] of the dense model (keys are sorted): json reads
     # Infinity as a float, which once escaped as an OverflowError
     @example(name="dense-kernel", field=4, delete=False, value=float("inf"))
+    # grid.n of the hierarchical model: 2**40 points once allocated the
+    # factor arrays (a MemoryError) before any lane stack was checked
+    @example(name="hierarchical", field=119, delete=False, value=2 ** 40)
+    # grid.n of the multiplier model: 4 points cannot hold its 17 modes
+    @example(name="fourier-multiplier", field=17, delete=False, value=4)
     @given(name=st.sampled_from(("dense-kernel", "low-rank", "fourier-multiplier", "banded",
                                  "hierarchical", "per-block", "dataset")),
            field=st.integers(0, 10 ** 4), delete=st.booleans(),
@@ -324,15 +323,7 @@ class TestModelFileProperties:
             path = Path(tmp) / "file.bin"
             path.write_bytes(raw)
             header, payload = read_container(path)
-            paths = header_paths(header)
-            *route, key = paths[field % len(paths)]
-            node = header
-            for step in route:
-                node = node[step]
-            if delete:
-                del node[key]
-            else:
-                node[key] = value
+            edit_json_field(header, field, delete, value)
             # the container line keeps the version the file was written with
             text = json.dumps(header).encode()
             path.write_bytes(f"{dataio.MAGIC} {dataio.VERSION} {len(text)}\n".encode()

@@ -73,10 +73,10 @@ class TestGreenFit:
 
     def test_degenerate_pairs_excluded(self):
         grid = Grid1D(20)
-        good_in = FunctionSample(grid, RngStream(5).standard_normal(20))
-        good_out = FunctionSample(grid, RngStream(6).standard_normal(20))
-        zero = FunctionSample(grid, np.zeros(20))
-        ds = OperatorDataset.from_samples([good_in, zero], [good_out, zero], {})
+        inputs, outputs = np.zeros((2, 2, 20))
+        inputs[0] = RngStream(5).standard_normal(20)
+        outputs[0] = RngStream(6).standard_normal(20)
+        ds = OperatorDataset(grid, inputs, outputs, {})
         with pytest.warns(UserWarning, match="zero output norm"):
             model = fit_green_kernel(ds, ridge=1e-8)
         assert model.kernel.shape == (20, 20)
@@ -100,7 +100,7 @@ class TestGreenFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_green_kernel(OperatorDataset.from_samples([], [], {}))
+            fit_green_kernel(OperatorDataset(None, np.empty(0), np.empty(0), {}))
 
 
 class TestLowRankFit:
@@ -176,9 +176,8 @@ class TestFourierFit:
     def test_unexcited_mode_flagged_zero(self):
         grid = Grid1D(32, 0.0, 2 * np.pi, periodic=True)
         x = grid.points()
-        inputs = [FunctionSample(grid, np.sin(x)), FunctionSample(grid, np.cos(x))]
-        outputs = [FunctionSample(grid, 2 * np.sin(x)), FunctionSample(grid, 2 * np.cos(x))]
-        model = fit_fourier_multiplier(OperatorDataset.from_samples(inputs, outputs, {}), 4)
+        inputs = np.stack([np.sin(x), np.cos(x)])
+        model = fit_fourier_multiplier(OperatorDataset(grid, inputs, 2 * inputs, {}), 4)
         assert model.excited[1 + 4] and model.excited[-1 + 4]
         for mode in (-4, -3, -2, 0, 2, 3, 4):
             assert not model.excited[mode + 4]

@@ -269,6 +269,17 @@ class TestBurgers:
         with pytest.raises(SolverError, match="step"):
             solve_burgers_1d(grid, u0, dt=0.5)
 
+    @pytest.mark.parametrize("changes", [{"final_time": 2.0 ** 70}, {"viscosity": 2.0 ** 70},
+                                         {"amplitude": 2.0 ** 70}],
+                             ids=["final-time", "viscosity", "amplitude"])
+    def test_run_beyond_the_step_limit_is_refused(self, changes):
+        """A final time, a viscosity or an input so large that the run would
+        take more than BURGERS_MAX_STEPS steps fails before the first step."""
+        grid = self.grid(16)
+        u0 = changes.pop("amplitude", 1.0) * np.sin(grid.points())
+        with pytest.raises(SolverError, match="RK4 steps to time .*, over 10000000"):
+            solve_burgers_1d(grid, u0, **changes)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             solve_burgers_1d(Grid1D(64), np.zeros(64))

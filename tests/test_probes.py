@@ -20,6 +20,19 @@ from operlab.probes import (
 )
 
 SE01 = CovarianceSpec("squared-exponential", length_scale=0.1)
+ROUGH_PERIODIC = CovarianceSpec("helmholtz-power", smoothness=1.0, shift=9.0, periodic=True)
+
+
+class RecordingStream:
+    """A stream stub that records the size of every normal draw asked of
+    it and returns ones."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def standard_normal(self, size) -> np.ndarray:
+        self.sizes.append(size)
+        return np.ones(size)
 
 
 class TestKernelEval:
@@ -133,6 +146,21 @@ class TestKlDecompose:
         with pytest.raises(ValueError):
             kl_decompose(SE01, 1)
 
+    def test_non_finite_gram_is_rejected(self):
+        # the Bessel formula overflows at a huge smoothness, an integer beyond
+        # int64 included
+        spec = CovarianceSpec("matern", length_scale=0.1, smoothness=2 ** 70)
+        with pytest.raises(ValueError, match="not finite"):
+            kl_decompose(spec, 32)
+
+    @pytest.mark.parametrize("spec", [SE01, CovarianceSpec("matern", length_scale=0.1,
+                                                            smoothness=1.5)],
+                             ids=["squared-exponential", "matern"])
+    def test_first_big_lobe_of_each_eigenfunction_is_positive(self, spec):
+        for column in kl_decompose(spec, 100).functions.T:
+            lobe = np.flatnonzero(np.abs(column) >= 0.5 * np.abs(column).max())[0]
+            assert column[lobe] > 0
+
     def test_indefinite_gram_names_eigenvalue(self):
         # wrapped-distance SE on a circle is genuinely indefinite at this scale
         spec = CovarianceSpec("squared-exponential", length_scale=0.5, periodic=True)
@@ -143,7 +171,8 @@ class TestKlDecompose:
 class TestSampling:
     def test_zero_spectrum_gives_zero_function(self):
         grid = Grid1D(16)
-        basis = KLBasis(SE01, grid, np.zeros(3), np.ones((16, 3)), 3, 3)
+        basis = KLBasis(SE01, grid, np.zeros(3), np.ones((16, 3)))
+        assert basis.truncation == 3
         samples = sample_gp(basis, [RngStream(0), RngStream(1)])
         assert samples.shape == (2, 16)
         assert np.all(samples == 0.0)
@@ -156,7 +185,7 @@ class TestSampling:
 
     def test_coefficient_linearity(self):
         basis = kl_decompose(SE01, 64)
-        coeffs = RngStream(12).standard_normal(basis.draw_count)
+        coeffs = RngStream(12).standard_normal(basis.truncation)
         one = sample_from_coefficients(basis, coeffs)
         # power-of-two scale commutes with rounding, so equality is exact
         doubled = sample_from_coefficients(basis, 2.0 * coeffs)
@@ -179,18 +208,41 @@ class TestSampling:
             sample = sample_gp(basis, [RngStream(seed)])[0]
             assert sample.max() - sample.min() <= 0.05
 
-    def test_helmholtz_draw_count_resolution_independent(self):
+    def test_helmholtz_samples_of_one_stream_agree_across_resolutions(self):
+        """A stream's k-th deviate is the k-th coefficient at every
+        resolution, so one stream draws the same function on a coarse and a
+        fine grid, up to the modes the coarse grid cannot carry."""
         spec = CovarianceSpec(
             "helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0, periodic=True
         )
         coarse = kl_decompose(spec, 256)
         fine = kl_decompose(spec, 2048)
-        assert coarse.draw_count == fine.draw_count
-        coeffs = RngStream(14).standard_normal(coarse.draw_count)
-        a = sample_from_coefficients(coarse, coeffs)
-        b = sample_from_coefficients(fine, coeffs)
+        assert coarse.truncation < fine.truncation
+        a = sample_gp(coarse, [RngStream(14)])[0]
+        b = sample_gp(fine, [RngStream(14)])[0]
         rel = np.linalg.norm(a - b[::8]) / np.linalg.norm(b[::8])
         assert rel <= 1e-5  # only super-Nyquist content differs
+
+    def test_coefficients_must_match_the_basis(self):
+        basis = kl_decompose(SE01, 64)
+        for count in (basis.truncation - 1, basis.truncation + 1):
+            with pytest.raises(ValueError, match="last axis"):
+                sample_from_coefficients(basis, np.ones(count))
+
+    @pytest.mark.parametrize("spec", [SE01, ROUGH_PERIODIC],
+                             ids=["squared-exponential", "helmholtz-smoothness-1"])
+    def test_each_stream_is_asked_for_the_kept_coefficients(self, spec):
+        """sample_gp asks each stream for basis.truncation deviates.  At
+        smoothness 1 the mode cap is the limit, 999 999 modes, but a 64-point
+        grid carries 31 of them, so the basis keeps 63 coefficients."""
+        basis = kl_decompose(spec, 64)
+        if spec is ROUGH_PERIODIC:
+            assert basis.truncation == 63
+        streams = [RecordingStream(), RecordingStream()]
+        samples = sample_gp(basis, streams)
+        assert [stream.sizes for stream in streams] == [[basis.truncation]] * 2
+        expected = sample_from_coefficients(basis, np.ones(basis.truncation))
+        assert np.array_equal(samples, np.stack([expected, expected]))
 
 
 def test_helmholtz_zero_shift_excludes_constant():
@@ -202,15 +254,44 @@ def test_helmholtz_zero_shift_excludes_constant():
 
 
 def test_helmholtz_kernel_sums_the_modes_the_basis_keeps():
-    # at smoothness 1.5 the KL basis keeps 165140 modes; the reference
-    # covariance must sum exactly those, in order, and no others
+    # at smoothness 1.5 the mode cap is 165140, the most modes a KL basis
+    # keeps; the reference covariance must sum exactly those, in order, and
+    # no others
     spec = CovarianceSpec("helmholtz-power", smoothness=1.5, shift=0.0, periodic=True)
-    cap = (kl_decompose(spec, 8).draw_count - 1) // 2
+    cap = _helmholtz_mode_cap(spec)
     assert cap == 165140
     total = helmholtz_eigenvalue(spec, 0)
     for mode in range(1, cap + 1):
         total = total + 2.0 * helmholtz_eigenvalue(spec, mode)
     assert kernel_eval(spec, 0.0, 0.0) == total
+
+
+def looped_periodic_basis(spec: CovarianceSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The helmholtz-power KL functions and eigenvalues built mode by mode:
+    the constant (if its eigenvalue is positive), then the cosine and sine
+    of each mode the grid represents.  The reference for the array build."""
+    x = Grid1D(m, 0.0, 1.0, periodic=True).points()
+    columns, eigenvalues = [], []
+    if helmholtz_eigenvalue(spec, 0) > 0.0:
+        columns.append(np.ones(m))
+        eigenvalues.append(helmholtz_eigenvalue(spec, 0))
+    for mode in range(1, min(_helmholtz_mode_cap(spec), (m - 1) // 2) + 1):
+        phase = 2.0 * np.pi * mode * x
+        columns += [np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
+        eigenvalues += [helmholtz_eigenvalue(spec, mode)] * 2
+    return np.column_stack(columns), np.asarray(eigenvalues)
+
+
+@pytest.mark.parametrize("m", [3, 8, 33, 256, 1024])
+@pytest.mark.parametrize("smoothness, amplitude, shift",
+                         [(1.0, 1.0, 9.0), (2.0, 1.0, 0.0), (3.0, 400.0, 9.0), (4.5, 1e-3, 1.0)])
+def test_helmholtz_basis_matches_the_mode_loop(m, smoothness, amplitude, shift):
+    spec = CovarianceSpec("helmholtz-power", smoothness=smoothness, amplitude=amplitude,
+                          shift=shift, periodic=True)
+    basis = kl_decompose(spec, m)
+    functions, eigenvalues = looped_periodic_basis(spec, m)
+    assert np.array_equal(basis.functions, functions)
+    assert np.array_equal(basis.eigenvalues, eigenvalues)
 
 
 def walked_mode_cap(spec: CovarianceSpec) -> int:
