@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         print(f"ERROR:{exc.code}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a size this machine cannot hold
-        print(f"ERROR:incompatible: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"ERROR:incompatible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:  # an output that could not be written
         print(f"ERROR:io: {exc}", file=sys.stderr)

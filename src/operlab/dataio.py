@@ -30,6 +30,9 @@ if TYPE_CHECKING:
 MAGIC = "operlab-binary"
 VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
+# longest container line, newline included (the magic, a version and a length fit in 40):
+# a file whose first line is longer is not a container
+CONTAINER_LINE_BYTES = 64
 
 # what constructors and lookups raise on checksum-valid but malformed headers
 _MALFORMED = (KeyError, TypeError, ValueError)
@@ -113,10 +116,19 @@ def write_container(path, header: dict, *payload):
 
 
 def read_container(path) -> tuple[dict, bytes]:
+    """The verified header and payload of a container file.
+
+    At most one byte past CONTAINER_LINE_BYTES is read for the container
+    line, and a declared header length is checked against the bytes left in
+    the file before it is read, so neither a file without a newline nor a
+    huge declared length is buffered whole.  The payload is one exact-size
+    read of the rest of the file: the only copy of it this function holds.
+    """
     with open(path, "rb") as fh:
-        first = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+        first = fh.readline(CONTAINER_LINE_BYTES + 1)
         parts = first.decode(errors="replace").split()
-        if len(parts) != 3 or parts[0] != MAGIC:
+        if len(parts) != 3 or parts[0] != MAGIC or len(first) > CONTAINER_LINE_BYTES:
             raise DataFormatError(f"{path}: not an operlab container")
         try:
             version, header_len = int(parts[1]), int(parts[2])
@@ -127,9 +139,9 @@ def read_container(path) -> tuple[dict, bytes]:
                 f"{path}: container version {version} is not supported "
                 f"(expected one of {SUPPORTED_VERSIONS})"
             )
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) != header_len:
+        if not 0 <= header_len <= size - fh.tell():
             raise TruncatedPayloadError(f"{path}: header shorter than its declared length")
+        header_bytes = fh.read(header_len)
         try:
             header = json.loads(header_bytes)
         except ValueError as exc:  # invalid JSON or invalid UTF-8
@@ -138,7 +150,8 @@ def read_container(path) -> tuple[dict, bytes]:
             raise DataFormatError(f"{path}: header is not a JSON object")
         if header.get("version") != version:
             raise DataFormatError(f"{path}: header version differs from the container line")
-        payload = fh.read()
+        # read() without a size joins the buffered head onto the rest: two copies
+        payload = fh.read(size - fh.tell())
     declared = header.get("payload_bytes")
     if declared is None or len(payload) != declared:
         raise TruncatedPayloadError(

@@ -33,6 +33,8 @@ LOSS_KINDS = (
 )
 
 _BOUNDARY_TOL = 1e-12
+# entries of each row block batch_loss computes its per-row norms over
+LOSS_BLOCK_ENTRIES = 1 << 15
 EXCITATION_RTOL = 1e-12
 
 
@@ -56,11 +58,18 @@ class KernelModel:
         self.operator = operator
 
     def predict_batch(self, grid, values: np.ndarray) -> np.ndarray:
-        """Predictions for the rows of values, an (N, n) block of inputs on grid."""
+        """Predictions for the rows of values, an (N, n) block of inputs on grid.
+
+        Besides values, at most two (N, n) arrays are live at once: the
+        weighted inputs, then the operator's columns, then their row-major
+        copy.  The product is one call over all N rows, because a row's bits
+        depend on how wide the product is."""
         if grid != self.grid:
             raise ValueError("sample grid does not match the training grid")
         weighted = self.grid.quad_weights() * values
-        return np.ascontiguousarray(self.operator.apply(weighted.T).T)
+        columns = self.operator.apply(weighted.T)
+        del weighted  # gone before the row-major copy is made
+        return np.ascontiguousarray(columns.T)
 
     def saved_arrays(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
@@ -319,7 +328,11 @@ def _prepare_green_fit(ds: OperatorDataset):
         )
     if not keep.any():
         raise ValueError("all pairs are degenerate (zero output norm)")
-    return grid, w, ds.input_values[keep].T, ds.output_values[keep].T  # columns are samples
+    inputs, outputs = ds.input_values, ds.output_values
+    if not keep.all():
+        inputs, outputs = inputs[keep], outputs[keep]
+    # columns are samples; with every pair kept these are views, with a mask copy's strides
+    return grid, w, np.ascontiguousarray(inputs).T, np.ascontiguousarray(outputs).T
 
 
 def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKernelModel:
@@ -334,14 +347,22 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     """
     grid, w, f_cols, u_cols = _prepare_green_fit(ds)
     count = f_cols.shape[1]
+    # each (n, N) temporary is freed before the next is built: at most two live at once
+    weighted_squares = u_cols ** 2
+    weighted_squares *= w[:, None]
+    rho = 1.0 / np.sum(weighted_squares, axis=0)
+    del weighted_squares
     phi = w[:, None] * f_cols                       # quadrature-weighted inputs
-    rho = 1.0 / np.sum(w[:, None] * u_cols ** 2, axis=0)
-    gram = (phi * rho[None, :]) @ phi.T
+    scaled = phi * rho[None, :]
+    gram = scaled @ phi.T
+    del scaled
     if ridge is None:
         ridge = 1e-8 * np.trace(gram) / grid.n
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    cross = (u_cols * rho[None, :]) @ phi.T          # row j holds the row-j target
+    scaled = u_cols * rho[None, :]
+    cross = scaled @ phi.T                          # row j holds the row-j target
+    del scaled, phi
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
     rotated = cross @ eigvecs
@@ -470,6 +491,11 @@ def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) ->
     Kinds: mse (mean squared L2 error), relative-squared-l2, relative-l2,
     relative-l1, and h1-seminorm-relative (centered differences inside the
     domain, one-sided at the boundary).
+
+    Each row's numerator and denominator are computed over blocks of about
+    LOSS_BLOCK_ENTRIES entries, so the temporaries are block-sized; every
+    reduction is within one row, so a row's terms have the same bits in any
+    block, and the mean is taken once over the whole vector.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -488,17 +514,17 @@ def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) ->
         squared = sum(np.gradient(values, grid.spacing, axis=axis) ** 2 for axis in axes)
         return np.sqrt(np.sum(w * squared, axis=axes))
 
-    diff = predictions - targets
-    if kind == "mse":
-        return float(np.mean(l2(diff) ** 2))
-    if kind == "relative-squared-l2":
-        num, denom = l2(diff) ** 2, l2(targets) ** 2
-    elif kind == "relative-l2":
-        num, denom = l2(diff), l2(targets)
-    elif kind == "relative-l1":
-        num, denom = l1(diff), l1(targets)
-    else:
-        num, denom = h1_seminorm(diff), h1_seminorm(targets)
+    norm = {"mse": l2, "relative-squared-l2": l2, "relative-l2": l2, "relative-l1": l1,
+            "h1-seminorm-relative": h1_seminorm}[kind]
+    num, denom = np.empty(len(targets)), np.ones(len(targets))  # mse divides by one
+    block = max(1, LOSS_BLOCK_ENTRIES // max(1, targets[0].size))
+    for start in range(0, len(targets), block):
+        rows = slice(start, start + block)
+        num[rows] = norm(predictions[rows] - targets[rows])
+        if kind != "mse":
+            denom[rows] = norm(targets[rows])
+    if kind in ("mse", "relative-squared-l2"):
+        num, denom = num ** 2, denom ** 2
     if np.any(denom == 0.0):
         raise ValueError("relative loss undefined for a zero-norm target")
     return float(np.mean(num / denom))

@@ -25,6 +25,9 @@ DARCY_CG_RTOL = 1e-12
 # an interior node, a periodic KL basis needs 4 sensors to carry a nonconstant
 # mode, and the Darcy coefficient field needs s >= 8
 MIN_RESOLUTION = {"poisson1d": 3, "burgers1d": 4, "darcy2d": 8}
+# entries of each block of 1D pairs make_dataset draws (and, for Poisson, solves)
+# at once: its temporaries are this size, whatever the number of pairs
+PAIR_BLOCK_ENTRIES = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -287,6 +290,12 @@ def make_dataset(
     coefficient field; the source term is fixed at 1).  Each pair uses a
     child stream derived from the pair index, so the dataset is deterministic
     per seed and pair i has the same bits for every num_pairs above i.
+
+    Both (num_pairs, ...) arrays are allocated first.  1D pairs are drawn,
+    and Poisson pairs solved, one block of about PAIR_BLOCK_ENTRIES entries
+    at a time into them; each row's draw and solve is its own arithmetic, so
+    the block size does not change a bit.  Burgers and Darcy pairs are
+    solved one at a time.
     """
     if num_pairs < 0:
         raise ValueError("num_pairs must be nonnegative")
@@ -327,13 +336,16 @@ def make_dataset(
     else:
         basis = kl_decompose(spec, s)
         grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
-        inputs[:] = sample_gp(basis, (stream.derive(i) for i in range(num_pairs)))
-    if pde == "poisson1d":
-        try:
-            outputs[:] = solve_poisson_1d(grid, inputs)
-        except Exception as exc:
-            raise SolverError(f"pairs 0-{num_pairs - 1}: {exc}") from exc
-    else:
+        block = max(1, PAIR_BLOCK_ENTRIES // s)
+        for start in range(0, num_pairs, block):
+            stop = min(start + block, num_pairs)
+            inputs[start:stop] = sample_gp(basis, map(stream.derive, range(start, stop)))
+            if pde == "poisson1d":
+                try:
+                    outputs[start:stop] = solve_poisson_1d(grid, inputs[start:stop])
+                except Exception as exc:
+                    raise SolverError(f"pairs {start}-{stop - 1}: {exc}") from exc
+    if pde != "poisson1d":
         for i in range(num_pairs):
             try:
                 if pde == "burgers1d":

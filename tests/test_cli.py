@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from operlab import dataio
+from operlab import cli, dataio
 from operlab.cli import _FIELDS, _PATH, main
 from operlab.dataio import (
     ChecksumMismatchError,
@@ -729,6 +729,16 @@ class TestEveryFailureIsOneLine:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:incompatible: "), lines
 
+    def test_bare_memory_error_names_itself(self, valid_configs, tmp_path, capsys, monkeypatch):
+        """A MemoryError raised without a message still says what happened."""
+        def out_of_memory(config, out_dir):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "generate", out_of_memory)
+        config = write_config(tmp_path / "c.json", valid_configs["generate"])
+        assert run("generate", config, tmp_path) == 1
+        assert capsys.readouterr().err == "ERROR:incompatible: out of memory\n"
+
     def test_property_covers_every_field_of_the_table(self, valid_configs):
         """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS, a
         path field PATH_FIELDS."""
@@ -945,6 +955,23 @@ class TestFitAndEval:
         assert run("fit", config, tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:checksum:")
 
+    @pytest.mark.parametrize("content, code", [
+        # a declared header far beyond the file once asked for that many bytes
+        (b"operlab-binary 2 999999999999999\n{}", "truncated"),
+        # a container line with no newline is read only up to its length bound
+        (b"operlab-binary 2 " + b"9" * (1 << 20), "format"),
+    ], ids=["huge-header", "no-newline"])
+    def test_broken_container_line_codes(self, tmp_path, capsys, content, code):
+        dataset = tmp_path / "broken.ds"
+        dataset.write_bytes(content)
+        config = write_config(
+            tmp_path / "fit.json",
+            {"command": "fit", "seed": 1, "dataset": str(dataset), "variant": "dense-kernel",
+             "model_output": "model.bin", "metrics_output": "metrics.json"},
+        )
+        assert run("fit", config, tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"ERROR:{code}: {dataset}"), lines
 
     def eval_config(self, tmp_path, model_path, dataset):
         return write_config(

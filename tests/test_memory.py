@@ -1,0 +1,115 @@
+"""Memory contracts of the Poisson path, measured in process with tracemalloc.
+
+Each command holds its own arrays plus temporaries of a fixed block size, so
+its traced peak is bounded in units of one (N, n) float64 array (a dataset
+holds two), or, for a container read, of the payload.  numpy reports its
+array buffers to tracemalloc, so the traced peak counts every array a
+command builds.
+"""
+import contextlib
+import tracemalloc
+
+import pytest
+
+from operlab import cli, dataio, opfit, pdelab, probes  # noqa: F401  loaded before tracing
+from operlab.dataio import DataFormatError, read_container
+
+PAIRS, SENSORS = 2000, 256
+UNIT = PAIRS * SENSORS * 8  # bytes of one (N, n) float64 array
+GENERATE = {"command": "generate", "seed": 3, "pde": "poisson1d", "num_pairs": PAIRS,
+            "resolution": SENSORS, "output": "train.ds",
+            "covariance": {"family": "squared-exponential", "length_scale": 0.05}}
+LOSSES = list(opfit.LOSS_KINDS)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Yields a dict whose "bytes" is, on exit, the traced peak above what
+    was live when the block began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = {}
+        yield result
+        result["bytes"] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("memory")
+    assert cli.cmd_generate(GENERATE, str(out)) == 0
+    return out
+
+
+def fit_config(variant: dict) -> dict:
+    return {"command": "fit", "seed": 3, "dataset": "train.ds", **variant, "losses": LOSSES,
+            "model_output": "model.bin", "metrics_output": "metrics.json"}
+
+
+class TestPoissonPathPeaks:
+    def test_generate_holds_its_two_arrays(self, tmp_path, capsys):
+        """The inputs and outputs, plus the KL decomposition's (n, n)
+        workspace (half a unit here) and one block of draws and solves; a
+        whole-array draw and solve peak above four units."""
+        with traced_peak() as peak:
+            assert cli.cmd_generate(GENERATE, str(tmp_path)) == 0
+        assert peak["bytes"] <= 3 * UNIT, peak["bytes"] / UNIT
+
+    # the hierarchical apply adds its own chunk temporaries, under a unit here
+    @pytest.mark.parametrize("variant, units", [
+        ({"variant": "dense-kernel"}, 4.5),
+        ({"variant": "hierarchical", "levels": 4, "rank": 4}, 5.5),
+    ], ids=["dense-kernel", "hierarchical"])
+    def test_fit_holds_the_payload_and_two_arrays(self, dataset_dir, monkeypatch, capsys,
+                                                  variant, units):
+        """The payload (two units), then two more at once: the weighted
+        inputs and one scaled copy in the fit, or the predicted columns and
+        their row-major copy in the metrics.  Copying the fit's arrays, or
+        reading the payload twice, adds two units."""
+        monkeypatch.chdir(dataset_dir)
+        with traced_peak() as peak:
+            assert cli.cmd_fit(fit_config(variant), ".") == 0
+        assert peak["bytes"] <= units * UNIT, peak["bytes"] / UNIT
+
+    def test_eval_holds_the_payload_and_two_arrays(self, dataset_dir, monkeypatch, capsys):
+        """The test payload (two units) and the predicted columns and their
+        row-major copy; the losses add only row blocks."""
+        monkeypatch.chdir(dataset_dir)
+        assert cli.cmd_fit(fit_config({"variant": "dense-kernel"}), ".") == 0
+        config = {"command": "eval", "seed": 3, "model": "model.bin", "losses": LOSSES,
+                  "datasets": [{"resolution": SENSORS, "path": "train.ds"}],
+                  "output": "eval.csv"}
+        with traced_peak() as peak:
+            assert cli.cmd_eval(config, ".") == 0
+        assert peak["bytes"] <= 4.5 * UNIT, peak["bytes"] / UNIT
+
+
+class TestContainerReadPeaks:
+    def test_payload_is_held_once(self, dataset_dir):
+        """read() without a size would join the buffered head onto the rest,
+        holding the payload twice."""
+        path = dataset_dir / "train.ds"
+        with traced_peak() as peak:
+            header, payload = read_container(path)
+        assert len(payload) == header["payload_bytes"] == 2 * UNIT
+        assert peak["bytes"] <= 1.25 * len(payload), peak["bytes"] / len(payload)
+
+    def test_file_without_a_newline_is_not_buffered(self, tmp_path):
+        """The container line is read only up to its length bound."""
+        path = tmp_path / "no-newline.ds"
+        path.write_bytes(b"\0" * UNIT)
+        with traced_peak() as peak, pytest.raises(DataFormatError, match="not an operlab"):
+            read_container(path)
+        assert peak["bytes"] <= UNIT / 8, peak["bytes"]
+
+    def test_huge_declared_header_is_a_truncation(self, tmp_path):
+        """The declared length is compared with the bytes left before any
+        read, so it cannot ask for more memory than the file holds."""
+        path = tmp_path / "huge.ds"
+        path.write_bytes(b"operlab-binary 2 999999999999999\n{}")
+        with pytest.raises(dataio.TruncatedPayloadError, match="header shorter"):
+            read_container(path)
+

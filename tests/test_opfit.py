@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from operlab.grids import FunctionSample, Grid1D, OperatorDataset
+from operlab import opfit
+from operlab.grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
     EXCITATION_RTOL,
@@ -489,6 +492,65 @@ def reference_loss(kind, predictions, targets):
         else:
             terms.append(h1(diff) / h1(target.values))
     return float(np.mean(terms))
+
+
+def whole_array_loss(kind, grid, predictions, targets):
+    """batch_loss's formula over the whole stacked arrays at once: the
+    reference its row blocks must match bit for bit."""
+    w = grid.quad_weights()
+    axes = tuple(range(1, targets.ndim))
+
+    def l2(values):
+        return np.sqrt(np.sum(w * values ** 2, axis=axes))
+
+    def l1(values):
+        return np.sum(w * np.abs(values), axis=axes)
+
+    def h1_seminorm(values):
+        squared = sum(np.gradient(values, grid.spacing, axis=axis) ** 2 for axis in axes)
+        return np.sqrt(np.sum(w * squared, axis=axes))
+
+    diff = predictions - targets
+    if kind == "mse":
+        return float(np.mean(l2(diff) ** 2))
+    if kind == "relative-squared-l2":
+        num, denom = l2(diff) ** 2, l2(targets) ** 2
+    elif kind == "relative-l2":
+        num, denom = l2(diff), l2(targets)
+    elif kind == "relative-l1":
+        num, denom = l1(diff), l1(targets)
+    else:
+        num, denom = h1_seminorm(diff), h1_seminorm(targets)
+    return float(np.mean(num / denom))
+
+
+class TestLossBlocks:
+    """batch_loss computes its per-row terms over row blocks; every
+    reduction is within a row, so the blocks do not change a bit."""
+
+    # 300 rows of 256 sensors span three default blocks, 20 of 64 x 64 five
+    GRIDS = {"1d": (Grid1D(256), 300), "2d": (Grid2D(64), 20)}
+
+    @pytest.mark.parametrize("block_entries", [opfit.LOSS_BLOCK_ENTRIES, 1, 3 * 256 + 1])
+    @pytest.mark.parametrize("dims", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_row_blocks_match_the_whole_array_formula(self, kind, dims, block_entries):
+        grid, count = self.GRIDS[dims]
+        targets, noise = RngStream(80).standard_normal((2, count, *grid.shape))
+        preds = targets + 0.1 * noise
+        with mock.patch.object(opfit, "LOSS_BLOCK_ENTRIES", block_entries):
+            blocked = batch_loss(kind, grid, preds, targets)
+        assert blocked == whole_array_loss(kind, grid, preds, targets)
+
+    @pytest.mark.parametrize("kind", [kind for kind in LOSS_KINDS if kind != "mse"])
+    def test_zero_norm_target_in_the_last_block_rejected(self, kind):
+        grid = Grid1D(256)
+        targets = np.ones((300, 256))
+        targets[-1] = 0.0
+        assert len(targets) % (opfit.LOSS_BLOCK_ENTRIES // 256) != 0  # a partial last block
+        with pytest.raises(ValueError, match="zero-norm"):
+            batch_loss(kind, grid, np.ones_like(targets), targets)
+        assert batch_loss("mse", grid, np.ones_like(targets), targets) > 0.0
 
 
 class TestBatchedPredictAndLoss:

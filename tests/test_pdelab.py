@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from operlab import pdelab
 from operlab.grids import Grid1D, Grid2D
 from operlab.numerics import RngStream
 from operlab.pdelab import (
@@ -335,7 +337,8 @@ class TestMakeDataset:
 
 class TestBatchInvariance:
     """Pair i is the same bits however many pairs are generated with it, and
-    a block solve is the same bits as solving row by row."""
+    in blocks of any size, and a block solve is the same bits as solving row
+    by row."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -344,13 +347,18 @@ class TestBatchInvariance:
         s=st.sampled_from([3, 4, 5, 100, 256]) | st.integers(3, 64),
         spec=st.sampled_from(POISSON_SPECS),
         seed=st.integers(0, 2 ** 32 - 1),
+        # blocks of one pair, of a few, and of more pairs than any count here
+        block_entries=st.sampled_from([1, 7, 100, pdelab.PAIR_BLOCK_ENTRIES]),
     )
-    @example(count=1, extra=7, s=100, spec=SE005, seed=0)
-    @example(count=1, extra=1, s=256, spec=POISSON_SPECS[1], seed=1)
-    def test_rows_do_not_depend_on_the_batch(self, count, extra, s, spec, seed):
+    @example(count=1, extra=7, s=100, spec=SE005, seed=0, block_entries=pdelab.PAIR_BLOCK_ENTRIES)
+    @example(count=1, extra=1, s=256, spec=POISSON_SPECS[1], seed=1,
+             block_entries=pdelab.PAIR_BLOCK_ENTRIES)
+    @example(count=40, extra=24, s=3, spec=SE005, seed=2, block_entries=7)  # 2-pair blocks
+    def test_rows_do_not_depend_on_the_batch(self, count, extra, s, spec, seed, block_entries):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # coarse grids under-resolve
-            small = make_dataset("poisson1d", spec, count, s, RngStream(seed))
+            with mock.patch.object(pdelab, "PAIR_BLOCK_ENTRIES", block_entries):
+                small = make_dataset("poisson1d", spec, count, s, RngStream(seed))
             large = make_dataset("poisson1d", spec, count + extra, s, RngStream(seed))
         head = slice(0, count)
         shape = large.input_values[head].shape  # an empty dataset stores shape (0,)
@@ -361,3 +369,12 @@ class TestBatchInvariance:
         assert np.array_equal(solved, large.output_values)
         for row, u in zip(block, solved):
             assert np.array_equal(solve_poisson_1d(large.grid, row), u)
+
+    def test_burgers_draws_do_not_depend_on_the_block(self):
+        spec = CovarianceSpec("helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0,
+                              periodic=True)
+        whole = make_dataset("burgers1d", spec, 5, 16, RngStream(9), final_time=0.01)
+        with mock.patch.object(pdelab, "PAIR_BLOCK_ENTRIES", 2 * 16):
+            blocked = make_dataset("burgers1d", spec, 5, 16, RngStream(9), final_time=0.01)
+        assert np.array_equal(blocked.input_values, whole.input_values)
+        assert np.array_equal(blocked.output_values, whole.output_values)
