@@ -177,6 +177,8 @@ def _unpack_arrays(path, manifest: list, payload: bytes) -> dict[str, np.ndarray
             # json reads 16.0, NaN and Infinity as floats, and a bool is an int
             if type(shape) is not list or any(type(dim) is not int or dim < 0 for dim in shape):
                 raise ValueError(f"array {entry['name']} needs nonnegative integer dimensions")
+            if entry["name"] in out:
+                raise ValueError(f"array {entry['name']} is named twice")
             nbytes = 8 * math.prod(shape)
             if offset + nbytes > len(payload):
                 raise DataFormatError(f"{path}: array {entry['name']} runs past the payload")
@@ -279,6 +281,8 @@ def save_model(path, model: KernelModel):
 
 
 def load_model(path) -> KernelModel:
+    """The model whose constructor's arguments a file holds; any array the
+    loaded model would not save again is a DataFormatError."""
     header, payload = _read(path, "model")
     arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
     variant = _field(header, "variant", str)
@@ -289,6 +293,10 @@ def load_model(path) -> KernelModel:
         grid = grid_from_dict(_field(header, "grid", dict))
         header, arrays = cls.current_layout(grid, header, arrays)
         params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
-        return cls.from_saved(grid, params, arrays)
+        model = cls.from_saved(grid, params, arrays)
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: invalid {variant} model: {exc!r}") from exc
+    stray = set(arrays).symmetric_difference(name for name, _ in model.saved_arrays())
+    if stray:
+        raise DataFormatError(f"{path}: a {variant} model does not save arrays {sorted(stray)}")
+    return model

@@ -1,4 +1,4 @@
-"""Thin QR and seeded randomness primitives.
+"""Thin QR, seeded randomness and row-block primitives.
 
 FFT convention used throughout the package: numpy's, an unnormalized
 forward transform and an inverse scaled by 1/n.  Randomness comes from
@@ -10,6 +10,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+# entries of each row block that row_blocks hands a blocked loop
+BLOCK_ENTRIES = 1 << 15
+
+
+def row_blocks(count: int, row_entries: int):
+    """Slices of at least one row covering rows [0, count) in order, each of
+    about BLOCK_ENTRIES entries of row_entries a row, read at the call."""
+    block = max(1, BLOCK_ENTRIES // max(1, row_entries))
+    return (slice(start, min(start + block, count)) for start in range(0, count, block))
 
 
 class ThinQR(NamedTuple):

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .grids import Grid1D, OperatorDataset
+from .numerics import row_blocks
 from .structured import (
     BlockLowRankOperator,
     CirculantOperator,
@@ -33,8 +34,6 @@ LOSS_KINDS = (
 )
 
 _BOUNDARY_TOL = 1e-12
-# entries of each row block batch_loss computes its per-row norms over
-LOSS_BLOCK_ENTRIES = 1 << 15
 EXCITATION_RTOL = 1e-12
 
 
@@ -42,11 +41,10 @@ class KernelModel:
     """A structured grid kernel K on the training grid, predicting
     u(x_i) = sum_j K[i, j] w_j f(x_j) with trapezoid weights w.
 
-    Each variant states what it persists next to its fields: the header
-    params it writes (name -> JSON type, read back from attributes of the
-    same name), saved_arrays() in payload order, and from_saved() to rebuild
-    the model from both, once current_layout() has translated a deprecated
-    layout."""
+    A model file holds its constructor's arguments by name: header params
+    (name -> JSON type, read back from attributes of the same name) and
+    saved_arrays() in payload order.  from_saved() passes both to the
+    constructor once current_layout() has translated a deprecated layout."""
 
     variant: str
     header_params: dict[str, type] = {}
@@ -71,16 +69,13 @@ class KernelModel:
         del weighted  # gone before the row-major copy is made
         return np.ascontiguousarray(columns.T)
 
-    def saved_arrays(self) -> list[tuple[str, np.ndarray]]:
-        raise NotImplementedError
-
     @classmethod
     def current_layout(cls, grid, header: dict, arrays: dict) -> tuple[dict, dict]:
         return header, arrays
 
     @classmethod
     def from_saved(cls, grid, params: dict, arrays: dict) -> "KernelModel":
-        raise NotImplementedError
+        return cls(grid, **params, **arrays)
 
 
 class DenseKernelModel(KernelModel):
@@ -100,10 +95,6 @@ class DenseKernelModel(KernelModel):
     def saved_arrays(self):
         return [("kernel", self.kernel)]
 
-    @classmethod
-    def from_saved(cls, grid, params, arrays):
-        return cls(grid, arrays["kernel"], params["ridge"])
-
 
 class LowRankKernelModel(KernelModel):
     """Rank-p kernel in factored form: p output basis functions plus a
@@ -116,10 +107,6 @@ class LowRankKernelModel(KernelModel):
 
     def saved_arrays(self):
         return [("col_factor", self.operator.col_factor), ("row_factor", self.operator.row_factor)]
-
-    @classmethod
-    def from_saved(cls, grid, params, arrays):
-        return cls(grid, arrays["col_factor"], arrays["row_factor"])
 
 
 class FourierMultiplierModel(KernelModel):
@@ -157,11 +144,13 @@ class FourierMultiplierModel(KernelModel):
             raise ValueError(
                 f"evaluation resolution {grid.n} is below the training resolution {self.grid.n}"
             )
+        # one complex block: the kept modes' products go back in, inverted in place
         spectrum = np.fft.fft(values, axis=1)
-        out = np.zeros_like(spectrum)
         modes = self._mode_indices(grid.n)
-        out[:, modes] = self.multiplier * spectrum[:, modes]
-        return np.ascontiguousarray(np.fft.ifft(out, axis=1).real)
+        kept = self.multiplier * spectrum[:, modes]
+        spectrum[...] = 0.0
+        spectrum[:, modes] = kept
+        return np.ascontiguousarray(np.fft.ifft(spectrum, axis=1, out=spectrum).real)
 
     def _mode_indices(self, n: int) -> np.ndarray:
         """FFT positions of modes -max_mode..max_mode at resolution n."""
@@ -212,30 +201,38 @@ class BandedKernelModel(KernelModel):
     def saved_arrays(self):
         return [("kernel", self.kernel)]
 
-    @classmethod
-    def from_saved(cls, grid, params, arrays):
-        return cls(grid, arrays["kernel"], params["radius"], params["truncation_error"])
-
 
 class HierarchicalKernelModel(KernelModel):
     """Kernel as a sum of per-level low-rank blocks plus dense near-diagonal
     leaf blocks at the finest level, over the strong lanes of partition_lanes.
-    tails holds one array per lane of operator.lanes: the Frobenius norm of
-    what truncating each block to the model's rank discarded.  A file holds
-    levels, rank and tails (one list per lane) in its header, and per lane i
-    the (blocks, size, r) stacks lane<i>_col and lane<i>_row that Lane.fill
-    takes, then per leaf lane i the (blocks, leaf, leaf) stack leaves<i>."""
+    lanes holds one (col, row) pair of (blocks, size, min(rank, size)) stacks
+    per low-rank lane, as Lane.fill takes them, leaves one (blocks, leaf,
+    leaf) stack per leaf lane, and tails one array per lane: the Frobenius
+    norm each block's truncation discarded.  All are checked against the
+    partition before the factor arrays (n rows each) are allocated.  A file
+    holds levels, rank and tails in its header, then per lane i the stacks
+    lane<i>_col and lane<i>_row, then per leaf lane i the stack leaves<i>."""
 
     variant = "hierarchical"
     header_params = {"levels": int, "rank": int, "tails": list}
 
-    def __init__(self, grid: Grid1D, levels: int, rank: int, operator: BlockLowRankOperator, tails):
-        super().__init__(grid, operator)
+    def __init__(self, grid: Grid1D, levels: int, rank: int, tails, lanes, leaves):
+        parts, leaf_parts = partition_lanes(grid.n, levels, "strong")
+        self.tails = tuple(np.asarray(t, dtype=float) for t in tails)
+        if [t.shape for t in self.tails] != [(len(rows),) for _, rows, _, _, _ in parts]:
+            raise ValueError("a hierarchical model needs one tail per low-rank block")
+        lane_shapes = [((len(rows), size, min(rank, size)),) * 2 for _, rows, _, size, _ in parts]
+        leaf_shapes = [(len(rows), size, size) for _, rows, _, size, _ in leaf_parts]
+        if ([tuple(map(np.shape, pair)) for pair in lanes] != lane_shapes
+                or list(map(np.shape, leaves)) != leaf_shapes):
+            raise ValueError("lane stacks do not fit the strong partition of the grid")
+        shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
+        for lane, (col, row) in zip(shell.lanes, lanes):
+            lane.fill(col, row)
+        super().__init__(grid, BlockLowRankOperator(grid.n, levels, "strong", rank,
+                                                    shell.col_factors, shell.row_factors, leaves))
         self.levels = int(levels)
         self.rank = int(rank)
-        self.tails = tuple(np.asarray(t, dtype=float) for t in tails)
-        if [t.shape for t in self.tails] != [(len(lane.row_starts),) for lane in operator.lanes]:
-            raise ValueError("a hierarchical model needs one tail per low-rank block")
 
     @property
     def total_truncation_error(self) -> float:
@@ -274,26 +271,15 @@ class HierarchicalKernelModel(KernelModel):
 
     @classmethod
     def from_saved(cls, grid, params, arrays):
-        levels, rank, tails = params["levels"], params["rank"], params["tails"]
+        tails = params["tails"]
         # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
         if not all(type(t) in (int, float) and 0 <= t <= sys.float_info.max
                    for lane in tails for t in lane):
             raise ValueError("each block's tail must be a finite nonnegative number")
-        # every stack must fit the partition before the factor arrays (n rows each) are allocated
-        lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
-        shapes = [(f"lane{i}_{side}", (len(rows), size, min(rank, size)))
-                  for i, (_, rows, _, size, _) in enumerate(lanes) for side in ("col", "row")]
-        shapes += [(f"leaves{i}", (len(rows), size, size))
-                   for i, (_, rows, _, size, _) in enumerate(leaf_lanes)]
-        if any(np.shape(arrays[name]) != shape for name, shape in shapes):
-            raise ValueError("saved lane stacks do not fit the strong partition of the grid")
-        shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
-        for i, lane in enumerate(shell.lanes):
-            lane.fill(arrays[f"lane{i}_col"], arrays[f"lane{i}_row"])
-        leaves = [arrays[f"leaves{i}"] for i in range(len(leaf_lanes))]
-        operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
-                                        shell.row_factors, leaves)
-        return cls(grid, levels, rank, operator, tails)
+        lanes = [(arrays[f"lane{i}_col"], arrays[f"lane{i}_row"]) for i in range(len(tails))]
+        # every other array is a leaf stack; the loader refuses a name the model does not save
+        leaves = [arrays[f"leaves{i}"] for i in range(len(arrays) - 2 * len(lanes))]
+        return cls(grid, **params, lanes=lanes, leaves=leaves)
 
 
 def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
@@ -313,13 +299,18 @@ def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
 
 
 def _prepare_green_fit(ds: OperatorDataset):
+    """The grid, its weights, and the inputs, outputs (as columns) and weighted
+    squared output norms of the pairs whose norm, computed over row blocks, is not 0."""
     if len(ds) == 0:
         raise ValueError("cannot fit an empty dataset")
     grid = ds.grid
     if not isinstance(grid, Grid1D):
         raise ValueError("kernel fits are defined for 1D datasets")
     w = grid.quad_weights()
-    keep = np.sum(w * ds.output_values ** 2, axis=1) != 0.0
+    norms = np.empty(len(ds))
+    for rows in row_blocks(len(ds), grid.n):
+        norms[rows] = np.sum(w * ds.output_values[rows] ** 2, axis=1)
+    keep = norms != 0.0
     for i in np.flatnonzero(~keep):
         warnings.warn(
             f"pair {i} has zero output norm and is excluded from the relative fit",
@@ -332,7 +323,7 @@ def _prepare_green_fit(ds: OperatorDataset):
     if not keep.all():
         inputs, outputs = inputs[keep], outputs[keep]
     # columns are samples; with every pair kept these are views, with a mask copy's strides
-    return grid, w, np.ascontiguousarray(inputs).T, np.ascontiguousarray(outputs).T
+    return grid, w, np.ascontiguousarray(inputs).T, np.ascontiguousarray(outputs).T, norms[keep]
 
 
 def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKernelModel:
@@ -345,13 +336,10 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     are excluded with a warning.  Default ridge: 1e-8 times the trace scale
     of the data Gram matrix.
     """
-    grid, w, f_cols, u_cols = _prepare_green_fit(ds)
+    grid, w, f_cols, u_cols, norms = _prepare_green_fit(ds)
     count = f_cols.shape[1]
     # each (n, N) temporary is freed before the next is built: at most two live at once
-    weighted_squares = u_cols ** 2
-    weighted_squares *= w[:, None]
-    rho = 1.0 / np.sum(weighted_squares, axis=0)
-    del weighted_squares
+    rho = 1.0 / norms
     phi = w[:, None] * f_cols                       # quadrature-weighted inputs
     scaled = phi * rho[None, :]
     gram = scaled @ phi.T
@@ -378,12 +366,10 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
 
 def green_fit_objective(ds: OperatorDataset, kernel: np.ndarray, ridge: float) -> float:
     """The quantity fit_green_kernel minimizes, for a candidate grid kernel."""
-    grid, w, f_cols, u_cols = _prepare_green_fit(ds)
-    count = f_cols.shape[1]
+    grid, w, f_cols, u_cols, norms = _prepare_green_fit(ds)
     preds = kernel @ (w[:, None] * f_cols)
     num = np.sum(w[:, None] * (preds - u_cols) ** 2, axis=0)
-    den = np.sum(w[:, None] * u_cols ** 2, axis=0)
-    return float(np.mean(num / den) + ridge * np.sum(kernel ** 2))
+    return float(np.mean(num / norms) + ridge * np.sum(kernel ** 2))
 
 
 def fit_low_rank(ds: OperatorDataset, rank: int, ridge: float | None = None) -> LowRankKernelModel:
@@ -464,24 +450,21 @@ def hierarchical_decompose(
     block records the Frobenius norm of its discarded singular values.
     """
     grid, kernel = model.grid, model.kernel
-    shell = BlockLowRankOperator.zeros(grid.n, levels, "strong", rank)
+    parts, leaf_parts = partition_lanes(grid.n, levels, "strong")
 
     def blocks(rows, cols, size):
         return np.stack([kernel[r0:r0 + size, c0:c0 + size] for r0, c0 in zip(rows, cols)])
 
-    tails = []
-    for lane in shell.lanes:
-        u, s, vt = np.linalg.svd(blocks(lane.row_starts, lane.col_starts, lane.size),
-                                 full_matrices=False)
-        r = min(rank, lane.size)
-        lane.fill(u[:, :, :r] * s[:, None, :r], vt[:, :r].transpose(0, 2, 1))
+    lanes, tails = [], []
+    for _, rows, cols, size, _ in parts:
+        u, s, vt = np.linalg.svd(blocks(rows, cols, size), full_matrices=False)
+        r = min(rank, size)
+        # compact copies: no lane's full SVD factors outlive this step
+        lanes.append((u[:, :, :r] * s[:, None, :r], vt[:, :r].copy().transpose(0, 2, 1)))
         # each block's own 1-D norm: a row-wise norm over the stack rounds differently
         tails.append([np.linalg.norm(tail) for tail in s[:, r:]])
-    _, leaf_lanes = partition_lanes(grid.n, levels, "strong")
-    leaves = [blocks(rows, cols, size) for _, rows, cols, size, _ in leaf_lanes]
-    operator = BlockLowRankOperator(grid.n, levels, "strong", rank, shell.col_factors,
-                                    shell.row_factors, leaves)
-    return HierarchicalKernelModel(grid, levels, rank, operator, tails)
+    leaves = [blocks(rows, cols, size) for _, rows, cols, size, _ in leaf_parts]
+    return HierarchicalKernelModel(grid, levels, rank, tails, lanes, leaves)
 
 
 def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -492,8 +475,8 @@ def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) ->
     relative-l1, and h1-seminorm-relative (centered differences inside the
     domain, one-sided at the boundary).
 
-    Each row's numerator and denominator are computed over blocks of about
-    LOSS_BLOCK_ENTRIES entries, so the temporaries are block-sized; every
+    Each row's numerator and denominator are computed over
+    numerics.row_blocks, so the temporaries are block-sized; every
     reduction is within one row, so a row's terms have the same bits in any
     block, and the mean is taken once over the whole vector.
     """
@@ -517,9 +500,7 @@ def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) ->
     norm = {"mse": l2, "relative-squared-l2": l2, "relative-l2": l2, "relative-l1": l1,
             "h1-seminorm-relative": h1_seminorm}[kind]
     num, denom = np.empty(len(targets)), np.ones(len(targets))  # mse divides by one
-    block = max(1, LOSS_BLOCK_ENTRIES // max(1, targets[0].size))
-    for start in range(0, len(targets), block):
-        rows = slice(start, start + block)
+    for rows in row_blocks(len(targets), targets[0].size):
         num[rows] = norm(predictions[rows] - targets[rows])
         if kind != "mse":
             denom[rows] = norm(targets[rows])

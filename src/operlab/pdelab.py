@@ -8,10 +8,12 @@ iterative solve), and 1D viscous Burgers on a periodic domain
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .grids import Grid1D, Grid2D, OperatorDataset
-from .numerics import RngStream
+from .numerics import RngStream, row_blocks
 from .probes import CovarianceSpec, kl_decompose, sample_gp
 
 BURGERS_VISCOSITY = 0.1
@@ -25,9 +27,6 @@ DARCY_CG_RTOL = 1e-12
 # an interior node, a periodic KL basis needs 4 sensors to carry a nonconstant
 # mode, and the Darcy coefficient field needs s >= 8
 MIN_RESOLUTION = {"poisson1d": 3, "burgers1d": 4, "darcy2d": 8}
-# entries of each block of 1D pairs make_dataset draws (and, for Poisson, solves)
-# at once: its temporaries are this size, whatever the number of pairs
-PAIR_BLOCK_ENTRIES = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -292,10 +291,10 @@ def make_dataset(
     per seed and pair i has the same bits for every num_pairs above i.
 
     Both (num_pairs, ...) arrays are allocated first.  1D pairs are drawn,
-    and Poisson pairs solved, one block of about PAIR_BLOCK_ENTRIES entries
-    at a time into them; each row's draw and solve is its own arithmetic, so
-    the block size does not change a bit.  Burgers and Darcy pairs are
-    solved one at a time.
+    and Poisson pairs solved, one numerics.row_blocks block at a time into
+    them; each row's draw and solve is its own arithmetic, so the block size
+    does not change a bit.  Burgers and Darcy pairs are solved one at a
+    time.  The provenance records every field of spec.
     """
     if num_pairs < 0:
         raise ValueError("num_pairs must be nonnegative")
@@ -309,14 +308,7 @@ def make_dataset(
 
     provenance = {
         "pde": pde,
-        "covariance": {
-            "family": spec.family,
-            "length_scale": spec.length_scale,
-            "smoothness": spec.smoothness,
-            "amplitude": spec.amplitude,
-            "shift": spec.shift,
-            "periodic": spec.periodic,
-        },
+        "covariance": dataclasses.asdict(spec),
         "seed": stream.seed,
         "resolution": s,
         "solver": solver_params,
@@ -336,15 +328,13 @@ def make_dataset(
     else:
         basis = kl_decompose(spec, s)
         grid = Grid1D(s, 0.0, 2.0 * np.pi, periodic=True) if pde == "burgers1d" else basis.grid
-        block = max(1, PAIR_BLOCK_ENTRIES // s)
-        for start in range(0, num_pairs, block):
-            stop = min(start + block, num_pairs)
-            inputs[start:stop] = sample_gp(basis, map(stream.derive, range(start, stop)))
+        for rows in row_blocks(num_pairs, s):
+            inputs[rows] = sample_gp(basis, map(stream.derive, range(rows.start, rows.stop)))
             if pde == "poisson1d":
                 try:
-                    outputs[start:stop] = solve_poisson_1d(grid, inputs[start:stop])
+                    outputs[rows] = solve_poisson_1d(grid, inputs[rows])
                 except Exception as exc:
-                    raise SolverError(f"pairs {start}-{stop - 1}: {exc}") from exc
+                    raise SolverError(f"pairs {rows.start}-{rows.stop - 1}: {exc}") from exc
     if pde != "poisson1d":
         for i in range(num_pairs):
             try:

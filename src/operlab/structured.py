@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, row_blocks
 
 DENSE_CAP = 4096
 
@@ -143,9 +143,6 @@ class CirculantOperator(StructuredOperator):
         return self.first_column[(np.arange(self.n)[:, None] - np.arange(lo, hi)) % self.n]
 
 
-BAND_BLOCK_ENTRIES = 1 << 15
-
-
 class BandedOperator(StructuredOperator):
     """Banded matrix with A[i, j] = 0 whenever |i - j| > bandwidth.
 
@@ -153,10 +150,10 @@ class BandedOperator(StructuredOperator):
     for offsets o in [-w, w], kept without a copy when given as a float
     array.  Out-of-range slots (i + o outside [0, n)) are zero: the
     constructor rejects any other value, so the diagonals' norm is the
-    matrix's Frobenius norm.  An apply walks the destination rows in
-    blocks of about BAND_BLOCK_ENTRIES probe entries (992 rows of a
-    33-column probe) and runs every offset within a block, so a block of the
-    result and the probe rows it reads stay in cache.  Each output entry gets
+    matrix's Frobenius norm.  An apply walks the destination rows in the
+    numerics.row_blocks of the probe (992 rows of a 33-column probe) and
+    runs every offset within a block, so a block of the result and the probe
+    rows it reads stay in cache.  Each output entry gets
     its adds in offset order, with the bits of one full-height pass per
     offset.
     """
@@ -178,15 +175,13 @@ class BandedOperator(StructuredOperator):
     def _apply(self, x, transpose):
         y = np.zeros_like(x)
         n, w = self.n, self.bandwidth
-        block = max(1, BAND_BLOCK_ENTRIES // max(1, x.shape[1]))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
+        for block in row_blocks(n, x.shape[1]):
             for offset in range(-w, w + 1):
                 # rows i of entries (i, i + offset) whose destination (row i,
                 # or column i + offset) lies in [start, stop)
                 shift = offset if transpose else 0
-                lo = max(0, -offset, start - shift)
-                hi = min(n - max(0, offset), stop - shift)
+                lo = max(0, -offset, block.start - shift)
+                hi = min(n - max(0, offset), block.stop - shift)
                 if lo >= hi:
                     continue
                 rows, cols = slice(lo, hi), slice(lo + offset, hi + offset)

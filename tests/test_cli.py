@@ -1065,6 +1065,26 @@ class TestFitAndEval:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:format: "), lines
 
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    @pytest.mark.parametrize("renamed", [True, False], ids=["new-name", "repeated-name"])
+    def test_model_with_an_extra_array_is_format_error(self, tmp_path, capsys, variant, renamed):
+        """A model file holds its constructor's arguments and nothing else: a
+        copy of its first array appended under a new name, or under that
+        array's own name, is ERROR:format for every variant."""
+        dataset = self.generate_poisson(tmp_path)
+        model_path = tmp_path / "model.bin"
+        dataio.save_model(model_path, fitted_model(variant)[0])
+        header, payload = read_container(model_path)
+        first = header["arrays"][0]
+        copy = payload[:8 * int(np.prod(first["shape"]))]
+        extra = dict(first, name="unused") if renamed else first
+        rewrite_container(model_path, {"arrays": header["arrays"] + [extra],
+                                       "payload_bytes": len(payload) + len(copy)},
+                          payload + copy)
+        assert run("eval", self.eval_config(tmp_path, model_path, dataset), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:format: "), lines
+
     def test_corrupt_model_checksum_code(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)
         model_path = tmp_path / "model.bin"

@@ -1,4 +1,5 @@
-"""Memory contracts of the Poisson path, measured in process with tracemalloc.
+"""Memory contracts of the Poisson path and the multiplier predict, measured
+in process with tracemalloc.
 
 Each command holds its own arrays plus temporaries of a fixed block size, so
 its traced peak is bounded in units of one (N, n) float64 array (a dataset
@@ -9,10 +10,13 @@ command builds.
 import contextlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from operlab import cli, dataio, opfit, pdelab, probes  # noqa: F401  loaded before tracing
 from operlab.dataio import DataFormatError, read_container
+from operlab.grids import Grid1D
+from operlab.numerics import RngStream
 
 PAIRS, SENSORS = 2000, 256
 UNIT = PAIRS * SENSORS * 8  # bytes of one (N, n) float64 array
@@ -84,6 +88,31 @@ class TestPoissonPathPeaks:
                   "output": "eval.csv"}
         with traced_peak() as peak:
             assert cli.cmd_eval(config, ".") == 0
+        assert peak["bytes"] <= 4.5 * UNIT, peak["bytes"] / UNIT
+
+
+class TestFitAndPredictParts:
+    def test_green_fit_norms_take_row_blocks(self, dataset_dir):
+        """Each pair's weighted squared output norm is computed once, over
+        row blocks; squaring and weighting the whole output array holds two
+        units."""
+        ds = dataio.load_dataset(dataset_dir / "train.ds")
+        with traced_peak() as peak:
+            *_, norms = opfit._prepare_green_fit(ds)
+        assert peak["bytes"] <= 0.5 * UNIT, peak["bytes"] / UNIT
+        assert norms.shape == (PAIRS,)
+
+    def test_multiplier_predict_holds_one_spectrum(self):
+        """The complex spectrum (two units), its inverse written over it, and
+        the real result (one unit), beside the forward transform's own
+        workspace; a separate product array and inverse add three units."""
+        grid = Grid1D(SENSORS, 0.0, 2 * np.pi, periodic=True)
+        stream = RngStream(5)
+        model = opfit.FourierMultiplierModel(grid, 16, stream.standard_normal(33),
+                                             np.ones(33, dtype=bool))
+        values = stream.standard_normal((PAIRS, SENSORS))
+        with traced_peak() as peak:
+            model.predict_batch(grid, values)
         assert peak["bytes"] <= 4.5 * UNIT, peak["bytes"] / UNIT
 
 

@@ -1,9 +1,10 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from operlab import opfit
+from operlab import numerics
 from operlab.grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
@@ -267,6 +268,13 @@ class TestBandTruncation:
             truncate_band(DenseKernelModel(grid, kernel), 1.5)
 
 
+def lane_stacks(model):
+    """The lanes and leaves that HierarchicalKernelModel takes, from a model."""
+    op = model.operator
+    return ([(lane.factors[0], lane.factors[1].transpose(0, 2, 1)) for lane in op.lanes],
+            [lane.factors[0] for lane in op.leaf_lanes])
+
+
 class TestHierarchical:
     def test_full_rank_exact(self):
         grid = Grid1D(32)
@@ -299,9 +307,27 @@ class TestHierarchical:
         model = hierarchical_decompose(DenseKernelModel(grid, exact_green_matrix(grid)), 2, 1)
         lanes = model.operator.lanes
         assert [tails.shape for tails in model.tails] == [(len(lane.row_starts),) for lane in lanes]
+        rebuilt = HierarchicalKernelModel(grid, 2, 1, model.tails, *lane_stacks(model))
+        assert np.array_equal(rebuilt.operator.materialize(), model.operator.materialize())
         for tails in (model.tails[1:], (model.tails[0][1:], *model.tails[1:])):
             with pytest.raises(ValueError):
-                HierarchicalKernelModel(model.grid, 2, 1, model.operator, tails)
+                HierarchicalKernelModel(grid, 2, 1, tails, *lane_stacks(model))
+
+    def test_stacks_off_the_partition_rejected_before_allocating(self):
+        """The stacks of a 64-point model on a grid of 2^40 points, whose
+        partition has as many blocks per lane: the check comes before the
+        factor arrays of 2^40 rows are allocated."""
+        kernel = RngStream(24).standard_normal((64, 64))
+        model = hierarchical_decompose(DenseKernelModel(Grid1D(64), kernel), 2, 1)
+        stacks = lane_stacks(model)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="partition"):
+                HierarchicalKernelModel(Grid1D(2 ** 40), 2, 1, model.tails, *stacks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
 
     def test_predict_matches_dense_within_tail(self):
         ds = poisson_dataset(30, 64, seed=22)
@@ -531,14 +557,14 @@ class TestLossBlocks:
     # 300 rows of 256 sensors span three default blocks, 20 of 64 x 64 five
     GRIDS = {"1d": (Grid1D(256), 300), "2d": (Grid2D(64), 20)}
 
-    @pytest.mark.parametrize("block_entries", [opfit.LOSS_BLOCK_ENTRIES, 1, 3 * 256 + 1])
+    @pytest.mark.parametrize("block_entries", [numerics.BLOCK_ENTRIES, 1, 3 * 256 + 1])
     @pytest.mark.parametrize("dims", sorted(GRIDS))
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_row_blocks_match_the_whole_array_formula(self, kind, dims, block_entries):
         grid, count = self.GRIDS[dims]
         targets, noise = RngStream(80).standard_normal((2, count, *grid.shape))
         preds = targets + 0.1 * noise
-        with mock.patch.object(opfit, "LOSS_BLOCK_ENTRIES", block_entries):
+        with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
             blocked = batch_loss(kind, grid, preds, targets)
         assert blocked == whole_array_loss(kind, grid, preds, targets)
 
@@ -547,7 +573,7 @@ class TestLossBlocks:
         grid = Grid1D(256)
         targets = np.ones((300, 256))
         targets[-1] = 0.0
-        assert len(targets) % (opfit.LOSS_BLOCK_ENTRIES // 256) != 0  # a partial last block
+        assert len(targets) % (numerics.BLOCK_ENTRIES // 256) != 0  # a partial last block
         with pytest.raises(ValueError, match="zero-norm"):
             batch_loss(kind, grid, np.ones_like(targets), targets)
         assert batch_loss("mse", grid, np.ones_like(targets), targets) > 0.0

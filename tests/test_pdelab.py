@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from operlab import pdelab
+from operlab import numerics
 from operlab.grids import Grid1D, Grid2D
 from operlab.numerics import RngStream
 from operlab.pdelab import (
@@ -348,16 +348,16 @@ class TestBatchInvariance:
         spec=st.sampled_from(POISSON_SPECS),
         seed=st.integers(0, 2 ** 32 - 1),
         # blocks of one pair, of a few, and of more pairs than any count here
-        block_entries=st.sampled_from([1, 7, 100, pdelab.PAIR_BLOCK_ENTRIES]),
+        block_entries=st.sampled_from([1, 7, 100, numerics.BLOCK_ENTRIES]),
     )
-    @example(count=1, extra=7, s=100, spec=SE005, seed=0, block_entries=pdelab.PAIR_BLOCK_ENTRIES)
+    @example(count=1, extra=7, s=100, spec=SE005, seed=0, block_entries=numerics.BLOCK_ENTRIES)
     @example(count=1, extra=1, s=256, spec=POISSON_SPECS[1], seed=1,
-             block_entries=pdelab.PAIR_BLOCK_ENTRIES)
+             block_entries=numerics.BLOCK_ENTRIES)
     @example(count=40, extra=24, s=3, spec=SE005, seed=2, block_entries=7)  # 2-pair blocks
     def test_rows_do_not_depend_on_the_batch(self, count, extra, s, spec, seed, block_entries):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # coarse grids under-resolve
-            with mock.patch.object(pdelab, "PAIR_BLOCK_ENTRIES", block_entries):
+            with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
                 small = make_dataset("poisson1d", spec, count, s, RngStream(seed))
             large = make_dataset("poisson1d", spec, count + extra, s, RngStream(seed))
         head = slice(0, count)
@@ -374,7 +374,7 @@ class TestBatchInvariance:
         spec = CovarianceSpec("helmholtz-power", smoothness=3.0, amplitude=400.0, shift=9.0,
                               periodic=True)
         whole = make_dataset("burgers1d", spec, 5, 16, RngStream(9), final_time=0.01)
-        with mock.patch.object(pdelab, "PAIR_BLOCK_ENTRIES", 2 * 16):
+        with mock.patch.object(numerics, "BLOCK_ENTRIES", 2 * 16):
             blocked = make_dataset("burgers1d", spec, 5, 16, RngStream(9), final_time=0.01)
         assert np.array_equal(blocked.input_values, whole.input_values)
         assert np.array_equal(blocked.output_values, whole.output_values)

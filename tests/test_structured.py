@@ -282,7 +282,7 @@ BANDED_BLOCK_CASES = [(n, w, cols) for n, w in [(1, 0), (100, 0), (100, 99), (30
 
 class TestBandedRowBlocks:
     """The row-blocked apply has the bits of one pass per offset.  A block
-    is BAND_BLOCK_ENTRIES // width rows (32768 for a vector, 819 at 40
+    is numerics.BLOCK_ENTRIES // width rows (32768 for a vector, 819 at 40
     columns, 109 for the 300-column indicator probe at w = 299), so the
     cases fall below one block and end in a partial block, at bandwidths 0
     and n - 1, for vector and matrix probes, both directions, and indicator
