@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,11 +65,15 @@ def grid_to_dict(grid) -> dict:
 
 
 def _field(mapping: dict, key: str, kind: type):
-    """mapping[key], required to have the given JSON type (float admits integers)."""
+    """mapping[key], required to have the given JSON type; a float must be
+    finite and admits integers.  Callers add the file's path to the ValueError."""
     value = mapping.get(key)
     accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise DataFormatError(f"header field {key!r} is missing or not a JSON {kind.__name__}")
+    # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
+    if (not isinstance(value, accepted) or isinstance(value, bool)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        name = "finite number" if kind is float else kind.__name__
+        raise ValueError(f"header field {key!r} is missing or not a JSON {name}")
     return value
 
 
@@ -81,7 +86,7 @@ def grid_from_dict(d: dict):
         return Grid1D(n, left, right, periodic=True)
     if kind == "uniform-2d":
         return Grid2D(n, left, right)
-    raise DataFormatError(f"unknown grid kind {kind!r}")
+    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 @contextlib.contextmanager
@@ -237,9 +242,9 @@ def _dataset_manifest(version: int, grid, count: int) -> list[dict]:
 
 def load_dataset(path) -> OperatorDataset:
     header, payload = _read(path, "dataset")
-    count = _field(header, "num_pairs", int)
-    manifest = _field(header, "arrays", list)
     try:
+        count = _field(header, "num_pairs", int)
+        manifest = _field(header, "arrays", list)
         grid = None
         if count or header.get("grid") is not None:
             grid = grid_from_dict(_field(header, "grid", dict))
@@ -281,21 +286,24 @@ def save_model(path, model: KernelModel):
 
 
 def load_model(path) -> KernelModel:
-    """The model whose constructor's arguments a file holds; any array the
-    loaded model would not save again is a DataFormatError."""
+    """The model whose constructor's arguments a file holds.  An array entry
+    that is not finite, or an array the loaded model would not save again,
+    is a DataFormatError."""
     header, payload = _read(path, "model")
-    arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
-    variant = _field(header, "variant", str)
-    cls = model_types().get(variant)
-    if cls is None:
-        raise DataFormatError(f"{path}: unknown model variant {variant!r}")
     try:
+        arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
+        variant = _field(header, "variant", str)
+        cls = model_types().get(variant)
+        if cls is None:
+            raise ValueError(f"unknown model variant {variant!r}")
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"array {name} holds entries that are not finite")
         grid = grid_from_dict(_field(header, "grid", dict))
-        header, arrays = cls.current_layout(grid, header, arrays)
         params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
         model = cls.from_saved(grid, params, arrays)
     except _MALFORMED as exc:
-        raise DataFormatError(f"{path}: invalid {variant} model: {exc!r}") from exc
+        raise DataFormatError(f"{path}: invalid model: {exc!r}") from exc
     stray = set(arrays).symmetric_difference(name for name, _ in model.saved_arrays())
     if stray:
         raise DataFormatError(f"{path}: a {variant} model does not save arrays {sorted(stray)}")

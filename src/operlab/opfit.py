@@ -43,8 +43,8 @@ class KernelModel:
 
     A model file holds its constructor's arguments by name: header params
     (name -> JSON type, read back from attributes of the same name) and
-    saved_arrays() in payload order.  from_saved() passes both to the
-    constructor once current_layout() has translated a deprecated layout."""
+    saved_arrays() in payload order; from_saved() passes both to the
+    constructor."""
 
     variant: str
     header_params: dict[str, type] = {}
@@ -68,10 +68,6 @@ class KernelModel:
         columns = self.operator.apply(weighted.T)
         del weighted  # gone before the row-major copy is made
         return np.ascontiguousarray(columns.T)
-
-    @classmethod
-    def current_layout(cls, grid, header: dict, arrays: dict) -> tuple[dict, dict]:
-        return header, arrays
 
     @classmethod
     def from_saved(cls, grid, params: dict, arrays: dict) -> "KernelModel":
@@ -126,12 +122,13 @@ class FourierMultiplierModel(KernelModel):
             raise ValueError("multiplier models need a periodic training grid")
         _check_max_mode(grid.n, max_mode)
         multiplier = np.asarray(multiplier, dtype=complex)
-        if multiplier.shape != (2 * max_mode + 1,):
-            raise ValueError("multiplier must cover modes -max_mode..max_mode")
+        excited = np.asarray(excited, dtype=bool)
+        if not multiplier.shape == excited.shape == (2 * max_mode + 1,):
+            raise ValueError("multiplier and excited mask must cover modes -max_mode..max_mode")
         self.grid = grid
         self.max_mode = int(max_mode)
         self.multiplier = multiplier
-        self.excited = np.asarray(excited, dtype=bool)
+        self.excited = excited
 
     def mode_value(self, mode: int) -> complex:
         return self.multiplier[mode + self.max_mode]
@@ -247,29 +244,6 @@ class HierarchicalKernelModel(KernelModel):
                          for i, lane in enumerate(self.operator.leaf_lanes)]
 
     @classmethod
-    def current_layout(cls, grid, header, arrays):
-        """A file of the deprecated per-block layout as lanes: one block_meta
-        entry (level, row, col, size, tail) and arrays block<i>_col and
-        block<i>_row (transposed) per low-rank block, then one leaf_meta entry
-        (row, col, size) and array leaf<i> per leaf, in any order."""
-        if "block_meta" not in header:
-            return header, arrays
-        levels, block_meta = header["levels"], header["block_meta"]
-        lanes, leaf_lanes = partition_lanes(grid.n, levels, "strong")
-        block_ids = _lane_indices(lanes, block_meta)
-        leaf_ids = _lane_indices(leaf_lanes, header["leaf_meta"], levels)
-
-        def stack(name, ids):
-            return np.stack([arrays[name.format(i)] for i in ids])
-
-        lane_arrays = {f"leaves{i}": stack("leaf{}", ids) for i, ids in enumerate(leaf_ids)}
-        for i, ids in enumerate(block_ids):
-            lane_arrays[f"lane{i}_col"] = stack("block{}_col", ids)
-            lane_arrays[f"lane{i}_row"] = stack("block{}_row", ids).transpose(0, 2, 1)
-        tails = [[block_meta[i]["tail"] for i in ids] for ids in block_ids]
-        return dict(header, tails=tails), lane_arrays
-
-    @classmethod
     def from_saved(cls, grid, params, arrays):
         tails = params["tails"]
         # json reads NaN and Infinity as floats, a bool is an int, an int may exceed every float
@@ -280,22 +254,6 @@ class HierarchicalKernelModel(KernelModel):
         # every other array is a leaf stack; the loader refuses a name the model does not save
         leaves = [arrays[f"leaves{i}"] for i in range(len(arrays) - 2 * len(lanes))]
         return cls(grid, **params, lanes=lanes, leaves=leaves)
-
-
-def _lane_indices(lanes, metas: list, level=None) -> list[list[int]]:
-    """For each lane, the positions in metas of its blocks; the metas' level
-    (or the given one: leaves record none), row, col and size must be exactly
-    the lanes' blocks, in any order, as ints, since 0.0 == 0 == False."""
-    keys = [(m["level"] if level is None else level, m["row"], m["col"], m["size"]) for m in metas]
-    if any(type(value) is not int for key in keys for value in key):
-        raise ValueError("saved block positions must be integers")
-    expected = [(level, r0, c0, size) for level, rows, cols, size, _ in lanes
-                for r0, c0 in zip(rows, cols)]
-    if sorted(keys) != sorted(expected):
-        raise ValueError("saved blocks are not those of the strong partition")
-    index = {key: i for i, key in enumerate(keys)}
-    return [[index[level, r0, c0, size] for r0, c0 in zip(rows, cols)]
-            for level, rows, cols, size, _ in lanes]
 
 
 def _prepare_green_fit(ds: OperatorDataset):

@@ -224,13 +224,13 @@ def fitted_model(variant):
     return dense, ds.input_values[:1]
 
 
-def write_per_block(path, model, depth_first: bool = False) -> None:
-    """Write a hierarchical model in the deprecated per-block layout with
-    write_container: one block_meta entry (level, row, col, size, tail) and
-    arrays block<i>_col and block<i>_row (the transposed row factor) per
-    low-rank block, then one leaf_meta entry (row, col, size) and array
-    leaf<i> per dense leaf; lane by lane, as the last per-block writer did,
-    or in the depth-first order of the files before it."""
+def write_per_block(path, model) -> None:
+    """Write a hierarchical model in the retired per-block layout, which no
+    loader reads, with write_container: one block_meta entry (level, row,
+    col, size, tail) and arrays block<i>_col and block<i>_row (the
+    transposed row factor) per low-rank block, then one leaf_meta entry
+    (row, col, size) and array leaf<i> per dense leaf, lane by lane, as the
+    last per-block writer did."""
     op = model.operator
     blocks = {(lane.level, r0, c0, lane.size): (tail, col, row_t)
               for lane, tails in zip(op.lanes, model.tails)
@@ -238,12 +238,9 @@ def write_per_block(path, model, depth_first: bool = False) -> None:
                                                   tails.tolist(), *lane.factors)}
     leaves = {(r0, c0, lane.size): leaf for lane in op.leaf_lanes
               for r0, c0, leaf in zip(lane.row_starts, lane.col_starts, lane.factors[0])}
-    block_keys, leaf_keys = list(blocks), list(leaves)
-    if depth_first:
-        block_keys, leaf_keys = dyadic_descent(model.grid.n, model.levels, "strong")
-    arrays = [(f"block{i}_{side}", factor) for i, key in enumerate(block_keys)
+    arrays = [(f"block{i}_{side}", factor) for i, key in enumerate(blocks)
               for side, factor in zip(("col", "row"), blocks[key][1:])]
-    arrays += [(f"leaf{i}", leaves[key]) for i, key in enumerate(leaf_keys)]
+    arrays += [(f"leaf{i}", leaves[key]) for i, key in enumerate(leaves)]
     arrays = [(name, np.ascontiguousarray(a, dtype="<f8")) for name, a in arrays]
     payload = b"".join(a.tobytes() for _, a in arrays)
     header = {
@@ -255,8 +252,8 @@ def write_per_block(path, model, depth_first: bool = False) -> None:
         "rank": model.rank,
         "block_meta": [{"level": level, "row": r0, "col": c0, "size": size,
                         "tail": blocks[level, r0, c0, size][0]}
-                       for level, r0, c0, size in block_keys],
-        "leaf_meta": [{"row": r0, "col": c0, "size": size} for r0, c0, size in leaf_keys],
+                       for level, r0, c0, size in blocks],
+        "leaf_meta": [{"row": r0, "col": c0, "size": size} for r0, c0, size in leaves],
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
         "payload_bytes": len(payload),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),

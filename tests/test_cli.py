@@ -41,7 +41,6 @@ from helpers import (
     planted_multiplier_dataset,
     relative_l2_error,
     shifted_poisson_factor,
-    write_per_block,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,12 +106,6 @@ def rewrite_arrays(path, edit):
     header["payload_bytes"] = len(payload)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     write_container(path, header, payload)
-
-
-def first_meta(metas: list, **changes) -> list:
-    """A per-block file's block_meta or leaf_meta with the first entry's
-    fields changed."""
-    return [dict(metas[0], **changes), *metas[1:]]
 
 
 def first_tail(tails: list, value) -> list:
@@ -206,14 +199,16 @@ class TestDatasetIo:
         [("arrays", None), ("grid", None), ("num_pairs", None), ("num_pairs", "1"),
          ("grid", {"kind": "uniform-1d", "n": 1, "left": 0.0, "right": 1.0}),
          # json.loads reads the header's Infinity as a float
-         ("grid", {"kind": "uniform-1d", "n": 8, "left": 0.0, "right": float("inf")})],
+         ("grid", {"kind": "uniform-1d", "n": 8, "left": 0.0, "right": float("inf")}),
+         ("grid", {"kind": "square", "n": 8, "left": 0.0, "right": 1.0})],
     )
     def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
+        """The error names the file, as every DataFormatError does."""
         grid = Grid1D(8)
         ds = OperatorDataset(grid, np.arange(8.0)[None], np.ones((1, 8)), {})
         path, _ = self.roundtrip(tmp_path, ds)
         rewrite_container(path, {key: value})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -233,19 +228,27 @@ class TestDatasetIo:
          ("hierarchical", "tails", lambda tails: first_tail(tails, True)),
          ("hierarchical", "tails", lambda tails: first_tail(tails, 10 ** 400)),
          ("hierarchical", "tails", lambda tails: [tails[0][1:], *tails[1:]]),
-         ("hierarchical", "tails", lambda tails: tails[1:])],
+         ("hierarchical", "tails", lambda tails: tails[1:]),
+         # float fields that are not finite: json reads NaN and Infinity as
+         # floats, and an integer may exceed every float
+         ("dense-kernel", "ridge", float("nan")), ("banded", "radius", float("inf")),
+         ("banded", "truncation_error", float("-inf")),
+         pytest.param("dense-kernel", "ridge", 10 ** 400, id="dense-kernel-ridge-1e400"),
+         ("dense-kernel", "arrays", None), ("banded", "radius", None),
+         ("low-rank", "grid", {"kind": "square", "n": 32, "left": 0.0, "right": 1.0})],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
         """A malformed header, or a hierarchical model whose levels, rank or
         tails do not match the lanes of its arrays: a tail that is not a
         finite nonnegative JSON number, a lane with one tail too few, a
-        missing lane of tails.  A callable value edits the saved field."""
+        missing lane of tails; or a float field that is not finite.  A
+        callable value edits the saved field.  The error names the file."""
         model, _ = fitted_model(variant)
         path = tmp_path / "model.bin"
         dataio.save_model(path, model)
         header, _ = read_container(path)
         rewrite_container(path, {key: value(header[key]) if callable(value) else value})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -269,50 +272,35 @@ class TestDatasetIo:
         with pytest.raises(DataFormatError):
             load_model(path)
 
-    @pytest.mark.parametrize("depth_first", [False, True], ids=["lane-order", "depth-first"])
-    @pytest.mark.parametrize(
-        "key, value",
-        [("block_meta", [{"level": 2}]),
-         ("leaf_meta", [{"row": "top", "col": 0, "size": 4}]),
-         # checksum-valid files that a position-blind loader read as another kernel
-         ("block_meta", lambda metas: [dict(meta, col=meta["row"]) if i == 0 else meta
-                                       for i, meta in enumerate(metas)]),
-         ("leaf_meta", lambda metas: [metas[0] if i == 1 else meta
-                                      for i, meta in enumerate(metas)]),
-         ("levels", 2), ("rank", 3),
-         # positions that only compare equal to the right integers, and tails
-         # that are not finite nonnegative numbers
-         ("block_meta", lambda metas: first_meta(metas, row=0.0)),
-         ("block_meta", lambda metas: first_meta(metas, level=2.0)),
-         ("leaf_meta", lambda metas: first_meta(metas, row=False)),
-         ("leaf_meta", lambda metas: first_meta(metas, size=4.0)),
-         ("block_meta", lambda metas: first_meta(metas, tail="nan")),
-         ("block_meta", lambda metas: first_meta(metas, tail=float("nan"))),
-         ("block_meta", lambda metas: first_meta(metas, tail=float("inf"))),
-         ("block_meta", lambda metas: first_meta(metas, tail=-1.0)),
-         ("block_meta", lambda metas: first_meta(metas, tail=True)),
-         ("block_meta", lambda metas: first_meta(metas, tail=10 ** 400))],
-    )
-    def test_per_block_header_schema_is_format_error(self, tmp_path, depth_first, key, value):
-        """A file of the deprecated per-block layout whose blocks, leaves,
-        levels or rank do not match the strong partition it claims: a block
-        moved onto the diagonal, a leaf listed twice (in place of another), a
-        position that is not a JSON integer, a tail that is not a finite
-        nonnegative JSON number."""
-        model, _ = fitted_model("hierarchical")
-        path = tmp_path / "model.bin"
-        write_per_block(path, model, depth_first)
-        header, _ = read_container(path)
-        rewrite_container(path, {key: value(header[key]) if callable(value) else value})
-        with pytest.raises(DataFormatError):
-            load_model(path)
-
-    def test_non_finite_kernel_is_format_error(self, tmp_path):
-        model, _ = fitted_model("dense-kernel")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_non_finite_kernel_is_format_error(self, tmp_path, variant, value):
+        """A model file whose first array holds NaN or an infinity in its last
+        entry, in every variant."""
+        model, _ = fitted_model(variant)
         path = tmp_path / "model.bin"
         dataio.save_model(path, model)
-        rewrite_container(path, {}, np.full(32 * 32, np.nan).tobytes())
+
+        def edit(arrays):
+            (name, first), *rest = arrays
+            first = first.copy()
+            first.flat[-1] = value
+            return [(name, first), *rest]
+
+        rewrite_arrays(path, edit)
         with pytest.raises(DataFormatError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("shape", [(3,), (18,), (1, 17)])
+    def test_excited_mask_off_the_modes_is_format_error(self, tmp_path, shape):
+        """A multiplier file (max_mode 8: 17 modes) whose excited mask does
+        not hold one entry per mode."""
+        model, _ = fitted_model("fourier-multiplier")
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        rewrite_arrays(path, lambda arrays: [(name, np.ones(shape) if name == "excited" else a)
+                                             for name, a in arrays])
+        with pytest.raises(DataFormatError, match="excited"):
             load_model(path)
 
 

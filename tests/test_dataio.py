@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from operlab import dataio
+from operlab.cli import main
 from operlab.dataio import (
     DataFormatError,
     grid_to_dict,
@@ -172,7 +173,7 @@ class TestVersionOne:
 
 class TestHierarchicalLayout:
     """A hierarchical model file holds one stack per lane and factor, plus
-    one per leaf lane; files of the deprecated per-block layout still load."""
+    one per leaf lane; a file of the retired per-block layout does not load."""
 
     @pytest.mark.parametrize("levels, arrays", [(4, 27), (6, 43)])
     def test_one_array_per_lane_and_factor(self, tmp_path, levels, arrays):
@@ -188,25 +189,23 @@ class TestHierarchicalLayout:
         if levels == 4:
             assert path.stat().st_size - len(payload) <= 3 * 1024
 
-    @pytest.mark.parametrize("depth_first", [False, True], ids=["lane-order", "depth-first"])
-    def test_per_block_file_loads_and_saves_as_lanes(self, tmp_path, depth_first):
-        model, f = fitted_model("hierarchical")
-        old, new, again = tmp_path / "old.bin", tmp_path / "new.bin", tmp_path / "again.bin"
-        write_per_block(old, model, depth_first)
-        metas = read_container(old)[0]["block_meta"]
-        in_lane_order = [(m["level"], m["row"], m["col"]) for m in metas] == [
-            (lane.level, r0, c0) for lane in model.operator.lanes
-            for r0, c0 in zip(lane.row_starts, lane.col_starts)]
-        assert in_lane_order is not depth_first
-        loaded = load_model(old)
-        assert np.array_equal(loaded.predict_batch(model.grid, f), model.predict_batch(model.grid, f))
-        assert [t.tolist() for t in loaded.tails] == [t.tolist() for t in model.tails]
-        dataio.save_model(new, loaded)
-        dataio.save_model(again, load_model(new))
-        assert "block_meta" not in read_container(new)[0]
-        assert again.read_bytes() == new.read_bytes()
-        dataio.save_model(again, model)
-        assert again.read_bytes() == new.read_bytes()
+    def test_per_block_file_is_a_format_error(self, tmp_path, capsys):
+        """A file of the retired per-block layout has no tails field: loading
+        it is a DataFormatError that names the file, and eval prints exactly
+        one ERROR:format line."""
+        model, _ = fitted_model("hierarchical")
+        path, data = tmp_path / "old.bin", tmp_path / "data.ds"
+        write_per_block(path, model)
+        with pytest.raises(DataFormatError, match="tails") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        save_dataset(data, random_dataset(model.grid, 2, seed=4))
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"command": "eval", "seed": 1, "model": str(path),
+                                      "datasets": [{"resolution": 32, "path": str(data)}],
+                                      "output": "eval.csv"}))
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR:format: {info.value}"]
 
 
 def check_flip_and_truncation(path, raw: bytes, data, load):
@@ -316,8 +315,9 @@ class TestModelFileProperties:
         included), with null, true, false, 0, -1, 2**70, 0.5, NaN, Infinity,
         -Infinity, "x", [] or {}, or delete it, and keep the checksum valid
         (an edited payload_sha256 is a checksum error): the file then loads,
-        or raises a DataFormatError.  field picks the edited path, modulo
-        the number of paths in the header."""
+        or raises a DataFormatError whose message starts with the file's
+        path.  field picks the edited path, modulo the number of paths in
+        the header."""
         raw, load = saved_files[name]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "file.bin"
@@ -330,8 +330,8 @@ class TestModelFileProperties:
                              + text + payload)
             try:
                 load(path)
-            except DataFormatError:
-                pass
+            except DataFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")
 
 
 class TestNoPartialFile:
