@@ -200,6 +200,7 @@ class TestDatasetIo:
          ("grid", {"kind": "uniform-1d", "n": 1, "left": 0.0, "right": 1.0}),
          # json.loads reads the header's Infinity as a float
          ("grid", {"kind": "uniform-1d", "n": 8, "left": 0.0, "right": float("inf")}),
+         ("grid", {"kind": "uniform-1d", "n": 8, "left": float("nan"), "right": 1.0}),
          ("grid", {"kind": "square", "n": 8, "left": 0.0, "right": 1.0})],
     )
     def test_dataset_header_schema_is_format_error(self, tmp_path, key, value):
@@ -235,7 +236,12 @@ class TestDatasetIo:
          ("banded", "truncation_error", float("-inf")),
          pytest.param("dense-kernel", "ridge", 10 ** 400, id="dense-kernel-ridge-1e400"),
          ("dense-kernel", "arrays", None), ("banded", "radius", None),
-         ("low-rank", "grid", {"kind": "square", "n": 32, "left": 0.0, "right": 1.0})],
+         ("low-rank", "grid", {"kind": "square", "n": 32, "left": 0.0, "right": 1.0}),
+         ("fourier-multiplier", "grid", {"kind": "periodic-1d", "n": 64,
+                                         "left": float("nan"), "right": 1.0}),
+         pytest.param("hierarchical", "grid",
+                      {"kind": "uniform-1d", "n": 32, "left": 0.0, "right": 10 ** 400},
+                      id="hierarchical-grid-right-1e400")],
     )
     def test_model_header_schema_is_format_error(self, tmp_path, variant, key, value):
         """A malformed header, or a hierarchical model whose levels, rank or
@@ -290,6 +296,30 @@ class TestDatasetIo:
         rewrite_arrays(path, edit)
         with pytest.raises(DataFormatError, match="finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_non_finite_entry_names_its_array(self, tmp_path, variant):
+        """A NaN in any one of a model's arrays, each in turn, is a
+        DataFormatError that names the file and that array."""
+        model, _ = fitted_model(variant)
+        path = tmp_path / "model.bin"
+        names = [name for name, _ in model.saved_arrays()]
+        for target in names:
+            dataio.save_model(path, model)
+
+            def edit(arrays):
+                edited = []
+                for name, a in arrays:
+                    if name == target:
+                        a = a.copy()
+                        a.flat[a.size // 2] = np.nan
+                    edited.append((name, a))
+                return edited
+
+            rewrite_arrays(path, edit)
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: ") as info:
+                load_model(path)
+            assert f"array {target} holds entries that are not finite" in str(info.value)
 
     @pytest.mark.parametrize("shape", [(3,), (18,), (1, 17)])
     def test_excited_mask_off_the_modes_is_format_error(self, tmp_path, shape):

@@ -2,6 +2,7 @@
 properties of save/load under corruption."""
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -206,6 +207,18 @@ class TestHierarchicalLayout:
                                       "output": "eval.csv"}))
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"ERROR:format: {info.value}"]
+
+    def test_per_block_file_with_tails_is_a_format_error(self, tmp_path):
+        """A per-block file given the tails field of its model still holds
+        block and leaf arrays, not lane stacks: it does not load."""
+        model, _ = fitted_model("hierarchical")
+        path = tmp_path / "old.bin"
+        write_per_block(path, model)
+        header, payload = read_container(path)
+        header["tails"] = [t.tolist() for t in model.tails]
+        write_container(path, header, payload)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
+            load_model(path)
 
 
 def check_flip_and_truncation(path, raw: bytes, data, load):
