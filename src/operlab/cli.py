@@ -356,8 +356,7 @@ def _metrics_for(model, ds: OperatorDataset, losses) -> dict:
     from . import opfit
 
     try:
-        preds = model.predict_batch(ds.grid, ds.input_values)
-        return {kind: opfit.batch_loss(kind, ds.grid, preds, ds.output_values) for kind in losses}
+        return opfit.model_losses(model, ds, losses)
     except ValueError as exc:  # another grid, or a zero-norm target of a relative loss
         raise CliError("incompatible", str(exc)) from exc
 

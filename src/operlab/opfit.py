@@ -35,6 +35,8 @@ LOSS_KINDS = (
 
 _BOUNDARY_TOL = 1e-12
 EXCITATION_RTOL = 1e-12
+# rows of fit_green_kernel's Gram tiles (see its docstring)
+GRAM_TILE = 64
 
 
 class KernelModel:
@@ -48,6 +50,8 @@ class KernelModel:
 
     variant: str
     header_params: dict[str, type] = {}
+    # saved arrays whose constructor refuses a non-finite entry itself
+    finite_checked: tuple[str, ...] = ()
 
     def __init__(self, grid: Grid1D, operator: StructuredOperator):
         if operator.n != grid.n:
@@ -60,8 +64,12 @@ class KernelModel:
 
         Besides values, at most two (N, n) arrays are live at once: the
         weighted inputs, then the operator's columns, then their row-major
-        copy.  The product is one call over all N rows, because a row's bits
-        depend on how wide the product is."""
+        copy.  The product is one call over all N rows, and a row's bits
+        depend on how wide that call is: BLAS blocks the product by its
+        width.  model_losses calls this one numerics.row_blocks block at a
+        time, so its temporaries are block-sized, and a row of a narrower
+        last block may differ in its last bits from the same row predicted
+        with all N; a score then differs in its last digit."""
         if grid != self.grid:
             raise ValueError("sample grid does not match the training grid")
         weighted = self.grid.quad_weights() * values
@@ -79,6 +87,7 @@ class DenseKernelModel(KernelModel):
 
     variant = "dense-kernel"
     header_params = {"ridge": float}
+    finite_checked = ("kernel",)  # by DenseOperator
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, ridge: float = 0.0):
         super().__init__(grid, DenseOperator(kernel))
@@ -185,6 +194,7 @@ class BandedKernelModel(KernelModel):
 
     variant = "banded"
     header_params = {"radius": float, "truncation_error": float}
+    finite_checked = ("kernel",)  # by DenseOperator
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, radius: float, truncation_error: float):
         super().__init__(grid, DenseOperator(kernel))
@@ -284,6 +294,32 @@ def _prepare_green_fit(ds: OperatorDataset):
     return grid, w, np.ascontiguousarray(inputs).T, np.ascontiguousarray(outputs).T, norms[keep]
 
 
+def _row_tiles(n: int) -> list[slice]:
+    """Tiles of GRAM_TILE rows covering [0, n) in order, a remainder joining
+    the last tile: no tile is narrower than GRAM_TILE rows unless n is."""
+    stops = [*range(GRAM_TILE, n - GRAM_TILE + 1, GRAM_TILE), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
+
+
+def _gram_and_cross(w, f_cols, u_cols, rho):
+    """gram[I, J] = (w_I f_I rho) (w_J f_J)^T and cross[I, J] = (u_I rho)
+    (w_J f_J)^T over pairs of _row_tiles, from views of the pairs' columns:
+    three (tile, N) temporaries at a time, no array of N columns and n rows."""
+    n = len(w)
+    gram, cross = np.empty((n, n)), np.empty((n, n))
+    tiles = _row_tiles(n)
+    for rows in tiles:
+        weighted = w[rows, None] * f_cols[rows]
+        weighted *= rho                             # (w f) rho: the single product's rounding
+        targets = u_cols[rows] * rho
+        for cols in tiles:
+            right = (w[cols, None] * f_cols[cols]).T
+            gram[rows, cols] = weighted @ right
+            cross[rows, cols] = targets @ right     # row j holds the row-j target
+            del right  # freed before the next is built: three tiles at most
+    return gram, cross
+
+
 def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKernelModel:
     """Fit a grid kernel by relative least squares with a ridge penalty.
 
@@ -293,22 +329,21 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     row solve shares one eigendecomposition.  Pairs with zero output norm
     are excluded with a warning.  Default ridge: 1e-8 times the trace scale
     of the data Gram matrix.
+
+    The Gram and cross matrices are built over pairs of row tiles of
+    GRAM_TILE = 64 sensors, a remainder of fewer joining the last tile, so
+    a grid of under 128 sensors is one tile.  On the OpenBLAS build tested
+    (0.3.31), the tiles give the bits of one (n, N) by (N, n) product when n
+    is below 128 or a multiple of 64; other n (150 and 300 were seen) can
+    change the last bits, and so do narrower tiles (8 or 16 rows).
     """
     grid, w, f_cols, u_cols, norms = _prepare_green_fit(ds)
     count = f_cols.shape[1]
-    # each (n, N) temporary is freed before the next is built: at most two live at once
-    rho = 1.0 / norms
-    phi = w[:, None] * f_cols                       # quadrature-weighted inputs
-    scaled = phi * rho[None, :]
-    gram = scaled @ phi.T
-    del scaled
+    gram, cross = _gram_and_cross(w, f_cols, u_cols, 1.0 / norms)
     if ridge is None:
         ridge = 1e-8 * np.trace(gram) / grid.n
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    scaled = u_cols * rho[None, :]
-    cross = scaled @ phi.T                          # row j holds the row-j target
-    del scaled, phi
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
     rotated = cross @ eigvecs
@@ -425,23 +460,20 @@ def hierarchical_decompose(
     return HierarchicalKernelModel(grid, levels, rank, tails, lanes, leaves)
 
 
-def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Dataset-averaged loss over stacked (N, *grid.shape) predictions and
-    targets, with trapezoid-discretized norms.
+def _losses(kinds, grid, targets: np.ndarray, predict) -> dict[str, float]:
+    """Each kind's dataset-averaged loss of predict(rows) against
+    targets[rows], taken over numerics.row_blocks of the (N, *grid.shape)
+    targets; see batch_loss for the kinds.
 
-    Kinds: mse (mean squared L2 error), relative-squared-l2, relative-l2,
-    relative-l1, and h1-seminorm-relative (centered differences inside the
-    domain, one-sided at the boundary).
-
-    Each row's numerator and denominator are computed over
-    numerics.row_blocks, so the temporaries are block-sized; every
+    Each block fills every kind's per-row numerator and denominator; every
     reduction is within one row, so a row's terms have the same bits in any
-    block, and the mean is taken once over the whole vector.
-    """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    if predictions.shape != targets.shape or not len(targets):
-        raise ValueError("need equal, nonzero numbers of predictions and targets")
+    block, and each mean is taken once over the whole vector.  Nothing of N
+    rows is held but the per-row terms."""
+    for kind in kinds:
+        if kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {kind!r}")
+    if not len(targets):
+        raise ValueError("need a nonzero number of targets")
     w = grid.quad_weights()
     axes = tuple(range(1, targets.ndim))  # one sample's grid axes
 
@@ -455,18 +487,53 @@ def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) ->
         squared = sum(np.gradient(values, grid.spacing, axis=axis) ** 2 for axis in axes)
         return np.sqrt(np.sum(w * squared, axis=axes))
 
-    norm = {"mse": l2, "relative-squared-l2": l2, "relative-l2": l2, "relative-l1": l1,
-            "h1-seminorm-relative": h1_seminorm}[kind]
-    num, denom = np.empty(len(targets)), np.ones(len(targets))  # mse divides by one
+    norm_of = {"mse": l2, "relative-squared-l2": l2, "relative-l2": l2, "relative-l1": l1,
+               "h1-seminorm-relative": h1_seminorm}
+    # one numerator and denominator vector per norm the kinds use
+    terms = {norm_of[kind]: (np.empty(len(targets)), np.empty(len(targets))) for kind in kinds}
     for rows in row_blocks(len(targets), targets[0].size):
-        num[rows] = norm(predictions[rows] - targets[rows])
-        if kind != "mse":
-            denom[rows] = norm(targets[rows])
-    if kind in ("mse", "relative-squared-l2"):
-        num, denom = num ** 2, denom ** 2
-    if np.any(denom == 0.0):
-        raise ValueError("relative loss undefined for a zero-norm target")
-    return float(np.mean(num / denom))
+        diff = predict(rows) - targets[rows]
+        for norm, (num, denom) in terms.items():
+            num[rows], denom[rows] = norm(diff), norm(targets[rows])
+        del diff  # freed before the next block is predicted
+    losses = {}
+    for kind in kinds:
+        num, denom = terms[norm_of[kind]]
+        if kind == "mse":  # divided by one
+            losses[kind] = float(np.mean(num ** 2))
+            continue
+        if kind == "relative-squared-l2":
+            num, denom = num ** 2, denom ** 2
+        if np.any(denom == 0.0):
+            raise ValueError("relative loss undefined for a zero-norm target")
+        losses[kind] = float(np.mean(num / denom))
+    return losses
+
+
+def batch_loss(kind: str, grid, predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Dataset-averaged loss over stacked (N, *grid.shape) predictions and
+    targets, with trapezoid-discretized norms, computed over row blocks.
+
+    Kinds: mse (mean squared L2 error), relative-squared-l2, relative-l2,
+    relative-l1, and h1-seminorm-relative (centered differences inside the
+    domain, one-sided at the boundary).
+    """
+    if predictions.shape != targets.shape or not len(targets):
+        raise ValueError("need equal, nonzero numbers of predictions and targets")
+    return _losses([kind], grid, targets, predictions.__getitem__)[kind]
+
+
+def model_losses(model: KernelModel, ds: OperatorDataset, kinds) -> dict[str, float]:
+    """Each kind's batch_loss of the model's predictions on ds, predicted one
+    row block at a time: the dataset plus block-sized temporaries.
+
+    A row's prediction can differ in its last bits from a full-width
+    predict_batch (see there), so a score can differ in its last digit from
+    batch_loss over full-width predictions.  A grid the model does not
+    predict on, or a zero-norm target of a relative kind, is a ValueError.
+    """
+    return _losses(kinds, ds.grid, ds.output_values,
+                   lambda rows: model.predict_batch(ds.grid, ds.input_values[rows]))
 
 
 def compute_loss(kind: str, predictions, targets) -> float:

@@ -230,6 +230,7 @@ def recover_banded(oracle: MatvecOracle, bandwidth: int) -> BandedOperator:
     probe = np.zeros((n, width))
     probe[np.arange(n), color_of] = 1.0
     response = np.ascontiguousarray(oracle.apply(probe)).ravel()
+    del probe  # freed before the diagonals are allocated
     row_starts = np.arange(n) * width
     diagonals = np.zeros((2 * w + 1, n))
     for offset in range(-w, w + 1):

@@ -10,11 +10,11 @@ from operlab.dataio import grid_to_dict, write_container
 from operlab.grids import Grid1D, OperatorDataset
 from operlab.numerics import RngStream
 from operlab.opfit import (
-    batch_loss,
     fit_fourier_multiplier,
     fit_green_kernel,
     fit_low_rank,
     hierarchical_decompose,
+    model_losses,
     truncate_band,
 )
 from operlab.probes import CovarianceSpec, kl_decompose, sample_gp
@@ -190,8 +190,7 @@ JSON_VALUES = (None, True, False, 0, -1, 2 ** 70, 0.5, float("nan"), float("inf"
 
 def relative_l2_error(model, ds: OperatorDataset) -> float:
     """A model's relative L2 loss on a dataset: one row of `operlab eval`."""
-    preds = model.predict_batch(ds.grid, ds.input_values)
-    return batch_loss("relative-l2", ds.grid, preds, ds.output_values)
+    return model_losses(model, ds, ["relative-l2"])["relative-l2"]
 
 
 def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:

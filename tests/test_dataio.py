@@ -347,6 +347,29 @@ class TestModelFileProperties:
                 assert str(exc).startswith(f"{path}: ")
 
 
+class TestFiniteScan:
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_each_array_is_scanned_once_on_load(self, tmp_path, variant, monkeypatch):
+        """load_model scans each array the model's constructor does not, and
+        DenseOperator scans the dense and banded kernels: one finiteness scan
+        per saved array."""
+        model, _ = fitted_model(variant)
+        path = tmp_path / "model.bin"
+        dataio.save_model(path, model)
+        scanned = []
+        isfinite = np.isfinite
+
+        def counting(array, *args, **kwargs):
+            scanned.append(np.shape(array))
+            return isfinite(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        load_model(path)
+        monkeypatch.undo()
+        shapes = sorted(np.shape(a) for _, a in model.saved_arrays())
+        assert sorted(s for s in scanned if s in shapes) == shapes
+
+
 class TestNoPartialFile:
     """A container is written under a temporary name and renamed into place,
     so a write that fails partway leaves the directory as it was."""

@@ -7,8 +7,10 @@ import pytest
 from operlab import numerics
 from operlab.grids import FunctionSample, Grid1D, Grid2D, OperatorDataset
 from operlab.numerics import RngStream
+from operlab import opfit
 from operlab.opfit import (
     EXCITATION_RTOL,
+    GRAM_TILE,
     LOSS_KINDS,
     DenseKernelModel,
     HierarchicalKernelModel,
@@ -19,6 +21,7 @@ from operlab.opfit import (
     fit_low_rank,
     green_fit_objective,
     hierarchical_decompose,
+    model_losses,
     truncate_band,
 )
 from operlab.pdelab import green_poisson_1d, make_dataset
@@ -27,7 +30,9 @@ from operlab.recovery import recover_circulant, relative_residual
 from operlab.structured import MatvecOracle
 
 from helpers import (
+    MODEL_VARIANTS,
     SMOOTH_PERIODIC,
+    fitted_model,
     kernel_l2_distance,
     planted_multiplier_dataset,
     relative_l2_error,
@@ -647,3 +652,86 @@ class TestBatchedPredictAndLoss:
         targets = [FunctionSample(a, np.ones(10)), FunctionSample(a, np.ones(10))]
         with pytest.raises(ValueError, match="one grid"):
             compute_loss("relative-l2", preds, targets)
+
+
+def single_product_gram_and_cross(w, f_cols, u_cols, rho):
+    """The Gram and cross matrices as one (n, N) by (N, n) product each."""
+    weighted = w[:, None] * f_cols
+    return (weighted * rho[None, :]) @ weighted.T, (u_cols * rho[None, :]) @ weighted.T
+
+
+class TestGramTiles:
+    """fit_green_kernel builds its Gram and cross matrices over pairs of
+    row tiles, never an array of N columns and every row."""
+
+    def pairs(self, n, count=2000):
+        stream = RngStream(n)
+        f, u = stream.standard_normal((2, count, n))
+        return np.linspace(0.5, 1.0, n), f.T, u.T, 1.0 / np.linspace(0.5, 2.0, count)
+
+    @pytest.mark.parametrize("n", [100, 256])
+    def test_tiles_give_the_single_product_bits(self, n):
+        """At the Poisson pipeline's 256 sensors (four tiles) and CI's 100,
+        which is not a multiple of the tile."""
+        w, f_cols, u_cols, rho = self.pairs(n)
+        gram, cross = opfit._gram_and_cross(w, f_cols, u_cols, rho)
+        reference = single_product_gram_and_cross(w, f_cols, u_cols, rho)
+        assert np.array_equal(gram, reference[0])
+        assert np.array_equal(cross, reference[1])
+
+    def test_a_remainder_joins_the_last_tile(self):
+        for n in (1, 63, 64, 100, 127, 128, 150, 300):
+            tiles = opfit._row_tiles(n)
+            assert [(t.start, t.stop) for t in tiles] == list(
+                zip([0, *[t.stop for t in tiles[:-1]]], [t.stop for t in tiles]))
+            assert tiles[-1].stop == n
+            assert all(t.stop - t.start >= min(n, GRAM_TILE) for t in tiles)
+            assert all(t.stop - t.start < 2 * GRAM_TILE for t in tiles)
+
+    def test_uneven_tiles_agree_to_rounding(self):
+        """300 sensors: three tiles of 64 rows and one of 108."""
+        w, f_cols, u_cols, rho = self.pairs(300)
+        for tiled, single in zip(opfit._gram_and_cross(w, f_cols, u_cols, rho),
+                                 single_product_gram_and_cross(w, f_cols, u_cols, rho)):
+            assert np.abs(tiled - single).max() <= 1e-13 * np.abs(single).max()
+
+
+class TestModelLosses:
+    """model_losses predicts one row block at a time and shares batch_loss's
+    per-row terms and reduction."""
+
+    COUNT = 2500  # several blocks of 1024 rows at 32 sensors, or 512 at 64, and a partial one
+
+    def scored(self, variant):
+        model, _ = fitted_model(variant)
+        stream = RngStream(90)
+        inputs = stream.standard_normal((self.COUNT, model.grid.n))
+        targets = stream.standard_normal((self.COUNT, model.grid.n))
+        return model, OperatorDataset(model.grid, inputs, targets, {})
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_matches_batch_loss_on_full_width_predictions(self, variant):
+        model, ds = self.scored(variant)
+        assert self.COUNT % (numerics.BLOCK_ENTRIES // model.grid.n) != 0
+        preds = model.predict_batch(ds.grid, ds.input_values)
+        scores = model_losses(model, ds, LOSS_KINDS)
+        assert list(scores) == list(LOSS_KINDS)
+        for kind in LOSS_KINDS:
+            expected = batch_loss(kind, ds.grid, preds, ds.output_values)
+            assert abs(scores[kind] - expected) <= 1e-14 * expected, kind
+
+    @pytest.mark.parametrize("kind", [kind for kind in LOSS_KINDS if kind != "mse"])
+    def test_zero_norm_target_in_the_last_block_rejected(self, kind):
+        model, ds = self.scored("dense-kernel")
+        ds.output_values[-1] = 0.0
+        with pytest.raises(ValueError, match="zero-norm"):
+            model_losses(model, ds, ["mse", kind])
+        assert model_losses(model, ds, ["mse"])["mse"] > 0.0
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_grid_mismatch_rejected(self, variant):
+        model, _ = fitted_model(variant)
+        other = Grid1D(2 * model.grid.n - 1, periodic=model.grid.periodic)
+        ds = OperatorDataset(other, np.ones((3, other.n)), np.ones((3, other.n)), {})
+        with pytest.raises(ValueError):
+            model_losses(model, ds, ["relative-l2"])
