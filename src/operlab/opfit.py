@@ -35,8 +35,6 @@ LOSS_KINDS = (
 
 _BOUNDARY_TOL = 1e-12
 EXCITATION_RTOL = 1e-12
-# rows of fit_green_kernel's Gram tiles (see its docstring)
-GRAM_TILE = 64
 
 
 class KernelModel:
@@ -64,10 +62,12 @@ class KernelModel:
 
         Besides values, at most two (N, n) arrays are live at once: the
         weighted inputs, then the operator's columns, then their row-major
-        copy.  The product is one call over all N rows, and a row's bits
-        depend on how wide that call is: BLAS blocks the product by its
-        width.  model_losses calls this one numerics.row_blocks block at a
-        time, so its temporaries are block-sized, and a row of a narrower
+        copy.  The operator gets the weighted inputs transposed, a
+        Fortran-ordered probe: a dense product is one call over all N rows,
+        a hierarchical apply takes the probe's columns in numerics.row_blocks.
+        A row's bits depend on how wide a product is, since BLAS blocks it by
+        its width.  model_losses calls this one numerics.row_blocks block at
+        a time, so its temporaries are block-sized, and a row of a narrower
         last block may differ in its last bits from the same row predicted
         with all N; a score then differs in its last digit."""
         if grid != self.grid:
@@ -267,8 +267,9 @@ class HierarchicalKernelModel(KernelModel):
 
 
 def _prepare_green_fit(ds: OperatorDataset):
-    """The grid, its weights, and the inputs, outputs (as columns) and weighted
-    squared output norms of the pairs whose norm, computed over row blocks, is not 0."""
+    """The grid, its weights, and the (N, n) inputs and outputs and weighted
+    squared output norms of the N pairs whose norm, computed over row blocks,
+    is not 0; with every pair kept the arrays are the dataset's own."""
     if len(ds) == 0:
         raise ValueError("cannot fit an empty dataset")
     grid = ds.grid
@@ -287,36 +288,21 @@ def _prepare_green_fit(ds: OperatorDataset):
         )
     if not keep.any():
         raise ValueError("all pairs are degenerate (zero output norm)")
-    inputs, outputs = ds.input_values, ds.output_values
-    if not keep.all():
-        inputs, outputs = inputs[keep], outputs[keep]
-    # columns are samples; with every pair kept these are views, with a mask copy's strides
-    return grid, w, np.ascontiguousarray(inputs).T, np.ascontiguousarray(outputs).T, norms[keep]
+    if keep.all():
+        return grid, w, ds.input_values, ds.output_values, norms
+    return grid, w, ds.input_values[keep], ds.output_values[keep], norms[keep]
 
 
-def _row_tiles(n: int) -> list[slice]:
-    """Tiles of GRAM_TILE rows covering [0, n) in order, a remainder joining
-    the last tile: no tile is narrower than GRAM_TILE rows unless n is."""
-    stops = [*range(GRAM_TILE, n - GRAM_TILE + 1, GRAM_TILE), n]
-    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
-
-
-def _gram_and_cross(w, f_cols, u_cols, rho):
-    """gram[I, J] = (w_I f_I rho) (w_J f_J)^T and cross[I, J] = (u_I rho)
-    (w_J f_J)^T over pairs of _row_tiles, from views of the pairs' columns:
-    three (tile, N) temporaries at a time, no array of N columns and n rows."""
+def _gram_and_cross(w, inputs, outputs, rho):
+    """gram = sum_k rho_k (w f_k)(w f_k)^T and cross = sum_k rho_k u_k (w f_k)^T
+    over the rows k of the (N, n) inputs f and outputs u, accumulated over
+    numerics.row_blocks of the pairs: every temporary is block-sized."""
     n = len(w)
-    gram, cross = np.empty((n, n)), np.empty((n, n))
-    tiles = _row_tiles(n)
-    for rows in tiles:
-        weighted = w[rows, None] * f_cols[rows]
-        weighted *= rho                             # (w f) rho: the single product's rounding
-        targets = u_cols[rows] * rho
-        for cols in tiles:
-            right = (w[cols, None] * f_cols[cols]).T
-            gram[rows, cols] = weighted @ right
-            cross[rows, cols] = targets @ right     # row j holds the row-j target
-            del right  # freed before the next is built: three tiles at most
+    gram, cross = np.zeros((n, n)), np.zeros((n, n))
+    for rows in row_blocks(len(inputs), n):
+        right = w * inputs[rows]
+        gram += (right.T * rho[rows]) @ right
+        cross += (outputs[rows].T * rho[rows]) @ right  # row j holds the row-j target
     return gram, cross
 
 
@@ -327,23 +313,23 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     quadrature in both the integral operator and the norms) plus
     ridge * ||kernel||_F^2.  The problem separates across output rows; each
     row solve shares one eigendecomposition.  Pairs with zero output norm
-    are excluded with a warning.  Default ridge: 1e-8 times the trace scale
-    of the data Gram matrix.
+    are excluded with a warning.  Default ridge: 1e-8 trace(G) / (n N) for
+    the Gram matrix G of the N kept pairs, so the penalty keeps its weight
+    against the Gram, which grows with N, and more pairs do not blur the fit.
 
-    The Gram and cross matrices are built over pairs of row tiles of
-    GRAM_TILE = 64 sensors, a remainder of fewer joining the last tile, so
-    a grid of under 128 sensors is one tile.  On the OpenBLAS build tested
-    (0.3.31), the tiles give the bits of one (n, N) by (N, n) product when n
-    is below 128 or a multiple of 64; other n (150 and 300 were seen) can
-    change the last bits, and so do narrower tiles (8 or 16 rows).
+    The Gram and cross matrices are sums over the pairs, accumulated one
+    numerics.row_blocks block of pairs at a time, so the fit holds the
+    dataset, (n, n) matrices and block-sized temporaries.  A sum over
+    blocks rounds differently from one product over all pairs, so the
+    fit's last bits depend on the block size.
     """
-    grid, w, f_cols, u_cols, norms = _prepare_green_fit(ds)
-    count = f_cols.shape[1]
-    gram, cross = _gram_and_cross(w, f_cols, u_cols, 1.0 / norms)
-    if ridge is None:
-        ridge = 1e-8 * np.trace(gram) / grid.n
-    if ridge < 0:
+    if ridge is not None and ridge < 0:
         raise ValueError("ridge must be nonnegative")
+    grid, w, inputs, outputs, norms = _prepare_green_fit(ds)
+    count = len(inputs)
+    gram, cross = _gram_and_cross(w, inputs, outputs, 1.0 / norms)
+    if ridge is None:
+        ridge = 1e-8 * np.trace(gram) / (grid.n * count)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
     rotated = cross @ eigvecs
@@ -359,17 +345,18 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
 
 def green_fit_objective(ds: OperatorDataset, kernel: np.ndarray, ridge: float) -> float:
     """The quantity fit_green_kernel minimizes, for a candidate grid kernel."""
-    grid, w, f_cols, u_cols, norms = _prepare_green_fit(ds)
-    preds = kernel @ (w[:, None] * f_cols)
-    num = np.sum(w[:, None] * (preds - u_cols) ** 2, axis=0)
+    grid, w, inputs, outputs, norms = _prepare_green_fit(ds)
+    preds = (w * inputs) @ kernel.T
+    num = np.sum(w * (preds - outputs) ** 2, axis=1)
     return float(np.mean(num / norms) + ridge * np.sum(kernel ** 2))
 
 
 def fit_low_rank(ds: OperatorDataset, rank: int, ridge: float | None = None) -> LowRankKernelModel:
-    """Dense fit followed by truncation to the best rank-p kernel."""
-    dense = fit_green_kernel(ds, ridge)
-    if rank < 1 or rank > dense.grid.n:
+    """Dense fit followed by truncation to the best rank-p kernel; the rank
+    is checked against the sensor count before the fit runs."""
+    if rank < 1 or (isinstance(ds.grid, Grid1D) and rank > ds.grid.n):
         raise ValueError("rank must be between 1 and the sensor count")
+    dense = fit_green_kernel(ds, ridge)
     u, s, vt = np.linalg.svd(dense.kernel, full_matrices=False)
     return LowRankKernelModel(dense.grid, u[:, :rank] * s[:rank], vt[:rank])
 

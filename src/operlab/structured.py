@@ -292,9 +292,6 @@ def partition_lanes(n: int, levels: int, admissibility: str) -> tuple[list, list
     return lanes, [lane(levels, *spec) for spec in leaf_lanes]
 
 
-TILE_BLOCK_ENTRIES = 1 << 18
-
-
 def _lane_columns(lanes, n: int, rank: int) -> tuple[list, list]:
     """Each low-rank lane's column range in the factor arrays of a
     BlockLowRankOperator of this rank, and where each level's columns end
@@ -334,9 +331,9 @@ class BlockLowRankOperator(StructuredOperator):
     leaf stacks times the probe tiles.  The transpose swaps the two arrays
     and the direction of the moves.  A C-ordered probe whose coefficients
     (2^levels K a column) do not outnumber its entries goes in one pass.
-    Any other goes in chunks of columns whose coefficients, and probe
-    entries, fill at most TILE_BLOCK_ENTRIES entries, each chunk copied to
-    C order; the result has the probe's layout.
+    Any other goes in the numerics.row_blocks of its columns, at
+    max(n, 2^levels K) entries a column, each chunk copied to C order; the
+    result has the probe's layout.
     """
 
     def __init__(self, n: int, levels: int, admissibility: str, rank: int,
@@ -382,12 +379,10 @@ class BlockLowRankOperator(StructuredOperator):
 
     def _apply(self, x, transpose):
         per_column = max(self.n, self.col_factors.shape[1] << self.levels)
-        chunk = max(1, TILE_BLOCK_ENTRIES // per_column)
-        if x.flags.c_contiguous and (per_column == self.n or x.shape[1] <= chunk):
+        if x.flags.c_contiguous and per_column == self.n:
             return self._apply_tiles(x, transpose)
         y = np.empty_like(x)
-        for start in range(0, x.shape[1], chunk):
-            part = slice(start, start + chunk)
+        for part in row_blocks(x.shape[1], per_column):
             y[:, part] = self._apply_tiles(np.ascontiguousarray(x[:, part]), transpose)
         return y
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from operlab import cli, dataio
+from operlab import cli, dataio, opfit
 from operlab.cli import _FIELDS, _PATH, main
 from operlab.dataio import (
     ChecksumMismatchError,
@@ -1028,6 +1028,23 @@ class TestFitAndEval:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR:incompatible: "), lines
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_rank_above_the_sensor_count_fails_before_the_fit(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """A low-rank rank above the 100 sensors is refused before the dense
+        fit builds its Gram matrix."""
+        dataset = self.generate_poisson(tmp_path)
+        calls = []
+        gram_and_cross = opfit._gram_and_cross
+        monkeypatch.setattr(opfit, "_gram_and_cross",
+                            lambda *args: calls.append(args) or gram_and_cross(*args))
+        config = write_config(tmp_path / "fit.json", {
+            "command": "fit", "seed": 1, "dataset": str(dataset), "variant": "low-rank",
+            "rank": 101, "model_output": "model.bin", "metrics_output": "metrics.json"})
+        assert run("fit", config, tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["ERROR:incompatible: rank must be between 1 and the sensor count"]
+        assert calls == []
 
     def test_dataset_without_arrays_is_format_error(self, tmp_path, capsys):
         dataset = self.generate_poisson(tmp_path)

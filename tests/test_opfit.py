@@ -10,7 +10,6 @@ from operlab.numerics import RngStream
 from operlab import opfit
 from operlab.opfit import (
     EXCITATION_RTOL,
-    GRAM_TILE,
     LOSS_KINDS,
     DenseKernelModel,
     HierarchicalKernelModel,
@@ -106,6 +105,29 @@ class TestGreenFit:
         assert model.ridge > 0
         preds = model.predict_batch(ds.grid, ds.input_values)
         assert batch_loss("relative-l2", ds.grid, preds, ds.output_values) <= 1e-3
+
+    def test_default_ridge_does_not_grow_with_the_pair_count(self):
+        """The first 64, 256 and 1024 pairs of one stream, scored on 200
+        held-out pairs: each fit's error is at most 1.25 times the error of
+        the fit on fewer pairs.  A default ridge of 1e-8 trace(G) / n grows
+        with the Gram's N, and the error grows 1.6 and 3.5 times."""
+        train = make_dataset("poisson1d", SE005, 1024, 64, RngStream(41))
+        held_out = make_dataset("poisson1d", SE005, 200, 64, RngStream(42))
+        errors = []
+        for count in (64, 256, 1024):
+            model = fit_green_kernel(OperatorDataset(
+                train.grid, train.input_values[:count], train.output_values[:count], {}))
+            errors.append(model_losses(model, held_out, ["relative-l2"])["relative-l2"])
+        assert errors[1] <= 1.25 * errors[0] and errors[2] <= 1.25 * errors[1], errors
+
+    def test_negative_ridge_fails_before_the_gram(self, monkeypatch):
+        calls = []
+        gram_and_cross = opfit._gram_and_cross
+        monkeypatch.setattr(opfit, "_gram_and_cross",
+                            lambda *args: calls.append(args) or gram_and_cross(*args))
+        with pytest.raises(ValueError, match="ridge must be nonnegative"):
+            fit_green_kernel(poisson_dataset(5, 32, seed=11), -1e-8)
+        assert calls == []
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -654,46 +676,44 @@ class TestBatchedPredictAndLoss:
             compute_loss("relative-l2", preds, targets)
 
 
-def single_product_gram_and_cross(w, f_cols, u_cols, rho):
+def single_product_gram_and_cross(w, inputs, outputs, rho):
     """The Gram and cross matrices as one (n, N) by (N, n) product each."""
-    weighted = w[:, None] * f_cols
-    return (weighted * rho[None, :]) @ weighted.T, (u_cols * rho[None, :]) @ weighted.T
+    right = w * inputs
+    return (right.T * rho) @ right, (outputs.T * rho) @ right
 
 
-class TestGramTiles:
-    """fit_green_kernel builds its Gram and cross matrices over pairs of
-    row tiles, never an array of N columns and every row."""
+class TestGramRowBlocks:
+    """fit_green_kernel accumulates its Gram and cross matrices over
+    numerics.row_blocks of the pairs, never a temporary of all N pairs."""
 
-    def pairs(self, n, count=2000):
+    @pytest.mark.parametrize("n", [100, 256, 300])
+    @pytest.mark.parametrize("block_entries", [1, 300, numerics.BLOCK_ENTRIES])
+    def test_blocks_agree_with_one_product(self, n, block_entries):
+        """One pair a block, a few, and the default's 327, 128 or 109 pairs,
+        the last block partial."""
+        count = 700
         stream = RngStream(n)
-        f, u = stream.standard_normal((2, count, n))
-        return np.linspace(0.5, 1.0, n), f.T, u.T, 1.0 / np.linspace(0.5, 2.0, count)
+        inputs, outputs = stream.standard_normal((2, count, n))
+        w, rho = np.linspace(0.5, 1.0, n), 1.0 / np.linspace(0.5, 2.0, count)
+        with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
+            blocked = opfit._gram_and_cross(w, inputs, outputs, rho)
+        for got, single in zip(blocked, single_product_gram_and_cross(w, inputs, outputs, rho)):
+            assert np.abs(got - single).max() <= 1e-13 * np.abs(single).max()
 
-    @pytest.mark.parametrize("n", [100, 256])
-    def test_tiles_give_the_single_product_bits(self, n):
-        """At the Poisson pipeline's 256 sensors (four tiles) and CI's 100,
-        which is not a multiple of the tile."""
-        w, f_cols, u_cols, rho = self.pairs(n)
-        gram, cross = opfit._gram_and_cross(w, f_cols, u_cols, rho)
-        reference = single_product_gram_and_cross(w, f_cols, u_cols, rho)
-        assert np.array_equal(gram, reference[0])
-        assert np.array_equal(cross, reference[1])
-
-    def test_a_remainder_joins_the_last_tile(self):
-        for n in (1, 63, 64, 100, 127, 128, 150, 300):
-            tiles = opfit._row_tiles(n)
-            assert [(t.start, t.stop) for t in tiles] == list(
-                zip([0, *[t.stop for t in tiles[:-1]]], [t.stop for t in tiles]))
-            assert tiles[-1].stop == n
-            assert all(t.stop - t.start >= min(n, GRAM_TILE) for t in tiles)
-            assert all(t.stop - t.start < 2 * GRAM_TILE for t in tiles)
-
-    def test_uneven_tiles_agree_to_rounding(self):
-        """300 sensors: three tiles of 64 rows and one of 108."""
-        w, f_cols, u_cols, rho = self.pairs(300)
-        for tiled, single in zip(opfit._gram_and_cross(w, f_cols, u_cols, rho),
-                                 single_product_gram_and_cross(w, f_cols, u_cols, rho)):
-            assert np.abs(tiled - single).max() <= 1e-13 * np.abs(single).max()
+    def test_a_zero_norm_pair_inside_a_block_is_excluded(self):
+        """Pair 500 of 1500 lies inside the first block of 1024 pairs at 32
+        sensors; the fit with it is the fit of the other pairs, bit for bit."""
+        grid = Grid1D(32)
+        stream = RngStream(12)
+        inputs, outputs = stream.standard_normal((2, 1500, grid.n))
+        outputs[500] = 0.0
+        assert numerics.BLOCK_ENTRIES // grid.n == 1024
+        with pytest.warns(UserWarning, match="pair 500 has zero output norm"):
+            model = fit_green_kernel(OperatorDataset(grid, inputs, outputs, {}))
+        kept = np.arange(1500) != 500
+        others = fit_green_kernel(OperatorDataset(grid, inputs[kept], outputs[kept], {}))
+        assert np.all(np.isfinite(model.kernel))
+        assert np.array_equal(model.kernel, others.kernel)
 
 
 class TestModelLosses:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from operlab import dataio, structured
+from operlab import dataio, numerics, structured
 from operlab.grids import Grid1D
 from operlab.numerics import RngStream
 from operlab.opfit import DenseKernelModel, hierarchical_decompose
@@ -146,7 +146,7 @@ class TestStackedRunsMatchPerBlockLoop:
         op=block_operator_cases(),
         width=st.sampled_from([None, 1, 2, 9, 64]),
         fortran=st.booleans(),
-        block_entries=st.sampled_from([structured.TILE_BLOCK_ENTRIES, 1, 300]),
+        block_entries=st.sampled_from([numerics.BLOCK_ENTRIES, 1, 300]),
         seed=st.integers(0, 2 ** 31),
     )
     def test_apply_bits(self, op, width, fortran, block_entries, seed):
@@ -154,7 +154,7 @@ class TestStackedRunsMatchPerBlockLoop:
         x = RngStream(seed).standard_normal(shape)
         if fortran:  # predict probes the operator with a transposed batch
             x = np.asfortranarray(x)
-        with mock.patch.object(structured, "TILE_BLOCK_ENTRIES", block_entries):
+        with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
             assert_matches_per_block(op, x)
 
     @pytest.mark.parametrize("recovered", [False, True])
