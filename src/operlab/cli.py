@@ -406,10 +406,8 @@ def cmd_fit(config: dict, out_dir: str) -> int:
             }
             for mode in range(-model.max_mode, model.max_mode + 1)
         ]
-    if variant == "banded":
+    if variant in ("banded", "hierarchical"):
         metrics["truncation_error"] = model.truncation_error
-    if variant == "hierarchical":
-        metrics["truncation_error"] = model.total_truncation_error
     # both splits are scored, so a failed fit has written no file; the metrics
     # temporary is complete before the model is written, and is renamed only
     # once the model file is in place, so a failed write leaves neither output

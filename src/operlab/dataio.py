@@ -285,16 +285,10 @@ def save_model(path, model: KernelModel):
     _write(path, header, model.saved_arrays())
 
 
-def _check_finite(arrays: dict[str, np.ndarray], names):
-    for name in names:
-        if name in arrays and not np.isfinite(arrays[name]).all():
-            raise ValueError(f"array {name} holds entries that are not finite")
-
-
 def load_model(path) -> KernelModel:
-    """The model whose constructor's arguments a file holds.  An array entry
-    that is not finite, or an array the loaded model would not save again,
-    is a DataFormatError."""
+    """The model whose constructor's arguments a file holds.  Every array is
+    scanned before any constructor runs: an entry that is not finite, or an
+    array the loaded model would not save again, is a DataFormatError."""
     header, payload = _read(path, "model")
     try:
         arrays = _unpack_arrays(path, _field(header, "arrays", list), payload)
@@ -302,16 +296,12 @@ def load_model(path) -> KernelModel:
         cls = model_types().get(variant)
         if cls is None:
             raise ValueError(f"unknown model variant {variant!r}")
-        # each array is scanned once: here, or by a constructor that refuses it
-        _check_finite(arrays, [name for name in arrays if name not in cls.finite_checked])
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"array {name} holds entries that are not finite")
         grid = grid_from_dict(_field(header, "grid", dict))
         params = {name: _field(header, name, kind) for name, kind in cls.header_params.items()}
-        try:
-            model = cls.from_saved(grid, params, arrays)
-        except ValueError:
-            # name the array, if a constructor refused it for a non-finite entry
-            _check_finite(arrays, cls.finite_checked)
-            raise
+        model = cls.from_saved(grid, params, arrays)
     except _MALFORMED as exc:
         raise DataFormatError(f"{path}: invalid model: {exc!r}") from exc
     stray = set(arrays).symmetric_difference(name for name, _ in model.saved_arrays())

@@ -152,20 +152,5 @@ class OperatorDataset:
         self.input_values = inputs
         self.output_values = outputs
 
-    @classmethod
-    def from_samples(cls, inputs, outputs, provenance: dict | None = None) -> "OperatorDataset":
-        """Stack paired FunctionSample sequences that all share one grid."""
-        if len(inputs) != len(outputs):
-            raise ValueError("inputs and outputs must pair up one-to-one")
-        grids = {s.grid for s in (*inputs, *outputs)}
-        if len(grids) > 1:
-            raise ValueError("all samples in a dataset must share one grid")
-        return cls(
-            grids.pop() if grids else None,
-            np.array([s.values for s in inputs], dtype=float),
-            np.array([s.values for s in outputs], dtype=float),
-            {} if provenance is None else provenance,
-        )
-
     def __len__(self) -> int:
         return len(self.input_values)

@@ -7,8 +7,6 @@ reproduces the same sequence within one build.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # entries of each row block that row_blocks hands a blocked loop
@@ -22,13 +20,8 @@ def row_blocks(count: int, row_entries: int):
     return (slice(start, min(start + block, count)) for start in range(0, count, block))
 
 
-class ThinQR(NamedTuple):
-    q: np.ndarray
-    r: np.ndarray
-
-
-def qr_thin(m) -> ThinQR:
-    """Thin QR factorization of a tall matrix (rows >= cols).
+def qr_thin(m) -> tuple[np.ndarray, np.ndarray]:
+    """The thin QR factors (q, r) of a tall matrix (rows >= cols).
 
     Rank deficiency is not repaired: the factorization is still valid (Q
     orthonormal, QR = M) and R carries negligible diagonal entries.
@@ -39,7 +32,7 @@ def qr_thin(m) -> ThinQR:
     rows, cols = mat.shape
     if rows < cols:
         raise ValueError(f"qr_thin needs rows >= cols, got {rows}x{cols}")
-    return ThinQR(*np.linalg.qr(mat))
+    return np.linalg.qr(mat)
 
 
 class RngStream:

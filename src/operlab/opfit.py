@@ -48,8 +48,6 @@ class KernelModel:
 
     variant: str
     header_params: dict[str, type] = {}
-    # saved arrays whose constructor refuses a non-finite entry itself
-    finite_checked: tuple[str, ...] = ()
 
     def __init__(self, grid: Grid1D, operator: StructuredOperator):
         if operator.n != grid.n:
@@ -87,7 +85,6 @@ class DenseKernelModel(KernelModel):
 
     variant = "dense-kernel"
     header_params = {"ridge": float}
-    finite_checked = ("kernel",)  # by DenseOperator
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, ridge: float = 0.0):
         super().__init__(grid, DenseOperator(kernel))
@@ -194,7 +191,6 @@ class BandedKernelModel(KernelModel):
 
     variant = "banded"
     header_params = {"radius": float, "truncation_error": float}
-    finite_checked = ("kernel",)  # by DenseOperator
 
     def __init__(self, grid: Grid1D, kernel: np.ndarray, radius: float, truncation_error: float):
         super().__init__(grid, DenseOperator(kernel))
@@ -242,7 +238,7 @@ class HierarchicalKernelModel(KernelModel):
         self.rank = int(rank)
 
     @property
-    def total_truncation_error(self) -> float:
+    def truncation_error(self) -> float:
         # block by block in lane order, as Python floats: the order fixes the sum's bits
         return float(np.sqrt(sum(t ** 2 for tails in self.tails for t in tails.tolist())))
 
@@ -316,6 +312,11 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     are excluded with a warning.  Default ridge: 1e-8 trace(G) / (n N) for
     the Gram matrix G of the N kept pairs, so the penalty keeps its weight
     against the Gram, which grows with N, and more pairs do not blur the fit.
+    Every ridge goes through one filter: row i divides by the Gram's
+    eigenvalues plus N ridge / w_i, and a direction whose divisor is at most
+    1e-14 of the largest eigenvalue drops out.  At ridge 0, roundoff sets the
+    barely excited directions, so the kernel changes with the row-block size
+    below; predictions on inputs drawn like the training pairs still agree.
 
     The Gram and cross matrices are sums over the pairs, accumulated one
     numerics.row_blocks block of pairs at a time, so the fit holds the
@@ -333,13 +334,9 @@ def fit_green_kernel(ds: OperatorDataset, ridge: float | None = None) -> DenseKe
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
     rotated = cross @ eigvecs
-    if ridge == 0.0:
-        cutoff = eigvals[-1] * 1e-14 if eigvals[-1] > 0 else np.inf
-        inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > 0, eigvals, 1.0), 0.0)
-        kernel = (rotated * inv[None, :]) @ eigvecs.T
-    else:
-        denom = eigvals[None, :] + (count * ridge / w)[:, None]
-        kernel = (rotated / denom) @ eigvecs.T
+    denom = eigvals[None, :] + (count * ridge / w)[:, None]
+    denom[denom <= 1e-14 * eigvals[-1]] = np.inf  # such a direction drops out
+    kernel = (rotated / denom) @ eigvecs.T
     return DenseKernelModel(grid, kernel, ridge)
 
 
@@ -524,7 +521,11 @@ def model_losses(model: KernelModel, ds: OperatorDataset, kinds) -> dict[str, fl
 
 
 def compute_loss(kind: str, predictions, targets) -> float:
-    """batch_loss over paired FunctionSample sequences that share one grid."""
-    pairs = OperatorDataset.from_samples(predictions, targets)
-    return batch_loss(kind, pairs.grid, pairs.input_values, pairs.output_values)
+    """batch_loss over two paired FunctionSample sequences, each stacked;
+    all samples must share one grid."""
+    grids = {s.grid for s in (*predictions, *targets)}
+    if len(grids) > 1:
+        raise ValueError("all samples must share one grid")
+    stacked = [np.array([s.values for s in seq], dtype=float) for seq in (predictions, targets)]
+    return batch_loss(kind, next(iter(grids), None), *stacked)
 

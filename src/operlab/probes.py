@@ -142,11 +142,13 @@ def kernel_eval(spec: CovarianceSpec, x, y):
         if closed is not None:
             return closed
         return matern_bessel(d, spec.length_scale, spec.smoothness)
-    # helmholtz-power: the cosine series over the modes the KL basis keeps
-    result = np.full(np.broadcast_shapes(xa.shape, ya.shape), helmholtz_eigenvalue(spec, 0))
+    # helmholtz-power: the cosine series over the modes the KL basis keeps, summed
+    # once per distinct distance (numpy versions shape the inverse differently)
+    dist, inverse = np.unique(d, return_inverse=True)
+    result = np.full(dist.shape, helmholtz_eigenvalue(spec, 0))
     for mode in range(1, _helmholtz_mode_cap(spec) + 1):
-        result = result + 2.0 * helmholtz_eigenvalue(spec, mode) * np.cos(2.0 * np.pi * mode * d)
-    return result
+        result = result + 2.0 * helmholtz_eigenvalue(spec, mode) * np.cos(2.0 * np.pi * mode * dist)
+    return result[inverse].reshape(d.shape)
 
 
 def _helmholtz_mode_cap(spec: CovarianceSpec) -> int:

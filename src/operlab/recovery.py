@@ -177,7 +177,7 @@ def randomized_svd(
         raise ValueError(f"rank + oversampling = {width} exceeds dimension {oracle.n}")
     probe = stream.standard_normal((oracle.n, width))
     response = oracle.apply(probe)
-    q = qr_thin(response).q
+    q, _ = qr_thin(response)
     row_action = oracle.apply_transpose(q)
     return LowRankOperator(q, row_action.T)
 

@@ -233,7 +233,7 @@ def test_criterion_11_hierarchical_decomposition():
         for tail in np.concatenate(model.tails):
             assert tail <= 1e-10
         reconstruction_error = np.linalg.norm(model.operator.materialize() - kernel)
-        assert abs(reconstruction_error - model.total_truncation_error) <= 1e-10
+        assert abs(reconstruction_error - model.truncation_error) <= 1e-10
 
 
 def test_criterion_12_super_resolution():

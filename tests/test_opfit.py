@@ -133,6 +133,42 @@ class TestGreenFit:
         with pytest.raises(ValueError):
             fit_green_kernel(OperatorDataset(None, np.empty(0), np.empty(0), {}))
 
+    @staticmethod
+    def two_branch_kernel(ds, ridge):
+        """The fit with a pseudo-inverse at ridge 0 beside the ridge solve."""
+        grid, w, inputs, outputs, norms = opfit._prepare_green_fit(ds)
+        count = len(inputs)
+        gram, cross = opfit._gram_and_cross(w, inputs, outputs, 1.0 / norms)
+        if ridge is None:
+            ridge = 1e-8 * np.trace(gram) / (grid.n * count)
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        eigvals = np.clip(eigvals, 0.0, None)
+        rotated = cross @ eigvecs
+        if ridge == 0.0:
+            cutoff = eigvals[-1] * 1e-14 if eigvals[-1] > 0 else np.inf
+            inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > 0, eigvals, 1.0), 0.0)
+            return (rotated * inv[None, :]) @ eigvecs.T
+        denom = eigvals[None, :] + (count * ridge / w)[:, None]
+        return (rotated / denom) @ eigvecs.T
+
+    def test_one_filter_matches_the_two_branch_solve(self):
+        """Bitwise the ridge solve at the default and explicit ridges above 0,
+        within 1e-14 of the pseudo-inverse at ridge 0; a zero Gram fits a zero
+        kernel at ridge 0 and above."""
+        matern = CovarianceSpec("matern", length_scale=0.1, smoothness=0.5)
+        for ds in (poisson_dataset(300, 100, seed=12),
+                   make_dataset("poisson1d", matern, 120, 64, RngStream(13))):
+            for ridge in (None, 1e-6, 1e-10):
+                kernel = fit_green_kernel(ds, ridge).kernel
+                assert kernel.tobytes() == self.two_branch_kernel(ds, ridge).tobytes()
+            reference = self.two_branch_kernel(ds, 0.0)
+            distance = np.linalg.norm(fit_green_kernel(ds, 0.0).kernel - reference)
+            assert distance <= 1e-14 * np.linalg.norm(reference)
+        silent = OperatorDataset(Grid1D(16), np.zeros((3, 16)),
+                                 RngStream(14).standard_normal((3, 16)), {})
+        for ridge in (0.0, 1e-6):
+            assert not fit_green_kernel(silent, ridge).kernel.any()
+
 
 class TestLowRankFit:
     def test_full_rank_equals_dense(self):
@@ -308,7 +344,7 @@ class TestHierarchical:
         kernel = RngStream(20).standard_normal((32, 32))
         model = hierarchical_decompose(DenseKernelModel(grid, kernel), 2, 8)
         assert np.allclose(model.operator.materialize(), kernel, atol=1e-12)
-        assert model.total_truncation_error <= 1e-12
+        assert model.truncation_error <= 1e-12
 
     def test_poisson_admissible_blocks_rank_one(self):
         grid = Grid1D(128)
@@ -318,7 +354,7 @@ class TestHierarchical:
         for tail in np.concatenate(model.tails):
             assert tail <= 1e-10
         err = np.linalg.norm(model.operator.materialize() - kernel)
-        assert abs(err - model.total_truncation_error) <= 1e-10
+        assert abs(err - model.truncation_error) <= 1e-10
 
     def test_block_tails_decay_with_rank(self):
         grid = Grid1D(64)
@@ -362,7 +398,7 @@ class TestHierarchical:
         model = hierarchical_decompose(dense, 3, 2)
         f = ds.input_values[:1]
         gap = np.linalg.norm(model.predict_batch(ds.grid, f) - dense.predict_batch(ds.grid, f))
-        bound = model.total_truncation_error * np.linalg.norm(ds.grid.quad_weights() * f)
+        bound = model.truncation_error * np.linalg.norm(ds.grid.quad_weights() * f)
         assert gap <= bound + 1e-12
 
     def test_model_keeps_only_its_own_blocks(self):
@@ -667,6 +703,12 @@ class TestBatchedPredictAndLoss:
         targets[1] = 0.0
         with pytest.raises(ValueError, match="zero-norm"):
             batch_loss("relative-l2", grid, np.ones((3, 10)), targets)
+
+    def test_unequal_counts_rejected(self):
+        grid = Grid1D(10)
+        samples = [FunctionSample(grid, np.full(10, 1.0 + i)) for i in range(3)]
+        with pytest.raises(ValueError):
+            compute_loss("relative-l2", samples, samples[:2])
 
     def test_mixed_grids_rejected(self):
         a, b = Grid1D(10), Grid1D(12)

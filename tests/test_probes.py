@@ -266,6 +266,18 @@ def test_helmholtz_kernel_sums_the_modes_the_basis_keeps():
     assert kernel_eval(spec, 0.0, 0.0) == total
 
 
+@pytest.mark.parametrize("smoothness,shift", [(2.5, 9.0), (3.0, 0.0)])
+def test_helmholtz_gram_equals_its_scalar_evaluations(smoothness, shift):
+    """The series is summed once per distinct distance, in the same mode
+    order as for one entry, so each Gram entry keeps its bits."""
+    spec = CovarianceSpec("helmholtz-power", smoothness=smoothness, shift=shift, periodic=True)
+    x = Grid1D(12, periodic=True).points()
+    gram = kernel_eval(spec, x[:, None], x[None, :])
+    assert gram.shape == (12, 12)
+    scalar = np.array([[kernel_eval(spec, a, b) for b in x] for a in x])
+    assert gram.tobytes() == scalar.tobytes()
+
+
 def looped_periodic_basis(spec: CovarianceSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The helmholtz-power KL functions and eigenvalues built mode by mode:
     the constant (if its eigenvalue is positive), then the cosine and sine
