@@ -98,18 +98,21 @@ _FIELDS = {
 }
 
 # Each _FIELDS["algorithm"] entry's recovery: the random_structured keywords of
-# its instance (keyword -> config field), and its call given the recovery
-# module.  The calls look up recovery's functions when they run, so hooks that
-# replace them still see them.
+# its instance (keyword -> config field); its sketch, if it takes one, as the
+# config field of its rank and the column blocks it sketches one at a time
+# (recovery.sketch_width); and its call given the recovery module.  The calls
+# look up recovery's functions when they run, so hooks that replace them
+# still see them.
 _RECOVER = {
-    "low-rank": ({"rank": "rank"}, lambda recovery, oracle, config, stream:
+    "low-rank": ({"rank": "rank"}, ("rank", 1), lambda recovery, oracle, config, stream:
                  recovery.randomized_svd(oracle, config["rank"], config.get("oversampling", 5),
                                          stream=stream)),
-    "circulant": ({}, lambda recovery, oracle, config, stream:
+    "circulant": ({}, None, lambda recovery, oracle, config, stream:
                   recovery.recover_circulant(oracle, stream)),
-    "banded": ({"bandwidth": "bandwidth"}, lambda recovery, oracle, config, stream:
+    "banded": ({"bandwidth": "bandwidth"}, None, lambda recovery, oracle, config, stream:
                recovery.recover_banded(oracle, config["bandwidth"])),
-    "hodlr": ({"rank": "block_rank", "levels": "levels"}, lambda recovery, oracle, config, stream:
+    "hodlr": ({"rank": "block_rank", "levels": "levels"}, ("block_rank", 2),
+              lambda recovery, oracle, config, stream:
               recovery.recover_hodlr(oracle, config["block_rank"], config["levels"],
                                      config.get("oversampling", 5), stream=stream)),
 }
@@ -284,8 +287,11 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     seed = config["seed"]
     instance_stream = RngStream(seed).derive(0)
     probe_stream = RngStream(seed).derive(1)
-    keywords, recover = _RECOVER[algorithm]
+    keywords, sketch, recover = _RECOVER[algorithm]
     try:
+        if sketch is not None:  # before the instance, which a misfit may make huge
+            rank_field, blocks = sketch
+            recovery.sketch_width(n, config[rank_field], config.get("oversampling", 5), blocks)
         instance = random_structured(
             algorithm, n, instance_stream, **{key: config[field] for key, field in keywords.items()}
         )
@@ -297,8 +303,6 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         recovered = recover(recovery, oracle, config, probe_stream)
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
-    except ValueError as exc:  # parameters that do not fit the dimension
-        raise CliError("config", str(exc)) from exc
     residual = recovery.relative_residual(recovered, instance) if n <= DENSE_CAP else None
     elapsed = time.perf_counter() - started
     payload = {

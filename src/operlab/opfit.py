@@ -166,7 +166,8 @@ class FourierMultiplierModel(KernelModel):
             raise ValueError("materialization resolution below training resolution")
         symbol = np.zeros(n, dtype=complex)
         symbol[self._mode_indices(n)] = self.multiplier
-        return CirculantOperator(np.fft.ifft(symbol).real)
+        # the real part as its own array: the operator keeps what it is given
+        return CirculantOperator(np.ascontiguousarray(np.fft.ifft(symbol).real))
 
     def saved_arrays(self):
         return [
@@ -355,7 +356,8 @@ def fit_low_rank(ds: OperatorDataset, rank: int, ridge: float | None = None) -> 
         raise ValueError("rank must be between 1 and the sensor count")
     dense = fit_green_kernel(ds, ridge)
     u, s, vt = np.linalg.svd(dense.kernel, full_matrices=False)
-    return LowRankKernelModel(dense.grid, u[:, :rank] * s[:rank], vt[:rank])
+    # a compact row factor: the operator keeps what it is given, not all of vt
+    return LowRankKernelModel(dense.grid, u[:, :rank] * s[:rank], vt[:rank].copy())
 
 
 def fit_fourier_multiplier(

@@ -153,6 +153,23 @@ def _structural_norms(recovered, reference) -> tuple[float, float] | None:
     return None
 
 
+def sketch_width(n: int, rank: int, oversampling: int, blocks: int = 1) -> int:
+    """rank + oversampling, the width of the Gaussian probe that sketches one
+    of `blocks` equal column blocks of an n x n matrix (the whole matrix for
+    randomized_svd, one of a sibling pair for recover_hodlr).  Raises
+    ValueError unless rank >= 1, oversampling >= 0 and the width is at most
+    n // blocks; the CLI checks a config by it before drawing an instance."""
+    if rank < 1:
+        raise ValueError("target rank must be >= 1")
+    if oversampling < 0:
+        raise ValueError("oversampling must be >= 0")
+    width = rank + oversampling
+    if width > n // blocks:
+        bound = "n" if blocks == 1 else f"n/{blocks}"
+        raise ValueError(f"rank + oversampling = {width} exceeds {bound} = {n // blocks}")
+    return width
+
+
 def randomized_svd(
     oracle: MatvecOracle,
     rank: int,
@@ -168,18 +185,12 @@ def randomized_svd(
     recovery is A ~= Q Z^T.  Inputs of exact rank at most `rank` are
     recovered to roundoff with probability one.
     """
-    if rank < 1:
-        raise ValueError("target rank must be >= 1")
-    if oversampling < 0:
-        raise ValueError("oversampling must be >= 0")
-    width = rank + oversampling
-    if width > oracle.n:
-        raise ValueError(f"rank + oversampling = {width} exceeds dimension {oracle.n}")
-    probe = stream.standard_normal((oracle.n, width))
-    response = oracle.apply(probe)
-    q, _ = qr_thin(response)
-    row_action = oracle.apply_transpose(q)
-    return LowRankOperator(q, row_action.T)
+    width = sketch_width(oracle.n, rank, oversampling)
+    # the probe is freed before the QR, the response before the transpose query
+    response = oracle.apply(stream.standard_normal((oracle.n, width)))
+    q = qr_thin(response)[0]
+    del response
+    return LowRankOperator(q, oracle.apply_transpose(q).T)
 
 
 def recover_circulant(oracle: MatvecOracle, stream: RngStream) -> CirculantOperator:
@@ -187,23 +198,25 @@ def recover_circulant(oracle: MatvecOracle, stream: RngStream) -> CirculantOpera
 
     Applying the matrix to a Gaussian probe g, drawn from stream, commutes:
     the response y equals the circulant built from g applied to the unknown
-    first column, so the column is IFFT(FFT(y) / FFT(g)).  Raises
+    first column, so the column is IRFFT(RFFT(y) / RFFT(g)).  Raises
     ZeroFourierMode, before any query, if any DFT coefficient of g falls
-    below PIVOT_RTOL * ||g|| (PIVOT_RTOL = 1e-8).
+    below PIVOT_RTOL * ||g|| (PIVOT_RTOL = 1e-8); the real transform's half
+    spectrum holds them all, as a real vector's other half mirrors it.
     """
-    g = stream.standard_normal(oracle.n)
-    g_hat = np.fft.fft(g)
+    n = oracle.n
+    g = stream.standard_normal(n)
+    g_hat = np.fft.rfft(g)
     tol = PIVOT_RTOL * np.linalg.norm(g)
-    small = np.abs(g_hat) <= tol
-    if np.any(small):
-        mode = int(np.argmin(np.abs(g_hat)))
+    magnitudes = np.abs(g_hat)
+    if np.any(magnitudes <= tol):
+        mode = int(np.argmin(magnitudes))
         raise ZeroFourierMode(
-            f"probe DFT coefficient {mode} has magnitude {np.abs(g_hat[mode]):.3e} "
+            f"probe DFT coefficient {mode} has magnitude {magnitudes[mode]:.3e} "
             f"<= tolerance {tol:.3e}"
         )
-    response = oracle.apply(g)
-    column = np.fft.ifft(np.fft.fft(response) / g_hat).real
-    return CirculantOperator(column)
+    spectrum = np.fft.rfft(oracle.apply(g))
+    spectrum /= g_hat
+    return CirculantOperator(np.fft.irfft(spectrum, n))
 
 
 def banded_coloring(n: int, bandwidth: int) -> np.ndarray:
@@ -286,11 +299,8 @@ def recover_hodlr(
     lower ones, pairs in ascending order.
     """
     n = oracle.n
+    width = sketch_width(n, block_rank, oversampling, 2)
     full = BlockLowRankOperator.zeros(n, levels, "weak", block_rank)
-    width = block_rank + oversampling
-    if width > n // 2:
-        raise ValueError("need block_rank + oversampling <= n/2")
-
     arrays = full.col_factors, full.row_factors
     for level in range(1, levels + 1):
         upper, lower = full.lanes[2 * level - 2:2 * level]

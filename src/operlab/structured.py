@@ -16,9 +16,9 @@ leaves as one stack per leaf lane; its Lane objects view its blocks in
 place.  One apply path, three batched products over the probe's finest
 tiles whatever the number of levels, serves both admissibilities.  Random
 HODLR instances and recovery.recover_hodlr use the weak partition,
-hierarchical kernel fits the strong one.  BandedOperator and
-BlockLowRankOperator keep float64 arrays passed to them without a copy, so
-callers must not mutate an array after passing it to an operator.
+hierarchical kernel fits the strong one.  Every operator keeps the float64
+arrays passed to it without a copy, so callers must not mutate an array
+after passing it to an operator.
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ class DenseOperator(StructuredOperator):
     """Plain dense matrix, mostly used as a reference in tests."""
 
     def __init__(self, matrix):
-        a = np.array(matrix, dtype=float)
+        a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense operator must be a square matrix")
         if not np.all(np.isfinite(a)):
@@ -104,8 +104,8 @@ class LowRankOperator(StructuredOperator):
     """Product form A = C R with C of shape (n, k) and R of shape (k, n)."""
 
     def __init__(self, col_factor, row_factor):
-        c = np.array(col_factor, dtype=float)
-        r = np.array(row_factor, dtype=float)
+        c = np.asarray(col_factor, dtype=float)
+        r = np.asarray(row_factor, dtype=float)
         if c.ndim != 2 or r.ndim != 2 or c.shape[1] != r.shape[0] or c.shape[0] != r.shape[1]:
             raise ValueError("factors must have shapes (n, k) and (k, n)")
         self.col_factor = c
@@ -122,21 +122,23 @@ class LowRankOperator(StructuredOperator):
 
 
 class CirculantOperator(StructuredOperator):
-    """Circulant matrix parameterized by its first column; applied via FFT."""
+    """Circulant matrix parameterized by its first column; applied via the
+    real FFT, whose half spectrum a real column's other half mirrors."""
 
     def __init__(self, first_column):
-        c = np.array(first_column, dtype=float)
+        c = np.asarray(first_column, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("first column must be a nonempty vector")
         self.first_column = c
         self.n = c.size
 
     def _apply(self, x, transpose):
-        xhat = np.fft.fft(x, axis=0)
-        symbol = np.fft.fft(self.first_column)
+        xhat = np.fft.rfft(x, axis=0)
+        symbol = np.fft.rfft(self.first_column)
         if transpose:  # A^T is circulant with first column c[(n - i) mod n]
             symbol = np.conj(symbol)
-        return np.fft.ifft(symbol[:, None] * xhat, axis=0).real
+        xhat *= symbol[:, None]
+        return np.fft.irfft(xhat, self.n, axis=0)
 
     def _materialize(self, lo, hi):
         # column j is the first column rolled down by j: A[i, j] = c[(i - j) mod n]
@@ -147,15 +149,13 @@ class BandedOperator(StructuredOperator):
     """Banded matrix with A[i, j] = 0 whenever |i - j| > bandwidth.
 
     Stored as 2w+1 diagonals indexed by row: diagonals[w + o, i] = A[i, i + o]
-    for offsets o in [-w, w], kept without a copy when given as a float
-    array.  Out-of-range slots (i + o outside [0, n)) are zero: the
-    constructor rejects any other value, so the diagonals' norm is the
-    matrix's Frobenius norm.  An apply walks the destination rows in the
+    for offsets o in [-w, w].  Out-of-range slots (i + o outside [0, n)) are
+    zero: the constructor rejects any other value, so the diagonals' norm is
+    the matrix's Frobenius norm.  An apply walks the destination rows in the
     numerics.row_blocks of the probe (992 rows of a 33-column probe) and
     runs every offset within a block, so a block of the result and the probe
-    rows it reads stay in cache.  Each output entry gets
-    its adds in offset order, with the bits of one full-height pass per
-    offset.
+    rows it reads stay in cache.  Each output entry gets its adds in offset
+    order, with the bits of one full-height pass per offset.
     """
 
     def __init__(self, n: int, bandwidth: int, diagonals):
@@ -311,27 +311,27 @@ class BlockLowRankOperator(StructuredOperator):
     """Low-rank blocks and dense leaves tiling an n x n matrix along
     partition_lanes(n, levels, admissibility): weak (HODLR) or strong.
 
-    The low-rank blocks live tile-major in two (n, K) arrays, kept without a
-    copy.  Row i of col_factors holds the column-factor rows of every block
-    whose row range contains i; row i of row_factors, the row-factor rows of
-    every block whose column range contains i.  The columns run level by
-    level and, within a level, slot by slot: the lanes of one slot share
-    min(rank, size) columns, zero in the rows that none of their blocks
-    covers.  The arrays may hold a prefix of whole levels only (the coarser
-    levels, as recovery peels them).  leaves, if given, holds one (blocks,
-    leaf, leaf) stack per leaf lane, also kept without a copy.  lanes and
-    leaf_lanes hold the blocks as Lane objects, whose factors are views
-    into these arrays.
+    The low-rank blocks live tile-major in two (n, K) arrays.  Row i of
+    col_factors holds the column-factor rows of every block whose row range
+    contains i; row i of row_factors, the row-factor rows of every block
+    whose column range contains i.  The columns run level by level and,
+    within a level, slot by slot: the lanes of one slot share min(rank,
+    size) columns, zero in the rows that none of their blocks covers.  The
+    arrays may hold a prefix of whole levels only (the coarser levels, as
+    recovery peels them).  leaves, if given, holds one (blocks, leaf, leaf)
+    stack per leaf lane.  lanes and leaf_lanes hold the blocks as Lane
+    objects, whose factors are views into these arrays.
 
     An apply views the probe as its 2^levels finest tiles and makes three
     batched products whatever the number of levels: the row_factors tiles
     (transposed) times the probe tiles; then, once each level's
     coefficients are summed over its tiles and moved from each block's
     column tile to its row tile, the col_factors tiles times them; then the
-    leaf stacks times the probe tiles.  The transpose swaps the two arrays
-    and the direction of the moves.  A C-ordered probe whose coefficients
-    (2^levels K a column) do not outnumber its entries goes in one pass.
-    Any other goes in the numerics.row_blocks of its columns, at
+    leaf stacks times the probe tiles, added into the result one
+    numerics.row_blocks block of tiles at a time.  The transpose swaps the
+    two arrays and the direction of the moves.  A C-ordered probe whose
+    coefficients (2^levels K a column) do not outnumber its entries goes in
+    one pass.  Any other goes in the numerics.row_blocks of its columns, at
     max(n, 2^levels K) entries a column, each chunk copied to C order; the
     result has the probe's layout.
     """
@@ -397,7 +397,10 @@ class BlockLowRankOperator(StructuredOperator):
             (stack,) = lane.factors
             if transpose:
                 src, dst, stack = dst, src, stack.transpose(0, 2, 1)
-            y[dst] += stack @ tiles[src]
+            # each tile's product is its own matmul, so the blocks keep its bits
+            lane_in, lane_out = tiles[src], y[dst]
+            for part in row_blocks(len(stack), leaf * x.shape[1]):
+                lane_out[part] += stack[part] @ lane_in[part]
         return y.reshape(x.shape)
 
     def _coefficients(self, tiles, transpose):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from operlab import cli, dataio, opfit
+from operlab import cli, dataio, opfit, structured
 from operlab.cli import _FIELDS, _PATH, main
 from operlab.dataio import (
     ChecksumMismatchError,
@@ -591,6 +591,23 @@ class TestIntegerFields:
         config = dict(RECOVER_HODLR, block_rank=30)  # block_rank + oversampling > n/2
         assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1
         assert capsys.readouterr().err.startswith("ERROR:config:")
+
+    @pytest.mark.parametrize("config", [
+        {"algorithm": "hodlr", "block_rank": 2 ** 19, "levels": 1},  # its instance: 4 TiB
+        {"algorithm": "low-rank", "rank": 2 ** 20 - 4},  # its instance: 16 TiB
+    ], ids=["hodlr", "low-rank"])
+    def test_a_sketch_wider_than_the_dimension_draws_no_instance(self, tmp_path, capsys,
+                                                                  monkeypatch, config):
+        """The sketch width is checked before the instance is drawn, so a
+        misfit is a config error, not an allocation failure."""
+        drawn = []
+        monkeypatch.setattr(structured, "random_structured", lambda *args, **kw: drawn.append(1))
+        config = {"command": "recover", "seed": 1, "dimension": 2 ** 20, **config,
+                  "output": "r.json"}
+        assert run("recover", write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:config: rank + oversampling")
+        assert drawn == []
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Memory contracts of the Poisson path, the multiplier predict and the
-banded recovery, measured in process with tracemalloc.
+recovery steps, measured in process with tracemalloc.
 
 Each command holds its own arrays plus temporaries of a fixed block size, so
 its traced peak is bounded in units of one (N, n) float64 array (a dataset
@@ -143,6 +143,42 @@ class TestRecoveryPeaks:
             recovered = recovery.recover_banded(oracle, width)
         assert peak["bytes"] <= 2.5 * band, peak["bytes"] / band
         assert np.array_equal(recovered.diagonals, instance.diagonals)
+
+    def test_randomized_svd_holds_one_sketch_at_a_time(self):
+        """The response, the QR's workspace and Q, then Q and the row action,
+        each one (n, rank + oversampling) unit: 3.01 units measured.  Holding
+        the probe through the QR and the response through the transpose
+        query, and copying both factors into the result, held 6.01."""
+        n, rank = 8192, 32
+        instance = random_structured("low-rank", n, RngStream(7), rank=rank)
+        oracle = MatvecOracle.from_operator(instance)
+        unit = n * (rank + 5) * 8
+        with traced_peak() as peak:
+            recovered = recovery.randomized_svd(oracle, rank, 5, stream=RngStream(8))
+        assert peak["bytes"] <= 3.5 * unit, peak["bytes"] / unit
+        assert recovery.relative_residual(recovered, instance) <= 1e-12
+
+    def test_low_rank_instance_keeps_its_draws(self):
+        """The two drawn factors, (n, rank) and (rank, n): 2.00 units of
+        (n, rank) measured.  Copying them into the operator held 4.00."""
+        n, rank = 8192, 32
+        with traced_peak() as peak:
+            random_structured("low-rank", n, RngStream(7), rank=rank)
+        unit = n * rank * 8
+        assert peak["bytes"] <= 2.75 * unit, peak["bytes"] / unit
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
+    def test_weak_apply_adds_leaf_products_in_row_blocks(self, transpose):
+        """A weak apply at n = 8192 with 2^7 leaves and 8 columns: the result
+        and the tiles' coefficients (half a unit of the probe), plus one row
+        block of leaf products at a time: 1.50 units measured.  A full-size
+        leaf product before the add held 2.00."""
+        n = 8192
+        op = random_structured("hodlr", n, RngStream(9), rank=4, levels=7)
+        x = RngStream(10).standard_normal((n, 8))
+        with traced_peak() as peak:
+            (op.apply_transpose if transpose else op.apply)(x)
+        assert peak["bytes"] <= 1.75 * x.nbytes, peak["bytes"] / x.nbytes
 
 
 class TestContainerReadPeaks:

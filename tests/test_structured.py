@@ -157,6 +157,29 @@ class TestStackedRunsMatchPerBlockLoop:
         with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
             assert_matches_per_block(op, x)
 
+    @pytest.mark.parametrize("admissibility", ["weak", "strong"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["apply", "apply_transpose"])
+    def test_leaf_products_keep_the_apply_bits_in_row_blocks(self, admissibility, transpose):
+        """The leaf lanes' products go into the result one row block of
+        tiles at a time; each tile's product is its own matmul, so one tile
+        a block, a few, and all of them give the same bits.  Both operators
+        apply a C-ordered probe in one pass, so only the leaf blocks move."""
+        n, levels = 1024, 4
+        stream = RngStream(21)
+        if admissibility == "weak":
+            op = random_structured("hodlr", n, stream, rank=2, levels=levels)
+        else:
+            kernel = DenseKernelModel(Grid1D(n), stream.standard_normal((n, n)))
+            op = hierarchical_decompose(kernel, levels - 1, 2).operator
+        x = stream.standard_normal((n, 3))
+        leaf = n >> op.levels
+        assert op.col_factors.shape[1] << op.levels <= n  # one pass at any block size
+        whole = (op.apply_transpose if transpose else op.apply)(x)
+        for block_entries in (1, 2 * 3 * leaf, 5 * 3 * leaf + 1):
+            with mock.patch.object(numerics, "BLOCK_ENTRIES", block_entries):
+                blocked = (op.apply_transpose if transpose else op.apply)(x)
+            assert np.array_equal(blocked, whole), block_entries
+
     @pytest.mark.parametrize("recovered", [False, True])
     def test_stacks_are_the_only_copy(self, recovered):
         """Every block's factors are views into the operator's two (n, K)
@@ -519,6 +542,35 @@ class TestOperatorValidation:
         assert BandedOperator(3, 1, d).diagonals is d
         listed = BandedOperator(3, 1, d.tolist()).diagonals
         assert listed.dtype == np.float64 and np.array_equal(listed, d)
+
+    @pytest.mark.parametrize("kind", ["dense", "low-rank", "circulant", "banded", "block"])
+    def test_keeps_float_arrays_without_a_copy(self, kind):
+        """Every operator type holds the float64 arrays it is given, in their
+        layout: a transposed row factor, as randomized_svd passes one, stays
+        a view of its array."""
+        stream = RngStream(5)
+        if kind == "dense":
+            given = [stream.standard_normal((6, 6))]
+            op = DenseOperator(*given)
+            held = [op.matrix]
+        elif kind == "low-rank":
+            given = [stream.standard_normal((6, 2)), stream.standard_normal((6, 2)).T]
+            op = LowRankOperator(*given)
+            held = [op.col_factor, op.row_factor]
+        elif kind == "circulant":
+            given = [stream.standard_normal(6)]
+            op = CirculantOperator(*given)
+            held = [op.first_column]
+        elif kind == "banded":
+            given = [random_structured("banded", 6, stream, bandwidth=1).diagonals]
+            op = BandedOperator(6, 1, *given)
+            held = [op.diagonals]
+        else:
+            shell = BlockLowRankOperator.zeros(16, 2, "weak", 2)
+            given = [shell.col_factors, shell.row_factors, np.zeros((4, 4, 4))]
+            op = BlockLowRankOperator(16, 2, "weak", 2, *given[:2], [given[2]])
+            held = [op.col_factors, op.row_factors, op.leaf_lanes[0].factors[0]]
+        assert all(same_memory(a, b) for a, b in zip(given, held, strict=True))
 
     @pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (3, 4), (4, 3), (4, 4)])
     @pytest.mark.parametrize("value", [1e-300, -2.0, np.nan])
