@@ -105,7 +105,8 @@ _FIELDS = {
 # still see them.
 _RECOVER = {
     "low-rank": ({"rank": "rank"}, ("rank", 1), lambda recovery, oracle, config, stream:
-                 recovery.randomized_svd(oracle, config["rank"], config.get("oversampling", 5),
+                 recovery.randomized_svd(oracle, config["rank"],
+                                         config.get("oversampling", recovery.OVERSAMPLING),
                                          stream=stream)),
     "circulant": ({}, None, lambda recovery, oracle, config, stream:
                   recovery.recover_circulant(oracle, stream)),
@@ -114,7 +115,8 @@ _RECOVER = {
     "hodlr": ({"rank": "block_rank", "levels": "levels"}, ("block_rank", 2),
               lambda recovery, oracle, config, stream:
               recovery.recover_hodlr(oracle, config["block_rank"], config["levels"],
-                                     config.get("oversampling", 5), stream=stream)),
+                                     config.get("oversampling", recovery.OVERSAMPLING),
+                                     stream=stream)),
 }
 
 _PDE_FAMILIES = {
@@ -291,7 +293,8 @@ def cmd_recover(config: dict, out_dir: str) -> int:
     try:
         if sketch is not None:  # before the instance, which a misfit may make huge
             rank_field, blocks = sketch
-            recovery.sketch_width(n, config[rank_field], config.get("oversampling", 5), blocks)
+            oversampling = config.get("oversampling", recovery.OVERSAMPLING)
+            recovery.sketch_width(n, config[rank_field], oversampling, blocks)
         instance = random_structured(
             algorithm, n, instance_stream, **{key: config[field] for key, field in keywords.items()}
         )

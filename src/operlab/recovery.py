@@ -10,7 +10,9 @@ keeps the exact query counts.  HODLR peeling makes one forward and one
 transpose oracle call per level, with both sibling families (the level's
 two lanes) side by side, writes each level straight into the two factor
 arrays the result stores, and reads the diagonal leaves off in chunks of
-at most block_rank + oversampling columns straight into its leaf stack.
+at most block_rank + oversampling columns straight into its leaf stack,
+subtracting the off-diagonal levels there through those factor arrays.
+OVERSAMPLING is the default oversampling of every sketch.
 relative_residual scores a recovered operator against a known
 instance without querying the oracle: from the two operators' parameters
 when they are of one type over one structure (the case for every
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import RngStream, qr_thin
+from .numerics import RngStream, qr_thin, row_blocks
 from .structured import (
     BandedOperator,
     BlockLowRankOperator,
@@ -57,6 +59,8 @@ class RankDeficitError(RuntimeError):
 RESIDUAL_SLAB = 256
 PIVOT_RTOL = 1e-8
 RANK_RTOL = 1e-8
+# columns a sketch draws beyond its target rank, unless a caller says otherwise
+OVERSAMPLING = 5
 
 
 def relative_residual(recovered: StructuredOperator, reference) -> float:
@@ -173,7 +177,7 @@ def sketch_width(n: int, rank: int, oversampling: int, blocks: int = 1) -> int:
 def randomized_svd(
     oracle: MatvecOracle,
     rank: int,
-    oversampling: int = 5,
+    oversampling: int = OVERSAMPLING,
     *,
     stream: RngStream,
 ) -> LowRankOperator:
@@ -269,7 +273,7 @@ def recover_hodlr(
     oracle: MatvecOracle,
     block_rank: int,
     levels: int,
-    oversampling: int = 5,
+    oversampling: int = OVERSAMPLING,
     *,
     stream: RngStream,
 ) -> BlockLowRankOperator:
@@ -285,11 +289,13 @@ def recover_hodlr(
     family), and one transpose call carrying both families' bases completes
     the blocks.  The dense diagonal leaf blocks are read off last with
     n/2^levels block-identity probes, in chunks of at most block_rank +
-    oversampling columns, straight into the leaf stack.  The result's two
-    factor arrays are allocated once, before the first level; each level's
-    bases and coefficients are written into them through its lanes' views,
-    and the coarser levels are subtracted through an operator over the
-    columns filled so far.
+    oversampling columns, straight into the leaf stack, where the
+    off-diagonal levels are subtracted through the factor arrays' rows (see
+    _read_leaves).  The result's two factor arrays are allocated once,
+    before the first level; each level's bases and coefficients are written
+    into them through its lanes' views, and from level 2 on the coarser
+    levels are subtracted through an operator over the columns filled so
+    far.
 
     Query budget per level: 2*(block_rank + oversampling) forward plus
     2*min(block_rank, n/2^level) transpose, with n/2^levels extra forward
@@ -304,17 +310,18 @@ def recover_hodlr(
     arrays = full.col_factors, full.row_factors
     for level in range(1, levels + 1):
         upper, lower = full.lanes[2 * level - 2:2 * level]
-        # the coarser levels: the arrays' columns before this level's
-        known = BlockLowRankOperator(n, levels, "weak", block_rank,
-                                     *(a[:, :upper.columns.start] for a in arrays))
+        # the coarser levels: the arrays' columns before this level's (none at level 1)
+        known = None if level == 1 else BlockLowRankOperator(
+            n, levels, "weak", block_rank, *(a[:, :upper.columns.start] for a in arrays))
         _peel_level(oracle, known, upper, lower, block_rank, width, stream)
-    leaves = _read_leaves(oracle, full, levels, width)
+    leaves = _read_leaves(oracle, full, width)
     return BlockLowRankOperator(n, levels, "weak", block_rank, *arrays, [leaves])
 
 
 def _peel_level(oracle, known, upper, lower, block_rank, width, stream):
     """Fill one level's upper and lower lanes from one forward and one
-    transpose oracle call; known holds the coarser levels."""
+    transpose oracle call; known holds the coarser levels, or is None at
+    level 1, where there is nothing to subtract."""
     n, level, size = oracle.n, upper.level, upper.size
     pairs = 1 << (level - 1)
     r = min(block_rank, size)
@@ -326,7 +333,8 @@ def _peel_level(oracle, known, upper, lower, block_rank, width, stream):
     tiles[1::2, :, :width] = stream.standard_normal((pairs, size, width))
     tiles[0::2, :, width:] = stream.standard_normal((pairs, size, width))
     sketch = oracle.apply(probe)
-    sketch -= known.apply(probe)
+    if known is not None:
+        sketch -= known.apply(probe)
     sketch = sketch.reshape(2 * pairs, size, 2 * width)
     bases = []
     for side, family in (("upper", sketch[0::2, :, :width]), ("lower", sketch[1::2, :, width:])):
@@ -340,31 +348,49 @@ def _peel_level(oracle, known, upper, lower, block_rank, width, stream):
     tiles = projection.reshape(2 * pairs, size, 2 * r)
     tiles[0::2, :, :r], tiles[1::2, :, r:] = bases
     coeff = oracle.apply_transpose(projection)
-    coeff -= known.apply_transpose(projection)
+    if known is not None:
+        coeff -= known.apply_transpose(projection)
     coeff = coeff.reshape(2 * pairs, size, 2 * r)
     upper.fill(bases[0], coeff[1::2, :, :r])
     lower.fill(bases[1], coeff[0::2, :, r:])
 
 
-def _read_leaves(oracle, known, levels, width) -> np.ndarray:
+def _read_leaves(oracle, full, width) -> np.ndarray:
     """The (2^levels, leaf, leaf) stack of diagonal leaves, read off with
-    block-identity probes in equal chunks of at most `width` columns; known
-    holds every off-diagonal level."""
-    n = oracle.n
+    block-identity probes in equal chunks of at most `width` columns; full
+    holds every off-diagonal level.
+
+    Each chunk's response goes straight into the leaf stack, and the
+    off-diagonal levels are subtracted there through full's factor arrays:
+    the first product of full's apply with a block-identity probe is the
+    chunk's rows of every row_factors tile, so those rows are moved
+    (full.move_coefficients), and the col_factors tiles times them are
+    subtracted one numerics.row_blocks block of tiles at a time.  A product
+    with identity columns is exact and the rest are full.apply's own
+    operations, so the leaves keep the bits of subtracting full.apply.
+    """
+    n, levels = oracle.n, full.levels
     leaf, count = n >> levels, 1 << levels
     leaves = np.empty((count, leaf, leaf))
+    col_tiles, row_tiles = (a.reshape(count, leaf, a.shape[1])
+                            for a in (full.col_factors, full.row_factors))
     chunks = -(-leaf // width)
     for chunk in range(chunks):
         lo, hi = leaf * chunk // chunks, leaf * (chunk + 1) // chunks
         probe = np.zeros((n, hi - lo))
         probe.reshape(count, leaf, hi - lo)[:, lo:hi] = np.eye(hi - lo)
-        sketch = oracle.apply(probe)
-        sketch -= known.apply(probe)
-        leaves[:, :, lo:hi] = sketch.reshape(count, leaf, hi - lo)
+        columns = leaves[:, :, lo:hi]
+        columns[...] = oracle.apply(probe).reshape(count, leaf, hi - lo)
+        del probe
+        coeff = full.move_coefficients(row_tiles[:, lo:hi].transpose(0, 2, 1).copy(),
+                                       transpose=False)
+        for part in row_blocks(count, leaf * (hi - lo)):
+            columns[part] -= col_tiles[part] @ coeff[part]
     return leaves
 
 
-def hodlr_query_budget(n: int, block_rank: int, levels: int, oversampling: int = 5):
+def hodlr_query_budget(n: int, block_rank: int, levels: int,
+                       oversampling: int = OVERSAMPLING):
     """(forward, transpose) query counts of recover_hodlr for these parameters."""
     forward = 2 * (block_rank + oversampling) * levels + (n >> levels)
     transpose = sum(2 * min(block_rank, n >> level) for level in range(1, levels + 1))

@@ -326,9 +326,11 @@ class BlockLowRankOperator(StructuredOperator):
     batched products whatever the number of levels: the row_factors tiles
     (transposed) times the probe tiles; then, once each level's
     coefficients are summed over its tiles and moved from each block's
-    column tile to its row tile, the col_factors tiles times them; then the
-    leaf stacks times the probe tiles, added into the result one
-    numerics.row_blocks block of tiles at a time.  The transpose swaps the
+    column tile to its row tile (move_coefficients, a step of its own so
+    that a caller holding the first product can finish an apply), the
+    col_factors tiles times them; then the leaf stacks times the probe
+    tiles, added into the result one numerics.row_blocks block of tiles at
+    a time.  The transpose swaps the
     two arrays and the direction of the moves.  A C-ordered probe whose
     coefficients (2^levels K a column) do not outnumber its entries goes in
     one pass.  Any other goes in the numerics.row_blocks of its columns, at
@@ -405,13 +407,22 @@ class BlockLowRankOperator(StructuredOperator):
 
     def _coefficients(self, tiles, transpose):
         """(tiles, K, columns): for each finest tile, the coefficients that
-        the result's factor array multiplies in its rows.  The products of
-        the other factor array with the probe tiles are summed over each
-        level's tiles first; then the same buffer takes the coefficients,
-        moved to each block's destination tile."""
-        count, leaf, width = tiles.shape
+        the result's factor array multiplies in its rows: the products of
+        the other factor array with the probe tiles, moved by
+        move_coefficients."""
+        count, leaf, _ = tiles.shape
         first = self.col_factors if transpose else self.row_factors
         coeff = first.reshape(count, leaf, first.shape[1]).transpose(0, 2, 1) @ tiles
+        return self.move_coefficients(coeff, transpose)
+
+    def move_coefficients(self, coeff, transpose: bool) -> np.ndarray:
+        """Move a writable (tiles, K, columns) stack of per-finest-tile
+        products, in place: each level's products are summed over its tiles
+        first, then the same buffer takes the sums, moved from each block's
+        column tile to its row tile (row to column for the transpose).  The
+        result's factor array times the stack, tile by tile, is the apply.
+        Returns coeff."""
+        count, _, width = coeff.shape
 
         def level_view(span, level_tiles):
             # (level tiles, finest tiles in each, span's columns, width)

@@ -180,6 +180,23 @@ class TestRecoveryPeaks:
             (op.apply_transpose if transpose else op.apply)(x)
         assert peak["bytes"] <= 1.75 * x.nbytes, peak["bytes"] / x.nbytes
 
+    def test_hodlr_leaf_read_off_holds_one_probe_and_its_response(self):
+        """Beyond the result's factor arrays and leaf stack, the leaf read-off
+        holds one chunk's probe and the oracle's response with its apply's
+        temporaries: 2.99 units of one (n, 8) chunk probe measured at n =
+        8192, 2^7 leaves of 64 columns.  Subtracting the coarser levels
+        through an operator apply to each probe held 3.55."""
+        n = 8192
+        instance = random_structured("hodlr", n, RngStream(13), rank=4, levels=7)
+        oracle = MatvecOracle.from_operator(instance)
+        with traced_peak() as peak:
+            recovered = recovery.recover_hodlr(oracle, 4, 7, stream=RngStream(14))
+        held = (recovered.col_factors.nbytes + recovered.row_factors.nbytes
+                + recovered.leaf_lanes[0].factors[0].nbytes)
+        unit = n * 8 * 8
+        assert (peak["bytes"] - held) <= 3.25 * unit, (peak["bytes"] - held) / unit
+        assert recovery.relative_residual(recovered, instance) <= 1e-10
+
 
 class TestContainerReadPeaks:
     def test_payload_is_held_once(self, dataset_dir):

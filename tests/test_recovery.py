@@ -237,6 +237,40 @@ class TestHodlr:
         with pytest.raises(ValueError):
             recover_hodlr(oracle, 1, 5, 1, stream=RngStream(0))  # 2^levels > n
 
+    @pytest.mark.parametrize("n, levels, block_rank, oversampling", [
+        (32768, 9, 4, 5), (4096, 7, 4, 5), (256, 6, 2, 5),
+        (1024, 3, 5, 0),  # no oversampling
+        (64, 1, 3, 2),  # one level
+        (128, 2, 20, 5), (2048, 4, 8, 3),
+        (512, 8, 1, 1),  # one chunk spans each 2-wide leaf
+        (64, 4, 6, 2),  # 4-wide leaves, narrower than the block rank
+    ])
+    def test_leaves_match_a_read_off_through_the_operator(self, n, levels, block_rank,
+                                                          oversampling):
+        """The leaves read off through the recovered factor rows equal, bit
+        for bit, the oracle's response to each chunk of block-identity probes
+        minus the recovered off-diagonal operator's apply to it; the queries
+        are hodlr_query_budget's."""
+        op = random_structured("hodlr", n, RngStream(n + levels),
+                               rank=min(block_rank, n >> levels), levels=levels)
+        oracle = oracle_for(op)
+        recovered = recover_hodlr(oracle, block_rank, levels, oversampling, stream=RngStream(3))
+        assert ((oracle.forward_queries, oracle.transpose_queries)
+                == hodlr_query_budget(n, block_rank, levels, oversampling))
+        full = BlockLowRankOperator(n, levels, "weak", block_rank, recovered.col_factors,
+                                    recovered.row_factors)
+        leaf, count, width = n >> levels, 1 << levels, block_rank + oversampling
+        expected = np.empty((count, leaf, leaf))
+        chunks = -(-leaf // width)
+        for chunk in range(chunks):
+            lo, hi = leaf * chunk // chunks, leaf * (chunk + 1) // chunks
+            probe = np.zeros((count, leaf, hi - lo))
+            probe[:, lo:hi] = np.eye(hi - lo)
+            probe = probe.reshape(n, hi - lo)
+            sketch = oracle.apply(probe) - full.apply(probe)
+            expected[:, :, lo:hi] = sketch.reshape(count, leaf, hi - lo)
+        assert np.array_equal(recovered.leaf_lanes[0].factors[0], expected)
+
 
 class TestExactRecoveryAcrossSizes:
     """Seeded random instances of every kind recover to 1e-8 relative."""
