@@ -2,13 +2,16 @@
 
 Configs are JSON with strict schemas (unknown keys are fatal, a seed is
 mandatory) so runs are reproducible; identical configs produce byte-identical
-output files.  Wall times go to stdout only, never into output files.
+output files.  Wall times go to stdout, with one exception: recover still
+writes wall_time_seconds into report.json, because the benchmark's report
+check (perfbench/checks.py) requires that key, so two recover reports differ
+in that field alone.  Every recover run is held to its exact query budget
+(recovery.query_budget): a run that strays from it writes no report.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -306,16 +309,22 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         recovered = recover(recovery, oracle, config, probe_stream)
     except (recovery.ZeroFourierMode, recovery.RankDeficitError) as exc:
         raise CliError("recovery", str(exc)) from exc
+    parameters = {k: config[k] for fields in _FIELDS["algorithm"][algorithm]
+                  for k in fields if k in config}
+    queries = (oracle.forward_queries, oracle.transpose_queries)
+    budget = recovery.query_budget(algorithm, n, parameters)
+    if queries != budget:
+        raise CliError("internal", f"{algorithm} recovery made (forward, transpose) queries "
+                                   f"{queries}, its budget is {budget}")
     residual = recovery.relative_residual(recovered, instance) if n <= DENSE_CAP else None
     elapsed = time.perf_counter() - started
     payload = {
         "algorithm": algorithm,
         "dimension": n,
-        "parameters": {k: config[k] for fields in _FIELDS["algorithm"][algorithm]
-                       for k in fields if k in config},
+        "parameters": parameters,
         "seed": seed,
-        "forward_queries": oracle.forward_queries,
-        "transpose_queries": oracle.transpose_queries,
+        "forward_queries": queries[0],
+        "transpose_queries": queries[1],
         "residual_frobenius_relative": residual,
         "wall_time_seconds": elapsed,
     }
@@ -325,8 +334,7 @@ def cmd_recover(config: dict, out_dir: str) -> int:
         fh.write("\n")
     print(
         f"recover algorithm={algorithm} dimension={n} "
-        f"forward_queries={oracle.forward_queries} "
-        f"transpose_queries={oracle.transpose_queries} "
+        f"forward_queries={queries[0]} transpose_queries={queries[1]} "
         f"residual={residual} output={path}"
     )
     return 0
@@ -484,8 +492,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="directory for output files")
 
-    level = os.environ.get("OPERLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("OPERLAB_LOG")
+    if level is not None:  # logging is loaded only when asked for
+        import logging
+
+        # an unknown name, or a module attribute that is no level (BASIC_FORMAT), warns
+        level = getattr(logging, level.upper(), None)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
     try:
         args = parser.parse_args(argv)

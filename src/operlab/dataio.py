@@ -23,9 +23,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grids import Grid1D, Grid2D, OperatorDataset, stacked_shape
-
+# grids is imported inside the functions that use it, so a process that only
+# writes a report through output_file does not load it
 if TYPE_CHECKING:
+    from .grids import OperatorDataset
     from .opfit import KernelModel
 
 MAGIC = "operlab-binary"
@@ -56,6 +57,8 @@ class UnsupportedVersionError(DataFormatError):
 
 
 def grid_to_dict(grid) -> dict:
+    from .grids import Grid1D, Grid2D
+
     if isinstance(grid, Grid1D):
         kind = "periodic-1d" if grid.periodic else "uniform-1d"
         return {"kind": kind, "n": grid.n, "left": grid.left, "right": grid.right}
@@ -78,6 +81,8 @@ def _field(mapping: dict, key: str, kind: type):
 
 
 def grid_from_dict(d: dict):
+    from .grids import Grid1D, Grid2D
+
     kind = _field(d, "kind", str)
     n, left, right = _field(d, "n", int), _field(d, "left", float), _field(d, "right", float)
     if kind == "uniform-1d":
@@ -232,6 +237,8 @@ def save_dataset(path, ds: OperatorDataset):
 
 def _dataset_manifest(version: int, grid, count: int) -> list[dict]:
     """The only manifest a dataset of count pairs on grid may carry."""
+    from .grids import stacked_shape
+
     if version == 1:
         sample = list(stacked_shape(grid, 1)[1:])
         names = [f"input{i}" for i in range(count)] + [f"output{i}" for i in range(count)]
@@ -241,6 +248,8 @@ def _dataset_manifest(version: int, grid, count: int) -> list[dict]:
 
 
 def load_dataset(path) -> OperatorDataset:
+    from .grids import OperatorDataset
+
     header, payload = _read(path, "dataset")
     try:
         count = _field(header, "num_pairs", int)

@@ -7,7 +7,6 @@ trigonometric eigenpairs).
 """
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from collections.abc import Iterable
@@ -17,8 +16,6 @@ import numpy as np
 
 from .grids import Grid1D
 from .numerics import RngStream
-
-log = logging.getLogger(__name__)
 
 FAMILIES = ("squared-exponential", "matern", "helmholtz-power")
 MACHINE_EPS = float(np.finfo(float).eps)
@@ -206,7 +203,10 @@ def kl_decompose(spec: CovarianceSpec, m: int) -> KLBasis:
     if eigenvalues[0] < 0.0:
         # shift up, refactor, shift back: keeps the reported spectrum unbiased
         jitter = 1e-12 * eigenvalues[-1]
-        log.info("adding diagonal jitter %.3e to the covariance Gram matrix", jitter)
+        import logging  # loaded only by a Gram that needs the jitter
+
+        logging.getLogger(__name__).info(
+            "adding diagonal jitter %.3e to the covariance Gram matrix", jitter)
         sym[np.diag_indices_from(sym)] += jitter
         eigenvalues, vectors = np.linalg.eigh(sym)
         eigenvalues = eigenvalues - jitter

@@ -12,7 +12,8 @@ two lanes) side by side, writes each level straight into the two factor
 arrays the result stores, and reads the diagonal leaves off in chunks of
 at most block_rank + oversampling columns straight into its leaf stack,
 subtracting the off-diagonal levels there through those factor arrays.
-OVERSAMPLING is the default oversampling of every sketch.
+OVERSAMPLING is the default oversampling of every sketch, and query_budget
+states each algorithm's exact (forward, transpose) query counts.
 relative_residual scores a recovered operator against a known
 instance without querying the oracle: from the two operators' parameters
 when they are of one type over one structure (the case for every
@@ -395,3 +396,20 @@ def hodlr_query_budget(n: int, block_rank: int, levels: int,
     forward = 2 * (block_rank + oversampling) * levels + (n >> levels)
     transpose = sum(2 * min(block_rank, n >> level) for level in range(1, levels + 1))
     return forward, transpose
+
+
+def query_budget(algorithm: str, n: int, params: dict) -> tuple[int, int]:
+    """(forward, transpose) query counts of the recovery of an n x n
+    `algorithm` matrix, given its config parameters (the fields of a recover
+    config; a missing oversampling is OVERSAMPLING)."""
+    if algorithm == "low-rank":
+        width = params["rank"] + params.get("oversampling", OVERSAMPLING)
+        return width, width
+    if algorithm == "circulant":
+        return 1, 0
+    if algorithm == "banded":
+        return min(2 * params["bandwidth"] + 1, n), 0
+    if algorithm == "hodlr":
+        return hodlr_query_budget(n, params["block_rank"], params["levels"],
+                                  params.get("oversampling", OVERSAMPLING))
+    raise ValueError(f"unknown recovery algorithm {algorithm!r}")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from operlab import cli, dataio, opfit, structured
+from operlab import cli, dataio, opfit, recovery, structured
 from operlab.cli import _FIELDS, _PATH, main
 from operlab.dataio import (
     ChecksumMismatchError,
@@ -486,6 +486,27 @@ class TestRecover:
         assert report["forward_queries"] == 8
         assert report["transpose_queries"] == 8
         assert report["residual_frobenius_relative"] <= 1e-8
+
+    def test_a_recovery_off_its_query_budget_writes_no_report(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """The oracle's counts are held to recovery.query_budget before any
+        report is written: one extra forward query is one ERROR:internal:
+        line naming both (forward, transpose) pairs."""
+        recover_circulant = recovery.recover_circulant
+
+        def one_query_too_many(oracle, stream):
+            oracle.apply(np.zeros(oracle.n))
+            return recover_circulant(oracle, stream)
+
+        monkeypatch.setattr(recovery, "recover_circulant", one_query_too_many)
+        config = self.recover_config(tmp_path, algorithm="circulant", dimension=64)
+        assert run("recover", config, tmp_path) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:internal: "), lines
+        assert "(2, 0)" in lines[0] and "(1, 0)" in lines[0], lines[0]
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
 
 
 RECOVER = {"command": "recover", "seed": 5, "output": "report.json"}
@@ -1419,7 +1440,7 @@ class TestProcessInterface:
         fit_eval = {"cli", "numerics", "grids", "structured", "opfit", "dataio"}
         expected = {
             "generate": {"cli", "numerics", "grids", "probes", "pdelab", "dataio"},
-            "recover": {"cli", "numerics", "grids", "structured", "recovery", "dataio"},
+            "recover": {"cli", "numerics", "structured", "recovery", "dataio"},
             "fit": fit_eval,
             "eval": fit_eval,
         }
@@ -1427,22 +1448,27 @@ class TestProcessInterface:
             "print(json.dumps(sorted(m[len('operlab.'):] for m in sys.modules\n"
             "                        if m.startswith('operlab.'))))\n"
         )
+        # logging loads only with OPERLAB_LOG (unset here; these configs need no
+        # KL jitter), and dataclasses only with grids
+        stdlib = "print(json.dumps(sorted({'logging', 'dataclasses'} & set(sys.modules))))\n"
         child = ("import json, sys\nimport operlab.cli\ncode = operlab.cli.main(sys.argv[1:])\n"
-                 + loaded + "sys.exit(code)\n")
+                 + loaded + stdlib + "sys.exit(code)\n")
         for command, config in steps.items():
             argv = [command, "--config", write_config(tmp_path / f"{command}.json", config),
                     "--out", str(tmp_path)]
             proc = subprocess.run([sys.executable, "-c", child, *argv],
                                   capture_output=True, text=True, cwd=ROOT, env=env)
             assert proc.returncode == 0, proc.stderr
-            assert set(json.loads(proc.stdout.splitlines()[-1])) == expected[command], command
+            modules, standard = map(json.loads, proc.stdout.splitlines()[-2:])
+            assert set(modules) == expected[command], command
+            assert standard == ([] if command == "recover" else ["dataclasses"]), command
 
         for statement, modules in (("import operlab", []), ("import operlab.cli", ["cli"])):
-            script = f"import json, sys\n{statement}\n{loaded}"
+            script = f"import json, sys\n{statement}\n{loaded}{stdlib}"
             proc = subprocess.run([sys.executable, "-c", script],
                                   capture_output=True, text=True, cwd=ROOT, env=env)
             assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout) == modules, statement
+            assert list(map(json.loads, proc.stdout.splitlines())) == [modules, []], statement
 
         exports = (
             "import json, sys\n"
@@ -1464,6 +1490,33 @@ class TestProcessInterface:
         assert result["bound"] == result["same"] == sorted(result["all"])
         assert all(home.startswith("operlab.") for home in result["homes"])
         assert set(result["all"]) <= set(result["dir"])
+
+    def test_kl_jitter_reaches_the_log_only_when_asked_for(self, tmp_path):
+        """OPERLAB_LOG=info prints the KL jitter message on stderr (the
+        squared-exponential Gram at l=0.3 on 32 points needs jitter), though
+        logging is loaded only then; with OPERLAB_LOG unset stderr is empty."""
+        config = write_config(tmp_path / "g.json", dict(
+            POISSON_GENERATE, num_pairs=2, resolution=32,
+            covariance={"family": "squared-exponential", "length_scale": 0.3}))
+        argv = [sys.executable, "-m", "operlab", "generate", "--config", config,
+                "--out", str(tmp_path)]
+        logged = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT,
+                                env=dict(child_env(), OPERLAB_LOG="info"))
+        assert logged.returncode == 0, logged.stderr
+        lines = logged.stderr.splitlines()
+        assert len(lines) == 1 and "adding diagonal jitter" in lines[0], lines
+        quiet = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=child_env())
+        assert quiet.returncode == 0 and quiet.stderr == "", quiet.stderr
+
+    @pytest.mark.parametrize("level", ["basic_format", "bogus", ""])
+    def test_an_operlab_log_that_names_no_level_logs_warnings(self, tmp_path, level):
+        """A value of OPERLAB_LOG that is not a level name, even one naming a
+        logging attribute that is no level, sets WARNING instead of failing."""
+        config = write_config(tmp_path / "r.json", dict(RECOVER_CIRCULANT, output="c.json"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "operlab", "recover", "--config", config, "--out", str(tmp_path)],
+            capture_output=True, text=True, cwd=ROOT, env=dict(child_env(), OPERLAB_LOG=level))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     def test_poisson_generate_recover_fit_eval_never_import_scipy(self, tmp_path):
         """Only the Darcy solver and the Matern-Bessel covariance (smoothness

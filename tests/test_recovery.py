@@ -15,6 +15,7 @@ from operlab.recovery import (
     ZeroFourierMode,
     banded_coloring,
     hodlr_query_budget,
+    query_budget,
     randomized_svd,
     recover_banded,
     recover_circulant,
@@ -307,6 +308,27 @@ class TestExactRecoveryAcrossSizes:
                 fwd, tr = hodlr_query_budget(n, rank, levels, 5)
                 assert (oracle.forward_queries, oracle.transpose_queries) == (fwd, tr)
             assert relative_residual(recovered, op.materialize()) <= 1e-8
+
+    @pytest.mark.parametrize("algorithm, n, params, budget", [
+        ("low-rank", 64, {"rank": 3}, (8, 8)),
+        ("low-rank", 64, {"rank": 3, "oversampling": 0}, (3, 3)),
+        ("circulant", 64, {}, (1, 0)),
+        ("banded", 12, {"bandwidth": 2}, (5, 0)),
+        ("banded", 4, {"bandwidth": 3}, (4, 0)),
+        ("hodlr", 256, {"block_rank": 2, "levels": 6}, (88, 24)),
+        ("hodlr", 64, {"block_rank": 2, "levels": 3, "oversampling": 1}, (26, 12)),
+    ])
+    def test_query_budget_states_each_algorithms_counts(self, algorithm, n, params, budget):
+        """query_budget: rank + p each way for low-rank, one forward query
+        for circulant, min(2w + 1, n) for banded, hodlr_query_budget's row."""
+        assert query_budget(algorithm, n, params) == budget
+        if algorithm == "hodlr":
+            assert budget == hodlr_query_budget(n, params["block_rank"], params["levels"],
+                                                params.get("oversampling", 5))
+
+    def test_query_budget_refuses_an_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="unknown recovery algorithm"):
+            query_budget("dense", 64, {})
 
 
 def column_read_off(oracle, n: int, w: int) -> np.ndarray:
