@@ -7,6 +7,12 @@ writes wall_time_seconds into report.json, because the benchmark's report
 check (perfbench/checks.py) requires that key, so two recover reports differ
 in that field alone.  Every recover run is held to its exact query budget
 (recovery.query_budget): a run that strays from it writes no report.
+
+main(argv) is the in-process API: it returns the exit code and never exits.
+run() is the process entry (`operlab`, `python -m operlab`): it calls main,
+flushes stdout and stderr, and ends the process with os._exit, skipping
+interpreter finalization, which writes no output.  Every output file is
+closed and renamed into place before main returns.
 """
 from __future__ import annotations
 
@@ -229,9 +235,11 @@ def validate_config(config: dict) -> dict:
         losses = config.get("losses", ["relative-l2"])
         if not isinstance(losses, list) or not losses:
             raise CliError("config", "losses must be a nonempty list")
-        for kind in losses:
+        for i, kind in enumerate(losses):
             if kind not in opfit.LOSS_KINDS:
                 raise CliError("config", f"unknown loss kind {kind!r}")
+            if kind in losses[:i]:  # eval would write its row twice
+                raise CliError("config", f"loss kind {kind!r} is listed twice")
     return config
 
 
@@ -532,5 +540,21 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Run main on the process arguments and end the process at its last
+    write, skipping the module teardown, last garbage collection and BLAS
+    thread join of interpreter finalization, which write nothing.  A stdout
+    that cannot be flushed (a closed or broken pipe) is one ERROR:io line
+    and exit 1."""
+    code = main()
+    if "logging" in sys.modules:  # loaded only with OPERLAB_LOG
+        sys.modules["logging"].shutdown()
+    try:
+        if sys.stdout is not None:  # None in a process started with fd 1 closed
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        print(f"ERROR:io: cannot write stdout: {exc}", file=sys.stderr)
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

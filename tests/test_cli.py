@@ -795,6 +795,16 @@ class TestEveryFailureIsOneLine:
         assert run("generate", config, tmp_path) == 1
         assert capsys.readouterr().err == "ERROR:incompatible: out of memory\n"
 
+    @pytest.mark.parametrize("name", ["fit", "eval"])
+    def test_a_repeated_loss_kind(self, valid_configs, tmp_path, capsys, name):
+        """A loss kind listed twice is refused before any work: eval would
+        write its row twice, and fit's metrics would keep one."""
+        config = dict(valid_configs[name], losses=["relative-l2", "mse", "relative-l2"])
+        assert run(name, write_config(tmp_path / "c.json", config), tmp_path) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["ERROR:config: loss kind 'relative-l2' is listed twice"], lines
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
     def test_property_covers_every_field_of_the_table(self, valid_configs):
         """A numeric field added to cli._FIELDS must join NUMERIC_FIELDS, a
         path field PATH_FIELDS."""
@@ -1330,10 +1340,50 @@ class TestProcessInterface:
             cwd=ROOT,
             env=child_env(),
         )
-        assert proc.returncode == 1
+        assert proc.returncode == 1 and proc.stdout == ""
         lines = [l for l in proc.stderr.strip().splitlines() if l]
         assert len(lines) == 1
         assert lines[0].startswith("ERROR:config:")
+
+    @staticmethod
+    def recover_process(out_dir, **streams):
+        """A small circulant recover run by `python -m operlab`, the process
+        entry, with the given subprocess.run stream arguments."""
+        config = write_config(out_dir / "r.json", RECOVER_CIRCULANT)
+        return subprocess.run(
+            [sys.executable, "-m", "operlab", "recover", "--config", config, "--out", str(out_dir)],
+            text=True, cwd=ROOT, env=child_env(), **streams)
+
+    def test_a_piped_stdout_keeps_its_line(self, tmp_path):
+        """The process ends with os._exit after flushing its streams, so a
+        block-buffered stdout (a pipe, PYTHONUNBUFFERED unset) still carries
+        the summary line, and the report is in place."""
+        proc = self.recover_process(tmp_path, capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert re.fullmatch(r"recover algorithm=circulant .*\n", proc.stdout), proc.stdout
+        assert json.loads((tmp_path / "report.json").read_text())["forward_queries"] == 1
+
+    def test_a_broken_stdout_is_one_error_line(self, tmp_path):
+        """With the read end of its stdout closed before it writes, a run
+        exits 1 with one ERROR:io line, not 120 with finalization's two-line
+        BrokenPipeError notice."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.recover_process(tmp_path, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(lines) == 1, (proc.returncode, lines)
+        assert lines[0].startswith("ERROR:io: "), lines
+
+    def test_a_run_without_stdout_succeeds(self, tmp_path):
+        """A process started with fd 1 closed has no sys.stdout; its run
+        writes the report and exits 0 with nothing on stderr."""
+        proc = self.recover_process(tmp_path, stderr=subprocess.PIPE,
+                                    preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert (tmp_path / "report.json").is_file()
 
     def test_recover_hodlr_4096_is_repeatable_and_small(self, tmp_path):
         """The residual reference is the instance itself, scored from its factors:
